@@ -6,6 +6,7 @@
 //! without string-matching messages. The full code table is in
 //! `DESIGN.md` and printed by `mrsky-audit codes`.
 
+use mrsky_trace::json::{array, JsonObject};
 use std::fmt;
 
 /// Stable diagnostic codes. Never renumber — retire codes instead.
@@ -234,53 +235,28 @@ impl AuditReport {
         out
     }
 
-    /// Machine-readable rendering (same hand-rolled JSON style as the
-    /// report writer in `mr-skyline`, which this crate cannot depend on).
+    /// Machine-readable rendering.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"scheme\":{},\"probes\":{},\"errors\":{},\"diagnostics\":[",
-            json_string(&self.scheme),
-            self.probes,
-            self.diagnostics
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .count()
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"subject\":{},\"message\":{}}}",
-                d.code,
-                d.severity,
-                json_string(&d.subject),
-                json_string(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+        let errors = self
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .count();
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            JsonObject::new()
+                .string("code", d.code.as_str())
+                .string("severity", d.severity.as_str())
+                .string("subject", &d.subject)
+                .string("message", &d.message)
+                .finish()
+        });
+        JsonObject::new()
+            .string("scheme", &self.scheme)
+            .int("probes", self.probes as u64)
+            .int("errors", errors as u64)
+            .raw("diagnostics", array(diagnostics))
+            .finish()
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

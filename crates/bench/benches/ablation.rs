@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mr_skyline::prelude::*;
 use mr_skyline_bench::master_dataset;
 use qws_data::dataset::update_stream;
+use skyline_algos::select::BlockKernel;
 
 const BENCH_N: usize = 6000;
 
@@ -27,14 +28,10 @@ fn bench_local_kernel(c: &mut Criterion) {
     let data = master_dataset(BENCH_N).project(6);
     let mut group = c.benchmark_group("ablation_local_kernel");
     group.sample_size(10);
-    for (name, kernel) in [
-        ("bnl", LocalKernel::Bnl),
-        ("sfs", LocalKernel::Sfs),
-        ("dnc", LocalKernel::Dnc),
-    ] {
+    for (name, kernel) in [("bnl", BlockKernel::Bnl), ("sfs", BlockKernel::Sfs)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
             let mut job = SkylineJob::new(Algorithm::MrAngle, 8);
-            job.config.kernel = kernel;
+            job.config.kernel = Some(kernel);
             b.iter(|| job.run(data).global_skyline.len());
         });
     }

@@ -1,5 +1,5 @@
-//! Skyline kernel shoot-out: BNL (the paper's choice) vs SFS vs
-//! divide-and-conquer, across the three classic data distributions.
+//! Skyline kernel shoot-out: BNL (the paper's choice) vs SFS, across the
+//! three classic data distributions.
 //!
 //! This is the evidence behind DESIGN.md's "local kernel" ablation: on
 //! correlated (QWS-like) data the kernels are close; on anti-correlated data
@@ -11,14 +11,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
 use skyline_algos::bnl::{bnl_skyline, BnlConfig};
-use skyline_algos::dnc::dnc_skyline;
 use skyline_algos::dominance::dominates;
 use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, dominated_count};
 use skyline_algos::parallel::{parallel_skyline, parallel_skyline_partitioned};
 use skyline_algos::partition::AnglePartitioner;
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
-use skyline_algos::select::{correlation_estimate, KernelChoice};
+use skyline_algos::select::{correlation_estimate, select_for_block};
 use skyline_algos::sfs::sfs_skyline;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -48,9 +47,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sfs", n), &pts, |b, pts| {
             b.iter(|| sfs_skyline(pts).len());
-        });
-        group.bench_with_input(BenchmarkId::new("dnc", n), &pts, |b, pts| {
-            b.iter(|| dnc_skyline(pts).len());
         });
         group.finish();
     }
@@ -149,11 +145,11 @@ fn bench_block_vs_aos(c: &mut Criterion) {
 
 // ---- kernel-selection matrix (the pluggable-kernel tentpole) ----
 //
-// Every local kernel — BNL, SFS, SaLSa, and the `Auto` selector — timed on
+// Every local kernel — BNL, SFS, SaLSa, and the auto selector — timed on
 // every cell of distribution × d ∈ {2,4,6,8} × n ∈ {10k,100k,1M}. This is
-// the evidence behind `KernelChoice`'s calibrated boundaries and the data
+// the evidence behind `select`'s calibrated boundaries and the data
 // the bench gate pins: sort-based kernels must beat BNL on large
-// anti-correlated cells, and `Auto` must land within tolerance of the best
+// anti-correlated cells, and auto must land within tolerance of the best
 // fixed kernel on *every* cell. Results go to `BENCH_kernels.json`
 // (skipped in `--test` smoke runs, which instead exercise a reduced n=10k
 // matrix so the code path stays compiled and run in CI).
@@ -171,7 +167,7 @@ const MATRIX_DISTS: [Distribution; 3] = [
 /// loudly, in the JSON and on stdout — instead of stalling the run.
 const BNL_COMPARISON_BUDGET: u128 = 40_000_000_000;
 
-/// `Auto` must stay within 5% of the best fixed kernel per cell, with a
+/// Auto selection must stay within 5% of the best fixed kernel per cell, with a
 /// 25 ms absolute floor: crossover cells (anti d=4, small correlated
 /// blocks) have sub-25 ms margins that flip run to run, and no selector —
 /// or repeated measurement of the *same* kernel — resolves below that.
@@ -267,11 +263,8 @@ fn measure_cell(dist: Distribution, n: usize, d: usize, quick: bool) -> MatrixCe
     } else {
         None
     };
-    let auto_kernel = KernelChoice::default().select_for_block(&block);
-    let auto_ms = timed(quick, || {
-        let choice = KernelChoice::default().select_for_block(&block);
-        choice.run(&block, &cfg).0.len()
-    });
+    let auto_kernel = select_for_block(&block);
+    let auto_ms = timed(quick, || select_for_block(&block).run(&block, &cfg).0.len());
     MatrixCell {
         key: format!("{}_d{d}_n{n}", dist.name()),
         dist: dist.name(),

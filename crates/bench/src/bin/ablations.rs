@@ -1,7 +1,7 @@
 //! Design-choice ablations beyond the paper, over the DESIGN.md list:
 //!
 //! 1. partition-count policy (`k × nodes` for k ∈ {1, 2, 4, 8});
-//! 2. local-skyline kernel (BNL vs SFS vs D&C);
+//! 2. local-skyline kernel (BNL vs SFS);
 //! 3. MR-Grid dominated-cell pruning on/off (at d = 2, where it is sound);
 //! 4. MR-Angle split strategy (quantile vs equal-width);
 //! 5. random-partitioning baseline vs the geometric schemes;
@@ -16,6 +16,7 @@
 
 use mr_skyline::prelude::*;
 use mr_skyline_bench::{arg_usize, master_dataset, SWEEP_SERVERS};
+use skyline_algos::select::BlockKernel;
 
 fn line(tag: &str, r: &SkylineRunReport) {
     println!(
@@ -46,13 +47,9 @@ fn main() {
     }
 
     println!("\n--- 2. local kernel (MR-Angle) ---");
-    for (name, kernel) in [
-        ("BNL (paper)", LocalKernel::Bnl),
-        ("SFS", LocalKernel::Sfs),
-        ("Divide&Conquer", LocalKernel::Dnc),
-    ] {
+    for (name, kernel) in [("BNL (paper)", BlockKernel::Bnl), ("SFS", BlockKernel::Sfs)] {
         let mut job = SkylineJob::new(Algorithm::MrAngle, servers);
-        job.config.kernel = kernel;
+        job.config.kernel = Some(kernel);
         line(name, &job.run(&data));
     }
 

@@ -160,7 +160,7 @@ pub fn format_by_dimension(
 
 /// Renders a sweep point as a JSON object (for `--json` harness output).
 pub fn sweep_point_json(p: &SweepPoint) -> String {
-    mr_skyline::json::JsonObject::new()
+    mrsky_trace::json::JsonObject::new()
         .string("algorithm", p.algorithm.name())
         .int("cardinality", p.cardinality as u64)
         .int("dimensions", p.dimensions as u64)

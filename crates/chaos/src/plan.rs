@@ -20,7 +20,7 @@ use crate::retry::BackoffPolicy;
 use mrsky_trace::json::{self, JsonValue};
 
 /// A named fault-injection site in the execution stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A chunk task inside `skyline::parallel` (worker thread kernel run).
     ParallelChunk,
@@ -88,7 +88,7 @@ impl std::fmt::Display for FaultSite {
 }
 
 /// What an injected fault does at its site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The operation panics (worker thread unwind).
     Panic,
@@ -146,7 +146,7 @@ impl std::fmt::Display for FaultKind {
 
 /// One injection rule: at `site`, inject `kind` on roughly
 /// `permille`/1000 of attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteRule {
     /// Where to inject.
     pub site: FaultSite,
@@ -157,7 +157,7 @@ pub struct SiteRule {
 }
 
 /// A deterministic, seeded, serializable fault plan.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed folded into every injection decision.
     pub seed: u64,

@@ -1,7 +1,7 @@
 //! Quarantine / dead-letter collection for corrupt input records.
 
 /// One quarantined record with enough context to find it in the source.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRecord {
     /// Source name (file path, job name, …).
     pub source: String,

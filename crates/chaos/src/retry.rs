@@ -8,7 +8,7 @@
 /// runs must be bit-reproducible, so the spread for `(seed, attempt)`
 /// is a pure hash. `jitter = 0.0` (the default) reproduces the
 /// historical unjittered schedule exactly.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry, in simulated seconds.
     pub base_seconds: f64,

@@ -26,7 +26,7 @@
 //! the sizer charges per row, plus one 8-byte key per block.
 
 use crate::checkpoint::CheckpointStore;
-use crate::config::{AlgoConfig, LocalKernel};
+use crate::config::AlgoConfig;
 use mini_mapreduce::prelude::*;
 use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::scheduler::SpeculationConfig;
@@ -37,14 +37,12 @@ use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
 use skyline_algos::bnl::BnlConfig;
-use skyline_algos::dnc::dnc_skyline_stats;
 use skyline_algos::filter::{filtered_out, select_filter_points};
 use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
-use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, presort_merge_stats, KernelStats};
+use skyline_algos::kernel::{presort_merge_stats, KernelStats};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
-use skyline_algos::salsa::block_salsa_stats;
-use skyline_algos::select::KernelChoice;
+use skyline_algos::select::{select_for_block, BlockKernel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -237,8 +235,8 @@ struct KernelOutcome {
     work: u64,
     comparisons: u64,
     passes: u64,
-    /// Name of the kernel that actually ran — for `LocalKernel::Auto` this
-    /// is the per-partition choice, not "auto".
+    /// Name of the kernel that actually ran — under automatic selection
+    /// this is the per-partition choice, not "auto".
     kernel: &'static str,
 }
 
@@ -282,50 +280,23 @@ impl From<(PointBlock, KernelStats, &'static str)> for KernelOutcome {
     }
 }
 
-/// Runs the configured local-skyline kernel over one block. BNL, SFS and
-/// SaLSa run natively on the columnar layout; DnC converts at the boundary
-/// (see DESIGN.md "Data layout & kernels" and "Local kernel selection").
-/// `Auto` resolves to a concrete kernel per block via the calibrated
-/// [`KernelChoice`] boundaries, and the returned outcome names the kernel
-/// that actually ran.
+/// Runs the configured local-skyline kernel over one block, natively on
+/// the columnar layout (see DESIGN.md "Data layout & kernels" and "Local
+/// kernel selection"). `None` resolves to a concrete kernel per block via
+/// [`select_for_block`], and the returned outcome names the kernel that
+/// actually ran.
 fn run_local_kernel(
     block: &PointBlock,
-    kernel: LocalKernel,
+    kernel: Option<BlockKernel>,
     window: Option<usize>,
 ) -> KernelOutcome {
-    let bnl_cfg = || match window {
+    let bnl_cfg = match window {
         Some(w) => BnlConfig::with_window(w),
         None => BnlConfig::unbounded(),
     };
-    match kernel {
-        LocalKernel::Bnl => {
-            let (sky, stats) = block_bnl_stats(block, &bnl_cfg());
-            (sky, stats, "bnl").into()
-        }
-        LocalKernel::Sfs => {
-            let (sky, stats) = block_sfs_stats(block);
-            (sky, stats, "sfs").into()
-        }
-        LocalKernel::Salsa => {
-            let (sky, stats) = block_salsa_stats(block);
-            (sky, stats, "salsa").into()
-        }
-        LocalKernel::Auto => {
-            let choice = KernelChoice::default().select_for_block(block);
-            let (sky, stats) = choice.run(block, &bnl_cfg());
-            (sky, stats, choice.name()).into()
-        }
-        LocalKernel::Dnc => {
-            let (sky, stats) = dnc_skyline_stats(&block.to_points());
-            KernelOutcome {
-                sky: repack(block.dim(), &sky),
-                work: stats.counter.dim_weighted(),
-                comparisons: stats.counter.comparisons(),
-                passes: 1,
-                kernel: "dnc",
-            }
-        }
-    }
+    let kernel = kernel.unwrap_or_else(|| select_for_block(block));
+    let (sky, stats) = kernel.run(block, &bnl_cfg);
+    (sky, stats, kernel.name()).into()
 }
 
 /// Runs the merge-stage kernel: candidates are presorted by L1 norm so one
@@ -1005,7 +976,7 @@ mod tests {
         let data = generate_qws(&QwsConfig::new(500, 4));
         let bnl = run(Algorithm::MrAngle, &data, 4);
         let cfg = AlgoConfig {
-            kernel: LocalKernel::Sfs,
+            kernel: Some(BlockKernel::Sfs),
             ..AlgoConfig::default()
         };
         let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 4).expect("fit");

@@ -27,7 +27,7 @@
 //! coordinate bit pattern), the algorithm, and the partition count;
 //! [`CheckpointStore::validate`] refuses to resume against anything else.
 
-use crate::json::JsonObject;
+use mrsky_trace::json::JsonObject;
 use qws_data::Dataset;
 use skyline_algos::point::Point;
 use std::collections::BTreeMap;

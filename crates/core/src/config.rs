@@ -1,9 +1,9 @@
 //! Algorithm selection and tuning knobs.
 
-use serde::{Deserialize, Serialize};
+use skyline_algos::select::BlockKernel;
 
 /// Which MapReduce skyline algorithm to run (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// One-dimensional range partitioning (Section III-A).
     MrDim,
@@ -43,57 +43,8 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Which kernel computes local (and global) skylines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LocalKernel {
-    /// Block-Nested-Loops — the paper's choice ("for its simplicity").
-    Bnl,
-    /// Sort-Filter-Skyline (entropy-score presort, single pass).
-    Sfs,
-    /// SaLSa (min-coordinate presort with an early-stop watermark).
-    Salsa,
-    /// Divide-and-Conquer — ablation alternative.
-    Dnc,
-    /// Pick the cheapest kernel per partition at runtime from its
-    /// cardinality, dimensionality, and a sampled correlation estimate
-    /// (see `skyline_algos::select::KernelChoice`).
-    Auto,
-}
-
-impl LocalKernel {
-    /// Stable lowercase name, matching the CLI `--kernel` values and the
-    /// kernel labels on trace events.
-    pub fn name(self) -> &'static str {
-        match self {
-            LocalKernel::Bnl => "bnl",
-            LocalKernel::Sfs => "sfs",
-            LocalKernel::Salsa => "salsa",
-            LocalKernel::Dnc => "dnc",
-            LocalKernel::Auto => "auto",
-        }
-    }
-
-    /// Parses a CLI `--kernel` value.
-    pub fn parse(s: &str) -> Option<LocalKernel> {
-        match s {
-            "bnl" => Some(LocalKernel::Bnl),
-            "sfs" => Some(LocalKernel::Sfs),
-            "salsa" => Some(LocalKernel::Salsa),
-            "dnc" => Some(LocalKernel::Dnc),
-            "auto" => Some(LocalKernel::Auto),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for LocalKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Tuning knobs shared by all algorithms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlgoConfig {
     /// Partition-count policy: `partitions = partitions_per_node × servers`
     /// (the paper: "the number of partitions is set as (2 × number of
@@ -104,8 +55,12 @@ pub struct AlgoConfig {
     /// BNL window bound; `None` = unbounded (fits the 1 GB-heap model for
     /// the paper's dataset sizes).
     pub bnl_window: Option<usize>,
-    /// Local/global skyline kernel.
-    pub kernel: LocalKernel,
+    /// Local-skyline kernel. `None` picks the cheapest kernel per
+    /// partition at runtime from its cardinality, dimensionality and a
+    /// sampled correlation estimate (see
+    /// [`select_for_block`](skyline_algos::select::select_for_block)).
+    /// Default `Some(Bnl)`, the paper's choice ("for its simplicity").
+    pub kernel: Option<BlockKernel>,
     /// Enable MR-Grid's dominated-cell pruning (on by default; the ablation
     /// bench switches it off to measure its contribution).
     pub grid_pruning: bool,
@@ -142,7 +97,8 @@ pub struct AlgoConfig {
     /// job, broadcast them to every map task, and drop any row one of them
     /// dominates before it is shuffled (the Ciaccia & Martinenghi
     /// "representative filter points" optimisation). `None` picks
-    /// `max(2 × d, 8)` automatically; `Some(0)` disables filtering.
+    /// `max(8 × d, 16)` automatically (see [`auto_filter_points`]);
+    /// `Some(0)` disables filtering.
     pub filter_k: Option<usize>,
     /// Witness-based partition pruning for *all* geometric schemes: a
     /// partition whose best reachable corner (sector lower bounds tightened
@@ -161,23 +117,19 @@ pub struct AlgoConfig {
     /// in the reducer). Bit-identical output; on by default. The seed
     /// semantics — one value per routed block — are restored by switching
     /// this off.
-    #[serde(default)]
     pub owned_shuffle: bool,
     /// Force the static chunked executor for real map/reduce execution
     /// instead of the work-stealing default. Off by default; the seed
     /// behaviour for skew comparisons and ablation benches.
-    #[serde(default)]
     pub static_executor: bool,
     /// Reduce-input spill budget in (wire-accounted) bytes: any reduce
     /// input larger than this is spilled to disk right after the shuffle
     /// and reloaded just-in-time by its reduce task. `None` (default)
     /// keeps everything in memory.
-    #[serde(default)]
     pub spill_budget_bytes: Option<u64>,
     /// Directory for spill files. `None` (default) uses a per-process
     /// directory under the system temp dir; set it explicitly when several
     /// jobs with identical names spill concurrently in one process.
-    #[serde(default)]
     pub spill_dir: Option<std::path::PathBuf>,
 }
 
@@ -187,7 +139,7 @@ impl Default for AlgoConfig {
             partitions_per_node: 2,
             partitions_override: None,
             bnl_window: None,
-            kernel: LocalKernel::Bnl,
+            kernel: Some(BlockKernel::Bnl),
             grid_pruning: true,
             grid_dims: 2,
             angle_quantile: true,

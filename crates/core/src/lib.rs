@@ -47,14 +47,13 @@ pub mod algorithms;
 pub mod checkpoint;
 pub mod config;
 pub mod driver;
-pub mod json;
 pub mod maintain;
 pub mod report;
 pub mod selection;
 pub mod validate;
 
 pub use checkpoint::{dataset_fingerprint, CheckpointStore, Manifest};
-pub use config::{AlgoConfig, Algorithm, LocalKernel};
+pub use config::{AlgoConfig, Algorithm};
 pub use driver::SkylineJob;
 pub use maintain::MaintainedRegistry;
 pub use report::SkylineRunReport;
@@ -63,7 +62,7 @@ pub use validate::{validate_against_oracle, validate_report, ValidationError};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::config::{AlgoConfig, Algorithm, LocalKernel};
+    pub use crate::config::{AlgoConfig, Algorithm};
     pub use crate::driver::SkylineJob;
     pub use crate::maintain::MaintainedRegistry;
     pub use crate::report::SkylineRunReport;

@@ -3,13 +3,13 @@
 
 use crate::config::Algorithm;
 use mini_mapreduce::metrics::JobMetrics;
-use serde::{Deserialize, Serialize};
+use mrsky_trace::json::{array, JsonObject};
 use skyline_algos::metrics::LoadBalance;
 use skyline_algos::point::Point;
 
 /// Result of running one MapReduce skyline algorithm over one dataset on one
 /// simulated cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SkylineRunReport {
     /// Which algorithm ran.
     pub algorithm: Algorithm,
@@ -34,14 +34,11 @@ pub struct SkylineRunReport {
     /// pruning (MR-Grid) plus sector-witness pruning (any scheme).
     pub pruned_partitions: usize,
     /// Rows dropped map-side by the broadcast filter before the shuffle.
-    #[serde(default)]
     pub rows_filtered: u64,
     /// Partitions pruned by the sector-witness argument alone.
-    #[serde(default)]
     pub sector_pruned_partitions: usize,
     /// Simulated seconds of merge work hidden behind Job 1's reduce wave
     /// by the streaming merge (`0.0` unless streaming was enabled).
-    #[serde(default)]
     pub merge_overlap_seconds: f64,
     /// Local skyline optimality — paper Eq. (5).
     pub optimality: f64,
@@ -103,6 +100,49 @@ impl SkylineRunReport {
             self.optimality,
         )
     }
+
+    /// Serialises the report's summary quantities (not the full point sets)
+    /// as a single JSON object.
+    pub fn to_json(&self) -> String {
+        JsonObject::new()
+            .string("algorithm", self.algorithm.name())
+            .string("dataset", &self.dataset)
+            .int("cardinality", self.cardinality as u64)
+            .int("dimensions", self.dimensions as u64)
+            .int("servers", self.servers as u64)
+            .int("partitions", self.partitions as u64)
+            .int("skyline_size", self.global_skyline.len() as u64)
+            .int("merge_candidates", self.merge_candidates() as u64)
+            .int("pruned_partitions", self.pruned_partitions as u64)
+            .int("rows_filtered", self.rows_filtered)
+            .int(
+                "sector_pruned_partitions",
+                self.sector_pruned_partitions as u64,
+            )
+            .num("merge_overlap_seconds", self.merge_overlap_seconds)
+            .num("optimality", self.optimality)
+            .num("processing_time_s", self.processing_time())
+            .num("map_time_s", self.map_time())
+            .num("reduce_time_s", self.reduce_time())
+            .num("wall_seconds", self.metrics.wall_seconds)
+            .int("shuffle_bytes", self.metrics.shuffle_bytes)
+            .int("map_work_units", self.metrics.map.work_units)
+            .int("reduce_work_units", self.metrics.reduce.work_units)
+            .raw(
+                "load_balance",
+                JsonObject::new()
+                    .num("cv", self.load_balance.cv)
+                    .int("max", self.load_balance.max as u64)
+                    .int("min", self.load_balance.min as u64)
+                    .int("empty", self.load_balance.empty as u64)
+                    .finish(),
+            )
+            .raw(
+                "skyline_ids",
+                array(self.global_skyline.iter().map(|p| p.id().to_string())),
+            )
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -160,6 +200,33 @@ mod tests {
         assert_eq!(r.merge_candidates(), 1);
         assert_eq!(r.peak_map_out_bytes(), 512);
         assert_eq!(r.peak_reduce_in_bytes(), 256);
+    }
+
+    #[test]
+    fn report_to_json_is_valid_and_complete() {
+        use crate::driver::SkylineJob;
+        use mrsky_trace::json::{parse, JsonValue};
+        use qws_data::{generate_qws, QwsConfig};
+
+        let data = generate_qws(&QwsConfig::new(300, 3));
+        let report = SkylineJob::new(Algorithm::MrAngle, 4).run(&data);
+        let json = report.to_json();
+        let v = parse(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
+        assert_eq!(
+            v.get("algorithm").and_then(JsonValue::as_str),
+            Some("MR-Angle")
+        );
+        assert_eq!(v.get("cardinality").and_then(JsonValue::as_u64), Some(300));
+        for key in ["skyline_size", "processing_time_s", "load_balance"] {
+            assert!(v.get(key).is_some(), "missing {key} in {json}");
+        }
+        let Some(JsonValue::Arr(ids)) = v.get("skyline_ids") else {
+            panic!("skyline_ids is not an array in {json}");
+        };
+        let ids: Vec<u64> = ids.iter().filter_map(JsonValue::as_u64).collect();
+        let expected: Vec<u64> = report.global_skyline.iter().map(Point::id).collect();
+        assert!(!expected.is_empty());
+        assert_eq!(ids, expected);
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! | `shuffle_byte_cost` | 10 ns/B | ~100 MB/s effective copy rate |
 //! | `shuffle_segment_latency` | 10 ms | per map×reduce fetch (connection + seek, amortised over Hadoop's 5 parallel copier threads) |
 
-use serde::{Deserialize, Serialize};
-
 /// Cost constants; see the module docs for the calibration table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Fixed per-task-attempt overhead in seconds (JVM start, scheduling).
     pub task_startup: f64,

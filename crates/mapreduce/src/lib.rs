@@ -13,7 +13,8 @@
 //! This runtime therefore does two things at once:
 //!
 //! 1. **Really executes** user map/combine/reduce code in parallel on a
-//!    thread pool (crossbeam scoped threads), producing real outputs; and
+//!    work-stealing pool of `std` scoped threads ([`pool`]), producing real
+//!    outputs; and
 //! 2. **Accounts simulated time** for every task from instrumented counters
 //!    via a calibrated [`cost::CostModel`], then schedules those task
 //!    durations onto `N` simulated servers with a discrete-event

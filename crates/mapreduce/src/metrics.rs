@@ -1,10 +1,9 @@
 //! Job- and phase-level metrics.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated counters and simulated timing of one phase (map or reduce).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseMetrics {
     /// Number of tasks in the phase.
     pub tasks: usize,
@@ -57,7 +56,7 @@ impl PhaseMetrics {
 /// awaiting the shuffle; `reduce_in` is the peak of shuffled reduce input
 /// resident in memory (spilled inputs leave this gauge while they sit on
 /// disk and re-enter only while their reduce task runs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeakMemBytes {
     /// Peak resident map-output bytes.
     pub map_out: u64,
@@ -77,7 +76,7 @@ impl PeakMemBytes {
 }
 
 /// Metrics of a completed job.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobMetrics {
     /// Job name (for reports).
     pub name: String,
@@ -95,7 +94,6 @@ pub struct JobMetrics {
     /// Real wall-clock seconds the host spent executing the job.
     pub wall_seconds: f64,
     /// Peak resident intermediate bytes observed during real execution.
-    #[serde(default)]
     pub peak_mem: PeakMemBytes,
 }
 

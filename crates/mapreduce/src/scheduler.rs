@@ -14,7 +14,6 @@
 //! completes at the earlier of the two attempts — an intentionally
 //! simplified but monotone model (speculation never lengthens the span).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -30,7 +29,7 @@ impl Ord for F {
 }
 
 /// One scheduled task attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSlot {
     /// Task index within the phase.
     pub task: usize,
@@ -45,7 +44,7 @@ pub struct TaskSlot {
 }
 
 /// The schedule of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSchedule {
     /// Per-task timeline, indexed by task.
     pub timeline: Vec<TaskSlot>,
@@ -65,7 +64,7 @@ impl PhaseSchedule {
 }
 
 /// Speculative-execution policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
     /// Enable speculative backups.
     pub enabled: bool,

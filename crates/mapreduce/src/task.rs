@@ -6,10 +6,8 @@
 //! of `(j, p, t, a)` and the configured failure rate, so tests can assert
 //! both that failures occurred and that the job output is unchanged.
 
-use serde::{Deserialize, Serialize};
-
 /// Phase discriminator used in the failure hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Map tasks.
     Map,
@@ -18,7 +16,7 @@ pub enum Phase {
 }
 
 /// Failure-injection configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureConfig {
     /// Probability (in permille, 0–1000) that any given task attempt fails.
     pub fail_permille: u32,

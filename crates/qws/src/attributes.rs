@@ -12,10 +12,8 @@
 //! first `d` attributes and `d = 2` reproduces Figure 1's axes
 //! (response time, cost).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether larger raw values are better or worse for the consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Smaller raw value is better (times, cost).
     LowerIsBetter,
@@ -24,7 +22,7 @@ pub enum Direction {
 }
 
 /// Which marginal distribution family an attribute follows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Marginal {
     /// Clamped log-normal with underlying `N(mu, sigma²)` — heavy-tailed
     /// timing/cost attributes.
@@ -44,7 +42,7 @@ pub enum Marginal {
 }
 
 /// Static description of one QoS attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeSpec {
     /// Attribute name as in the QWS documentation.
     pub name: &'static str,

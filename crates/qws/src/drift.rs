@@ -10,7 +10,7 @@
 //! axes) are scaled by a mean-reverting congestion factor, occasionally
 //! spiked (a saturation event). Epochs are deterministic given the seed, and
 //! each epoch is deliverable as a batch of `Remove` + `Add` updates so a
-//! [`MaintainedRegistry`](https://docs.rs/mr-skyline) can track the moving
+//! `mr_skyline::MaintainedRegistry` can track the moving
 //! skyline incrementally.
 
 use crate::dataset::{Dataset, Update};

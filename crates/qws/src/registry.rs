@@ -12,11 +12,10 @@
 use crate::dataset::Dataset;
 use crate::generator::{generate_qws, QwsConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use skyline_algos::point::Point;
 
 /// Functional categories, after the paper's own examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Weather forecast providers (the paper's first example).
     Weather,
@@ -57,7 +56,7 @@ impl Category {
 }
 
 /// One registered service: identity plus its QoS vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceEntry {
     /// Stable id (matches the QoS point id).
     pub id: u64,
@@ -151,7 +150,7 @@ impl Registry {
     }
 
     /// The QoS dataset of one category, ready for a
-    /// [`SkylineJob`](https://docs.rs/mr-skyline) run. Returns `None` when
+    /// `mr_skyline::SkylineJob` run. Returns `None` when
     /// the category is empty.
     pub fn category_dataset(&self, category: Category) -> Option<Dataset> {
         let points: Vec<Point> = self

@@ -27,10 +27,9 @@
 //! conventional angle for the all-zero suffix).
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// A point expressed in hyperspherical coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperPoint {
     /// Identifier carried over from the Cartesian [`Point`].
     pub id: u64,

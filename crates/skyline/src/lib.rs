@@ -21,7 +21,7 @@
 //! * [`salsa`] — the SaLSa kernel (min-coordinate presort with an
 //!   early-stop watermark).
 //! * [`select`] — runtime kernel selection: [`BlockKernel`] dispatch and
-//!   the [`KernelChoice`] cost heuristic over a sampled correlation
+//!   the [`select_for_block`] cost heuristic over a sampled correlation
 //!   estimate.
 //! * [`bnl`] — the Block-Nested-Loops skyline algorithm (Börzsönyi et al.,
 //!   ICDE 2001) with a bounded self-organising window and multi-pass overflow
@@ -61,7 +61,6 @@
 
 pub mod block;
 pub mod bnl;
-pub mod dnc;
 pub mod dominance;
 pub mod error;
 pub mod filter;
@@ -86,7 +85,6 @@ pub mod topk;
 
 pub use block::PointBlock;
 pub use bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-pub use dnc::{dnc_skyline, dnc_skyline_stats, DncStats};
 pub use dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
 pub use error::SkylineError;
 pub use filter::{filtered_out, select_filter_points};
@@ -106,7 +104,7 @@ pub use progressive::ProgressiveSkyline;
 pub use ranking::WeightedScore;
 pub use representative::{distance_based_representatives, max_dominance_representatives};
 pub use salsa::{block_salsa, block_salsa_stats};
-pub use select::{correlation_estimate, BlockKernel, KernelChoice};
+pub use select::{correlation_estimate, select_for_block, BlockKernel};
 pub use seq::naive_skyline;
 pub use sfs::{sfs_skyline, sfs_skyline_stats};
 pub use skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
@@ -116,13 +114,10 @@ pub use topk::{dominance_counts, top_k_dominating, DominatingEntry};
 pub mod prelude {
     pub use crate::block::PointBlock;
     pub use crate::bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-    pub use crate::dnc::dnc_skyline;
     pub use crate::dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
     pub use crate::hypersphere::{to_hyperspherical, HyperPoint};
     pub use crate::kdominant::{k_dominant_skyline, k_dominates};
     pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge};
-    pub use crate::salsa::block_salsa;
-    pub use crate::select::{BlockKernel, KernelChoice};
     pub use crate::metrics::local_skyline_optimality;
     pub use crate::parallel::{parallel_skyline, parallel_skyline_partitioned};
     pub use crate::partition::{
@@ -135,6 +130,8 @@ pub mod prelude {
     pub use crate::representative::{
         distance_based_representatives, max_dominance_representatives,
     };
+    pub use crate::salsa::block_salsa;
+    pub use crate::select::BlockKernel;
     pub use crate::seq::naive_skyline;
     pub use crate::sfs::sfs_skyline;
     pub use crate::skyband::{DeleteOutcome, SkybandBuffer};

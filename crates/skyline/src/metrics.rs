@@ -126,7 +126,7 @@ pub fn empirical_dominance_ability<R: rand::Rng>(
 }
 
 /// Load-balance statistics over per-partition point counts.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadBalance {
     /// Mean points per partition.
     pub mean: f64,

@@ -28,10 +28,9 @@ pub use random::RandomPartitioner;
 
 use crate::error::SkylineError;
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// Axis-aligned bounding box of a dataset; the domain a partitioner is fit on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bounds {
     min: Box<[f64]>,
     max: Box<[f64]>,

@@ -6,7 +6,6 @@
 //! `u64` identifier so that skylines computed by different algorithms (and on
 //! different partitions of the same dataset) can be compared set-wise.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in a `d`-dimensional QoS data space.
@@ -18,7 +17,7 @@ use std::fmt;
 /// * at least one dimension,
 /// * every coordinate is finite (NaN/±∞ would break the dominance relation's
 ///   partial-order axioms).
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Point {
     id: u64,
     coords: Box<[f64]>,

@@ -44,13 +44,22 @@ pub enum BlockKernel {
 }
 
 impl BlockKernel {
-    /// Stable lowercase name, used in trace events and metrics keys.
+    /// Every kernel, in the order the CLI lists them.
+    pub const ALL: [BlockKernel; 3] = [BlockKernel::Bnl, BlockKernel::Sfs, BlockKernel::Salsa];
+
+    /// Stable lowercase name, used as the CLI `--kernel` value and in trace
+    /// events and metrics keys.
     pub fn name(self) -> &'static str {
         match self {
             BlockKernel::Bnl => "bnl",
             BlockKernel::Sfs => "sfs",
             BlockKernel::Salsa => "salsa",
         }
+    }
+
+    /// The kernel whose [`name`](Self::name) is `s`.
+    pub fn parse(s: &str) -> Option<BlockKernel> {
+        Self::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// Runs this kernel on `block`. `bnl` configures the BNL window; the
@@ -64,91 +73,72 @@ impl BlockKernel {
     }
 }
 
-/// Calibrated decision boundaries for [`KernelChoice::select`].
+// Calibrated decision boundaries for [`select`], fit to the `kernels`
+// bench sweep (kernel × d ∈ {2,4,6,8} × n ∈ {10k,100k,1M} × distribution,
+// see `BENCH_kernels.json`) on the reference host.
+
+/// Below this many rows the presort is not worth it: BNL.
+const SMALL_INPUT: usize = 1024;
+/// Mean pairwise correlation at or above which the block counts as
+/// *correlated* — tiny skylines, and a good-everywhere point that can arm
+/// the SaLSa watermark.
+const CORRELATED_CUTOFF: f64 = 0.15;
+/// Mean pairwise correlation at or below which a d=4 block counts as
+/// *anti-correlated* enough for the SFS presort to pay (at d≥5 it always
+/// does, at d≤3 it never does).
+const ANTI_CUTOFF: f64 = -0.20;
+/// At or below this many dimensions skylines stay small enough that BNL's
+/// window never thrashes — sorting is pure overhead.
+const LOW_DIMS: usize = 3;
+/// On correlated data BNL's window holds the handful of skyline points and
+/// every scan is short; only past this many rows does the scan volume
+/// itself justify a presort.
+const SALSA_MIN_ROWS: usize = 300_000;
+
+/// Picks a kernel for a block of `rows` × `dims` whose sampled mean
+/// pairwise correlation is `correlation_estimate`.
 ///
-/// Defaults are fit to the `kernels` bench sweep (kernel × d ∈ {2,4,6,8} ×
-/// n ∈ {10k,100k,1M} × distribution, see `BENCH_kernels.json`) on the
-/// reference host; they are knobs rather than constants so the bench
-/// harness can probe alternative boundaries without rebuilding.
-#[derive(Debug, Clone)]
-pub struct KernelChoice {
-    /// Below this many rows the presort is not worth it: BNL.
-    pub small_input: usize,
-    /// Mean pairwise correlation at or above which the block counts as
-    /// *correlated* — tiny skylines, and a good-everywhere point that can
-    /// arm the SaLSa watermark.
-    pub correlated_cutoff: f64,
-    /// Mean pairwise correlation at or below which a d=4 block counts as
-    /// *anti-correlated* enough for the SFS presort to pay (at d≥5 it
-    /// always does, at d≤3 it never does).
-    pub anti_cutoff: f64,
-    /// At or below this many dimensions skylines stay small enough that
-    /// BNL's window never thrashes — sorting is pure overhead.
-    pub low_dims: usize,
-    /// On correlated data BNL's window holds the handful of skyline points
-    /// and every scan is short; only past this many rows does the scan
-    /// volume itself justify a presort.
-    pub salsa_min_rows: usize,
-}
-
-impl Default for KernelChoice {
-    fn default() -> Self {
-        Self {
-            small_input: 1024,
-            correlated_cutoff: 0.15,
-            anti_cutoff: -0.20,
-            low_dims: 3,
-            salsa_min_rows: 300_000,
-        }
+/// The boundary is a decision list fit to the measured sweep, not a cost
+/// formula. The governing quantity is the expected skyline size (it sets
+/// BNL's window length and pass count): small blocks, low dimensionality,
+/// and correlated data all keep it tiny — BNL. Large correlated blocks have
+/// huge scan volume but an early-stop point — SaLSa (except at d≤3, where
+/// the watermark arms too slowly and the entropy order wins — SFS; and at
+/// d = `LOW_DIMS + 1`, where BNL's window still holds the skyline — BNL).
+/// Independent/anti-correlated blocks at d≥4–5 grow skylines that thrash
+/// BNL's window — SFS.
+pub fn select(rows: usize, dims: usize, correlation_estimate: f64) -> BlockKernel {
+    if rows < SMALL_INPUT || dims < 2 {
+        return BlockKernel::Bnl;
     }
-}
-
-impl KernelChoice {
-    /// Picks a kernel for a block of `rows` × `dims` whose sampled mean
-    /// pairwise correlation is `correlation_estimate`.
-    ///
-    /// The boundary is a decision list fit to the measured sweep, not a
-    /// cost formula. The governing quantity is the expected skyline size
-    /// (it sets BNL's window length and pass count): small blocks, low
-    /// dimensionality, and correlated data all keep it tiny — BNL. Large
-    /// correlated blocks have huge scan volume but an early-stop point —
-    /// SaLSa (except at d≤3, where the watermark arms too slowly and the
-    /// entropy order wins — SFS; and at d = `low_dims + 1`, where BNL's
-    /// window still holds the skyline — BNL). Independent/anti-correlated
-    /// blocks at d≥4–5 grow skylines that thrash BNL's window — SFS.
-    pub fn select(&self, rows: usize, dims: usize, correlation_estimate: f64) -> BlockKernel {
-        if rows < self.small_input || dims < 2 {
-            return BlockKernel::Bnl;
-        }
-        if correlation_estimate >= self.correlated_cutoff {
-            if rows <= self.salsa_min_rows {
-                BlockKernel::Bnl
-            } else if dims <= self.low_dims {
-                BlockKernel::Sfs
-            } else if dims == self.low_dims + 1 {
-                // The correlated crossover band mirrors the anti side: at
-                // d = low_dims + 1 the skyline still fits BNL's window and
-                // the watermark arms too late to beat a presort-free scan.
-                BlockKernel::Bnl
-            } else {
-                BlockKernel::Salsa
-            }
-        } else if dims <= self.low_dims {
+    if correlation_estimate >= CORRELATED_CUTOFF {
+        if rows <= SALSA_MIN_ROWS {
             BlockKernel::Bnl
-        } else if dims > self.low_dims + 1 || correlation_estimate <= self.anti_cutoff {
+        } else if dims <= LOW_DIMS {
             BlockKernel::Sfs
-        } else {
-            // d == low_dims + 1 and not anti enough: the crossover band —
-            // measured margins here are under ~20% either way.
+        } else if dims == LOW_DIMS + 1 {
+            // The correlated crossover band mirrors the anti side: at
+            // d = LOW_DIMS + 1 the skyline still fits BNL's window and the
+            // watermark arms too late to beat a presort-free scan.
             BlockKernel::Bnl
+        } else {
+            BlockKernel::Salsa
         }
+    } else if dims <= LOW_DIMS {
+        BlockKernel::Bnl
+    } else if dims > LOW_DIMS + 1 || correlation_estimate <= ANTI_CUTOFF {
+        BlockKernel::Sfs
+    } else {
+        // d == LOW_DIMS + 1 and not anti enough: the crossover band —
+        // measured margins here are under ~20% either way.
+        BlockKernel::Bnl
     }
+}
 
-    /// Samples `block` and selects a kernel for it — the `Auto` path used
-    /// by the pipeline per partition.
-    pub fn select_for_block(&self, block: &PointBlock) -> BlockKernel {
-        self.select(block.len(), block.dim(), correlation_estimate(block))
-    }
+/// Samples `block` and selects a kernel for it — the automatic path the
+/// pipeline takes per partition when no kernel is configured.
+pub fn select_for_block(block: &PointBlock) -> BlockKernel {
+    select(block.len(), block.dim(), correlation_estimate(block))
 }
 
 /// Rows examined by [`correlation_estimate`] — enough for a stable sign
@@ -271,46 +261,54 @@ mod tests {
     }
 
     #[test]
+    fn names_round_trip_through_parse() {
+        for k in BlockKernel::ALL {
+            assert_eq!(BlockKernel::parse(k.name()), Some(k));
+        }
+        assert_eq!(BlockKernel::parse("dnc"), None);
+        assert_eq!(BlockKernel::parse("auto"), None);
+    }
+
+    #[test]
     fn boundaries_route_to_the_expected_kernels() {
-        let c = KernelChoice::default();
-        assert_eq!(c.select(100, 4, 0.0), BlockKernel::Bnl, "small input");
+        assert_eq!(select(100, 4, 0.0), BlockKernel::Bnl, "small input");
         assert_eq!(
-            c.select(100_000, 4, 0.9),
+            select(100_000, 4, 0.9),
             BlockKernel::Bnl,
             "correlated at moderate n: tiny skyline, short scans"
         );
         assert_eq!(
-            c.select(1_000_000, 6, 0.9),
+            select(1_000_000, 6, 0.9),
             BlockKernel::Salsa,
             "correlated at scale: the watermark pays"
         );
         assert_eq!(
-            c.select(1_000_000, 4, 0.9),
+            select(1_000_000, 4, 0.9),
             BlockKernel::Bnl,
             "correlated crossover band: window beats any presort at d=4"
         );
         assert_eq!(
-            c.select(1_000_000, 2, 0.9),
+            select(1_000_000, 2, 0.9),
             BlockKernel::Sfs,
             "correlated 2-D at scale: entropy order beats the watermark"
         );
-        assert_eq!(c.select(100_000, 6, -0.5), BlockKernel::Sfs, "anti");
-        assert_eq!(c.select(100_000, 4, -0.3), BlockKernel::Sfs, "anti d=4");
-        assert_eq!(c.select(100_000, 6, 0.0), BlockKernel::Sfs, "independent");
+        assert_eq!(select(100_000, 6, -0.5), BlockKernel::Sfs, "anti");
+        assert_eq!(select(100_000, 4, -0.3), BlockKernel::Sfs, "anti d=4");
+        assert_eq!(select(100_000, 6, 0.0), BlockKernel::Sfs, "independent");
         assert_eq!(
-            c.select(1_000_000, 4, 0.0),
+            select(1_000_000, 4, 0.0),
             BlockKernel::Bnl,
             "independent d=4: skyline stays in one window"
         );
-        assert_eq!(c.select(100_000, 2, -0.9), BlockKernel::Bnl, "2-D anti");
-        assert_eq!(c.select(100_000, 1, 0.0), BlockKernel::Bnl, "1-D");
+        assert_eq!(select(100_000, 2, -0.9), BlockKernel::Bnl, "2-D anti");
+        assert_eq!(select(100_000, 1, 0.0), BlockKernel::Bnl, "1-D");
     }
 
     #[test]
     fn all_kernels_agree_through_the_dispatcher() {
         let b = synthetic(500, 3, 0.2, 11);
         let cfg = BnlConfig::default();
-        let mut results: Vec<Vec<u64>> = [BlockKernel::Bnl, BlockKernel::Sfs, BlockKernel::Salsa]
+        let mut results: Vec<Vec<u64>> = BlockKernel::ALL
             .iter()
             .map(|k| {
                 let (sky, stats) = k.run(&b, &cfg);
@@ -327,18 +325,15 @@ mod tests {
     }
 
     #[test]
-    fn select_for_block_uses_the_sampled_estimate() {
-        let c = KernelChoice {
-            salsa_min_rows: 4000,
-            ..KernelChoice::default()
-        };
+    fn selection_uses_the_sampled_estimate() {
+        let rows = SALSA_MIN_ROWS + 1;
         assert_eq!(
-            c.select_for_block(&synthetic(5000, 6, 0.9, 13)),
+            select(rows, 6, correlation_estimate(&synthetic(5000, 6, 0.9, 13))),
             BlockKernel::Salsa,
             "reads as correlated, past the scan-volume bar"
         );
         assert_eq!(
-            c.select_for_block(&synthetic(5000, 6, 0.0, 14)),
+            select(rows, 6, correlation_estimate(&synthetic(5000, 6, 0.0, 14))),
             BlockKernel::Sfs,
             "reads as independent at d=6"
         );

@@ -20,11 +20,10 @@
 //! | generic spans | `span_begin`, `span_end` |
 
 use crate::json::{self, JsonValue};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Which of the two MapReduce phases an event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PhaseKind {
     /// The map phase.
     Map,
@@ -58,7 +57,7 @@ impl std::fmt::Display for PhaseKind {
 }
 
 /// One trace event, stamped by the [`Tracer`](crate::Tracer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Monotonic sequence number (strictly increasing within one trace).
     pub seq: u64,
@@ -73,7 +72,7 @@ pub struct TraceEvent {
 /// Simulated timestamps (`sim*` fields) are in simulated seconds on the
 /// emitting job's clock, which starts at 0 per job; the Chrome exporter
 /// re-bases chained jobs onto one global axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A MapReduce job was submitted.
     JobStarted {
@@ -244,7 +243,7 @@ pub enum EventKind {
     },
     /// One skyline kernel invocation (local computation or merge).
     KernelRun {
-        /// Kernel name (`bnl`, `sfs`, `salsa`, `dnc`, `presort-merge`).
+        /// Kernel name (`bnl`, `sfs`, `salsa`, `presort-merge`).
         /// Under `--kernel auto` this is the kernel the selector chose for
         /// the block, never the literal `auto`.
         kernel: String,

@@ -1,11 +1,12 @@
-//! Minimal JSON reading and writing.
+//! Minimal JSON reading and writing — the workspace's one JSON module.
 //!
-//! The workspace's dependency budget has the `serde` shim but no real
-//! serializer, so this module hand-rolls the JSON subset the trace
-//! pipeline needs in both directions: objects, arrays, strings with
-//! escaping, finite numbers, booleans and `null`. The writer is used by
-//! the JSONL sink and the Chrome exporter; the parser replays JSONL files
-//! and well-formed-ness-checks exported Chrome traces.
+//! The build has no registry access and so no serializer crate; this
+//! module hand-rolls the JSON subset the workspace needs in both
+//! directions: objects, arrays, strings with escaping, finite numbers,
+//! booleans and `null`. The writer ([`escape`], [`number`], [`JsonObject`],
+//! [`array`]) renders trace events, Chrome exports, run reports, audit
+//! reports and checkpoint manifests; the parser replays JSONL traces,
+//! fault plans, checkpoint manifests and bench files read from disk.
 
 use std::fmt::Write as _;
 
@@ -88,19 +89,25 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a hostile file overflow the
+/// stack; nothing this workspace writes nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing whitespace is allowed,
 /// trailing garbage is an error.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed byte.
+/// Returns a [`JsonError`] locating the first malformed byte, or the
+/// opening bracket that nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
@@ -140,10 +147,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parses the value at the cursor, `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err("nesting deeper than 128 levels"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -235,7 +246,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -249,7 +260,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -263,7 +274,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -273,7 +284,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -325,6 +336,77 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// Incremental writer for a JSON object; members render in insertion
+/// order.
+#[derive(Default)]
+pub struct JsonObject {
+    fields: Vec<(String, String)>,
+}
+
+impl JsonObject {
+    /// Empty object builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a string field.
+    pub fn string(mut self, key: &str, value: &str) -> Self {
+        self.fields
+            .push((key.to_string(), format!("\"{}\"", escape(value))));
+        self
+    }
+
+    /// Adds a numeric field.
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        self.fields.push((key.to_string(), number(value)));
+        self
+    }
+
+    /// Adds an integer field.
+    pub fn int(mut self, key: &str, value: u64) -> Self {
+        self.fields.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.fields.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// Adds a pre-rendered JSON value (object, array…).
+    pub fn raw(mut self, key: &str, value: String) -> Self {
+        self.fields.push((key.to_string(), value));
+        self
+    }
+
+    /// Renders the object.
+    pub fn finish(self) -> String {
+        let mut out = String::from("{");
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{v}", escape(k));
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// Renders an array of pre-rendered JSON values.
+pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&item);
+    }
+    out.push(']');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +444,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_nesting_past_the_depth_cap() {
+        for (open, unit) in [("[", 1), ("{\"a\":", 5)] {
+            let deep = open.repeat(200_000);
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * unit, "{open}: {err}");
+            assert!(err.message.contains(&format!(" {MAX_DEPTH} ")), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+    }
+
+    #[test]
     fn unicode_survives() {
         let v = parse("\"héllo → 世界\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo → 世界"));
@@ -384,6 +480,45 @@ mod tests {
     #[test]
     fn number_formats_nonfinite_as_null() {
         assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::INFINITY), "null");
         assert_eq!(number(2.5), "2.5");
+    }
+
+    #[test]
+    fn object_builder_emits_valid_json() {
+        let json = JsonObject::new()
+            .string("name", "He said \"hi\"\n")
+            .num("pi", 3.25)
+            .int("count", 42)
+            .bool("ok", true)
+            .raw("list", array(vec!["1".into(), "2".into()]))
+            .finish();
+        let v = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(
+            v.get("name").and_then(JsonValue::as_str),
+            Some("He said \"hi\"\n")
+        );
+        assert_eq!(v.get("pi").and_then(JsonValue::as_f64), Some(3.25));
+        assert_eq!(v.get("count").and_then(JsonValue::as_u64), Some(42));
+        assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(
+            v.get("list"),
+            Some(&JsonValue::Arr(vec![
+                JsonValue::Num(1.0),
+                JsonValue::Num(2.0)
+            ]))
+        );
+    }
+
+    #[test]
+    fn empty_object_and_array() {
+        assert_eq!(
+            parse(&JsonObject::new().finish()).unwrap(),
+            JsonValue::Obj(vec![])
+        );
+        assert_eq!(
+            parse(&array(Vec::<String>::new())).unwrap(),
+            JsonValue::Arr(vec![])
+        );
     }
 }

@@ -19,6 +19,7 @@ use mr_skyline_suite::qws::{
 use mr_skyline_suite::serve::{
     load_script, LoadRunner, LoadgenConfig, Mutation, Op, ServeConfig, SkylineService,
 };
+use mr_skyline_suite::skyline::select::BlockKernel;
 use mr_skyline_suite::trace::{self, EpochClock, TraceSummary, Tracer, VecSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -111,7 +112,7 @@ original QWS v2 dataset file (9 QoS columns + name + WSDL).
 
 Pruning knobs (skyline / compare / sweep):
   --kernel NAME           local-skyline kernel: bnl (default), sfs, salsa,
-                          dnc, or auto (per-partition cost-model selection)
+                          or auto (per-partition cost-model selection)
   --filter-k N            broadcast N filter points to the map tasks and drop
                           dominated rows before the shuffle (default: 8*dims,
                           at least 16)
@@ -221,8 +222,13 @@ fn chaos_opts(args: &[String]) -> Result<FaultPlan, String> {
 fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     let mut config = AlgoConfig::default();
     if let Some(k) = flag(args, "--kernel") {
-        config.kernel = LocalKernel::parse(&k)
-            .ok_or_else(|| format!("unknown kernel `{k}` (expected bnl|sfs|salsa|dnc|auto)"))?;
+        config.kernel = match k.as_str() {
+            "auto" => None,
+            _ => Some(
+                BlockKernel::parse(&k)
+                    .ok_or_else(|| format!("unknown kernel `{k}` (expected bnl|sfs|salsa|auto)"))?,
+            ),
+        };
     }
     if let Some(k) = flag(args, "--filter-k") {
         let k: usize = k

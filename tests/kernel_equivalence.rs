@@ -1,5 +1,5 @@
 //! Property-based exactness proofs for the pluggable local kernels: SFS,
-//! SaLSa, DnC, and the `Auto` selector must return *bit-identical* global
+//! SaLSa, and automatic selection must return *bit-identical* global
 //! skylines to the BNL oracle — across all four distribution families,
 //! every partitioning scheme, and chaos fault interleavings. A kernel may
 //! only reorder or skip comparisons, never change the answer.
@@ -10,10 +10,10 @@ use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
 };
 use mr_skyline_suite::skyline::block::PointBlock;
+use mr_skyline_suite::skyline::bnl::BnlConfig;
 use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs};
 use mr_skyline_suite::skyline::salsa::block_salsa;
-use mr_skyline_suite::skyline::bnl::BnlConfig;
-use mr_skyline_suite::skyline::select::{BlockKernel, KernelChoice};
+use mr_skyline_suite::skyline::select::{select_for_block, BlockKernel};
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -64,12 +64,12 @@ fn block_fingerprint(block: &PointBlock) -> Vec<(u64, Vec<u64>)> {
     rows
 }
 
-const ALL_KERNELS: [LocalKernel; 5] = [
-    LocalKernel::Bnl,
-    LocalKernel::Sfs,
-    LocalKernel::Salsa,
-    LocalKernel::Dnc,
-    LocalKernel::Auto,
+/// Every configurable kernel; `None` selects one per partition.
+const ALL_KERNELS: [Option<BlockKernel>; 4] = [
+    Some(BlockKernel::Bnl),
+    Some(BlockKernel::Sfs),
+    Some(BlockKernel::Salsa),
+    None,
 ];
 
 const ALL_SCHEMES: [Algorithm; 4] = [
@@ -98,7 +98,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
-fn with_kernel(kernel: LocalKernel) -> AlgoConfig {
+fn with_kernel(kernel: Option<BlockKernel>) -> AlgoConfig {
     AlgoConfig {
         kernel,
         ..AlgoConfig::default()
@@ -119,16 +119,16 @@ proptest! {
             block_fingerprint(&block_sfs(&block)), oracle.clone(), "sfs");
         prop_assert_eq!(
             block_fingerprint(&block_salsa(&block)), oracle.clone(), "salsa");
-        for kernel in [BlockKernel::Bnl, BlockKernel::Sfs, BlockKernel::Salsa] {
+        for kernel in BlockKernel::ALL {
             let (sky, _) = kernel.run(&block, &cfg);
             prop_assert_eq!(block_fingerprint(&sky), oracle.clone(), "{}", kernel.name());
         }
-        let auto = KernelChoice::default().select_for_block(&block);
+        let auto = select_for_block(&block);
         let (sky, _) = auto.run(&block, &cfg);
         prop_assert_eq!(block_fingerprint(&sky), oracle, "auto -> {}", auto.name());
     }
 
-    /// End-to-end: every kernel (and `Auto`) produces a bit-identical
+    /// End-to-end: every kernel (and automatic selection) produces a bit-identical
     /// global skyline on every partitioning scheme.
     #[test]
     fn every_kernel_is_bit_identical_on_every_scheme(
@@ -138,7 +138,7 @@ proptest! {
         for alg in ALL_SCHEMES {
             let oracle = fingerprint(
                 &SkylineJob::new(alg, servers)
-                    .with_config(with_kernel(LocalKernel::Bnl))
+                    .with_config(with_kernel(Some(BlockKernel::Bnl)))
                     .run(&data),
             );
             for kernel in ALL_KERNELS {
@@ -146,7 +146,7 @@ proptest! {
                     .with_config(with_kernel(kernel))
                     .run(&data);
                 prop_assert_eq!(
-                    fingerprint(&run), oracle.clone(), "{} / {}", alg, kernel);
+                    fingerprint(&run), oracle.clone(), "{} / {:?}", alg, kernel);
             }
         }
     }
@@ -164,7 +164,7 @@ proptest! {
         let plan = if heavy_bit == 1 { FaultPlan::heavy(seed) } else { FaultPlan::light(seed) };
         let calm = fingerprint(
             &SkylineJob::new(Algorithm::MrAngle, 4)
-                .with_config(with_kernel(LocalKernel::Bnl))
+                .with_config(with_kernel(Some(BlockKernel::Bnl)))
                 .run(&data),
         );
         for kernel in ALL_KERNELS {
@@ -172,13 +172,13 @@ proptest! {
                 .with_config(with_kernel(kernel))
                 .with_chaos(plan.clone())
                 .run(&data);
-            prop_assert_eq!(fingerprint(&chaotic), calm.clone(), "{}", kernel);
+            prop_assert_eq!(fingerprint(&chaotic), calm.clone(), "{:?}", kernel);
         }
     }
 }
 
-/// Deterministic spot check: on seeded anti-correlated d=6 data the `Auto`
-/// selector must actually pick a sort-based kernel (the workload the cost
+/// Deterministic spot check: on seeded anti-correlated d=6 data the
+/// automatic selector must actually pick a sort-based kernel (the workload the cost
 /// model exists for), and the answer must stay exact — guarding against a
 /// selector that silently degenerates to BNL and passes the equivalence
 /// properties vacuously.
@@ -188,17 +188,17 @@ fn auto_picks_a_sort_kernel_on_anti_correlated_data() {
         &SyntheticConfig::new(20_000, 6, Distribution::AntiCorrelated).with_seed(42),
     );
     let block = PointBlock::from_points(data.points()).expect("uniform dims");
-    let choice = KernelChoice::default().select_for_block(&block);
+    let choice = select_for_block(&block);
     assert!(
         matches!(choice, BlockKernel::Sfs | BlockKernel::Salsa),
         "expected a sort-based kernel on anti d=6 n=20k, got {}",
         choice.name()
     );
     let auto = SkylineJob::new(Algorithm::MrAngle, 8)
-        .with_config(with_kernel(LocalKernel::Auto))
+        .with_config(with_kernel(None))
         .run(&data);
     let base = SkylineJob::new(Algorithm::MrAngle, 8)
-        .with_config(with_kernel(LocalKernel::Bnl))
+        .with_config(with_kernel(Some(BlockKernel::Bnl)))
         .run(&data);
     assert_eq!(fingerprint(&auto), fingerprint(&base));
 }

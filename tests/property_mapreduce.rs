@@ -7,6 +7,7 @@ use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::mr::SkylineJob;
 use mr_skyline_suite::qws::Dataset;
 use mr_skyline_suite::skyline::point::Point;
+use mr_skyline_suite::skyline::select::BlockKernel;
 use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 use proptest::prelude::*;
 
@@ -59,7 +60,7 @@ proptest! {
     #[test]
     fn kernels_and_windows_agree(data in arb_dataset(), window in 1usize..40) {
         let oracle = naive_skyline_ids(data.points());
-        for kernel in [LocalKernel::Bnl, LocalKernel::Sfs, LocalKernel::Dnc] {
+        for kernel in [Some(BlockKernel::Bnl), Some(BlockKernel::Sfs), Some(BlockKernel::Salsa), None] {
             let mut job = SkylineJob::new(Algorithm::MrAngle, 2);
             job.config.kernel = kernel;
             job.config.bnl_window = Some(window);

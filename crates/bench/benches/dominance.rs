@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use skyline_algos::dominance::{compare, dominates, DomCounter};
+use skyline_algos::dominance::{compare, dominates};
 use skyline_algos::point::Point;
 
 fn random_points(n: usize, d: usize, seed: u64) -> Vec<Point> {
@@ -54,23 +54,5 @@ fn bench_compare(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_counter_overhead(c: &mut Criterion) {
-    let pts = random_points(1024, 6, 3);
-    c.bench_function("dom_counter_overhead", |b| {
-        b.iter(|| {
-            let mut counter = DomCounter::new();
-            for pair in pts.chunks_exact(2) {
-                let _ = counter.dominates(black_box(&pair[0]), &pair[1]);
-            }
-            counter.comparisons()
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_dominates,
-    bench_compare,
-    bench_counter_overhead
-);
+criterion_group!(benches, bench_dominates, bench_compare);
 criterion_main!(benches);

@@ -10,15 +10,15 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::{bnl_skyline, BnlConfig};
 use skyline_algos::dominance::dominates;
-use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, dominated_count};
+use skyline_algos::kernel::{
+    block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, dominated_count, BnlConfig,
+};
 use skyline_algos::parallel::{parallel_skyline, parallel_skyline_partitioned};
 use skyline_algos::partition::AnglePartitioner;
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
 use skyline_algos::select::{correlation_estimate, select_for_block};
-use skyline_algos::sfs::sfs_skyline;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -36,17 +36,17 @@ fn bench_kernels(c: &mut Criterion) {
         Distribution::Independent,
         Distribution::AntiCorrelated,
     ] {
-        let pts = dataset(dist, n, d);
+        let block = PointBlock::from_points(&dataset(dist, n, d)).expect("uniform dims");
         let mut group = c.benchmark_group(format!("kernel/{}", dist.name()));
         group.sample_size(10);
-        group.bench_with_input(BenchmarkId::new("bnl", n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::default()).len());
+        group.bench_with_input(BenchmarkId::new("bnl", n), &block, |b, block| {
+            b.iter(|| block_bnl(block, &BnlConfig::default()).len());
         });
-        group.bench_with_input(BenchmarkId::new("bnl_w256", n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::with_window(256)).len());
+        group.bench_with_input(BenchmarkId::new("bnl_w256", n), &block, |b, block| {
+            b.iter(|| block_bnl(block, &BnlConfig::with_window(256)).len());
         });
-        group.bench_with_input(BenchmarkId::new("sfs", n), &pts, |b, pts| {
-            b.iter(|| sfs_skyline(pts).len());
+        group.bench_with_input(BenchmarkId::new("sfs", n), &block, |b, block| {
+            b.iter(|| block_sfs(block).len());
         });
         group.finish();
     }
@@ -56,11 +56,10 @@ fn bench_bnl_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("bnl_scaling_qws");
     group.sample_size(10);
     for n in [1000usize, 4000, 16000] {
-        let pts = qws_data::generate_qws(&qws_data::QwsConfig::new(n, 6))
-            .points()
-            .to_vec();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::default()).len());
+        let data = qws_data::generate_qws(&qws_data::QwsConfig::new(n, 6));
+        let block = PointBlock::from_points(data.points()).expect("uniform dims");
+        group.bench_with_input(BenchmarkId::from_parameter(n), &block, |b, block| {
+            b.iter(|| block_bnl(block, &BnlConfig::default()).len());
         });
     }
     group.finish();
@@ -70,10 +69,11 @@ fn bench_parallel(c: &mut Criterion) {
     let pts = qws_data::generate_qws(&qws_data::QwsConfig::new(30_000, 6))
         .points()
         .to_vec();
+    let block = PointBlock::from_points(&pts).expect("uniform dims");
     let mut group = c.benchmark_group("parallel_skyline");
     group.sample_size(10);
     group.bench_function("single_thread", |b| {
-        b.iter(|| bnl_skyline(&pts, &BnlConfig::default()).len());
+        b.iter(|| block_bnl(&block, &BnlConfig::default()).len());
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(

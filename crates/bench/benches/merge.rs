@@ -11,8 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::BnlConfig;
-use skyline_algos::kernel::{block_bnl, presort_merge};
+use skyline_algos::kernel::{block_bnl, presort_merge, BnlConfig};
 
 /// Concatenated per-chunk local skylines of an anti-correlated dataset —
 /// the pipeline merge reducer's input shape.

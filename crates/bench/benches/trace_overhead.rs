@@ -20,8 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::BnlConfig;
-use skyline_algos::kernel::block_bnl_stats;
+use skyline_algos::kernel::{block_bnl_stats, BnlConfig};
 use std::time::Instant;
 
 const N: usize = 100_000;

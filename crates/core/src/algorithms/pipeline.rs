@@ -36,10 +36,9 @@ use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::BnlConfig;
 use skyline_algos::filter::{filtered_out, select_filter_points};
 use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
-use skyline_algos::kernel::{presort_merge_stats, KernelStats};
+use skyline_algos::kernel::{presort_merge_stats, BnlConfig, KernelStats};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
 use skyline_algos::select::{select_for_block, BlockKernel};
@@ -290,10 +289,7 @@ fn run_local_kernel(
     kernel: Option<BlockKernel>,
     window: Option<usize>,
 ) -> KernelOutcome {
-    let bnl_cfg = match window {
-        Some(w) => BnlConfig::with_window(w),
-        None => BnlConfig::unbounded(),
-    };
+    let bnl_cfg = window.map_or_else(BnlConfig::unbounded, BnlConfig::with_window);
     let kernel = kernel.unwrap_or_else(|| select_for_block(block));
     let (sky, stats) = kernel.run(block, &bnl_cfg);
     (sky, stats, kernel.name()).into()

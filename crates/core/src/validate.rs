@@ -1,15 +1,14 @@
-//! Cross-checking MR results against an independent oracle.
+//! Cross-checking MR results against the dominance definition.
 //!
 //! Used by integration tests and available to users who want belt-and-braces
-//! verification of a production run: SFS shares no pipeline code with the
-//! MapReduce path (different kernel, no partitioning), so agreement is
-//! strong evidence the distributed result is exactly the true skyline.
+//! verification of a production run. The check runs no skyline kernel at
+//! all — only the pairwise [`dominates`] primitive — so a defect in any
+//! production kernel cannot hide behind a shared code path.
 
 use crate::report::SkylineRunReport;
 use qws_data::Dataset;
 use skyline_algos::dominance::dominates;
 use skyline_algos::point::Point;
-use skyline_algos::sfs::sfs_skyline;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -78,14 +77,28 @@ pub fn validate_against_oracle(
             }
         }
     }
-    // completeness via the independent SFS oracle
-    let oracle = sfs_skyline(dataset.points());
-    for p in oracle {
-        if !ids.contains(&p.id()) {
-            return Err(ValidationError::MissingPoint { id: p.id() });
+    // completeness: with every member undominated, a non-member that no
+    // member dominates is either a missed skyline point itself or is
+    // dominated only by missed ones
+    for q in dataset.points() {
+        if ids.contains(&q.id()) || skyline.iter().any(|s| dominates(s, q)) {
+            continue;
         }
+        return Err(ValidationError::MissingPoint {
+            id: undominated_dominator(q, dataset.points()).id(),
+        });
     }
     Ok(())
+}
+
+/// Climbs from `q` to a dominator of it that no point of `points`
+/// dominates — a true skyline member — or returns `q` itself if nothing
+/// dominates it. Terminates because dominance is a strict partial order.
+fn undominated_dominator<'a>(mut q: &'a Point, points: &'a [Point]) -> &'a Point {
+    while let Some(p) = points.iter().find(|p| dominates(p, q)) {
+        q = p;
+    }
+    q
 }
 
 /// Validates a full run report against its dataset.
@@ -117,6 +130,23 @@ mod tests {
         let removed = report.global_skyline.pop().expect("non-empty skyline");
         let err = validate_report(&report, &data).unwrap_err();
         assert_eq!(err, ValidationError::MissingPoint { id: removed.id() });
+
+        // The missing skyline point 1 dominates point 0, which comes first
+        // and which no reported point dominates: the error must still name
+        // the true skyline member, not its dominated neighbour.
+        let data = Dataset::new(
+            "climb",
+            vec![
+                Point::new(0, vec![2.0, 2.0]),
+                Point::new(1, vec![1.0, 1.0]),
+                Point::new(2, vec![0.0, 5.0]),
+            ],
+        );
+        let reported = vec![Point::new(2, vec![0.0, 5.0])];
+        assert_eq!(
+            validate_against_oracle(&reported, &data),
+            Err(ValidationError::MissingPoint { id: 1 })
+        );
     }
 
     #[test]

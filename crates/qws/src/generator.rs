@@ -244,9 +244,9 @@ mod tests {
 
     #[test]
     fn skyline_is_nontrivial_fraction() {
-        use skyline_algos::prelude::*;
+        use skyline_algos::seq::naive_skyline_ids;
         let d = generate_qws(&QwsConfig::new(2000, 4));
-        let sky = bnl_skyline(d.points(), &BnlConfig::default());
+        let sky = naive_skyline_ids(d.points());
         assert!(
             sky.len() > 3 && sky.len() < d.len() / 2,
             "skyline size {} of {}",
@@ -326,11 +326,11 @@ mod tests {
         // template is dominated by it only when it loses on every dimension
         // at once (probability ~2^-d), so most copies of skyline templates
         // join the skyline themselves.
-        use skyline_algos::prelude::*;
+        use skyline_algos::seq::naive_skyline_ids;
         let base = generate_qws(&QwsConfig::new(500, 6));
         let ext = extend_qws(&base, 5000, 0.05, 1);
-        let sky_base = bnl_skyline(base.points(), &BnlConfig::default()).len();
-        let sky_ext = bnl_skyline(ext.points(), &BnlConfig::default()).len();
+        let sky_base = naive_skyline_ids(base.points()).len();
+        let sky_ext = naive_skyline_ids(ext.points()).len();
         assert!(
             sky_ext > sky_base * 2,
             "expected skyline inflation under 10x jittered extension, got {sky_base} -> {sky_ext}"

@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn loaded_data_runs_through_the_skyline_stack() {
-        use skyline_algos::prelude::*;
+        use skyline_algos::seq::naive_skyline_ids;
         let lines: Vec<String> = (0..40)
             .map(|i| {
                 format!(
@@ -721,7 +721,7 @@ mod tests {
         let path = write_fixture(&refs);
         let (data, _) = load_qws_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let sky = bnl_skyline(data.points(), &BnlConfig::default());
+        let sky = naive_skyline_ids(data.points());
         assert!(!sky.is_empty() && sky.len() < data.len());
     }
 

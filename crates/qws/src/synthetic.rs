@@ -116,11 +116,11 @@ pub fn generate_synthetic(cfg: &SyntheticConfig) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_algos::prelude::*;
+    use skyline_algos::seq::naive_skyline_ids;
 
     fn skyline_size(dist: Distribution, n: usize, d: usize) -> usize {
         let ds = generate_synthetic(&SyntheticConfig::new(n, d, dist));
-        bnl_skyline(ds.points(), &BnlConfig::default()).len()
+        naive_skyline_ids(ds.points()).len()
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The dominance relation (paper Section II) and instrumented counting.
+//! The dominance relation (paper Section II).
 //!
 //! With lower-is-better semantics, point `p` **dominates** `q` iff `p` is
 //! less than or equal to `q` on every dimension and strictly less on at least
@@ -6,9 +6,11 @@
 //! transitive. The skyline of a set is exactly its set of non-dominated
 //! points (the minimal elements of the order).
 //!
-//! Every pairwise dominance check performed by the MapReduce jobs is funnelled
-//! through [`DomCounter`] so the cluster cost model can convert comparison
-//! counts into simulated CPU time.
+//! These are the early-exit one-pair forms over [`Point`]. The kernels in
+//! [`crate::kernel`] use the branchless row forms over a
+//! [`PointBlock`](crate::block::PointBlock) and count their own comparisons
+//! into [`KernelStats`](crate::kernel::KernelStats), which the cluster cost
+//! model converts into simulated CPU time.
 
 use crate::point::Point;
 
@@ -80,77 +82,6 @@ pub fn compare(p: &Point, q: &Point) -> DomRelation {
         (false, true) => DomRelation::RightDominates,
         (false, false) => DomRelation::Equal,
         (true, true) => unreachable!("early return above"),
-    }
-}
-
-/// Counts dominance comparisons so the MapReduce cost model can charge
-/// simulated CPU time per comparison (scaled by dimensionality).
-///
-/// A plain `u64` wrapper rather than an atomic: each map/reduce task owns its
-/// counter and the runtime aggregates them after the task finishes, so no
-/// cross-thread sharing is needed on the hot path.
-#[derive(Debug, Default, Clone)]
-pub struct DomCounter {
-    comparisons: u64,
-    dim_weighted: u64,
-}
-
-impl DomCounter {
-    /// Creates a fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Instrumented version of [`compare`].
-    #[inline]
-    pub fn compare(&mut self, p: &Point, q: &Point) -> DomRelation {
-        self.comparisons += 1;
-        self.dim_weighted += p.dim() as u64;
-        compare(p, q)
-    }
-
-    /// Instrumented version of [`dominates`].
-    #[inline]
-    pub fn dominates(&mut self, p: &Point, q: &Point) -> bool {
-        self.comparisons += 1;
-        self.dim_weighted += p.dim() as u64;
-        dominates(p, q)
-    }
-
-    /// Number of pairwise comparisons performed.
-    #[inline]
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Comparisons weighted by point dimensionality (`Σ d` over comparisons),
-    /// the quantity the cost model converts to CPU seconds.
-    #[inline]
-    pub fn dim_weighted(&self) -> u64 {
-        self.dim_weighted
-    }
-
-    /// Reconstitutes a counter from already-aggregated totals — the bridge
-    /// from block-kernel [`KernelStats`](crate::kernel::KernelStats) back
-    /// to the AoS counter interface, so both stats types report the same
-    /// numbers from the one shared kernel.
-    pub fn from_counts(comparisons: u64, dim_weighted: u64) -> Self {
-        Self {
-            comparisons,
-            dim_weighted,
-        }
-    }
-
-    /// Folds another counter into this one (task → job aggregation).
-    pub fn merge(&mut self, other: &DomCounter) {
-        self.comparisons += other.comparisons;
-        self.dim_weighted += other.dim_weighted;
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&mut self) {
-        self.comparisons = 0;
-        self.dim_weighted = 0;
     }
 }
 
@@ -235,26 +166,5 @@ mod tests {
                 assert_eq!(rel == DomRelation::RightDominates, dominates(b, a));
             }
         }
-    }
-
-    #[test]
-    fn counter_tracks_and_merges() {
-        let a = p(0, &[1.0, 1.0, 1.0]);
-        let b = p(1, &[2.0, 2.0, 2.0]);
-        let mut c1 = DomCounter::new();
-        assert!(c1.dominates(&a, &b));
-        assert_eq!(c1.compare(&b, &a), DomRelation::RightDominates);
-        assert_eq!(c1.comparisons(), 2);
-        assert_eq!(c1.dim_weighted(), 6);
-
-        let mut c2 = DomCounter::new();
-        c2.dominates(&a, &b);
-        c2.merge(&c1);
-        assert_eq!(c2.comparisons(), 3);
-        assert_eq!(c2.dim_weighted(), 9);
-
-        c2.reset();
-        assert_eq!(c2.comparisons(), 0);
-        assert_eq!(c2.dim_weighted(), 0);
     }
 }

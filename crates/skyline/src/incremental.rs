@@ -13,9 +13,8 @@
 //! the savings versus recomputation from scratch.
 
 use crate::block::PointBlock;
-use crate::bnl::{bnl_skyline_stats, BnlConfig};
-use crate::dominance::{DomCounter, DomRelation};
-use crate::kernel::compare_rows;
+use crate::dominance::{compare, DomRelation};
+use crate::kernel::{block_bnl_stats, compare_rows, BnlConfig};
 use crate::partition::SpacePartitioner;
 use crate::point::Point;
 use std::collections::HashSet;
@@ -182,7 +181,7 @@ pub struct IncrementalSkyline<P: SpacePartitioner> {
     local_skylines: Vec<Vec<Point>>,
     /// Global skyline (skyline of the union of local skylines).
     global: Vec<Point>,
-    counter: DomCounter,
+    comparisons: u64,
     len: usize,
 }
 
@@ -195,7 +194,7 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
             partitions: vec![Vec::new(); n],
             local_skylines: vec![Vec::new(); n],
             global: Vec::new(),
-            counter: DomCounter::new(),
+            comparisons: 0,
             len: 0,
         }
     }
@@ -207,11 +206,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
             s.partitions[s.partitioner.partition_of(p)].push(p.clone());
         }
         s.len = points.len();
-        let cfg = BnlConfig::default();
         for i in 0..s.partitions.len() {
-            let (sky, stats) = bnl_skyline_stats(&s.partitions[i], &cfg);
-            s.counter.merge(&stats.counter);
-            s.local_skylines[i] = sky;
+            s.local_skylines[i] = batch_skyline(&s.partitions[i], &mut s.comparisons);
         }
         s.rebuild_global();
         s
@@ -239,7 +235,7 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
 
     /// Total dominance comparisons spent on maintenance so far.
     pub fn comparisons(&self) -> u64 {
-        self.counter.comparisons()
+        self.comparisons
     }
 
     /// Inserts a service. Returns `true` iff the global skyline changed.
@@ -257,7 +253,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
         let local = &mut self.local_skylines[part];
         let mut i = 0;
         while i < local.len() {
-            match self.counter.compare(&local[i], &p) {
+            self.comparisons += 1;
+            match compare(&local[i], &p) {
                 DomRelation::LeftDominates => return false, // locally dominated
                 DomRelation::RightDominates => {
                     local.swap_remove(i);
@@ -274,7 +271,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
         let mut i = 0;
         let mut dominated_globally = false;
         while i < self.global.len() {
-            match self.counter.compare(&self.global[i], &p) {
+            self.comparisons += 1;
+            match compare(&self.global[i], &p) {
                 DomRelation::LeftDominates => {
                     dominated_globally = true;
                     break;
@@ -305,10 +303,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
                 self.len -= 1;
                 let was_local = self.local_skylines[part].iter().any(|p| p.id() == id);
                 if was_local {
-                    let (sky, stats) =
-                        bnl_skyline_stats(&self.partitions[part], &BnlConfig::default());
-                    self.counter.merge(&stats.counter);
-                    self.local_skylines[part] = sky;
+                    self.local_skylines[part] =
+                        batch_skyline(&self.partitions[part], &mut self.comparisons);
                     self.rebuild_global();
                 }
                 return true;
@@ -323,10 +319,23 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
             .iter()
             .flat_map(|s| s.iter().cloned())
             .collect();
-        let (global, stats) = bnl_skyline_stats(&union, &BnlConfig::default());
-        self.counter.merge(&stats.counter);
-        self.global = global;
+        self.global = batch_skyline(&union, &mut self.comparisons);
     }
+}
+
+/// Batch BNL over `points`, adding the comparisons it spent to
+/// `comparisons`.
+fn batch_skyline(points: &[Point], comparisons: &mut u64) -> Vec<Point> {
+    let Some(first) = points.first() else {
+        return Vec::new();
+    };
+    let mut block = PointBlock::with_capacity(first.dim(), points.len());
+    for p in points {
+        block.push_point(p);
+    }
+    let (sky, stats) = block_bnl_stats(&block, &BnlConfig::default());
+    *comparisons += stats.comparisons;
+    sky.to_points()
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //!   AoS [`crate::dominance`] versions early-exit, which is right for one
 //!   comparison but defeats vectorization; the branchless forms trade a few
 //!   redundant flops for straight-line SIMD-friendly code.
-//! * [`block_bnl`] — Block-Nested-Loops whose self-organising window lives
-//!   in one flat buffer (same multi-pass overflow + timestamp-emission
-//!   semantics as [`crate::bnl::bnl_skyline`], bit-for-bit the same result
-//!   set).
+//! * [`block_bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001), the
+//!   kernel the paper runs for both the local skylines and the global merge,
+//!   with a bounded self-organising window in one flat buffer and
+//!   multi-pass overflow handling.
 //! * [`block_sfs`] — columnar Sort-Filter-Skyline: entropy-score presort,
 //!   one stop-aware filtering pass, no evictions. The local-kernel sibling
 //!   of the merge below (see also [`crate::salsa`] and [`crate::select`]).
@@ -26,13 +26,39 @@
 //!   it, falling back to the portable row-wise scan otherwise.
 
 use crate::block::PointBlock;
-use crate::bnl::BnlConfig;
 use crate::dominance::DomRelation;
 
-/// Execution statistics of a block kernel run, mirroring the fields the
-/// cluster cost model consumes from [`crate::bnl::BnlStats`]. Fields are
-/// public so callers can fold them into their own accounting without an
-/// intermediate counter object.
+/// Configuration for a [`block_bnl`] run.
+#[derive(Debug, Clone, Default)]
+pub struct BnlConfig {
+    /// Maximum number of points held in the in-memory window; `None` means
+    /// unbounded (single pass, no overflow). The paper's Hadoop setting
+    /// bounds worker memory at 1 GB, which we model with a finite window.
+    pub window_size: Option<usize>,
+}
+
+impl BnlConfig {
+    /// Unbounded window.
+    pub fn unbounded() -> Self {
+        Self::default()
+    }
+
+    /// Window bounded to `n` points (multi-pass BNL).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`: a zero-size window cannot make progress.
+    pub fn with_window(n: usize) -> Self {
+        assert!(n > 0, "BNL window must hold at least one point");
+        Self {
+            window_size: Some(n),
+        }
+    }
+}
+
+/// Execution statistics of a block kernel run, the fields the cluster cost
+/// model consumes. Fields are public so callers can fold them into their
+/// own accounting without an intermediate counter object.
 #[derive(Debug, Default, Clone)]
 pub struct KernelStats {
     /// Pairwise dominance comparisons performed.
@@ -302,7 +328,7 @@ impl FlatWindow {
     }
 
     /// Removes row `i` by moving the last row into its place (order is not
-    /// preserved, exactly like `Vec::swap_remove` in the AoS BNL).
+    /// preserved, exactly like `Vec::swap_remove`).
     fn swap_remove(&mut self, i: usize) {
         let last = self.len() - 1;
         if i != last {
@@ -317,8 +343,43 @@ impl FlatWindow {
 
 /// Computes the skyline of `block` with the blocked BNL kernel.
 ///
-/// Same algorithm, configuration and result set as
-/// [`crate::bnl::bnl_skyline`] — only the data layout differs.
+/// BNL streams the input once per *pass*, keeping a **window** of
+/// incomparable candidate rows:
+///
+/// * an incoming row dominated by any window row is discarded;
+/// * window rows dominated by the incoming row are evicted;
+/// * otherwise the row joins the window, or — if the window is full — is
+///   written to an *overflow* buffer to be processed in the next pass.
+///
+/// With a bounded window, a window row can only be emitted as a confirmed
+/// skyline point once it has been compared against **every** overflowed
+/// row. The classic timestamp argument: a row entering the window at
+/// (global) time `t_w` has been compared with every row read after `t_w`,
+/// so at the end of a pass it can be emitted iff `t_w` precedes the time the
+/// first row of that pass overflowed. All later window entries are retained
+/// for the next pass.
+///
+/// The window is self-organising: whenever a window row kills an incoming
+/// row it is moved to the front, so aggressive dominators are met early.
+/// Rows with equal coordinates never dominate each other, so duplicates
+/// are all retained.
+///
+/// # Examples
+///
+/// ```
+/// use skyline_algos::kernel::{block_bnl, BnlConfig};
+/// use skyline_algos::point::Point;
+/// use skyline_algos::PointBlock;
+///
+/// let services = PointBlock::from_points(&[
+///     Point::new(0, vec![100.0, 5.0]), // fast but pricey
+///     Point::new(1, vec![900.0, 1.0]), // slow but cheap
+///     Point::new(2, vec![950.0, 6.0]), // slow AND pricey: dominated
+/// ])
+/// .unwrap();
+/// let sky = block_bnl(&services, &BnlConfig::default());
+/// assert_eq!(sky.ids(), &[0, 1]);
+/// ```
 pub fn block_bnl(block: &PointBlock, cfg: &BnlConfig) -> PointBlock {
     block_bnl_stats(block, cfg).0
 }
@@ -358,9 +419,8 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
                 match compare_rows(window.row(i), input.row(idx)) {
                     DomRelation::LeftDominates => {
                         dominated = true;
-                        if cfg.move_to_front && i > 0 {
-                            window.swap(0, i);
-                        }
+                        // move to front; a no-op when `i == 0`
+                        window.swap(0, i);
                         break;
                     }
                     DomRelation::RightDominates => {
@@ -558,7 +618,6 @@ pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::bnl_skyline;
     use crate::dominance::{compare, dominates};
     use crate::point::Point;
     use crate::seq::naive_skyline_ids;
@@ -595,26 +654,93 @@ mod tests {
     }
 
     #[test]
-    fn block_bnl_matches_aos_bnl() {
+    fn block_bnl_matches_naive_oracle() {
         for seed in 0..10 {
             let block = random_block(200, 3, seed, 8);
-            let points = block.to_points();
+            let oracle = naive_skyline_ids(&block.to_points());
             for cfg in [
                 BnlConfig::unbounded(),
                 BnlConfig::with_window(1),
+                BnlConfig::with_window(4),
                 BnlConfig::with_window(7),
+                BnlConfig::with_window(16),
             ] {
                 let (sky, stats) = block_bnl_stats(&block, &cfg);
-                let aos: Vec<u64> = {
-                    let mut v: Vec<u64> =
-                        bnl_skyline(&points, &cfg).iter().map(Point::id).collect();
-                    v.sort_unstable();
-                    v
-                };
-                assert_eq!(sorted_ids(&sky), aos, "seed {seed} cfg {cfg:?}");
+                assert_eq!(sorted_ids(&sky), oracle, "seed {seed} cfg {cfg:?}");
+                assert_eq!(stats.input_len, 200);
                 assert_eq!(stats.output_len, sky.len() as u64);
                 assert!(stats.comparisons > 0);
+                if cfg.window_size.is_none() {
+                    assert_eq!((stats.passes, stats.overflowed), (1, 0));
+                }
             }
+        }
+    }
+
+    /// Builds a block whose row `i` gets id `i`.
+    fn block_of(rows: &[&[f64]]) -> PointBlock {
+        let mut b = PointBlock::new(rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            b.push(i as u64, row).unwrap();
+        }
+        b
+    }
+
+    /// A named input (row `i` gets id `i`) and its expected skyline ids.
+    type Case = (&'static str, &'static [&'static [f64]], &'static [u64]);
+
+    #[test]
+    fn kernels_return_the_expected_skyline_on_hand_built_inputs() {
+        let cases: [Case; 5] = [
+            ("single point", &[&[1.0, 2.0]], &[0]),
+            (
+                // the paper's Figure 1: s8 dominated, s1..s7 on the contour
+                "figure 1 contour",
+                &[
+                    &[1.0, 9.0],
+                    &[2.0, 7.0],
+                    &[3.0, 5.0],
+                    &[4.5, 3.5],
+                    &[6.0, 2.5],
+                    &[7.5, 2.0],
+                    &[9.0, 1.0],
+                    &[7.0, 6.0],
+                ],
+                &[0, 1, 2, 3, 4, 5, 6],
+            ),
+            (
+                "duplicates are all kept",
+                &[&[1.0, 1.0], &[1.0, 1.0], &[2.0, 2.0]],
+                &[0, 1],
+            ),
+            (
+                "dominated duplicate cluster is removed",
+                &[&[2.0, 2.0], &[2.0, 2.0], &[1.0, 1.0]],
+                &[2],
+            ),
+            (
+                "d=1 ties at the minimum",
+                &[&[5.0], &[3.0], &[9.0], &[3.0]],
+                &[1, 3],
+            ),
+        ];
+        for (name, rows, want) in cases {
+            let block = block_of(rows);
+            assert_eq!(
+                naive_skyline_ids(&block.to_points()),
+                want,
+                "{name}: oracle"
+            );
+            for cfg in [
+                BnlConfig::unbounded(),
+                BnlConfig::with_window(1),
+                BnlConfig::with_window(2),
+            ] {
+                let sky = block_bnl(&block, &cfg);
+                assert_eq!(sorted_ids(&sky), want, "{name}: bnl {cfg:?}");
+            }
+            assert_eq!(sorted_ids(&block_sfs(&block)), want, "{name}: sfs");
+            assert_eq!(sorted_ids(&presort_merge(&block)), want, "{name}: merge");
         }
     }
 
@@ -625,12 +751,18 @@ mod tests {
         for i in 0..50u64 {
             b.push(i, &[i as f64, 49.0 - i as f64]).unwrap();
         }
-        for w in [1usize, 2, 7] {
+        for w in 1..50 {
             let (sky, stats) = block_bnl_stats(&b, &BnlConfig::with_window(w));
             assert_eq!(sky.len(), 50, "window {w}");
             assert!(stats.passes >= 2, "window {w} must overflow");
             assert!(stats.overflowed > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one point")]
+    fn zero_window_rejected() {
+        let _ = BnlConfig::with_window(0);
     }
 
     #[test]
@@ -690,6 +822,8 @@ mod tests {
                 naive_skyline_ids(&block.to_points()),
                 "seed {seed}"
             );
+            assert_eq!(stats.input_len, 170);
+            assert_eq!(stats.output_len, sky.len() as u64);
             assert_eq!(stats.passes, 1);
             assert_eq!(stats.overflowed, 0);
             assert_eq!(stats.skipped, 0, "SFS has no early-stop skip");
@@ -721,13 +855,17 @@ mod tests {
     fn block_sfs_stop_bound_cuts_comparisons_on_correlated_input() {
         // correlated diagonal: singleton skyline; every candidate compares
         // against exactly one accepted row
-        let mut b = PointBlock::new(2);
-        for i in 0..300u64 {
-            b.push(i, &[i as f64, i as f64 + 0.5]).unwrap();
+        for n in [200u64, 300] {
+            let mut b = PointBlock::new(2);
+            for i in 0..n {
+                b.push(i, &[i as f64, i as f64 + 0.5]).unwrap();
+            }
+            let (sky, stats) = block_sfs_stats(&b);
+            assert_eq!(sky.len(), 1);
+            assert_eq!(stats.output_len, 1);
+            assert!(stats.comparisons <= (n - 1) * 2);
+            assert!(stats.comparisons < n * n / 2, "n={n}: below quadratic");
         }
-        let (sky, stats) = block_sfs_stats(&b);
-        assert_eq!(sky.len(), 1);
-        assert!(stats.comparisons <= 299 * 2);
     }
 
     #[test]

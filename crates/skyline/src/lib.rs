@@ -10,27 +10,25 @@
 //!
 //! * [`point`] — the `d`-dimensional [`Point`] type (lower is better on every
 //!   dimension, as in the paper's QoS convention).
-//! * [`dominance`] — the dominance relation and instrumented comparison
-//!   counting used by the cluster cost model.
+//! * [`dominance`] — the dominance relation over [`Point`]s.
 //! * [`block`] — the columnar [`PointBlock`] batch type (SoA layout: flat
 //!   coordinate buffer + parallel id vector), the transport and compute
 //!   representation of the hot paths.
-//! * [`kernel`] — block-based dominance kernels: branchless row compares,
-//!   a blocked BNL over flat buffers, the columnar SFS, and the
-//!   L1-presorting merge.
+//! * [`kernel`] — the one implementation of each skyline kernel, over
+//!   [`PointBlock`]s: branchless row compares, the Block-Nested-Loops
+//!   skyline (Börzsönyi et al., ICDE 2001) with a bounded self-organising
+//!   window and multi-pass overflow handling — the paper uses BNL for both
+//!   local and global skylines — the columnar SFS, and the L1-presorting
+//!   merge.
 //! * [`salsa`] — the SaLSa kernel (min-coordinate presort with an
 //!   early-stop watermark).
 //! * [`select`] — runtime kernel selection: [`BlockKernel`] dispatch and
 //!   the [`select_for_block`] cost heuristic over a sampled correlation
 //!   estimate.
-//! * [`bnl`] — the Block-Nested-Loops skyline algorithm (Börzsönyi et al.,
-//!   ICDE 2001) with a bounded self-organising window and multi-pass overflow
-//!   handling; the paper uses BNL for both local and global skylines.
 //! * [`filter`] — deterministic filter-point selection for shuffle-side early
 //!   pruning (drop dominated rows before they are shuffled).
-//! * [`sfs`] — Sort-Filter-Skyline as a `Point` bridge over the block
-//!   kernel; an independent oracle in tests and a pluggable local kernel.
-//! * [`seq`] — a trivial quadratic reference implementation.
+//! * [`seq`] — a trivial quadratic reference implementation, the oracle in
+//!   tests.
 //! * [`hypersphere`] — the Cartesian → hyperspherical transform of the paper's
 //!   Eq. (1)/(2), which underlies angular partitioning.
 //! * [`partition`] — the [`SpacePartitioner`] trait and the three partitioners
@@ -51,8 +49,9 @@
 //!     Point::new(2, vec![4.0, 1.0]),
 //!     Point::new(3, vec![3.0, 3.0]), // dominated by point 1
 //! ];
-//! let sky = bnl_skyline(&points, &BnlConfig::default());
-//! let mut ids: Vec<u64> = sky.iter().map(|p| p.id()).collect();
+//! let block = PointBlock::from_points(&points).unwrap();
+//! let sky = block_bnl(&block, &BnlConfig::default());
+//! let mut ids = sky.ids().to_vec();
 //! ids.sort_unstable();
 //! assert_eq!(ids, vec![0, 1, 2]);
 //! ```
@@ -60,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod bnl;
 pub mod dominance;
 pub mod error;
 pub mod filter;
@@ -73,26 +71,23 @@ pub mod metrics;
 pub mod parallel;
 pub mod partition;
 pub mod point;
-pub mod progressive;
 pub mod ranking;
 pub mod representative;
 pub mod salsa;
 pub mod select;
 pub mod seq;
-pub mod sfs;
 pub mod skyband;
 pub mod topk;
 
 pub use block::PointBlock;
-pub use bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-pub use dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
+pub use dominance::{dominates, strictly_dominates, DomRelation};
 pub use error::SkylineError;
 pub use filter::{filtered_out, select_filter_points};
 pub use hypersphere::{to_hyperspherical, to_hyperspherical_into, HyperPoint};
 pub use kdominant::{k_dominant_skyline, k_dominates};
 pub use kernel::{
     block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, compare_rows, dominated_count,
-    dominates_row, presort_merge, presort_merge_stats, KernelStats,
+    dominates_row, presort_merge, presort_merge_stats, BnlConfig, KernelStats,
 };
 pub use parallel::{parallel_skyline, parallel_skyline_partitioned, parallel_skyline_stats};
 pub use partition::{
@@ -100,24 +95,21 @@ pub use partition::{
     GridPartitioner, PartitionSpace, RandomPartitioner, SpacePartitioner,
 };
 pub use point::Point;
-pub use progressive::ProgressiveSkyline;
 pub use ranking::WeightedScore;
 pub use representative::{distance_based_representatives, max_dominance_representatives};
 pub use salsa::{block_salsa, block_salsa_stats};
 pub use select::{correlation_estimate, select_for_block, BlockKernel};
 pub use seq::naive_skyline;
-pub use sfs::{sfs_skyline, sfs_skyline_stats};
 pub use skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
 pub use topk::{dominance_counts, top_k_dominating, DominatingEntry};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::block::PointBlock;
-    pub use crate::bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-    pub use crate::dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
+    pub use crate::dominance::{dominates, strictly_dominates, DomRelation};
     pub use crate::hypersphere::{to_hyperspherical, HyperPoint};
     pub use crate::kdominant::{k_dominant_skyline, k_dominates};
-    pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge};
+    pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge, BnlConfig};
     pub use crate::metrics::local_skyline_optimality;
     pub use crate::parallel::{parallel_skyline, parallel_skyline_partitioned};
     pub use crate::partition::{
@@ -125,7 +117,6 @@ pub mod prelude {
         PartitionSpace, RandomPartitioner, SpacePartitioner,
     };
     pub use crate::point::Point;
-    pub use crate::progressive::ProgressiveSkyline;
     pub use crate::ranking::WeightedScore;
     pub use crate::representative::{
         distance_based_representatives, max_dominance_representatives,
@@ -133,7 +124,6 @@ pub mod prelude {
     pub use crate::salsa::block_salsa;
     pub use crate::select::BlockKernel;
     pub use crate::seq::naive_skyline;
-    pub use crate::sfs::sfs_skyline;
     pub use crate::skyband::{DeleteOutcome, SkybandBuffer};
     pub use crate::topk::top_k_dominating;
 }

@@ -30,9 +30,8 @@
 //!   winners are likelier global winners and the merge input shrinks.
 
 use crate::block::PointBlock;
-use crate::bnl::BnlConfig;
 use crate::error::SkylineError;
-use crate::kernel::{self, KernelStats};
+use crate::kernel::{self, BnlConfig, KernelStats};
 use crate::partition::SpacePartitioner;
 use crate::point::Point;
 use mrsky_chaos::{FaultKind, FaultPlan, FaultSite};

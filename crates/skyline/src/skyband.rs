@@ -1,8 +1,8 @@
 //! The k-skyband retention buffer that makes deletions repairable.
 //!
 //! A skyline maintained incrementally (e.g. by
-//! [`StreamingMerge`](crate::incremental::StreamingMerge)) handles
-//! inserts cheaply but pays a full recompute on every deletion of a
+//! [`IncrementalSkyline`](crate::incremental::IncrementalSkyline))
+//! handles inserts cheaply but pays a recompute on every deletion of a
 //! skyline member, because the points the deletion would promote were
 //! thrown away. The classical fix is to retain the **k-skyband** — the
 //! points dominated by fewer than `k` others — so a deletion promotes
@@ -296,16 +296,7 @@ impl SkybandBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::{bnl_skyline, BnlConfig};
-
-    fn oracle_ids(live: &[Point]) -> Vec<u64> {
-        let mut ids: Vec<u64> = bnl_skyline(live, &BnlConfig::default())
-            .iter()
-            .map(Point::id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
+    use crate::seq::naive_skyline_ids;
 
     fn sky_ids(b: &SkybandBuffer) -> Vec<u64> {
         b.skyline().iter().map(Point::id).collect()
@@ -351,7 +342,7 @@ mod tests {
                 Point::new(i, vec![v, 7.0 - v])
             })
             .collect();
-        assert_eq!(sky_ids(&b), oracle_ids(&live));
+        assert_eq!(sky_ids(&b), naive_skyline_ids(&live));
     }
 
     #[test]
@@ -436,7 +427,7 @@ mod tests {
                 let victim = live.remove((next() as usize) % live.len());
                 assert_ne!(b.delete(victim.id()), DeleteOutcome::NotLive);
             }
-            assert_eq!(sky_ids(&b), oracle_ids(&live), "after {next_id} ops");
+            assert_eq!(sky_ids(&b), naive_skyline_ids(&live), "after {next_id} ops");
         }
         assert!(b.stats().repairs_from_buffer > 0, "{:?}", b.stats());
         assert!(b.stats().underflow_rebuilds > 0, "{:?}", b.stats());

@@ -6,8 +6,8 @@
 //! underflow rebuild path, and re-insertions of previously deleted ids.
 
 use proptest::prelude::*;
-use skyline_algos::bnl::{bnl_skyline, BnlConfig};
 use skyline_algos::point::Point;
+use skyline_algos::seq::naive_skyline_ids;
 use skyline_algos::skyband::SkybandBuffer;
 use std::collections::BTreeMap;
 
@@ -26,12 +26,7 @@ fn arb_script() -> impl Strategy<Value = (usize, Vec<RawOp>)> {
 
 fn oracle_ids(live: &BTreeMap<u64, Point>) -> Vec<u64> {
     let pts: Vec<Point> = live.values().cloned().collect();
-    let mut ids: Vec<u64> = bnl_skyline(&pts, &BnlConfig::default())
-        .iter()
-        .map(Point::id)
-        .collect();
-    ids.sort_unstable();
-    ids
+    naive_skyline_ids(&pts)
 }
 
 proptest! {

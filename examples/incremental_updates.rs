@@ -10,7 +10,10 @@
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::dataset::{update_stream, Update};
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
-use mr_skyline_suite::skyline::bnl::{bnl_skyline_stats, BnlConfig};
+use mr_skyline_suite::skyline::block::PointBlock;
+use mr_skyline_suite::skyline::kernel::{block_bnl_stats, BnlConfig};
+use mr_skyline_suite::skyline::point::Point;
+use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 
 fn main() {
     let registry_data = generate_qws(&QwsConfig::new(10_000, 4));
@@ -56,8 +59,9 @@ fn main() {
                 }
             }
         }
-        let (_, stats) = bnl_skyline_stats(&live, &BnlConfig::default());
-        batch_comparisons += stats.counter.comparisons();
+        let block = PointBlock::from_points(&live).expect("the registry never drains");
+        let (_, stats) = block_bnl_stats(&block, &BnlConfig::default());
+        batch_comparisons += stats.comparisons;
     }
     println!(
         "batch recomputation cost: {batch_comparisons} comparisons ({} per event)",
@@ -68,19 +72,13 @@ fn main() {
         batch_comparisons as f64 / incremental_comparisons as f64
     );
 
-    // Consistency check: the maintained skyline equals the batch skyline.
-    let (batch_sky, _) = bnl_skyline_stats(&live, &BnlConfig::default());
-    let mut a: Vec<u64> = registry
-        .skyline()
-        .iter()
-        .map(mr_skyline_suite::skyline::point::Point::id)
-        .collect();
-    let mut b: Vec<u64> = batch_sky
-        .iter()
-        .map(mr_skyline_suite::skyline::point::Point::id)
-        .collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "maintained skyline must equal the batch skyline");
-    println!("consistency check passed: maintained skyline == batch skyline");
+    // Consistency check: the maintained skyline equals the oracle skyline.
+    let mut maintained: Vec<u64> = registry.skyline().iter().map(Point::id).collect();
+    maintained.sort_unstable();
+    assert_eq!(
+        maintained,
+        naive_skyline_ids(&live),
+        "maintained skyline must equal the oracle skyline"
+    );
+    println!("consistency check passed: maintained skyline == oracle skyline");
 }

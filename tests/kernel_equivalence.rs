@@ -10,8 +10,7 @@ use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
 };
 use mr_skyline_suite::skyline::block::PointBlock;
-use mr_skyline_suite::skyline::bnl::BnlConfig;
-use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs};
+use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs, BnlConfig};
 use mr_skyline_suite::skyline::salsa::block_salsa;
 use mr_skyline_suite::skyline::select::{select_for_block, BlockKernel};
 use proptest::prelude::*;

@@ -1,14 +1,15 @@
 //! Property-based tests of the geometric substrate: dominance axioms, the
 //! hyperspherical transform, partitioner totality and invariances.
 
-use mr_skyline_suite::skyline::bnl::{bnl_skyline, BnlConfig};
+use mr_skyline_suite::skyline::block::PointBlock;
 use mr_skyline_suite::skyline::dominance::{compare, dominates, DomRelation};
 use mr_skyline_suite::skyline::hypersphere::{to_cartesian, to_hyperspherical};
+use mr_skyline_suite::skyline::kernel::{block_bnl, BnlConfig};
 use mr_skyline_suite::skyline::partition::{
     AnglePartitioner, Bounds, DimPartitioner, GridPartitioner, RandomPartitioner, SpacePartitioner,
 };
 use mr_skyline_suite::skyline::point::Point;
-use mr_skyline_suite::skyline::seq::naive_skyline;
+use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 use proptest::prelude::*;
 
 fn arb_coords(d: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -60,7 +61,8 @@ proptest! {
 
     #[test]
     fn skyline_is_sound_and_complete(pts in arb_points()) {
-        let sky = bnl_skyline(&pts, &BnlConfig::default());
+        let block = PointBlock::from_points(&pts).unwrap();
+        let sky = block_bnl(&block, &BnlConfig::default()).to_points();
         // soundness: no skyline member dominated by any input point
         for s in &sky {
             prop_assert!(!pts.iter().any(|q| dominates(q, s)));
@@ -73,7 +75,7 @@ proptest! {
             }
         }
         // minimality: equals the reference implementation
-        prop_assert_eq!(sky.len(), naive_skyline(&pts).len());
+        prop_assert_eq!(sky.len(), naive_skyline_ids(&pts).len());
     }
 
     #[test]
@@ -138,12 +140,12 @@ proptest! {
 
     #[test]
     fn bnl_window_size_is_semantically_invisible(pts in arb_points(), w in 1usize..50) {
-        let mut a: Vec<u64> = bnl_skyline(&pts, &BnlConfig::default())
-            .iter().map(Point::id).collect();
-        let mut b: Vec<u64> = bnl_skyline(&pts, &BnlConfig::with_window(w))
-            .iter().map(Point::id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        let block = PointBlock::from_points(&pts).unwrap();
+        let oracle = naive_skyline_ids(&pts);
+        for cfg in [BnlConfig::default(), BnlConfig::with_window(w)] {
+            let mut ids = block_bnl(&block, &cfg).ids().to_vec();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, oracle.clone());
+        }
     }
 }

@@ -14,8 +14,6 @@ use skyline_algos::dominance::dominates;
 use skyline_algos::kernel::{
     block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, dominated_count, BnlConfig,
 };
-use skyline_algos::parallel::{parallel_skyline, parallel_skyline_partitioned};
-use skyline_algos::partition::AnglePartitioner;
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
 use skyline_algos::select::{correlation_estimate, select_for_block};
@@ -62,35 +60,6 @@ fn bench_bnl_scaling(c: &mut Criterion) {
             b.iter(|| block_bnl(block, &BnlConfig::default()).len());
         });
     }
-    group.finish();
-}
-
-fn bench_parallel(c: &mut Criterion) {
-    let pts = qws_data::generate_qws(&qws_data::QwsConfig::new(30_000, 6))
-        .points()
-        .to_vec();
-    let block = PointBlock::from_points(&pts).expect("uniform dims");
-    let mut group = c.benchmark_group("parallel_skyline");
-    group.sample_size(10);
-    group.bench_function("single_thread", |b| {
-        b.iter(|| block_bnl(&block, &BnlConfig::default()).len());
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("block_chunks", threads),
-            &threads,
-            |b, &t| b.iter(|| parallel_skyline(&pts, t).expect("parallel skyline").len()),
-        );
-    }
-    let part = AnglePartitioner::fit_quantile(&pts, 16).unwrap();
-    group.bench_function("angular_chunks_8t", |b| {
-        b.iter(|| {
-            parallel_skyline_partitioned(&pts, &part, 8)
-                .expect("partitioned skyline")
-                .0
-                .len()
-        });
-    });
     group.finish();
 }
 
@@ -395,7 +364,6 @@ criterion_group!(
     bench_block_vs_aos,
     bench_kernel_matrix,
     bench_kernels,
-    bench_bnl_scaling,
-    bench_parallel
+    bench_bnl_scaling
 );
 criterion_main!(benches);

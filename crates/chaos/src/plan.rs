@@ -22,8 +22,6 @@ use mrsky_trace::json::{self, JsonValue};
 /// A named fault-injection site in the execution stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A chunk task inside `skyline::parallel` (worker thread kernel run).
-    ParallelChunk,
     /// A simulated-DFS block read feeding a map task.
     DfsRead,
     /// A map task attempt (fails mid-map, discarding partial output).
@@ -40,8 +38,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for profile construction and property generators.
-    pub const ALL: [FaultSite; 7] = [
-        FaultSite::ParallelChunk,
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::DfsRead,
         FaultSite::MapTask,
         FaultSite::ShuffleFetch,
@@ -53,7 +50,6 @@ impl FaultSite {
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultSite::ParallelChunk => "parallel-chunk",
             FaultSite::DfsRead => "dfs-read",
             FaultSite::MapTask => "map-task",
             FaultSite::ShuffleFetch => "shuffle-fetch",
@@ -70,7 +66,6 @@ impl FaultSite {
 
     fn tag(self) -> u64 {
         match self {
-            FaultSite::ParallelChunk => 0x6368_756e,
             FaultSite::DfsRead => 0x6466_7372,
             FaultSite::MapTask => 0x6d61_7074,
             FaultSite::ShuffleFetch => 0x7368_6666,
@@ -193,16 +188,6 @@ impl FaultPlan {
             seed,
             rules: vec![
                 SiteRule {
-                    site: FaultSite::ParallelChunk,
-                    kind: FaultKind::TransientError,
-                    permille: 80,
-                },
-                SiteRule {
-                    site: FaultSite::ParallelChunk,
-                    kind: FaultKind::Panic,
-                    permille: 40,
-                },
-                SiteRule {
                     site: FaultSite::DfsRead,
                     kind: FaultKind::TransientError,
                     permille: 100,
@@ -233,7 +218,6 @@ impl FaultPlan {
         let mut rules = Vec::new();
         for site in FaultSite::ALL {
             let kinds: &[FaultKind] = match site {
-                FaultSite::ParallelChunk => &[FaultKind::Panic, FaultKind::TransientError],
                 FaultSite::DfsRead => &[FaultKind::TransientError],
                 FaultSite::MapTask => &[FaultKind::Panic, FaultKind::TransientError],
                 FaultSite::ShuffleFetch => &[FaultKind::DropRecord, FaultKind::CorruptRecord],
@@ -463,7 +447,7 @@ mod tests {
     fn final_attempt_never_faults() {
         let plan = FaultPlan {
             rules: vec![SiteRule {
-                site: FaultSite::ParallelChunk,
+                site: FaultSite::MapTask,
                 kind: FaultKind::Panic,
                 permille: 999,
             }],
@@ -471,10 +455,10 @@ mod tests {
             ..FaultPlan::off()
         };
         for i in 0..500 {
-            assert_eq!(plan.decide(FaultSite::ParallelChunk, "s", i, 2), None);
+            assert_eq!(plan.decide(FaultSite::MapTask, "s", i, 2), None);
         }
         // earlier attempts do fault at this rate
-        assert!((0..500).any(|i| plan.decide(FaultSite::ParallelChunk, "s", i, 0).is_some()));
+        assert!((0..500).any(|i| plan.decide(FaultSite::MapTask, "s", i, 0).is_some()));
     }
 
     #[test]
@@ -516,7 +500,7 @@ mod tests {
         let p2 = FaultPlan::light(2);
         let pat = |p: &FaultPlan| {
             (0..300)
-                .map(|i| p.decide(FaultSite::ParallelChunk, "s", i, 0).is_some())
+                .map(|i| p.decide(FaultSite::MapTask, "s", i, 0).is_some())
                 .collect::<Vec<_>>()
         };
         assert_ne!(pat(&p1), pat(&p2));
@@ -570,10 +554,10 @@ mod tests {
         assert!(q.iter().any(Option::is_some));
         assert_ne!(m, q);
         // growing ALL must not perturb decisions at the original sites
-        let chunk: Vec<_> = (0..200)
-            .map(|i| plan.decide(FaultSite::ParallelChunk, "s", i, 0).is_some())
+        let map: Vec<_> = (0..200)
+            .map(|i| plan.decide(FaultSite::MapTask, "s", i, 0).is_some())
             .collect();
-        assert!(chunk.iter().any(|&b| b));
+        assert!(map.iter().any(|&b| b));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use mini_mapreduce::prelude::*;
 use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::scheduler::SpeculationConfig;
 use mini_mapreduce::task::FailureConfig;
-use mini_mapreduce::{ExecutorMode, OwnedMergeFn};
+use mini_mapreduce::OwnedMergeFn;
 use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
@@ -433,11 +433,6 @@ pub fn run_two_job_pipeline(
     });
 
     // ---- Scale plumbing shared by every job in the chain ----
-    let executor = if opts.config.static_executor {
-        ExecutorMode::Static
-    } else {
-        ExecutorMode::WorkStealing
-    };
     let owned_merge: Option<OwnedMergeFn<PointBlock>> =
         opts.config.owned_shuffle.then(owned_block_merge);
     let spill = spill_config(&opts.config);
@@ -449,8 +444,7 @@ pub fn run_two_job_pipeline(
     let mut spec1: JobSpec<u64, PointBlock> =
         JobSpec::new(format!("{}-partition", opts.name), opts.cluster.clone())
             .with_reducers(num_partitions.max(1))
-            .with_map_tasks(point_splits(job1_input.len()))
-            .with_executor(executor);
+            .with_map_tasks(point_splits(job1_input.len()));
     spec1.owned_merge = owned_merge.clone();
     spec1.spill = spill.clone();
     spec1.cost = opts.cost.clone();
@@ -685,8 +679,7 @@ pub fn run_two_job_pipeline(
                 opts.cluster.clone(),
             )
             .with_reducers(reducers)
-            .with_map_tasks(point_splits(merge_block.len()))
-            .with_executor(executor);
+            .with_map_tasks(point_splits(merge_block.len()));
             spec_pm.owned_merge = owned_merge.clone();
             spec_pm.spill = spill.clone();
             spec_pm.cost = opts.cost.clone();
@@ -754,8 +747,7 @@ pub fn run_two_job_pipeline(
     let mut spec2: JobSpec<u64, PointBlock> =
         JobSpec::new(format!("{}-merge", opts.name), opts.cluster.clone())
             .with_reducers(1)
-            .with_map_tasks(point_splits(merge_block.len()))
-            .with_executor(executor);
+            .with_map_tasks(point_splits(merge_block.len()));
     spec2.owned_merge = owned_merge;
     spec2.spill = spill;
     spec2.cost = opts.cost.clone();
@@ -1333,7 +1325,6 @@ mod tests {
         let owned = run(Algorithm::MrAngle, &data, 4);
         let cfg = AlgoConfig {
             owned_shuffle: false,
-            static_executor: true,
             ..AlgoConfig::default()
         };
         let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 4).expect("fit");
@@ -1346,23 +1337,6 @@ mod tests {
         // the wire is the same size either way: concatenation transfers
         // bytes, it does not invent or drop them
         assert_eq!(owned.metrics.shuffle_bytes, seed.metrics.shuffle_bytes);
-    }
-
-    #[test]
-    fn executor_modes_agree_on_the_pipeline() {
-        let data = generate_qws(&QwsConfig::new(900, 3));
-        let stealing = run(Algorithm::MrGrid, &data, 4);
-        let cfg = AlgoConfig {
-            static_executor: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrGrid, &cfg, &data, 4).expect("fit");
-        let mut opts = options("MR-Grid-static", 4);
-        opts.config = cfg;
-        opts.map_work_per_point = map_work_per_point(Algorithm::MrGrid, data.dim());
-        let fixed = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(stealing.global_skyline, fixed.global_skyline);
-        assert_eq!(stealing.metrics.sim_total, fixed.metrics.sim_total);
     }
 
     #[test]

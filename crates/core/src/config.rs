@@ -118,10 +118,6 @@ pub struct AlgoConfig {
     /// semantics — one value per routed block — are restored by switching
     /// this off.
     pub owned_shuffle: bool,
-    /// Force the static chunked executor for real map/reduce execution
-    /// instead of the work-stealing default. Off by default; the seed
-    /// behaviour for skew comparisons and ablation benches.
-    pub static_executor: bool,
     /// Reduce-input spill budget in (wire-accounted) bytes: any reduce
     /// input larger than this is spilled to disk right after the shuffle
     /// and reloaded just-in-time by its reduce task. `None` (default)
@@ -150,7 +146,6 @@ impl Default for AlgoConfig {
             sector_prune: true,
             streaming_merge: false,
             owned_shuffle: true,
-            static_executor: false,
             spill_budget_bytes: None,
             spill_dir: None,
         }
@@ -226,7 +221,6 @@ mod tests {
     fn scale_knob_defaults() {
         let cfg = AlgoConfig::default();
         assert!(cfg.owned_shuffle, "owned shuffle defaults on");
-        assert!(!cfg.static_executor, "work stealing is the default");
         assert_eq!(cfg.spill_budget_bytes, None, "spilling defaults off");
         assert_eq!(cfg.spill_dir, None);
     }

@@ -17,24 +17,12 @@
 //! (`tests/model.rs`): no task is lost, none runs twice, and a worker
 //! panic cannot strand the scope.
 //!
-//! [`run_indexed_static`] keeps the pre-stealing behaviour — contiguous
-//! chunks assigned up front, no rebalancing — as the baseline the scale
-//! bench and the equivalence suite compare against: a straggler chunk gates
-//! completion there, while the stealing pool redistributes it.
+//! This is the repository's only task executor: the MapReduce runtime's
+//! map and reduce waves run on it. A straggler range is redistributed by
+//! stealing instead of gating completion.
 
 use mrsky_model::sync::{scope, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
-
-/// How [`run_indexed_mode`] distributes tasks over workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// Per-worker deques with steal-from-the-back rebalancing (the default).
-    #[default]
-    WorkStealing,
-    /// Contiguous chunks fixed at launch; stragglers gate completion. Kept
-    /// as the comparison baseline for benches and equivalence tests.
-    Static,
-}
 
 /// Runs `count` tasks with `worker(i)` on up to `threads` threads and
 /// returns the results ordered by task index, using the work-stealing
@@ -49,18 +37,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Send + Sync,
 {
-    run_indexed_mode(count, threads, ExecutorMode::WorkStealing, worker)
-}
-
-/// Runs `count` tasks with the executor selected by `mode`. Both modes
-/// produce identical, task-index-ordered results; they differ only in which
-/// thread runs which task and therefore in wall-clock behaviour under skew.
-pub fn run_indexed_mode<R, F>(count: usize, threads: usize, mode: ExecutorMode, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    run_indexed_observed(count, threads, mode, None, worker)
+    run_indexed_observed(count, threads, None, worker)
 }
 
 /// Observer invoked at each successful steal as `(thief, victim, task)`,
@@ -68,15 +45,14 @@ where
 /// the stolen task index. Called from worker threads, concurrently.
 pub type StealObserver<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
 
-/// [`run_indexed_mode`] with an optional steal observer, so the runtime can
+/// [`run_indexed`] with an optional steal observer, so the runtime can
 /// surface rebalancing decisions as trace events without the executor
 /// knowing anything about tracing. The observer fires on the thief's thread
 /// immediately after it pops a task from a victim's deque, before the task
-/// runs; the static executor never steals and never calls it.
+/// runs.
 pub fn run_indexed_observed<R, F>(
     count: usize,
     threads: usize,
-    mode: ExecutorMode,
     on_steal: Option<StealObserver<'_>>,
     worker: F,
 ) -> Vec<R>
@@ -92,20 +68,59 @@ where
     if threads == 1 {
         return (0..count).map(worker).collect();
     }
-    match mode {
-        ExecutorMode::WorkStealing => run_stealing(count, threads, on_steal, worker),
-        ExecutorMode::Static => run_static(count, threads, worker),
-    }
-}
 
-/// The static baseline: worker `w` executes the `w`-th contiguous chunk of
-/// task indices, fixed at launch. See [`ExecutorMode::Static`].
-pub fn run_indexed_static<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    run_indexed_mode(count, threads, ExecutorMode::Static, worker)
+    // Seed each worker's deque with a contiguous range, so with zero steals
+    // each worker touches one contiguous run of task indices.
+    let deques: Vec<Mutex<VecDeque<usize>>> = chunk_ranges(count, threads)
+        .into_iter()
+        .map(|(lo, hi)| Mutex::new((lo..hi).collect()))
+        .collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
+
+    // A panicking worker unwinds through the scope at join, which is the
+    // desired crash-loudly behaviour documented above.
+    scope(|s| {
+        for w in 0..threads {
+            let deques = &deques;
+            let slots = &slots;
+            let worker = &worker;
+            s.spawn(move || loop {
+                // Own deque first: pop the front (task order, cache-warm).
+                let mut task = deques[w].lock().pop_front();
+                if task.is_none() {
+                    // Dry: steal one task from the back of the first
+                    // non-empty victim, scanning round-robin from w+1.
+                    for k in 1..threads {
+                        let v = (w + k) % threads;
+                        task = deques[v].lock().pop_back();
+                        if let Some(i) = task {
+                            if let Some(observe) = on_steal {
+                                observe(w, v, i);
+                            }
+                            break;
+                        }
+                    }
+                }
+                match task {
+                    Some(i) => {
+                        let result = worker(i);
+                        *slots[i].lock() = Some(result);
+                    }
+                    // Every deque is empty: all remaining tasks are already
+                    // executing on other workers. Nothing left to help with.
+                    None => break,
+                }
+            });
+        }
+    });
+
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("every task index visited exactly once")
+        })
+        .collect()
 }
 
 /// Typed rejection from a bounded submission: accepting the batch would
@@ -218,97 +233,6 @@ where
     Ok(run_indexed(count, threads, worker))
 }
 
-fn run_stealing<R, F>(
-    count: usize,
-    threads: usize,
-    on_steal: Option<StealObserver<'_>>,
-    worker: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    // Seed each worker's deque with a contiguous range (same assignment the
-    // static executor uses), so with zero steals the two modes touch the
-    // same data from the same threads.
-    let deques: Vec<Mutex<VecDeque<usize>>> = chunk_ranges(count, threads)
-        .into_iter()
-        .map(|(lo, hi)| Mutex::new((lo..hi).collect()))
-        .collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-
-    // A panicking worker unwinds through the scope at join, which is the
-    // desired crash-loudly behaviour documented above.
-    scope(|s| {
-        for w in 0..threads {
-            let deques = &deques;
-            let slots = &slots;
-            let worker = &worker;
-            s.spawn(move || loop {
-                // Own deque first: pop the front (task order, cache-warm).
-                let mut task = deques[w].lock().pop_front();
-                if task.is_none() {
-                    // Dry: steal one task from the back of the first
-                    // non-empty victim, scanning round-robin from w+1.
-                    for k in 1..threads {
-                        let v = (w + k) % threads;
-                        task = deques[v].lock().pop_back();
-                        if let Some(i) = task {
-                            if let Some(observe) = on_steal {
-                                observe(w, v, i);
-                            }
-                            break;
-                        }
-                    }
-                }
-                match task {
-                    Some(i) => {
-                        let result = worker(i);
-                        *slots[i].lock() = Some(result);
-                    }
-                    // Every deque is empty: all remaining tasks are already
-                    // executing on other workers. Nothing left to help with.
-                    None => break,
-                }
-            });
-        }
-    });
-
-    collect_slots(slots)
-}
-
-fn run_static<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    let ranges = chunk_ranges(count, threads);
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    scope(|s| {
-        for &(lo, hi) in &ranges {
-            let slots = &slots;
-            let worker = &worker;
-            s.spawn(move || {
-                for (i, slot) in slots.iter().enumerate().take(hi).skip(lo) {
-                    let result = worker(i);
-                    *slot.lock() = Some(result);
-                }
-            });
-        }
-    });
-    collect_slots(slots)
-}
-
-fn collect_slots<R>(slots: Vec<Mutex<Option<R>>>) -> Vec<R> {
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("every task index visited exactly once")
-        })
-        .collect()
-}
-
 /// Cuts `count` task indices into `threads` contiguous near-equal ranges.
 fn chunk_ranges(count: usize, threads: usize) -> Vec<(usize, usize)> {
     let base = count / threads;
@@ -388,22 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn static_mode_matches_stealing_mode() {
-        let a = run_indexed_static(97, 5, |i| i * 3 + 1);
-        let b = run_indexed(97, 5, |i| i * 3 + 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn static_mode_runs_every_task_exactly_once() {
-        let hits = AtomicU64::new(0);
-        let _ = run_indexed_static(500, 7, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
     fn stealing_rebalances_a_straggler_chunk() {
         // All the slow tasks sit in worker 0's seeded range; with stealing,
         // other workers must pick some of them up. Scheduling is not
@@ -442,13 +350,12 @@ mod tests {
             let observer = |thief: usize, victim: usize, task: usize| {
                 steals.lock().push((thief, victim, task));
             };
-            let out =
-                run_indexed_observed(40, 4, ExecutorMode::WorkStealing, Some(&observer), |i| {
-                    if i < 10 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i
-                });
+            let out = run_indexed_observed(40, 4, Some(&observer), |i| {
+                if i < 10 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                i
+            });
             assert_eq!(out, (0..40).collect::<Vec<_>>());
             let steals = steals.into_inner();
             if steals.is_empty() {
@@ -464,17 +371,6 @@ mod tests {
             break;
         }
         assert!(saw_steal, "observer never saw a steal in 20 attempts");
-    }
-
-    #[test]
-    fn static_mode_never_calls_the_observer() {
-        let steals = AtomicU64::new(0);
-        let observer = |_: usize, _: usize, _: usize| {
-            steals.fetch_add(1, Ordering::Relaxed);
-        };
-        let out = run_indexed_observed(64, 4, ExecutorMode::Static, Some(&observer), |i| i);
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-        assert_eq!(steals.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `model-check` job), where the sync facade is instrumented.
 #![cfg(mrsky_model)]
 
-use mini_mapreduce::pool::{run_indexed, run_indexed_mode, ExecutorMode};
+use mini_mapreduce::pool::run_indexed;
 use mrsky_model::{check_opts, CheckOptions};
 
 fn opts() -> CheckOptions {
@@ -51,7 +51,7 @@ fn model_stealing_deque_no_lost_or_duplicated_tasks() {
         let executed: Vec<mrsky_model::sync::AtomicUsize> = (0..4)
             .map(|_| mrsky_model::sync::AtomicUsize::new(0))
             .collect();
-        let out = run_indexed_mode(4, 3, ExecutorMode::WorkStealing, |i| {
+        let out = run_indexed(4, 3, |i| {
             executed[i].fetch_add(1, mrsky_model::sync::Ordering::Relaxed);
             i + 100
         });
@@ -65,16 +65,4 @@ fn model_stealing_deque_no_lost_or_duplicated_tasks() {
         }
     });
     assert!(report.executions > 1, "the stealing pool really branched");
-}
-
-/// The static baseline under the same model instrumentation: fixed chunks
-/// never contend on the deques, but the slot writes still have to land
-/// exactly once each.
-#[test]
-fn model_static_chunks_exact_once() {
-    let report = check_opts(&opts(), || {
-        let out = run_indexed_mode(3, 2, ExecutorMode::Static, |i| i * 7);
-        assert_eq!(out, vec![0, 7, 14]);
-    });
-    assert!(report.executions >= 1);
 }

@@ -28,21 +28,6 @@ pub enum SkylineError {
     ZeroPartitions,
     /// A dataset required by an operation was empty.
     EmptyDataset,
-    /// A chunk task of a parallel run failed every attempt it was granted;
-    /// the panic payload (or transient error) is carried as text so the
-    /// failure surfaces as an error value instead of unwinding through the
-    /// caller, together with enough context to know what was lost.
-    WorkerPanic {
-        /// Index of the chunk whose task failed (lowest index if several).
-        chunk: usize,
-        /// Attempts the chunk consumed before giving up.
-        attempts: u32,
-        /// Local skylines that *had* completed when the run aborted — the
-        /// surviving workers drain the queue before the error is returned.
-        completed: usize,
-        /// Stringified panic payload / transient error of the failed chunk.
-        message: String,
-    },
 }
 
 impl fmt::Display for SkylineError {
@@ -62,18 +47,6 @@ impl fmt::Display for SkylineError {
             }
             SkylineError::ZeroPartitions => write!(f, "partition count must be at least 1"),
             SkylineError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
-            SkylineError::WorkerPanic {
-                chunk,
-                attempts,
-                completed,
-                message,
-            } => {
-                write!(
-                    f,
-                    "skyline chunk {chunk} failed after {attempts} attempt(s) \
-                     ({completed} local skylines completed): {message}"
-                )
-            }
         }
     }
 }
@@ -95,17 +68,6 @@ mod tests {
             .to_string()
             .contains("at least 1"));
         assert!(SkylineError::EmptyDataset.to_string().contains("non-empty"));
-        let wp = SkylineError::WorkerPanic {
-            chunk: 4,
-            attempts: 3,
-            completed: 7,
-            message: "boom".into(),
-        };
-        let text = wp.to_string();
-        assert!(text.contains("chunk 4"), "{text}");
-        assert!(text.contains("3 attempt(s)"), "{text}");
-        assert!(text.contains("7 local skylines completed"), "{text}");
-        assert!(text.contains("boom"), "{text}");
         assert!(SkylineError::EmptyPoint { id: 2 }.to_string().contains("2"));
         let nf = SkylineError::NonFiniteCoordinate { id: 1, dim: 3 };
         assert!(nf.to_string().contains("dimension 3"));

@@ -79,19 +79,6 @@ pub struct KernelStats {
     pub output_len: u64,
 }
 
-impl KernelStats {
-    /// Folds another stats record into this one (chunk → run aggregation).
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.comparisons += other.comparisons;
-        self.dim_weighted += other.dim_weighted;
-        self.passes = self.passes.max(other.passes);
-        self.overflowed += other.overflowed;
-        self.skipped += other.skipped;
-        self.input_len += other.input_len;
-        self.output_len += other.output_len;
-    }
-}
-
 /// Records a kernel run into the process-global metrics registry under the
 /// `skyline.<name>.*` namespace. One relaxed-atomic branch when metrics are
 /// disabled (the default), so the hot kernels can call it unconditionally.
@@ -494,9 +481,9 @@ pub fn presort_merge(block: &PointBlock) -> PointBlock {
 /// only be dominated by an *earlier* row, so a survivor is final the moment
 /// it is accepted and equal-norm rows (including exact duplicates, which
 /// never dominate each other) all survive. This is the kernel the reduce-
-/// side merge and `parallel::merge_locals` use: merge inputs are unions of
-/// local skylines, mostly undominated, so the `O(n log n)` sort buys a
-/// filtering pass that does near-zero evictions.
+/// side merge uses: merge inputs are unions of local skylines, mostly
+/// undominated, so the `O(n log n)` sort buys a filtering pass that does
+/// near-zero evictions.
 pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let d = block.dim();
     let n = block.len();

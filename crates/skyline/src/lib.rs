@@ -68,7 +68,6 @@ pub mod invariants;
 pub mod kdominant;
 pub mod kernel;
 pub mod metrics;
-pub mod parallel;
 pub mod partition;
 pub mod point;
 pub mod ranking;
@@ -89,7 +88,6 @@ pub use kernel::{
     block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, compare_rows, dominated_count,
     dominates_row, presort_merge, presort_merge_stats, BnlConfig, KernelStats,
 };
-pub use parallel::{parallel_skyline, parallel_skyline_partitioned, parallel_skyline_stats};
 pub use partition::{
     witness_prunable, AnglePartitioner, AxisProfile, BoundaryProfile, Bounds, DimPartitioner,
     GridPartitioner, PartitionSpace, RandomPartitioner, SpacePartitioner,
@@ -111,7 +109,6 @@ pub mod prelude {
     pub use crate::kdominant::{k_dominant_skyline, k_dominates};
     pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge, BnlConfig};
     pub use crate::metrics::local_skyline_optimality;
-    pub use crate::parallel::{parallel_skyline, parallel_skyline_partitioned};
     pub use crate::partition::{
         AnglePartitioner, AxisProfile, BoundaryProfile, Bounds, DimPartitioner, GridPartitioner,
         PartitionSpace, RandomPartitioner, SpacePartitioner,

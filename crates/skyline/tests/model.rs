@@ -1,13 +1,11 @@
-//! Model checks of the real `SharedStreamingMerge` absorb path and the
-//! parallel chunk engine. Compiled only with
-//! `RUSTFLAGS="--cfg mrsky_model"` (the CI `model-check` job), where
-//! the sync facade is instrumented.
+//! Model checks of the real `SharedStreamingMerge` absorb path.
+//! Compiled only with `RUSTFLAGS="--cfg mrsky_model"` (the CI
+//! `model-check` job), where the sync facade is instrumented.
 #![cfg(mrsky_model)]
 
 use mrsky_model::{check_opts, CheckOptions};
 use skyline_algos::block::PointBlock;
 use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
-use skyline_algos::parallel::parallel_skyline;
 use skyline_algos::point::Point;
 use std::collections::BTreeSet;
 use std::sync::Mutex as StdMutex;
@@ -57,27 +55,4 @@ fn model_streaming_merge_absorption_is_schedule_invariant() {
         1,
         "skyline must be bit-identical across schedules"
     );
-}
-
-/// The real parallel chunk engine under the model scheduler: the
-/// cursor handoff must produce the exact sequential skyline on every
-/// schedule.
-#[test]
-fn model_parallel_chunks_match_sequential_skyline() {
-    let report = check_opts(&opts(), || {
-        let points = vec![
-            Point::new(0, vec![1.0, 4.0]),
-            Point::new(1, vec![2.0, 2.0]),
-            Point::new(2, vec![4.0, 1.0]),
-            Point::new(3, vec![3.0, 3.0]),
-        ];
-        let mut ids: Vec<u64> = parallel_skyline(&points, 2)
-            .expect("no chaos, no panics")
-            .iter()
-            .map(Point::id)
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2]);
-    });
-    assert!(report.executions >= 1);
 }

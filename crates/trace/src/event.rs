@@ -314,7 +314,7 @@ pub enum EventKind {
     },
     /// A chaos fault fired at a named injection site.
     FaultInjected {
-        /// Injection site wire name (`parallel-chunk`, `dfs-read`, ...).
+        /// Injection site wire name (`map-task`, `dfs-read`, ...).
         site: String,
         /// Fault kind wire name (`panic`, `transient-error`, ...).
         fault: String,
@@ -1178,7 +1178,7 @@ mod tests {
                 rejected: 3,
             },
             FaultInjected {
-                site: "parallel-chunk".into(),
+                site: "map-task".into(),
                 fault: "panic".into(),
                 scope: "local-skylines".into(),
                 index: 4,

@@ -1,7 +1,7 @@
 //! Process-wide metrics registry: named monotonic counters, gauges, and
 //! log₂-bucketed histograms.
 //!
-//! Kernel hot paths (`skyline::kernel`, `skyline::parallel`) take only a
+//! Kernel hot paths (`skyline::kernel`, `skyline::salsa`) take only a
 //! `&PointBlock` and cannot thread a handle, so recording goes through a
 //! process-global registry ([`metrics`]). Three properties keep that safe
 //! and cheap:

@@ -998,7 +998,7 @@ mod tests {
                 0,
                 0,
                 FaultInjected {
-                    site: "parallel-chunk".into(),
+                    site: "map-task".into(),
                     fault: "panic".into(),
                     scope: "locals".into(),
                     index: 2,
@@ -1009,7 +1009,7 @@ mod tests {
                 1,
                 1,
                 FaultInjected {
-                    site: "parallel-chunk".into(),
+                    site: "map-task".into(),
                     fault: "panic".into(),
                     scope: "locals".into(),
                     index: 5,
@@ -1053,7 +1053,7 @@ mod tests {
             ),
         ];
         let summary = TraceSummary::from_events(&stream);
-        assert_eq!(summary.faults.get("parallel-chunk/panic"), Some(&2));
+        assert_eq!(summary.faults.get("map-task/panic"), Some(&2));
         assert_eq!(summary.retries_exhausted, 1);
         assert_eq!(summary.checkpoints, (1, 1));
         assert_eq!(summary.quarantined, 1);

@@ -2,7 +2,8 @@
 //! paper measures thousands of "optimal" services. This example runs the
 //! post-processing toolbox on one dataset:
 //!
-//! * multi-core skyline computation (block vs angular chunking),
+//! * the skyline under hash (MR-Random) vs angular (MR-Angle) partitioning,
+//!   both checked against the sequential oracle,
 //! * k-dominant skylines (services good on at least k of d attributes),
 //! * top-k dominating services,
 //! * k representatives (coverage + diversity).
@@ -11,13 +12,14 @@
 //! cargo run --release --example high_dimensional_toolbox
 //! ```
 
+use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
 use mr_skyline_suite::skyline::kdominant::k_dominant_skyline;
-use mr_skyline_suite::skyline::parallel::{parallel_skyline_partitioned, parallel_skyline_stats};
-use mr_skyline_suite::skyline::partition::AnglePartitioner;
+use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
 };
+use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 use mr_skyline_suite::skyline::topk::top_k_dominating;
 
 fn main() {
@@ -25,32 +27,36 @@ fn main() {
     let registry = generate_qws(&QwsConfig::new(30_000, d));
     println!("{} services x {d} attributes\n", registry.len());
 
-    // --- multi-core skyline, two chunking strategies ---
-    let t0 = std::time::Instant::now();
-    let (skyline, block_stats) =
-        parallel_skyline_stats(registry.points(), 0).expect("block-chunked skyline");
-    let block_wall = t0.elapsed().as_secs_f64();
-    let partitioner =
-        AnglePartitioner::fit_quantile(registry.points(), 16).expect("valid partitioner");
-    let t0 = std::time::Instant::now();
-    let (skyline_ang, angular_stats) =
-        parallel_skyline_partitioned(registry.points(), &partitioner, 0)
-            .expect("angular-chunked skyline");
-    let angular_wall = t0.elapsed().as_secs_f64();
-    assert_eq!(skyline.len(), skyline_ang.len());
+    // --- the skyline job, two partitioning schemes ---
+    let oracle = naive_skyline_ids(registry.points());
+    let mut reports = Vec::new();
+    for algorithm in [Algorithm::MrRandom, Algorithm::MrAngle] {
+        let t0 = std::time::Instant::now();
+        let report = SkylineJob::new(algorithm, 8).run(&registry);
+        let wall = t0.elapsed().as_secs_f64();
+        let ids: Vec<u64> = report.global_skyline.iter().map(Point::id).collect();
+        assert_eq!(
+            ids,
+            oracle,
+            "{} disagrees with the oracle",
+            algorithm.name()
+        );
+        reports.push((report, wall));
+    }
+    let skyline = &reports[0].0.global_skyline;
     println!(
         "skyline: {} services ({:.1}% of the registry)",
         skyline.len(),
         100.0 * skyline.len() as f64 / registry.len() as f64
     );
-    println!(
-        "  block chunks:   {:>8} merge candidates, {:>11} local comparisons, {:.3}s wall",
-        block_stats.merge_candidates, block_stats.local_comparisons, block_wall
-    );
-    println!(
-        "  angular chunks: {:>8} merge candidates, {:>11} local comparisons, {:.3}s wall",
-        angular_stats.merge_candidates, angular_stats.local_comparisons, angular_wall
-    );
+    for (report, wall) in &reports {
+        println!(
+            "  {:<9} {:>8} merge candidates, {:.3}s wall",
+            report.algorithm.name(),
+            report.merge_candidates(),
+            wall
+        );
+    }
 
     // --- k-dominant skylines shrink the answer ---
     println!(
@@ -58,7 +64,7 @@ fn main() {
         skyline.len()
     );
     for k in (d - 3..=d).rev() {
-        let kd = k_dominant_skyline(&skyline, k);
+        let kd = k_dominant_skyline(skyline, k);
         println!("  k = {k:>2}: {:>6} services survive", kd.len());
     }
 
@@ -74,20 +80,14 @@ fn main() {
     }
 
     // --- representatives ---
-    let covering = max_dominance_representatives(&skyline, registry.points(), 5);
-    let diverse = distance_based_representatives(&skyline, 5);
+    let covering = max_dominance_representatives(skyline, registry.points(), 5);
+    let diverse = distance_based_representatives(skyline, 5);
     println!(
         "\n5 covering representatives: {:?}",
-        covering
-            .iter()
-            .map(mr_skyline_suite::skyline::point::Point::id)
-            .collect::<Vec<_>>()
+        covering.iter().map(Point::id).collect::<Vec<_>>()
     );
     println!(
         "5 diverse representatives:  {:?}",
-        diverse
-            .iter()
-            .map(mr_skyline_suite::skyline::point::Point::id)
-            .collect::<Vec<_>>()
+        diverse.iter().map(Point::id).collect::<Vec<_>>()
     );
 }

@@ -15,6 +15,7 @@ use mr_skyline_suite::mr::checkpoint::CheckpointStore;
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
+    QWS_ATTRIBUTES,
 };
 use mr_skyline_suite::serve::{
     load_script, LoadRunner, LoadgenConfig, Mutation, Op, ServeConfig, SkylineService,
@@ -124,8 +125,6 @@ Pruning knobs (skyline / compare / sweep):
 Scale knobs (skyline / compare / sweep):
   --row-shuffle           disable the zero-copy block shuffle and ship every
                           routed block as a separate value (seed semantics)
-  --static-executor       disable work stealing; assign fixed task chunks to
-                          host threads
   --spill-budget BYTES    spill reduce inputs larger than BYTES to disk after
                           the shuffle and reload them just-in-time
   --spill-dir DIR         directory for spill files (default: system temp)
@@ -247,9 +246,6 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     }
     if args.iter().any(|a| a == "--row-shuffle") {
         config.owned_shuffle = false;
-    }
-    if args.iter().any(|a| a == "--static-executor") {
-        config.static_executor = true;
     }
     if let Some(b) = flag(args, "--spill-budget") {
         let b: u64 = b
@@ -373,6 +369,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let dims = flag_usize(args, "--dims", 6)?;
     let seed = flag_usize(args, "--seed", 42)? as u64;
     let dist = flag(args, "--dist").unwrap_or_else(|| "qws".to_string());
+    check_generate_shape(n, dims, &dist)?;
     let data = match dist.as_str() {
         "qws" => generate_qws(&QwsConfig::new(n, dims).with_seed(seed)),
         "indep" => generate_synthetic(
@@ -394,6 +391,24 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         data.dim(),
         data.name
     );
+    Ok(())
+}
+
+/// Rejects sizes the generators cannot produce: at least one row and one
+/// attribute, and at most as many attributes as QWS defines for `qws`.
+fn check_generate_shape(n: usize, dims: usize, dist: &str) -> Result<(), String> {
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    if dims == 0 {
+        return Err("--dims must be at least 1".into());
+    }
+    if dist == "qws" && dims > QWS_ATTRIBUTES.len() {
+        return Err(format!(
+            "--dims must be at most {} for --dist qws, got {dims}",
+            QWS_ATTRIBUTES.len()
+        ));
+    }
     Ok(())
 }
 
@@ -901,22 +916,10 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
     let data = load_data(args)?;
     let servers = flag_servers(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
-    let weights: Vec<f64> = flag(args, "--weights")
-        .ok_or("--weights W1,W2,... is required")?
-        .split(',')
-        .map(|w| {
-            w.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("bad weight `{w}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    if weights.len() != data.dim() {
-        return Err(format!(
-            "{} weights given but the dataset has {} attributes",
-            weights.len(),
-            data.dim()
-        ));
-    }
+    let weights = parse_weights(
+        &flag(args, "--weights").ok_or("--weights W1,W2,... is required")?,
+        data.dim(),
+    )?;
     let top = flag_usize(args, "--top", 5)?;
     let summary = if let Some(k) = flag(args, "--diverse") {
         Summary::Diverse(k.parse().map_err(|_| "--diverse expects an integer")?)
@@ -948,4 +951,68 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Parses `--weights W1,W2,...`: one finite, non-negative weight per
+/// attribute of the dataset.
+fn parse_weights(spec: &str, dims: usize) -> Result<Vec<f64>, String> {
+    let weights: Vec<f64> = spec
+        .split(',')
+        .map(|w| {
+            let w = w.trim();
+            match w.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                Ok(_) => Err(format!("weight `{w}` must be finite and non-negative")),
+                Err(_) => Err(format!("bad weight `{w}`")),
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    if weights.len() != dims {
+        return Err(format!(
+            "{} weights given but the dataset has {dims} attributes",
+            weights.len()
+        ));
+    }
+    Ok(weights)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generate_rejects_zero_rows() {
+        let err = check_generate_shape(0, 6, "qws").unwrap_err();
+        assert!(err.contains("--n"), "{err}");
+    }
+
+    #[test]
+    fn generate_rejects_zero_dims_for_every_distribution() {
+        for dist in ["qws", "indep", "corr", "anti"] {
+            let err = check_generate_shape(100, 0, dist).unwrap_err();
+            assert!(err.contains("--dims"), "{dist}: {err}");
+        }
+    }
+
+    #[test]
+    fn generate_caps_qws_dims_at_the_attribute_count() {
+        let max = QWS_ATTRIBUTES.len();
+        assert!(check_generate_shape(100, max, "qws").is_ok());
+        let err = check_generate_shape(100, max + 1, "qws").unwrap_err();
+        assert!(err.contains(&format!("at most {max}")), "{err}");
+        assert!(check_generate_shape(100, max + 1, "indep").is_ok());
+    }
+
+    #[test]
+    fn weights_must_be_finite_and_non_negative() {
+        for spec in ["NaN,1,1", "-1,1,1", "inf,1,1"] {
+            let err = parse_weights(spec, 3).unwrap_err();
+            assert!(err.contains("finite and non-negative"), "{spec}: {err}");
+        }
+        assert_eq!(parse_weights("0, 1.5,2", 3), Ok(vec![0.0, 1.5, 2.0]));
+        assert!(parse_weights("x,1,1", 3)
+            .unwrap_err()
+            .contains("bad weight"));
+        assert!(parse_weights("1,1", 3).unwrap_err().contains("2 weights"));
+    }
 }

@@ -87,39 +87,30 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 /// Arbitrary fault plans over every execution-path site, with rates up to
 /// 40% and a retry budget the decision function converges within.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        (0u64..u64::MAX, 3u32..7),
-        (0u32..400, 0u32..400, 0u32..400, 0u32..400),
+    ((0u64..u64::MAX, 3u32..7), (0u32..400, 0u32..400, 0u32..400)).prop_map(
+        |((seed, max_attempts), (map, fetch, dfs))| FaultPlan {
+            seed,
+            max_attempts,
+            rules: vec![
+                SiteRule {
+                    site: FaultSite::MapTask,
+                    kind: FaultKind::Panic,
+                    permille: map,
+                },
+                SiteRule {
+                    site: FaultSite::ShuffleFetch,
+                    kind: FaultKind::DropRecord,
+                    permille: fetch,
+                },
+                SiteRule {
+                    site: FaultSite::DfsRead,
+                    kind: FaultKind::TransientError,
+                    permille: dfs,
+                },
+            ],
+            ..FaultPlan::off()
+        },
     )
-        .prop_map(
-            |((seed, max_attempts), (chunk, map, fetch, dfs))| FaultPlan {
-                seed,
-                max_attempts,
-                rules: vec![
-                    SiteRule {
-                        site: FaultSite::ParallelChunk,
-                        kind: FaultKind::Panic,
-                        permille: chunk,
-                    },
-                    SiteRule {
-                        site: FaultSite::MapTask,
-                        kind: FaultKind::Panic,
-                        permille: map,
-                    },
-                    SiteRule {
-                        site: FaultSite::ShuffleFetch,
-                        kind: FaultKind::DropRecord,
-                        permille: fetch,
-                    },
-                    SiteRule {
-                        site: FaultSite::DfsRead,
-                        kind: FaultKind::TransientError,
-                        permille: dfs,
-                    },
-                ],
-                ..FaultPlan::off()
-            },
-        )
 }
 
 proptest! {

@@ -1,13 +1,11 @@
-//! Integration + property tests of the extension operators (parallel
-//! skyline, k-dominance, top-k dominating, representatives) and the service
-//! registry, exercised together across crates.
+//! Integration + property tests of the extension operators (k-dominance,
+//! top-k dominating, representatives) and the service registry, exercised
+//! together across crates.
 
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, Category, QwsConfig, Registry};
 use mr_skyline_suite::skyline::dominance::dominates;
 use mr_skyline_suite::skyline::kdominant::{k_dominant_skyline, k_dominates};
-use mr_skyline_suite::skyline::parallel::{parallel_skyline, parallel_skyline_partitioned};
-use mr_skyline_suite::skyline::partition::AnglePartitioner;
 use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
@@ -40,18 +38,6 @@ fn ids(v: &[Point]) -> Vec<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn parallel_skyline_equals_oracle(pts in arb_points(), threads in 1usize..9) {
-        prop_assert_eq!(ids(&parallel_skyline(&pts, threads).unwrap()), naive_skyline_ids(&pts));
-    }
-
-    #[test]
-    fn partitioned_parallel_equals_oracle(pts in arb_points(), np in 1usize..12) {
-        let part = AnglePartitioner::fit_quantile(&pts, np).unwrap();
-        let (sky, _) = parallel_skyline_partitioned(&pts, &part, 4).unwrap();
-        prop_assert_eq!(ids(&sky), naive_skyline_ids(&pts));
-    }
 
     #[test]
     fn k_dominant_members_satisfy_definition(pts in arb_points()) {
@@ -153,8 +139,8 @@ fn toolbox_composes_on_one_dataset() {
     let report = SkylineJob::new(Algorithm::MrAngle, 4).run(&data);
     let sky = &report.global_skyline;
 
-    // parallel recomputation agrees with the MR result
-    assert_eq!(ids(&parallel_skyline(data.points(), 4).unwrap()), ids(sky));
+    // the MR result agrees with the sequential oracle
+    assert_eq!(ids(sky), naive_skyline_ids(data.points()));
 
     // k-dominant shrinks within the skyline
     let k5 = k_dominant_skyline(sky, 5);

@@ -1,7 +1,7 @@
 //! Property-based exactness proofs for the raw-scale machinery: the
 //! zero-copy block shuffle, the work-stealing executor, and reduce-input
 //! spilling must be *bit-identical* to the seed pipeline (row shuffle,
-//! static chunks, everything in memory) — across all four partitioning
+//! everything in memory) — across all four partitioning
 //! schemes, all data distributions, chaos fault interleavings, and a
 //! mid-run kill/resume. These optimisations move bytes differently; they
 //! may never change an answer.
@@ -78,19 +78,17 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 fn scaled(spill_dir: Option<&std::path::Path>) -> AlgoConfig {
     AlgoConfig {
         owned_shuffle: true,
-        static_executor: false,
         spill_budget_bytes: spill_dir.map(|_| 0), // spill every reduce input
         spill_dir: spill_dir.map(std::path::Path::to_path_buf),
         ..AlgoConfig::default()
     }
 }
 
-/// The seed pipeline: every routed block shipped as its own value, fixed
-/// task chunks per thread, everything held in memory.
+/// The seed pipeline: every routed block shipped as its own value,
+/// everything held in memory.
 fn seed() -> AlgoConfig {
     AlgoConfig {
         owned_shuffle: false,
-        static_executor: true,
         spill_budget_bytes: None,
         spill_dir: None,
         ..AlgoConfig::default()
@@ -220,24 +218,22 @@ fn spill_really_fires_and_stays_exact() {
 }
 
 /// Work stealing under deliberate skew: one partition gets almost all the
-/// points (correlated data + range partitioning), so static chunking
-/// leaves whole threads idle behind one long reduce task. Stealing must
-/// produce the identical report while really executing on multiple
-/// threads.
+/// points (correlated data + range partitioning), so a fixed schedule
+/// leaves whole threads idle behind one long reduce task. The stealing run
+/// on several threads must produce the report of the one-thread run, which
+/// executes every task in index order, and the oracle's skyline.
 #[test]
 fn stealing_matches_static_under_skew() {
     let data =
         generate_synthetic(&SyntheticConfig::new(3000, 3, Distribution::Correlated).with_seed(11));
-    let steal = SkylineJob::new(Algorithm::MrDim, 8)
-        .with_config(scaled(None))
-        .run(&data);
-    let fixed = SkylineJob::new(Algorithm::MrDim, 8)
-        .with_config(AlgoConfig {
-            owned_shuffle: true,
-            static_executor: true,
-            ..AlgoConfig::default()
-        })
-        .run(&data);
+    let mut steal = SkylineJob::new(Algorithm::MrDim, 8).with_config(scaled(None));
+    steal.threads = 4;
+    let steal = steal.run(&data);
+    let mut fixed = SkylineJob::new(Algorithm::MrDim, 8).with_config(scaled(None));
+    fixed.threads = 1;
+    let fixed = fixed.run(&data);
     assert_eq!(fingerprint(&steal), fingerprint(&fixed));
     assert_eq!(steal.metrics.sim_total, fixed.metrics.sim_total);
+    let ids: Vec<u64> = steal.global_skyline.iter().map(Point::id).collect();
+    assert_eq!(ids, naive_skyline_ids(data.points()));
 }

@@ -89,9 +89,14 @@ impl Dataset {
     }
 
     /// Reads a file written by [`Dataset::save_csv`].
+    ///
+    /// Input the pipeline cannot run on is an [`std::io::ErrorKind::InvalidData`]
+    /// error, never a panic: a malformed or non-finite field, a row whose
+    /// width differs from the first row's, an empty file, and a column whose
+    /// span `max - min` overflows f64 (every partitioner scales by it).
     pub fn load_csv(name: impl Into<String>, path: &Path) -> std::io::Result<Self> {
         let f = std::fs::File::open(path)?;
-        let mut points = Vec::new();
+        let mut points: Vec<Point> = Vec::new();
         for (lineno, line) in std::io::BufReader::new(f).lines().enumerate() {
             let line = line?;
             if line.trim().is_empty() {
@@ -104,23 +109,45 @@ impl Dataset {
                 .ok_or_else(|| bad_line(lineno))?;
             let coords: Result<Vec<f64>, _> = fields.map(|s| s.trim().parse::<f64>()).collect();
             let coords = coords.map_err(|_| bad_line(lineno))?;
+            if let Some(first) = points.first() {
+                if coords.len() != first.dim() {
+                    return Err(invalid_data(format!(
+                        "ragged CSV line {}: {} coordinates where the first row has {}",
+                        lineno + 1,
+                        coords.len(),
+                        first.dim()
+                    )));
+                }
+            }
             points.push(Point::try_new(id, coords).map_err(|_| bad_line(lineno))?);
         }
         if points.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "CSV contains no points",
-            ));
+            return Err(invalid_data("CSV contains no points".to_string()));
         }
-        Ok(Dataset::new(name, points))
+        // The bounds `Dataset::new` computes, built once here so the span
+        // check costs no second pass over the rows.
+        let bounds = Bounds::from_points(&points).map_err(|e| invalid_data(e.to_string()))?;
+        if let Some(i) = (0..bounds.dim()).find(|&i| !bounds.width(i).is_finite()) {
+            return Err(invalid_data(format!(
+                "CSV coordinate {i} spans [{:e}, {:e}], a width that overflows f64",
+                bounds.min(i),
+                bounds.max(i)
+            )));
+        }
+        Ok(Self {
+            name: name.into(),
+            points,
+            bounds,
+        })
     }
 }
 
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
 fn bad_line(lineno: usize) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("malformed CSV line {}", lineno + 1),
-    )
+    invalid_data(format!("malformed CSV line {}", lineno + 1))
 }
 
 /// One event in a registry churn stream.
@@ -248,6 +275,34 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         assert!(Dataset::load_csv("empty", &path).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `body` to a temporary CSV and loads it.
+    fn load_text(file: &str, body: &str) -> std::io::Result<Dataset> {
+        let dir = std::env::temp_dir().join("qws-data-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        std::fs::write(&path, body).unwrap();
+        let loaded = Dataset::load_csv(file, &path);
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
+    #[test]
+    fn load_rejects_ragged_rows() {
+        let err = load_text("ragged.csv", "0,1,2\n1,2\n").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ragged CSV line 2"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_a_span_that_overflows_f64() {
+        let err = load_text("span.csv", "0,1e308,1e308\n1,-1e308,1e308\n").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("coordinate 0 spans"), "{err}");
+        // huge magnitudes whose span stays finite are fine
+        let ok = load_text("wide.csv", "0,1e300,-1e300\n1,-1e300,1e300\n").unwrap();
+        assert_eq!(ok.bounds().width(0), 2e300);
     }
 
     #[test]

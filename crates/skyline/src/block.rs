@@ -274,9 +274,10 @@ impl PointBlock {
             .collect()
     }
 
-    /// L1 norm (coordinate sum) of row `i` — the monotone score used by the
-    /// presorting merge kernel: if `p` dominates `q` then
-    /// `l1(p) < l1(q)`.
+    /// L1 norm (coordinate sum) of row `i` — the presort score of the
+    /// merge kernel. Monotone under dominance, but only weakly: if `p`
+    /// dominates `q` then `l1(p) <= l1(q)`, and f64 rounding can make the
+    /// two equal (see [`crate::kernel::presort_merge`]).
     #[inline]
     pub fn l1_norm(&self, i: usize) -> f64 {
         self.row(i).iter().sum()
@@ -285,7 +286,8 @@ impl PointBlock {
     /// Entropy score `Σ ln(1 + v_k)` of row `i` (Chomicki et al.), the SFS
     /// presort key. Matches [`Point::entropy_score`] bit-for-bit (negative
     /// coordinates clamp to zero), so the AoS bridge sorts identically.
-    /// Strictly monotone under dominance for non-negative coordinates.
+    /// Weakly monotone under dominance: rounding and the clamp make ties
+    /// between a dominator and its victim possible.
     #[inline]
     pub fn entropy_score(&self, i: usize) -> f64 {
         self.row(i).iter().map(|v| (1.0 + v.max(0.0)).ln()).sum()

@@ -14,19 +14,24 @@
 //! * [`block_sfs`] — columnar Sort-Filter-Skyline: entropy-score presort,
 //!   one stop-aware filtering pass, no evictions. The local-kernel sibling
 //!   of the merge below (see also [`crate::salsa`] and [`crate::select`]).
-//! * [`presort_merge`] — the SFS-style merge: candidates are presorted by
-//!   L1 norm (a monotone score: if `p` dominates `q` then
-//!   `l1(p) < l1(q)`), after which a *single* filtering pass suffices —
-//!   an accepted point can never be evicted by a later candidate, so the
-//!   merge does no window bookkeeping at all.
+//! * [`presort_merge`] — the SFS-style global merge: candidates are
+//!   presorted by L1 norm, then by numeric lexicographic coordinate order,
+//!   then by id. That order puts every dominator strictly before the rows
+//!   it dominates (see [`presort_order`]), so a *single* filtering pass
+//!   suffices and the merge does no window bookkeeping at all. On x86-64
+//!   hosts with AVX-512 the pass runs as a first-dominator lane scan over a
+//!   column-major copy of the accepted rows, dispatched once per call; every
+//!   other host runs the row-wise scan. Both paths return the same rows in
+//!   the same order and count exactly the same comparisons: the row-wise
+//!   scan's `j + 1` when the first dominator is accepted row `j`, or the
+//!   accepted-set size when there is none.
 //! * [`dominated_count`] — the bulk dominance sweep used by benchmarks and
 //!   pruning heuristics: how many candidate rows are dominated by at least
-//!   one window row. Runtime-dispatches to an AVX-512 mask-register lane
-//!   kernel over a column-major window transpose where the host supports
-//!   it, falling back to the portable row-wise scan otherwise.
+//!   one window row. Same dispatch and the same lane scan as the merge.
 
 use crate::block::PointBlock;
 use crate::dominance::DomRelation;
+use std::cmp::Ordering;
 
 /// Configuration for a [`block_bnl`] run.
 #[derive(Debug, Clone, Default)]
@@ -138,11 +143,12 @@ pub fn compare_rows(a: &[f64], b: &[f64]) -> DomRelation {
 
 /// Counts the candidate rows dominated by at least one window row.
 ///
-/// Dispatches at runtime: on x86-64 with AVX-512 the sweep runs a
-/// mask-register lane kernel (window transposed to column-major, 64 window
-/// rows compared per dimension as one vector op — see [`lane_sweep`]);
-/// everywhere else it falls back to the row-wise scan, whose per-row early
-/// exit is the better trade-off when the compiler only has 2-wide SSE2.
+/// Dispatches at runtime: on x86-64 with AVX-512 the sweep runs the lane
+/// scan of [`LaneColumns`] over a column-major copy of the window (64
+/// window rows compared per dimension as one vector op — see
+/// [`lane_sweep`]); everywhere else it falls back to the row-wise scan,
+/// whose per-row early exit is the better trade-off when the compiler only
+/// has 2-wide SSE2.
 ///
 /// # Panics
 ///
@@ -185,86 +191,151 @@ fn scalar_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
 }
 
 /// Lane-parallel dominance sweep: the window is transposed once into
-/// column-major order and padded to a multiple of 64 rows with `+inf`
-/// (infinity is never `<=` a finite coordinate, so pad rows cannot witness
-/// dominance). For each candidate, each dimension then compares 64
-/// contiguous window values against one broadcast coordinate, accumulating
-/// `all_le`/`any_lt` as `u64` bitmasks — on AVX-512 each 64-row block is a
-/// handful of vector compares straight into mask registers. The candidate
-/// loop still early-exits, at 64-row-block granularity.
+/// [`LaneColumns`] and each candidate asks for its first dominator.
 ///
 /// Only profitable when the surrounding function is compiled with wide
 /// vector ISAs, hence `#[inline(always)]`: the body must inline into the
-/// `#[target_feature]` wrapper below to be codegenned with AVX-512 enabled.
+/// `#[target_feature]` wrapper in [`simd`] to be codegenned with AVX-512.
 #[inline(always)]
 fn lane_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
-    const LANES: usize = 64;
-    let d = candidates.dim();
-    let wlen = window.len();
-    let padded = wlen.div_ceil(LANES) * LANES;
-    let mut cols = vec![f64::INFINITY; padded * d];
-    for (j, row) in window.coords().chunks_exact(d).enumerate() {
-        for (k, &v) in row.iter().enumerate() {
-            cols[k * padded + j] = v;
+    let d = window.dim();
+    let mut cols = LaneColumns::with_capacity(d, window.len());
+    for row in window.coords().chunks_exact(d) {
+        cols.push(row);
+    }
+    candidates
+        .coords()
+        .chunks_exact(d)
+        .filter(|cand| cols.first_dominator(cand).is_some())
+        .count()
+}
+
+/// Rows per lane block: one `u64` mask bit per row.
+const LANES: usize = 64;
+
+/// Column-major copy of an append-only row set, the operand of the lane
+/// scans. Column `k` holds coordinate `k` of every row and is padded with
+/// `+inf` to a multiple of [`LANES`] rows; infinity is never `<=` a finite
+/// coordinate, so pad rows can never witness dominance. The columns are
+/// sized once, at construction, for every row that will ever be pushed.
+struct LaneColumns {
+    /// Padded rows per column (the capacity rounded up to [`LANES`]).
+    stride: usize,
+    len: usize,
+    cols: Vec<f64>,
+}
+
+impl LaneColumns {
+    fn with_capacity(dim: usize, rows: usize) -> Self {
+        let stride = rows.div_ceil(LANES) * LANES;
+        Self {
+            stride,
+            len: 0,
+            cols: vec![f64::INFINITY; stride * dim],
         }
     }
-    let mut count = 0usize;
-    for cand in candidates.coords().chunks_exact(d) {
-        let mut dominated = false;
+
+    #[inline(always)]
+    fn push(&mut self, row: &[f64]) {
+        assert!(self.len < self.stride, "lane columns are full");
+        for (k, &v) in row.iter().enumerate() {
+            self.cols[k * self.stride + self.len] = v;
+        }
+        self.len += 1;
+    }
+
+    /// Index of the first row that dominates `cand`, or `None`.
+    ///
+    /// Each 64-row block compares one broadcast candidate coordinate
+    /// against 64 contiguous column values per dimension, accumulating
+    /// `all_le`/`any_lt` as `u64` bitmasks — on AVX-512 a handful of vector
+    /// compares straight into mask registers. The lowest set bit of
+    /// `le & lt` is the first dominator in the block, so the scan stops
+    /// exactly where a row-by-row scan would.
+    #[inline(always)]
+    fn first_dominator(&self, cand: &[f64]) -> Option<usize> {
         let mut j0 = 0;
-        while j0 < padded {
+        while j0 < self.len {
             let mut le_mask = !0u64;
             let mut lt_mask = 0u64;
             for (k, &ck) in cand.iter().enumerate() {
-                let col = &cols[k * padded + j0..k * padded + j0 + LANES];
+                let start = k * self.stride + j0;
                 let mut le = 0u64;
                 let mut lt = 0u64;
-                for (j, &w) in col.iter().enumerate() {
+                for (j, &w) in self.cols[start..start + LANES].iter().enumerate() {
                     le |= u64::from(w <= ck) << j;
                     lt |= u64::from(w < ck) << j;
                 }
                 le_mask &= le;
                 lt_mask |= lt;
             }
-            if le_mask & lt_mask != 0 {
-                dominated = true;
-                break;
+            let hits = le_mask & lt_mask;
+            if hits != 0 {
+                return Some(j0 + hits.trailing_zeros() as usize);
             }
             j0 += LANES;
         }
-        count += usize::from(dominated);
+        None
     }
-    count
 }
 
 /// Runtime-dispatched SIMD entry points. The workspace denies `unsafe`
 /// by default; this module is the one sanctioned exception, and every
-/// `unsafe` block here is a `#[target_feature]` call guarded by the
-/// matching `is_x86_feature_detected!` check.
+/// `unsafe` block here is a `#[target_feature]` call guarded by
+/// [`simd::lane_isa_detected`].
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
 
-    use super::PointBlock;
+    use super::{KernelStats, PointBlock};
+
+    /// `true` iff the host supports every feature the wrappers below enable.
+    fn lane_isa_detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
     fn lane_sweep_avx512(candidates: &PointBlock, window: &PointBlock) -> usize {
         super::lane_sweep(candidates, window)
     }
 
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+    fn lane_merge_scan_avx512(
+        block: &PointBlock,
+        order: &[usize],
+        stats: &mut KernelStats,
+    ) -> PointBlock {
+        super::lane_merge_scan(block, order, stats)
+    }
+
     /// Runs the lane sweep with AVX-512 codegen when the host supports it;
     /// `None` tells the caller to take the portable path.
     pub(super) fn try_lane_sweep(candidates: &PointBlock, window: &PointBlock) -> Option<usize> {
-        let supported = std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl");
-        if !supported {
+        if !lane_isa_detected() {
             return None;
         }
         // SAFETY: every feature named in `lane_sweep_avx512`'s
         // `#[target_feature]` list was just verified at runtime.
         Some(unsafe { lane_sweep_avx512(candidates, window) })
+    }
+
+    /// Runs the merge's filtering pass as a lane scan with AVX-512 codegen
+    /// when the host supports it; `None` (with `stats` untouched) tells the
+    /// caller to take the row-wise path.
+    pub(super) fn try_lane_merge_scan(
+        block: &PointBlock,
+        order: &[usize],
+        stats: &mut KernelStats,
+    ) -> Option<PointBlock> {
+        if !lane_isa_detected() {
+            return None;
+        }
+        // SAFETY: every feature named in `lane_merge_scan_avx512`'s
+        // `#[target_feature]` list was just verified at runtime.
+        Some(unsafe { lane_merge_scan_avx512(block, order, stats) })
     }
 }
 
@@ -467,45 +538,111 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
     (skyline, stats)
 }
 
+/// Numeric order on non-NaN values. Unlike [`f64::total_cmp`] it has
+/// `-0.0 == 0.0`, the equality [`dominates_row`] uses. Presort keys are
+/// never NaN: coordinates are finite, and a sum of finite values can
+/// overflow to `±inf` but cannot reach `inf - inf`.
+#[inline]
+pub(crate) fn num_cmp(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
+/// The presort order of the single-pass kernels ([`presort_merge`],
+/// [`block_sfs`], [`crate::salsa::block_salsa`]): row indices of `block`
+/// sorted by `key`, then by the coordinates in numeric lexicographic order,
+/// then by id.
+///
+/// Each kernel's key is only *weakly* monotone under dominance: if `p`
+/// dominates `q` then `key(p) <= key(q)`, and equality is possible. f64
+/// sums round (`l1((1e16, 1e16)) == l1((1e16, 1e16 + 2)) == 2e16`), the
+/// entropy score clamps negative coordinates to zero (`(-2, 1)` and
+/// `(-1, 1)` tie), and a minimum coordinate ties whenever two rows share
+/// it. The coordinate tiebreak restores strictness: inside a key tie, the
+/// first coordinate where a dominator differs from its victim is strictly
+/// smaller. It compares numerically, so `(0.0, 1e16, 1e16)` still sorts
+/// before the row it dominates, `(-0.0, 1e16, 1e16 + 2)`. A dominator
+/// therefore always sorts strictly before every row it dominates, and
+/// rows that tie on every coordinate (never dominating each other) fall
+/// back to id order for determinism.
+pub(crate) fn presort_order(
+    block: &PointBlock,
+    key: impl Fn(usize, usize) -> Ordering,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..block.len()).collect();
+    order.sort_by(|&a, &b| {
+        key(a, b)
+            .then_with(|| {
+                block
+                    .row(a)
+                    .iter()
+                    .zip(block.row(b))
+                    .map(|(&x, &y)| num_cmp(x, y))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+            .then_with(|| block.id(a).cmp(&block.id(b)))
+    });
+    order
+}
+
 /// Computes the skyline of `block` with the presorting merge kernel.
 pub fn presort_merge(block: &PointBlock) -> PointBlock {
     presort_merge_stats(block).0
 }
 
 /// SFS-style merge: sorts candidates by ascending L1 norm (ties broken by
-/// id for determinism), then filters in one pass.
+/// coordinates, then id — see [`presort_order`]), then filters in one pass.
 ///
-/// Why a single pass is enough: the L1 norm is strictly monotone under
-/// dominance — if `p` dominates `q` then `p ≤ q` everywhere and `p < q`
-/// somewhere, so `l1(p) < l1(q)`. After the ascending sort a candidate can
-/// only be dominated by an *earlier* row, so a survivor is final the moment
-/// it is accepted and equal-norm rows (including exact duplicates, which
-/// never dominate each other) all survive. This is the kernel the reduce-
-/// side merge uses: merge inputs are unions of local skylines, mostly
-/// undominated, so the `O(n log n)` sort buys a filtering pass that does
-/// near-zero evictions.
+/// Why a single pass is enough: after the sort a candidate can only be
+/// dominated by an *earlier* row, so a survivor is final the moment it is
+/// accepted, and rows with equal coordinates (including exact duplicates,
+/// which never dominate each other) all survive. This is the kernel the
+/// reduce-side merge uses: merge inputs are unions of local skylines,
+/// mostly undominated, so the `O(n log n)` sort buys a filtering pass that
+/// does near-zero evictions.
+///
+/// The pass is dispatched once per call: the AVX-512 lane scan where the
+/// host has it ([`lane_merge_scan`]), the row-wise scan everywhere else
+/// ([`row_merge_scan`]). Both return the same rows in the same order with
+/// the same [`KernelStats`].
 pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
-    let d = block.dim();
     let n = block.len();
     let mut stats = KernelStats {
         input_len: n as u64,
         ..KernelStats::default()
     };
-    let mut skyline = PointBlock::with_capacity(d, 0);
     if n == 0 {
-        return (skyline, stats);
+        return (PointBlock::with_capacity(block.dim(), 0), stats);
     }
     stats.passes = 1;
 
     let scores: Vec<f64> = (0..n).map(|i| block.l1_norm(i)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        scores[a]
-            .total_cmp(&scores[b])
-            .then_with(|| block.id(a).cmp(&block.id(b)))
-    });
+    let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
+    let skyline = merge_scan(block, &order, &mut stats);
 
-    for &i in &order {
+    crate::invariants::check_skyline_block("presort-merge", block, &skyline);
+    stats.output_len = skyline.len() as u64;
+    record_kernel_metrics("merge", &stats);
+    (skyline, stats)
+}
+
+/// The merge's single filtering pass over `block` in `order`, on the
+/// fastest path the host supports.
+fn merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(skyline) = simd::try_lane_merge_scan(block, order, stats) {
+        return skyline;
+    }
+    row_merge_scan(block, order, stats)
+}
+
+/// Row-wise filtering pass: each candidate scans the accepted rows with
+/// the branchless [`dominates_row`], counting one comparison per row
+/// visited, and stops at the first dominator.
+fn row_merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
+    let d = block.dim();
+    let mut skyline = PointBlock::with_capacity(d, 0);
+    for &i in order {
         let cand = block.row(i);
         let mut dominated = false;
         for srow in skyline.coords().chunks_exact(d) {
@@ -520,11 +657,34 @@ pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
             skyline.push_trusted(block.id(i), cand);
         }
     }
+    skyline
+}
 
-    crate::invariants::check_skyline_block("presort-merge", block, &skyline);
-    stats.output_len = skyline.len() as u64;
-    record_kernel_metrics("merge", &stats);
-    (skyline, stats)
+/// Lane filtering pass: the accepted rows are also appended to a
+/// [`LaneColumns`] copy sized for the whole input, and each candidate asks
+/// it for its first dominator. The comparisons [`row_merge_scan`] would
+/// count follow from that index alone, so the stats match it exactly.
+///
+/// `#[inline(always)]` for the same reason as [`lane_sweep`].
+#[inline(always)]
+fn lane_merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
+    let d = block.dim();
+    let mut skyline = PointBlock::with_capacity(d, 0);
+    let mut accepted = LaneColumns::with_capacity(d, order.len());
+    let mut comparisons = 0u64;
+    for &i in order {
+        let cand = block.row(i);
+        if let Some(j) = accepted.first_dominator(cand) {
+            comparisons += j as u64 + 1;
+        } else {
+            comparisons += accepted.len as u64;
+            accepted.push(cand);
+            skyline.push_trusted(block.id(i), cand);
+        }
+    }
+    stats.comparisons += comparisons;
+    stats.dim_weighted += comparisons * d as u64;
+    skyline
 }
 
 /// Computes the skyline of `block` with the columnar SFS kernel.
@@ -534,23 +694,27 @@ pub fn block_sfs(block: &PointBlock) -> PointBlock {
 
 /// Columnar Sort-Filter-Skyline (Chomicki et al., ICDE 2003): candidates
 /// are presorted by ascending entropy score `Σ ln(1 + v_k)` (ties broken by
-/// id), then filtered in one pass against the accepted skyline.
+/// coordinates, then id — see [`presort_order`]), then filtered in one pass
+/// against the accepted skyline.
 ///
-/// The entropy score is *strictly* monotone under dominance on non-negative
-/// coordinates — if `p` dominates `q` then `score(p) < score(q)` — which
-/// buys two structural guarantees over BNL:
+/// The entropy score is monotone under dominance — if `p` dominates `q`
+/// then `score(p) <= score(q)` — and the presort's tiebreak puts every
+/// dominator strictly first, which buys two structural guarantees over
+/// BNL:
 ///
 /// * **no evictions, one pass**: a candidate can only be dominated by an
-///   *earlier* (lower-score) row, so an accepted point is final immediately
-///   and no overflow/multi-pass machinery is needed;
+///   *earlier* row, so an accepted point is final immediately and no
+///   overflow/multi-pass machinery is needed;
 /// * **a stop-aware window scan**: the accepted skyline is itself in
 ///   ascending score order, so the inner scan terminates at the first
-///   accepted row whose score is `>=` the candidate's — rows at or past
-///   that bound can never dominate it. On correlated inputs this keeps the
-///   effective window a small prefix regardless of skyline size.
+///   accepted row whose score is `>` the candidate's — rows past that
+///   bound can never dominate it. Rows with an *equal* score can (rounding
+///   and the clamp at zero make ties), so they are still compared. On
+///   correlated inputs this keeps the effective window a small prefix
+///   regardless of skyline size.
 ///
-/// Exact duplicates tie on score and never dominate each other, so all
-/// survive, matching the other kernels bit-for-bit.
+/// Exact duplicates never dominate each other, so all survive, matching
+/// the other kernels bit-for-bit.
 pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let d = block.dim();
     let n = block.len();
@@ -565,12 +729,7 @@ pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     stats.passes = 1;
 
     let scores: Vec<f64> = (0..n).map(|i| block.entropy_score(i)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        scores[a]
-            .total_cmp(&scores[b])
-            .then_with(|| block.id(a).cmp(&block.id(b)))
-    });
+    let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
 
     // Scores of accepted rows, parallel to `skyline` and ascending — the
     // stop bound for the inner scan.
@@ -580,7 +739,7 @@ pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
         let score = scores[i];
         let mut dominated = false;
         for (srow, &sscore) in skyline.coords().chunks_exact(d).zip(&accepted_scores) {
-            if sscore >= score {
+            if sscore > score {
                 break;
             }
             stats.comparisons += 1;
@@ -797,6 +956,162 @@ mod tests {
         let (sky, stats) = presort_merge_stats(&PointBlock::new(2));
         assert!(sky.is_empty());
         assert_eq!(stats.passes, 0);
+    }
+
+    /// Score ties between a dominator `p` and its victim `q`, with `q`
+    /// given the smaller id so an id tiebreak would put it first: an L1
+    /// tie from f64 rounding, an entropy tie from the clamp at zero, and
+    /// the rounding tie again behind a `0.0`/`-0.0` pair that only a
+    /// numeric (not `total_cmp`) coordinate order treats as equal.
+    const SCORE_TIES: [(&str, &[f64], &[f64]); 3] = [
+        ("l1 rounding tie", &[1e16, 1e16], &[1e16, 1e16 + 2.0]),
+        ("entropy clamp tie", &[-2.0, 1.0], &[-1.0, 1.0]),
+        (
+            "signed zero behind a rounding tie",
+            &[0.0, 1e16, 1e16],
+            &[-0.0, 1e16, 1e16 + 2.0],
+        ),
+    ];
+
+    /// Runs `kernel` on every [`SCORE_TIES`] pair, alone and inside a
+    /// 400-row block of 200 such pairs, and checks the oracle's answer.
+    fn assert_score_ties_resolved(name: &str, kernel: impl Fn(&PointBlock) -> PointBlock) {
+        for (case, p, q) in SCORE_TIES {
+            let mut pair = PointBlock::new(p.len());
+            pair.push(0, q).unwrap();
+            pair.push(1, p).unwrap();
+            assert_eq!(sorted_ids(&kernel(&pair)), vec![1], "{name}: {case}");
+        }
+        // 200 anti-diagonal pairs, every victim id below its dominator's
+        let mut block = PointBlock::new(2);
+        for i in 0..200u64 {
+            let x = 1e16 + 4.0 * i as f64;
+            block.push(i, &[x, 1e16 - 4.0 * i as f64 + 2.0]).unwrap();
+        }
+        for i in 0..200u64 {
+            let x = 1e16 + 4.0 * i as f64;
+            block.push(200 + i, &[x, 1e16 - 4.0 * i as f64]).unwrap();
+        }
+        let want = naive_skyline_ids(&block.to_points());
+        assert_eq!(want, (200..400).collect::<Vec<u64>>());
+        assert_eq!(sorted_ids(&kernel(&block)), want, "{name}: 400-row ties");
+    }
+
+    #[test]
+    fn presort_merge_breaks_score_ties_by_coordinates() {
+        assert_score_ties_resolved("merge", presort_merge);
+    }
+
+    #[test]
+    fn block_sfs_breaks_score_ties_by_coordinates() {
+        assert_score_ties_resolved("sfs", block_sfs);
+    }
+
+    #[test]
+    fn block_salsa_breaks_score_ties_by_coordinates() {
+        assert_score_ties_resolved("salsa", crate::salsa::block_salsa);
+    }
+
+    #[test]
+    fn block_bnl_is_exact_on_score_ties() {
+        assert_score_ties_resolved("bnl", |b| block_bnl(b, &BnlConfig::default()));
+    }
+
+    /// Runs the merge's row-wise scan, its lane body compiled for the
+    /// baseline ISA, and (where the host has AVX-512) the dispatched lane
+    /// scan on `block` in presort order; all must agree on ids, row order,
+    /// coordinate bits, `comparisons` and `dim_weighted`.
+    fn assert_merge_scans_agree(block: &PointBlock, what: &str) {
+        let scores: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
+        let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
+        let fingerprint = |sky: &PointBlock, stats: &KernelStats| {
+            let bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
+            (
+                sky.ids().to_vec(),
+                bits,
+                stats.comparisons,
+                stats.dim_weighted,
+            )
+        };
+        let mut row_stats = KernelStats::default();
+        let row = row_merge_scan(block, &order, &mut row_stats);
+        let want = fingerprint(&row, &row_stats);
+        let mut lane_stats = KernelStats::default();
+        let lane = lane_merge_scan(block, &order, &mut lane_stats);
+        assert_eq!(fingerprint(&lane, &lane_stats), want, "{what}: lane body");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut simd_stats = KernelStats::default();
+            if let Some(sky) = simd::try_lane_merge_scan(block, &order, &mut simd_stats) {
+                assert_eq!(fingerprint(&sky, &simd_stats), want, "{what}: avx-512");
+            }
+        }
+        let (sky, stats) = presort_merge_stats(block);
+        assert_eq!(fingerprint(&sky, &stats), want, "{what}: dispatched");
+    }
+
+    /// `m` mutually incomparable rows (an anti-diagonal on the first two
+    /// coordinates, zeros elsewhere), then rows dominated by accepted rows
+    /// at the head, the block boundaries and the tail, exact duplicates,
+    /// and one late survivor with its own dominated shadow.
+    fn accepted_set_of(m: usize, d: usize) -> PointBlock {
+        let mut b = PointBlock::new(d);
+        let mut row = |i: usize, a: f64, c: f64| {
+            let mut r = vec![0.0; d];
+            r[0] = a;
+            r[1] = c;
+            b.push(i as u64, &r).unwrap();
+        };
+        for i in 0..m {
+            row(i, i as f64, (m - i) as f64);
+        }
+        let mut next = m;
+        for j in [0, 1, 62, 63, 64, 65, m / 2, m - 2, m - 1] {
+            if j < m {
+                row(next, j as f64 + 0.5, (m - j) as f64);
+                row(next + 1, j as f64, (m - j) as f64);
+                next += 2;
+            }
+        }
+        row(next, -1.0, 1e6);
+        row(next + 1, -1.0, 1e6 + 1.0);
+        b
+    }
+
+    #[test]
+    fn lane_merge_scan_agrees_with_row_scan_at_the_lane_boundaries() {
+        for m in [63, 64, 65, 127, 128, 129] {
+            for d in [2, 6, 16] {
+                assert_merge_scans_agree(&accepted_set_of(m, d), &format!("m={m} d={d}"));
+            }
+        }
+    }
+
+    #[test]
+    fn lane_merge_scan_agrees_with_row_scan_on_hostile_inputs() {
+        assert_merge_scans_agree(&PointBlock::new(3), "n=0");
+        assert_merge_scans_agree(&block_of(&[&[1.0, -0.0]]), "n=1");
+        let identical: Vec<&[f64]> = vec![&[2.0, -0.0, 5.0]; 130];
+        assert_merge_scans_agree(&block_of(&identical), "all identical");
+        for seed in 0..6u64 {
+            for (d, n) in [(1usize, 150usize), (3, 200), (16, 200)] {
+                // small grid: duplicates and ties everywhere; 0 drawn as a
+                // signed zero; column 0 held constant
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut b = PointBlock::new(d);
+                for i in 0..n {
+                    let row: Vec<f64> = (0..d)
+                        .map(|k| match (k, rng.gen_range(0..5u32)) {
+                            (0, _) if d > 1 => 7.0,
+                            (_, 0) if rng.gen_bool(0.5) => -0.0,
+                            (_, v) => f64::from(v),
+                        })
+                        .collect();
+                    b.push(i as u64, &row).unwrap();
+                }
+                assert_merge_scans_agree(&b, &format!("grid seed={seed} d={d}"));
+            }
+        }
     }
 
     #[test]

@@ -7,17 +7,21 @@
 //! remaining candidate is dominated — and terminate without looking at
 //! them.
 //!
-//! The sort key is the triple `(minC, L1, id)`:
+//! The sort key is `(minC, L1)`, then the coordinates in numeric
+//! lexicographic order, then `id` ([`presort_order`]):
 //!
 //! * `minC` alone is only *weakly* monotone — if `p` dominates `q` then
 //!   `min(p) <= min(q)`, with equality possible — and a weakly monotone key
 //!   would let a dominator sort *after* its victim inside a tie group,
 //!   breaking the single-pass argument.
-//! * The L1 norm is strictly monotone, so within a `minC` tie group it
-//!   places dominators first. Lexicographically `(minC, L1)` is therefore
-//!   strictly monotone under dominance: a dominator always sorts strictly
-//!   earlier.
-//! * `id` makes the order (and hence the emission order) deterministic.
+//! * The L1 norm places most dominators first inside a `minC` tie group,
+//!   but it is weakly monotone too once f64 rounding is counted:
+//!   `l1((1e16, 1e16)) == l1((1e16, 1e16 + 2))`.
+//! * The coordinate tiebreak settles the rest: inside a `(minC, L1)` tie,
+//!   the first coordinate where a dominator differs from its victim is
+//!   strictly smaller, so a dominator always sorts strictly earlier.
+//! * `id` makes the order (and hence the emission order) deterministic
+//!   among rows equal on every coordinate.
 //!
 //! **Stop condition.** While scanning, track the accepted point `p_stop`
 //! with the smallest maximum coordinate seen so far. If the current
@@ -36,7 +40,7 @@
 //! an SFS with a slightly weaker sort key.
 
 use crate::block::PointBlock;
-use crate::kernel::{dominates_row, KernelStats};
+use crate::kernel::{dominates_row, num_cmp, presort_order, KernelStats};
 
 /// Computes the skyline of `block` with the SaLSa kernel.
 pub fn block_salsa(block: &PointBlock) -> PointBlock {
@@ -59,18 +63,14 @@ pub fn block_salsa_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
 
     let min_keys: Vec<f64> = (0..n).map(|i| block.min_coord(i)).collect();
     let l1_keys: Vec<f64> = (0..n).map(|i| block.l1_norm(i)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        min_keys[a]
-            .total_cmp(&min_keys[b])
-            .then_with(|| l1_keys[a].total_cmp(&l1_keys[b]))
-            .then_with(|| block.id(a).cmp(&block.id(b)))
+    let order = presort_order(block, |a, b| {
+        num_cmp(min_keys[a], min_keys[b]).then_with(|| num_cmp(l1_keys[a], l1_keys[b]))
     });
 
     // `minC` of each accepted row (ascending, parallel to `skyline`): the
     // inner scan stops at the first accepted row whose minC exceeds the
-    // candidate's, because a dominator sorts strictly earlier on (minC, L1)
-    // and rows past that bound have strictly larger minC.
+    // candidate's, because a dominator sorts strictly earlier in the
+    // presort order and rows past that bound have strictly larger minC.
     let mut accepted_min: Vec<f64> = Vec::new();
     // The global watermark: smallest max-coordinate over accepted rows.
     let mut stop_max = f64::INFINITY;

@@ -11,8 +11,10 @@ use mr_skyline_suite::qws::{
 };
 use mr_skyline_suite::skyline::block::PointBlock;
 use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs, BnlConfig};
+use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::salsa::block_salsa;
 use mr_skyline_suite::skyline::select::{select_for_block, BlockKernel};
+use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -200,4 +202,60 @@ fn auto_picks_a_sort_kernel_on_anti_correlated_data() {
         .with_config(with_kernel(Some(BlockKernel::Bnl)))
         .run(&data);
     assert_eq!(fingerprint(&auto), fingerprint(&base));
+}
+
+/// Score ties between a dominator and its victim, end to end: rows whose
+/// L1 norms round equal (`(1e16, 1e16)` over `(1e16, 1e16 + 2)`), whose
+/// entropy scores tie at the clamp (`(-2, 1)` over `(-1, 1)`), and the
+/// rounding tie behind a `0.0`/`-0.0` pair. Each victim has the smaller
+/// id, so an id tiebreak would accept it. The 400-row file is 200 such
+/// L1 pairs on an anti-diagonal. Every scheme × kernel must return the
+/// oracle's skyline. The plan audit flags MR-Angle's probe lattice at
+/// 1e16-scale coordinates; the runs are forced past it because any
+/// partitioning, sound or not, must still yield the exact skyline.
+#[test]
+fn score_ties_give_the_oracle_skyline_on_every_scheme_and_kernel() {
+    let pair = |p: &[f64], q: &[f64]| {
+        Dataset::new(
+            "tie pair",
+            vec![Point::new(0, q.to_vec()), Point::new(1, p.to_vec())],
+        )
+    };
+    let mut rows: Vec<Point> = (0..200)
+        .map(|i| Point::new(i, vec![1e16 + 4.0 * i as f64, 1e16 - 4.0 * i as f64 + 2.0]))
+        .collect();
+    rows.extend(
+        (0..200).map(|i| Point::new(200 + i, vec![1e16 + 4.0 * i as f64, 1e16 - 4.0 * i as f64])),
+    );
+    let datasets = [
+        Dataset::new("400-row l1 ties", rows),
+        pair(&[1e16, 1e16], &[1e16, 1e16 + 2.0]),
+        pair(&[-2.0, 1.0], &[-1.0, 1.0]),
+        pair(&[0.0, 1e16, 1e16], &[-0.0, 1e16, 1e16 + 2.0]),
+    ];
+    for data in &datasets {
+        let oracle = naive_skyline_ids(data.points());
+        for alg in ALL_SCHEMES.into_iter().chain([Algorithm::Sequential]) {
+            for kernel in ALL_KERNELS {
+                for filter_k in [Some(0), None] {
+                    let config = AlgoConfig {
+                        filter_k,
+                        ..with_kernel(kernel)
+                    };
+                    let report = SkylineJob::new(alg, 4)
+                        .with_config(config)
+                        .with_force(true)
+                        .run(data);
+                    let mut ids: Vec<u64> = report.global_skyline.iter().map(Point::id).collect();
+                    ids.sort_unstable();
+                    assert_eq!(
+                        ids, oracle,
+                        "{} / {alg} / {kernel:?} / filter {filter_k:?}",
+                        data.name
+                    );
+                    validate_report(&report, data).unwrap_or_else(|e| panic!("{alg}: {e}"));
+                }
+            }
+        }
+    }
 }

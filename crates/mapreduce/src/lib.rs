@@ -91,7 +91,6 @@ pub use cost::CostModel;
 pub use dfs::{BlockStore, SpillReader, SpillStore};
 pub use mapper::{Combiner, Mapper};
 pub use metrics::{JobMetrics, PeakMemBytes, PhaseMetrics};
-pub use pool::{PoolLimit, PoolOverloaded};
 pub use reducer::Reducer;
 pub use runtime::{run_job, ClusterConfig, JobResult, JobSpec, LocalityConfig, SpillConfig};
 pub use scheduler::{

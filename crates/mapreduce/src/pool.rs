@@ -21,7 +21,7 @@
 //! map and reduce waves run on it. A straggler range is redistributed by
 //! stealing instead of gating completion.
 
-use mrsky_model::sync::{scope, AtomicUsize, Mutex, Ordering};
+use mrsky_model::sync::{scope, Mutex};
 use std::collections::VecDeque;
 
 /// Runs `count` tasks with `worker(i)` on up to `threads` threads and
@@ -121,116 +121,6 @@ where
                 .expect("every task index visited exactly once")
         })
         .collect()
-}
-
-/// Typed rejection from a bounded submission: accepting the batch would
-/// have pushed the pool's outstanding-task count past its capacity. The
-/// caller decides whether to shed, retry later, or run degraded —
-/// nothing queues unboundedly inside the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolOverloaded {
-    /// Outstanding tasks observed at the rejection.
-    pub pending: usize,
-    /// The limit's capacity.
-    pub capacity: usize,
-    /// Size of the rejected batch.
-    pub rejected: usize,
-}
-
-impl std::fmt::Display for PoolOverloaded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "pool overloaded: batch of {} rejected at {}/{} outstanding tasks",
-            self.rejected, self.pending, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for PoolOverloaded {}
-
-/// A shared cap on outstanding submitted tasks. [`run_indexed_bounded`]
-/// reserves the batch size up front and rejects with [`PoolOverloaded`]
-/// when the reservation would exceed capacity; the reservation is
-/// released when the batch finishes (or is rejected), so the limit
-/// tracks live work, not history.
-pub struct PoolLimit {
-    capacity: usize,
-    pending: AtomicUsize,
-}
-
-impl PoolLimit {
-    /// Creates a limit allowing `capacity` outstanding tasks.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            pending: AtomicUsize::new(0),
-        }
-    }
-
-    /// Outstanding reserved tasks.
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
-    }
-
-    /// The limit's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn try_reserve(&self, n: usize) -> Result<(), PoolOverloaded> {
-        let mut cur = self.pending.load(Ordering::Acquire);
-        loop {
-            if cur + n > self.capacity {
-                return Err(PoolOverloaded {
-                    pending: cur,
-                    capacity: self.capacity,
-                    rejected: n,
-                });
-            }
-            match self
-                .pending
-                .compare_exchange(cur, cur + n, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    fn release(&self, n: usize) {
-        self.pending.fetch_sub(n, Ordering::Release);
-    }
-}
-
-/// [`run_indexed`] behind a bounded submission gate: the whole batch is
-/// admitted against `limit` or rejected with a typed error before any
-/// task runs.
-///
-/// # Errors
-///
-/// [`PoolOverloaded`] when `count` outstanding-task reservations do not
-/// fit under the limit's capacity.
-pub fn run_indexed_bounded<R, F>(
-    count: usize,
-    threads: usize,
-    limit: &PoolLimit,
-    worker: F,
-) -> Result<Vec<R>, PoolOverloaded>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    limit.try_reserve(count)?;
-    // Release even if a worker panics and unwinds through the scope.
-    struct Release<'a>(&'a PoolLimit, usize);
-    impl Drop for Release<'_> {
-        fn drop(&mut self) {
-            self.0.release(self.1);
-        }
-    }
-    let _release = Release(limit, count);
-    Ok(run_indexed(count, threads, worker))
 }
 
 /// Cuts `count` task indices into `threads` contiguous near-equal ranges.
@@ -371,46 +261,6 @@ mod tests {
             break;
         }
         assert!(saw_steal, "observer never saw a steal in 20 attempts");
-    }
-
-    #[test]
-    fn bounded_submission_rejects_over_capacity_with_typed_error() {
-        let limit = PoolLimit::new(10);
-        let err = run_indexed_bounded(11, 2, &limit, |i| i).expect_err("over capacity");
-        assert_eq!(
-            err,
-            PoolOverloaded {
-                pending: 0,
-                capacity: 10,
-                rejected: 11,
-            }
-        );
-        assert_eq!(limit.pending(), 0, "rejected batch reserves nothing");
-        // an admitted batch runs normally and releases its reservation
-        let out = run_indexed_bounded(10, 2, &limit, |i| i * 2).expect("fits");
-        assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(limit.pending(), 0, "reservation released after the run");
-    }
-
-    #[test]
-    fn bounded_submission_tracks_live_work_across_nested_batches() {
-        let limit = PoolLimit::new(8);
-        // From inside a running batch, the remaining headroom is what a
-        // nested submission sees: 8 - 6 = 2, so 3 must be rejected.
-        let out = run_indexed_bounded(6, 2, &limit, |i| {
-            if i == 0 {
-                let err = run_indexed_bounded(3, 1, &limit, |j| j).expect_err("no headroom");
-                assert_eq!(err.capacity, 8);
-                assert_eq!(err.rejected, 3);
-                assert!(err.pending >= 6);
-                let nested = run_indexed_bounded(2, 1, &limit, |j| j).expect("2 fit");
-                assert_eq!(nested, vec![0, 1]);
-            }
-            i
-        })
-        .expect("outer batch fits");
-        assert_eq!(out, (0..6).collect::<Vec<_>>());
-        assert_eq!(limit.pending(), 0);
     }
 
     #[test]

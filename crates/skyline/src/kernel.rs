@@ -11,23 +11,21 @@
 //!   kernel the paper runs for both the local skylines and the global merge,
 //!   with a bounded self-organising window in one flat buffer and
 //!   multi-pass overflow handling.
-//! * [`block_sfs`] — columnar Sort-Filter-Skyline: entropy-score presort,
-//!   one stop-aware filtering pass, no evictions. The local-kernel sibling
-//!   of the merge below (see also [`crate::salsa`] and [`crate::select`]).
-//! * [`presort_merge`] — the SFS-style global merge: candidates are
-//!   presorted by L1 norm, then by numeric lexicographic coordinate order,
-//!   then by id. That order puts every dominator strictly before the rows
-//!   it dominates (see [`presort_order`]), so a *single* filtering pass
-//!   suffices and the merge does no window bookkeeping at all. On x86-64
-//!   hosts with AVX-512 the pass runs as a first-dominator lane scan over a
-//!   column-major copy of the accepted rows, dispatched once per call; every
-//!   other host runs the row-wise scan. Both paths return the same rows in
-//!   the same order and count exactly the same comparisons: the row-wise
-//!   scan's `j + 1` when the first dominator is accepted row `j`, or the
-//!   accepted-set size when there is none.
+//! * the presort kernels — [`presort_merge`] (the global merge, L1 key),
+//!   [`block_sfs`] (Sort-Filter-Skyline, entropy key) and
+//!   [`crate::salsa::block_salsa`] (minC key) — are one algorithm: sort by
+//!   the key, then by numeric lexicographic coordinate order, then by id,
+//!   which puts every dominator strictly before the rows it dominates (see
+//!   [`presort_order`]); then make one filtering pass that stops at each
+//!   candidate's first dominator among the accepted rows. Each kernel is a
+//!   key, plus SaLSa's watermark, for that pass. On x86-64 hosts with AVX-512
+//!   the pass runs as a first-dominator lane scan over a column-major copy
+//!   of the accepted rows, dispatched once per call; every other host runs
+//!   the row-wise scan. Both return the same rows in the same order and
+//!   count exactly the same comparisons.
 //! * [`dominated_count`] — the bulk dominance sweep used by benchmarks and
 //!   pruning heuristics: how many candidate rows are dominated by at least
-//!   one window row. Same dispatch and the same lane scan as the merge.
+//!   one window row. Same dispatch and the same two bodies as the pass.
 
 use crate::block::PointBlock;
 use crate::dominance::DomRelation;
@@ -87,7 +85,7 @@ pub struct KernelStats {
 /// Records a kernel run into the process-global metrics registry under the
 /// `skyline.<name>.*` namespace. One relaxed-atomic branch when metrics are
 /// disabled (the default), so the hot kernels can call it unconditionally.
-pub(crate) fn record_kernel_metrics(name: &str, stats: &KernelStats) {
+fn record_kernel_metrics(name: &str, stats: &KernelStats) {
     let m = mrsky_trace::metrics();
     if !m.is_enabled() {
         return;
@@ -171,23 +169,14 @@ pub fn dominated_count(candidates: &PointBlock, window: &PointBlock) -> usize {
     scalar_sweep(candidates, window)
 }
 
-/// Portable dominance sweep: per candidate, scan window rows with the
-/// branchless [`dominates_row`] and early-exit on the first witness.
+/// Portable dominance sweep: each candidate runs the row body over the
+/// whole window.
 fn scalar_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
-    let d = candidates.dim();
-    let wrows = window.coords();
-    let mut count = 0usize;
-    for cand in candidates.coords().chunks_exact(d) {
-        let mut dominated = false;
-        for wrow in wrows.chunks_exact(d) {
-            if dominates_row(wrow, cand) {
-                dominated = true;
-                break;
-            }
-        }
-        count += usize::from(dominated);
-    }
-    count
+    candidates
+        .coords()
+        .chunks_exact(window.dim())
+        .filter(|cand| row_first_dominator(window, cand, window.len()).is_some())
+        .count()
 }
 
 /// Lane-parallel dominance sweep: the window is transposed once into
@@ -198,14 +187,11 @@ fn scalar_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
 /// `#[target_feature]` wrapper in [`simd`] to be codegenned with AVX-512.
 #[inline(always)]
 fn lane_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
-    let d = window.dim();
-    let mut cols = LaneColumns::with_capacity(d, window.len());
-    for row in window.coords().chunks_exact(d) {
-        cols.push(row);
-    }
+    let mut cols = LaneColumns::new(window.dim());
+    cols.catch_up(window);
     candidates
         .coords()
-        .chunks_exact(d)
+        .chunks_exact(window.dim())
         .filter(|cand| cols.first_dominator(cand).is_some())
         .count()
 }
@@ -216,32 +202,57 @@ const LANES: usize = 64;
 /// Column-major copy of an append-only row set, the operand of the lane
 /// scans. Column `k` holds coordinate `k` of every row and is padded with
 /// `+inf` to a multiple of [`LANES`] rows; infinity is never `<=` a finite
-/// coordinate, so pad rows can never witness dominance. The columns are
-/// sized once, at construction, for every row that will ever be pushed.
+/// coordinate, so pad rows can never witness dominance. The columns double
+/// their padded length whenever a push finds them full.
 struct LaneColumns {
-    /// Padded rows per column (the capacity rounded up to [`LANES`]).
+    dim: usize,
+    /// Padded rows per column (a multiple of [`LANES`]).
     stride: usize,
     len: usize,
     cols: Vec<f64>,
 }
 
 impl LaneColumns {
-    fn with_capacity(dim: usize, rows: usize) -> Self {
-        let stride = rows.div_ceil(LANES) * LANES;
+    fn new(dim: usize) -> Self {
         Self {
-            stride,
+            dim,
+            stride: 0,
             len: 0,
-            cols: vec![f64::INFINITY; stride * dim],
+            cols: Vec::new(),
         }
     }
 
     #[inline(always)]
     fn push(&mut self, row: &[f64]) {
-        assert!(self.len < self.stride, "lane columns are full");
+        if self.len == self.stride {
+            self.grow();
+        }
         for (k, &v) in row.iter().enumerate() {
             self.cols[k * self.stride + self.len] = v;
         }
         self.len += 1;
+    }
+
+    /// Doubles the padded rows per column (to at least one lane block),
+    /// keeping the rows already pushed.
+    #[cold]
+    fn grow(&mut self) {
+        let stride = (2 * self.stride).max(LANES);
+        let mut cols = vec![f64::INFINITY; stride * self.dim];
+        for k in 0..self.dim {
+            let (old, new) = (k * self.stride, k * stride);
+            cols[new..new + self.len].copy_from_slice(&self.cols[old..old + self.len]);
+        }
+        self.stride = stride;
+        self.cols = cols;
+    }
+
+    /// Appends the rows of `rows` past the ones already copied.
+    #[inline(always)]
+    fn catch_up(&mut self, rows: &PointBlock) {
+        while self.len < rows.len() {
+            self.push(rows.row(self.len));
+        }
     }
 
     /// Index of the first row that dominates `cand`, or `None`.
@@ -303,12 +314,13 @@ mod simd {
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    fn lane_merge_scan_avx512(
+    fn lane_scan_avx512(
         block: &PointBlock,
         order: &[usize],
+        watermark_keys: Option<&[f64]>,
         stats: &mut KernelStats,
     ) -> PointBlock {
-        super::lane_merge_scan(block, order, stats)
+        super::lane_scan(block, order, watermark_keys, stats)
     }
 
     /// Runs the lane sweep with AVX-512 codegen when the host supports it;
@@ -322,20 +334,21 @@ mod simd {
         Some(unsafe { lane_sweep_avx512(candidates, window) })
     }
 
-    /// Runs the merge's filtering pass as a lane scan with AVX-512 codegen
+    /// Runs the presort filtering pass as a lane scan with AVX-512 codegen
     /// when the host supports it; `None` (with `stats` untouched) tells the
     /// caller to take the row-wise path.
-    pub(super) fn try_lane_merge_scan(
+    pub(super) fn try_lane_scan(
         block: &PointBlock,
         order: &[usize],
+        watermark_keys: Option<&[f64]>,
         stats: &mut KernelStats,
     ) -> Option<PointBlock> {
         if !lane_isa_detected() {
             return None;
         }
-        // SAFETY: every feature named in `lane_merge_scan_avx512`'s
+        // SAFETY: every feature named in `lane_scan_avx512`'s
         // `#[target_feature]` list was just verified at runtime.
-        Some(unsafe { lane_merge_scan_avx512(block, order, stats) })
+        Some(unsafe { lane_scan_avx512(block, order, watermark_keys, stats) })
     }
 }
 
@@ -585,13 +598,148 @@ pub(crate) fn presort_order(
     order
 }
 
+/// Runs one presort kernel: sorts `block` with [`presort_order`] under
+/// `key`, makes the single filtering pass, checks the result and records
+/// the run under `name`. `watermark_keys` (SaLSa's minC keys, indexed by
+/// input row) arm the max-coordinate watermark of [`crate::salsa`].
+pub(crate) fn presort_kernel(
+    name: &'static str,
+    block: &PointBlock,
+    key: impl Fn(usize, usize) -> Ordering,
+    watermark_keys: Option<&[f64]>,
+) -> (PointBlock, KernelStats) {
+    let mut stats = KernelStats {
+        input_len: block.len() as u64,
+        ..KernelStats::default()
+    };
+    if block.is_empty() {
+        return (PointBlock::with_capacity(block.dim(), 0), stats);
+    }
+    stats.passes = 1;
+    let order = presort_order(block, key);
+    let skyline = presort_scan(block, &order, watermark_keys, &mut stats);
+    crate::invariants::check_skyline_block(name, block, &skyline);
+    stats.output_len = skyline.len() as u64;
+    record_kernel_metrics(name, &stats);
+    (skyline, stats)
+}
+
+/// The presort kernels' filtering pass over `block` in `order`, on the
+/// fastest body the host supports: the AVX-512 lane scan ([`lane_scan`])
+/// where the host has it, the row body ([`row_first_dominator`])
+/// everywhere else. Both return the same rows in the same order with the
+/// same [`KernelStats`].
+fn presort_scan(
+    block: &PointBlock,
+    order: &[usize],
+    watermark_keys: Option<&[f64]>,
+    stats: &mut KernelStats,
+) -> PointBlock {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(skyline) = simd::try_lane_scan(block, order, watermark_keys, stats) {
+        return skyline;
+    }
+    filter_pass(block, order, watermark_keys, stats, |accepted, cand| {
+        row_first_dominator(accepted, cand, accepted.len())
+    })
+}
+
+/// The one filtering pass. Each candidate, in `order`, asks
+/// `first_dominator` for the first accepted row that dominates it, and is
+/// accepted when there is none. A first dominator at row `j` counts
+/// `j + 1` comparisons and none counts the accepted-set size: exactly the
+/// rows a row-by-row scan visits, so every body reports the same
+/// [`KernelStats`].
+///
+/// There is no per-candidate stop bound. Every kernel sorts by the key
+/// such a bound would test (SFS's entropy score, SaLSa's leading minC),
+/// so each accepted row's key is already `<=` the candidate's and the
+/// bound would always be the whole accepted set.
+#[inline(always)]
+fn filter_pass(
+    block: &PointBlock,
+    order: &[usize],
+    watermark_keys: Option<&[f64]>,
+    stats: &mut KernelStats,
+    mut first_dominator: impl FnMut(&PointBlock, &[f64]) -> Option<usize>,
+) -> PointBlock {
+    let d = block.dim();
+    let mut skyline = PointBlock::with_capacity(d, 0);
+    // SaLSa's watermark: the smallest max-coordinate over accepted rows.
+    let mut watermark = f64::INFINITY;
+    let mut comparisons = 0u64;
+    for (rank, &i) in order.iter().enumerate() {
+        if watermark_keys.is_some_and(|keys| keys[i] > watermark) {
+            stats.skipped = (order.len() - rank) as u64;
+            break;
+        }
+        let cand = block.row(i);
+        if let Some(j) = first_dominator(&skyline, cand) {
+            comparisons += j as u64 + 1;
+            continue;
+        }
+        comparisons += skyline.len() as u64;
+        skyline.push_trusted(block.id(i), cand);
+        watermark = watermark.min(block.max_coord(i));
+    }
+    stats.comparisons += comparisons;
+    stats.dim_weighted += comparisons * d as u64;
+    skyline
+}
+
+/// Row body: the first of the rows `[0, stop)` of `accepted` that
+/// dominates `cand`, tested row by row with the branchless
+/// [`dominates_row`]. The portable path, and the reference the lane scan
+/// is tested against.
+#[inline]
+fn row_first_dominator(accepted: &PointBlock, cand: &[f64], stop: usize) -> Option<usize> {
+    accepted
+        .coords()
+        .chunks_exact(accepted.dim())
+        .take(stop)
+        .position(|row| dominates_row(row, cand))
+}
+
+/// Accepted rows the lane scan still tests row by row before it goes to
+/// the lanes. On correlated inputs nearly every candidate falls to the
+/// first accepted row, and sweeping a whole 64-row lane block for it costs
+/// more than one row test; a longer prefix measured no better there and
+/// slower on anti-correlated merges, where most candidates get past it.
+const ROW_PREFIX: usize = 1;
+
+/// Lane filtering pass: the first [`ROW_PREFIX`] accepted rows are tested
+/// row by row, the rest through a [`LaneColumns`] copy of the accepted
+/// rows, filled only when a candidate gets past the prefix.
+///
+/// `#[inline(always)]` for the same reason as [`lane_sweep`].
+#[inline(always)]
+fn lane_scan(
+    block: &PointBlock,
+    order: &[usize],
+    watermark_keys: Option<&[f64]>,
+    stats: &mut KernelStats,
+) -> PointBlock {
+    let mut cols = LaneColumns::new(block.dim());
+    filter_pass(block, order, watermark_keys, stats, |accepted, cand| {
+        if let Some(j) = row_first_dominator(accepted, cand, ROW_PREFIX) {
+            return Some(j);
+        }
+        if accepted.len() <= ROW_PREFIX {
+            return None;
+        }
+        cols.catch_up(accepted);
+        cols.first_dominator(cand)
+    })
+}
+
 /// Computes the skyline of `block` with the presorting merge kernel.
 pub fn presort_merge(block: &PointBlock) -> PointBlock {
     presort_merge_stats(block).0
 }
 
 /// SFS-style merge: sorts candidates by ascending L1 norm (ties broken by
-/// coordinates, then id — see [`presort_order`]), then filters in one pass.
+/// coordinates, then id — see [`presort_order`]), then filters in one pass
+/// against every accepted row.
 ///
 /// Why a single pass is enough: after the sort a candidate can only be
 /// dominated by an *earlier* row, so a survivor is final the moment it is
@@ -601,90 +749,9 @@ pub fn presort_merge(block: &PointBlock) -> PointBlock {
 /// mostly undominated, so the `O(n log n)` sort buys a filtering pass that
 /// does near-zero evictions.
 ///
-/// The pass is dispatched once per call: the AVX-512 lane scan where the
-/// host has it ([`lane_merge_scan`]), the row-wise scan everywhere else
-/// ([`row_merge_scan`]). Both return the same rows in the same order with
-/// the same [`KernelStats`].
 pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
-    let n = block.len();
-    let mut stats = KernelStats {
-        input_len: n as u64,
-        ..KernelStats::default()
-    };
-    if n == 0 {
-        return (PointBlock::with_capacity(block.dim(), 0), stats);
-    }
-    stats.passes = 1;
-
-    let scores: Vec<f64> = (0..n).map(|i| block.l1_norm(i)).collect();
-    let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
-    let skyline = merge_scan(block, &order, &mut stats);
-
-    crate::invariants::check_skyline_block("presort-merge", block, &skyline);
-    stats.output_len = skyline.len() as u64;
-    record_kernel_metrics("merge", &stats);
-    (skyline, stats)
-}
-
-/// The merge's single filtering pass over `block` in `order`, on the
-/// fastest path the host supports.
-fn merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(skyline) = simd::try_lane_merge_scan(block, order, stats) {
-        return skyline;
-    }
-    row_merge_scan(block, order, stats)
-}
-
-/// Row-wise filtering pass: each candidate scans the accepted rows with
-/// the branchless [`dominates_row`], counting one comparison per row
-/// visited, and stops at the first dominator.
-fn row_merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
-    let d = block.dim();
-    let mut skyline = PointBlock::with_capacity(d, 0);
-    for &i in order {
-        let cand = block.row(i);
-        let mut dominated = false;
-        for srow in skyline.coords().chunks_exact(d) {
-            stats.comparisons += 1;
-            stats.dim_weighted += d as u64;
-            if dominates_row(srow, cand) {
-                dominated = true;
-                break;
-            }
-        }
-        if !dominated {
-            skyline.push_trusted(block.id(i), cand);
-        }
-    }
-    skyline
-}
-
-/// Lane filtering pass: the accepted rows are also appended to a
-/// [`LaneColumns`] copy sized for the whole input, and each candidate asks
-/// it for its first dominator. The comparisons [`row_merge_scan`] would
-/// count follow from that index alone, so the stats match it exactly.
-///
-/// `#[inline(always)]` for the same reason as [`lane_sweep`].
-#[inline(always)]
-fn lane_merge_scan(block: &PointBlock, order: &[usize], stats: &mut KernelStats) -> PointBlock {
-    let d = block.dim();
-    let mut skyline = PointBlock::with_capacity(d, 0);
-    let mut accepted = LaneColumns::with_capacity(d, order.len());
-    let mut comparisons = 0u64;
-    for &i in order {
-        let cand = block.row(i);
-        if let Some(j) = accepted.first_dominator(cand) {
-            comparisons += j as u64 + 1;
-        } else {
-            comparisons += accepted.len as u64;
-            accepted.push(cand);
-            skyline.push_trusted(block.id(i), cand);
-        }
-    }
-    stats.comparisons += comparisons;
-    stats.dim_weighted += comparisons * d as u64;
-    skyline
+    let l1: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
+    presort_kernel("merge", block, |a, b| num_cmp(l1[a], l1[b]), None)
 }
 
 /// Computes the skyline of `block` with the columnar SFS kernel.
@@ -699,66 +766,14 @@ pub fn block_sfs(block: &PointBlock) -> PointBlock {
 ///
 /// The entropy score is monotone under dominance — if `p` dominates `q`
 /// then `score(p) <= score(q)` — and the presort's tiebreak puts every
-/// dominator strictly first, which buys two structural guarantees over
-/// BNL:
-///
-/// * **no evictions, one pass**: a candidate can only be dominated by an
-///   *earlier* row, so an accepted point is final immediately and no
-///   overflow/multi-pass machinery is needed;
-/// * **a stop-aware window scan**: the accepted skyline is itself in
-///   ascending score order, so the inner scan terminates at the first
-///   accepted row whose score is `>` the candidate's — rows past that
-///   bound can never dominate it. Rows with an *equal* score can (rounding
-///   and the clamp at zero make ties), so they are still compared. On
-///   correlated inputs this keeps the effective window a small prefix
-///   regardless of skyline size.
-///
-/// Exact duplicates never dominate each other, so all survive, matching
-/// the other kernels bit-for-bit.
+/// dominator strictly first, so a candidate can only be dominated by an
+/// *earlier* row: an accepted point is final immediately, with no
+/// evictions and no overflow/multi-pass machinery. Exact duplicates never
+/// dominate each other, so all survive, matching the other kernels
+/// bit-for-bit.
 pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
-    let d = block.dim();
-    let n = block.len();
-    let mut stats = KernelStats {
-        input_len: n as u64,
-        ..KernelStats::default()
-    };
-    let mut skyline = PointBlock::with_capacity(d, 0);
-    if n == 0 {
-        return (skyline, stats);
-    }
-    stats.passes = 1;
-
-    let scores: Vec<f64> = (0..n).map(|i| block.entropy_score(i)).collect();
-    let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
-
-    // Scores of accepted rows, parallel to `skyline` and ascending — the
-    // stop bound for the inner scan.
-    let mut accepted_scores: Vec<f64> = Vec::new();
-    for &i in &order {
-        let cand = block.row(i);
-        let score = scores[i];
-        let mut dominated = false;
-        for (srow, &sscore) in skyline.coords().chunks_exact(d).zip(&accepted_scores) {
-            if sscore > score {
-                break;
-            }
-            stats.comparisons += 1;
-            stats.dim_weighted += d as u64;
-            if dominates_row(srow, cand) {
-                dominated = true;
-                break;
-            }
-        }
-        if !dominated {
-            skyline.push_trusted(block.id(i), cand);
-            accepted_scores.push(score);
-        }
-    }
-
-    crate::invariants::check_skyline_block("block-sfs", block, &skyline);
-    stats.output_len = skyline.len() as u64;
-    record_kernel_metrics("sfs", &stats);
-    (skyline, stats)
+    let scores: Vec<f64> = (0..block.len()).map(|i| block.entropy_score(i)).collect();
+    presort_kernel("sfs", block, |a, b| num_cmp(scores[a], scores[b]), None)
 }
 
 #[cfg(test)]
@@ -1017,37 +1032,78 @@ mod tests {
         assert_score_ties_resolved("bnl", |b| block_bnl(b, &BnlConfig::default()));
     }
 
-    /// Runs the merge's row-wise scan, its lane body compiled for the
-    /// baseline ISA, and (where the host has AVX-512) the dispatched lane
-    /// scan on `block` in presort order; all must agree on ids, row order,
-    /// coordinate bits, `comparisons` and `dim_weighted`.
-    fn assert_merge_scans_agree(block: &PointBlock, what: &str) {
-        let scores: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
-        let order = presort_order(block, |a, b| num_cmp(scores[a], scores[b]));
-        let fingerprint = |sky: &PointBlock, stats: &KernelStats| {
-            let bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
-            (
-                sky.ids().to_vec(),
-                bits,
-                stats.comparisons,
-                stats.dim_weighted,
-            )
-        };
+    /// What the scans must agree on: ids, row order, coordinate bits,
+    /// `comparisons`, `dim_weighted` and `skipped`.
+    type Fingerprint = (Vec<u64>, Vec<u64>, u64, u64, u64);
+
+    fn fingerprint(sky: &PointBlock, stats: &KernelStats) -> Fingerprint {
+        let bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
+        (
+            sky.ids().to_vec(),
+            bits,
+            stats.comparisons,
+            stats.dim_weighted,
+            stats.skipped,
+        )
+    }
+
+    /// Runs the row body, the lane body compiled for the baseline ISA and
+    /// (where the host has AVX-512) the dispatched lane scan on `block` in
+    /// `order`; all must agree. Returns the row body's result.
+    fn assert_scans_agree(
+        block: &PointBlock,
+        order: &[usize],
+        watermark_keys: Option<&[f64]>,
+        what: &str,
+    ) -> Fingerprint {
         let mut row_stats = KernelStats::default();
-        let row = row_merge_scan(block, &order, &mut row_stats);
+        let row = filter_pass(block, order, watermark_keys, &mut row_stats, |acc, cand| {
+            row_first_dominator(acc, cand, acc.len())
+        });
         let want = fingerprint(&row, &row_stats);
         let mut lane_stats = KernelStats::default();
-        let lane = lane_merge_scan(block, &order, &mut lane_stats);
+        let lane = lane_scan(block, order, watermark_keys, &mut lane_stats);
         assert_eq!(fingerprint(&lane, &lane_stats), want, "{what}: lane body");
         #[cfg(target_arch = "x86_64")]
         {
             let mut simd_stats = KernelStats::default();
-            if let Some(sky) = simd::try_lane_merge_scan(block, &order, &mut simd_stats) {
+            if let Some(sky) = simd::try_lane_scan(block, order, watermark_keys, &mut simd_stats) {
                 assert_eq!(fingerprint(&sky, &simd_stats), want, "{what}: avx-512");
             }
         }
-        let (sky, stats) = presort_merge_stats(block);
-        assert_eq!(fingerprint(&sky, &stats), want, "{what}: dispatched");
+        want
+    }
+
+    /// Runs [`assert_scans_agree`] on the merge, SFS and SaLSa specs of
+    /// `block`, and checks each dispatched kernel against the row body.
+    fn assert_specs_agree(block: &PointBlock, what: &str) {
+        let keys =
+            |f: fn(&PointBlock, usize) -> f64| (0..block.len()).map(|i| f(block, i)).collect();
+        let l1: Vec<f64> = keys(PointBlock::l1_norm);
+        let entropy: Vec<f64> = keys(PointBlock::entropy_score);
+        let min_c: Vec<f64> = keys(PointBlock::min_coord);
+        let check = |name: &str,
+                     order: Vec<usize>,
+                     watermark_keys: Option<&[f64]>,
+                     kernel: fn(&PointBlock) -> (PointBlock, KernelStats)| {
+            let what = format!("{what} {name}");
+            let want = assert_scans_agree(block, &order, watermark_keys, &what);
+            let (sky, stats) = kernel(block);
+            assert_eq!(fingerprint(&sky, &stats), want, "{what}: dispatched");
+        };
+        let merge_order = presort_order(block, |a, b| num_cmp(l1[a], l1[b]));
+        check("merge", merge_order, None, presort_merge_stats);
+        let sfs_order = presort_order(block, |a, b| num_cmp(entropy[a], entropy[b]));
+        check("sfs", sfs_order, None, block_sfs_stats);
+        let salsa_order = presort_order(block, |a, b| {
+            num_cmp(min_c[a], min_c[b]).then_with(|| num_cmp(l1[a], l1[b]))
+        });
+        check(
+            "salsa",
+            salsa_order,
+            Some(&min_c),
+            crate::salsa::block_salsa_stats,
+        );
     }
 
     /// `m` mutually incomparable rows (an anti-diagonal on the first two
@@ -1079,20 +1135,20 @@ mod tests {
     }
 
     #[test]
-    fn lane_merge_scan_agrees_with_row_scan_at_the_lane_boundaries() {
+    fn presort_scans_agree_at_the_lane_boundaries() {
         for m in [63, 64, 65, 127, 128, 129] {
             for d in [2, 6, 16] {
-                assert_merge_scans_agree(&accepted_set_of(m, d), &format!("m={m} d={d}"));
+                assert_specs_agree(&accepted_set_of(m, d), &format!("m={m} d={d}"));
             }
         }
     }
 
     #[test]
-    fn lane_merge_scan_agrees_with_row_scan_on_hostile_inputs() {
-        assert_merge_scans_agree(&PointBlock::new(3), "n=0");
-        assert_merge_scans_agree(&block_of(&[&[1.0, -0.0]]), "n=1");
+    fn presort_scans_agree_on_hostile_inputs() {
+        assert_specs_agree(&PointBlock::new(3), "n=0");
+        assert_specs_agree(&block_of(&[&[1.0, -0.0]]), "n=1");
         let identical: Vec<&[f64]> = vec![&[2.0, -0.0, 5.0]; 130];
-        assert_merge_scans_agree(&block_of(&identical), "all identical");
+        assert_specs_agree(&block_of(&identical), "all identical");
         for seed in 0..6u64 {
             for (d, n) in [(1usize, 150usize), (3, 200), (16, 200)] {
                 // small grid: duplicates and ties everywhere; 0 drawn as a
@@ -1109,7 +1165,7 @@ mod tests {
                         .collect();
                     b.push(i as u64, &row).unwrap();
                 }
-                assert_merge_scans_agree(&b, &format!("grid seed={seed} d={d}"));
+                assert_specs_agree(&b, &format!("grid seed={seed} d={d}"));
             }
         }
     }
@@ -1154,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn block_sfs_stop_bound_cuts_comparisons_on_correlated_input() {
+    fn block_sfs_comparisons_stay_linear_on_correlated_input() {
         // correlated diagonal: singleton skyline; every candidate compares
         // against exactly one accepted row
         for n in [200u64, 300] {

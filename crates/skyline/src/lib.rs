@@ -65,7 +65,6 @@ pub mod filter;
 pub mod hypersphere;
 pub mod incremental;
 pub mod invariants;
-pub mod kdominant;
 pub mod kernel;
 pub mod metrics;
 pub mod partition;
@@ -76,14 +75,12 @@ pub mod salsa;
 pub mod select;
 pub mod seq;
 pub mod skyband;
-pub mod topk;
 
 pub use block::PointBlock;
 pub use dominance::{dominates, strictly_dominates, DomRelation};
 pub use error::SkylineError;
 pub use filter::{filtered_out, select_filter_points};
 pub use hypersphere::{to_hyperspherical, to_hyperspherical_into, HyperPoint};
-pub use kdominant::{k_dominant_skyline, k_dominates};
 pub use kernel::{
     block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, compare_rows, dominated_count,
     dominates_row, presort_merge, presort_merge_stats, BnlConfig, KernelStats,
@@ -99,14 +96,12 @@ pub use salsa::{block_salsa, block_salsa_stats};
 pub use select::{correlation_estimate, select_for_block, BlockKernel};
 pub use seq::naive_skyline;
 pub use skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
-pub use topk::{dominance_counts, top_k_dominating, DominatingEntry};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::block::PointBlock;
     pub use crate::dominance::{dominates, strictly_dominates, DomRelation};
     pub use crate::hypersphere::{to_hyperspherical, HyperPoint};
-    pub use crate::kdominant::{k_dominant_skyline, k_dominates};
     pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge, BnlConfig};
     pub use crate::metrics::local_skyline_optimality;
     pub use crate::partition::{
@@ -122,5 +117,4 @@ pub mod prelude {
     pub use crate::select::BlockKernel;
     pub use crate::seq::naive_skyline;
     pub use crate::skyband::{DeleteOutcome, SkybandBuffer};
-    pub use crate::topk::top_k_dominating;
 }

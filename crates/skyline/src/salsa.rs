@@ -40,7 +40,7 @@
 //! an SFS with a slightly weaker sort key.
 
 use crate::block::PointBlock;
-use crate::kernel::{dominates_row, num_cmp, presort_order, KernelStats};
+use crate::kernel::{num_cmp, presort_kernel, KernelStats};
 
 /// Computes the skyline of `block` with the SaLSa kernel.
 pub fn block_salsa(block: &PointBlock) -> PointBlock {
@@ -49,62 +49,13 @@ pub fn block_salsa(block: &PointBlock) -> PointBlock {
 
 /// Like [`block_salsa`] but also returns execution statistics.
 pub fn block_salsa_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
-    let d = block.dim();
     let n = block.len();
-    let mut stats = KernelStats {
-        input_len: n as u64,
-        ..KernelStats::default()
-    };
-    let mut skyline = PointBlock::with_capacity(d, 0);
-    if n == 0 {
-        return (skyline, stats);
-    }
-    stats.passes = 1;
-
     let min_keys: Vec<f64> = (0..n).map(|i| block.min_coord(i)).collect();
     let l1_keys: Vec<f64> = (0..n).map(|i| block.l1_norm(i)).collect();
-    let order = presort_order(block, |a, b| {
+    let key = |a: usize, b: usize| {
         num_cmp(min_keys[a], min_keys[b]).then_with(|| num_cmp(l1_keys[a], l1_keys[b]))
-    });
-
-    // `minC` of each accepted row (ascending, parallel to `skyline`): the
-    // inner scan stops at the first accepted row whose minC exceeds the
-    // candidate's, because a dominator sorts strictly earlier in the
-    // presort order and rows past that bound have strictly larger minC.
-    let mut accepted_min: Vec<f64> = Vec::new();
-    // The global watermark: smallest max-coordinate over accepted rows.
-    let mut stop_max = f64::INFINITY;
-
-    for (rank, &i) in order.iter().enumerate() {
-        let cand = block.row(i);
-        let cand_min = min_keys[i];
-        if cand_min > stop_max {
-            stats.skipped = (n - rank) as u64;
-            break;
-        }
-        let mut dominated = false;
-        for (srow, &smin) in skyline.coords().chunks_exact(d).zip(&accepted_min) {
-            if smin > cand_min {
-                break;
-            }
-            stats.comparisons += 1;
-            stats.dim_weighted += d as u64;
-            if dominates_row(srow, cand) {
-                dominated = true;
-                break;
-            }
-        }
-        if !dominated {
-            skyline.push_trusted(block.id(i), cand);
-            accepted_min.push(cand_min);
-            stop_max = stop_max.min(block.max_coord(i));
-        }
-    }
-
-    crate::invariants::check_skyline_block("block-salsa", block, &skyline);
-    stats.output_len = skyline.len() as u64;
-    crate::kernel::record_kernel_metrics("salsa", &stats);
-    (skyline, stats)
+    };
+    presort_kernel("salsa", block, key, Some(&min_keys))
 }
 
 #[cfg(test)]

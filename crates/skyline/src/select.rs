@@ -26,6 +26,12 @@
 //! variance, and the normalized excess
 //! `ρ̂ = (Var(S) − Σ σ_k²) / (2 Σ_{j<k} σ_j σ_k)` falls in `[-1, 1]`.
 //! No RNG is involved, so selection is deterministic and replay-stable.
+//!
+//! The thresholds were fit on the row-wise SFS and SaLSa scans. Both now
+//! run the merge's AVX-512 lane scan on hosts that have it, which makes
+//! them several times faster on large independent and anti-correlated
+//! blocks, so the crossovers against BNL have moved and are due a re-fit
+//! (ROADMAP.md, the cost-based planner item).
 
 use crate::block::PointBlock;
 use crate::kernel::{block_bnl_stats, block_sfs_stats, BnlConfig, KernelStats};

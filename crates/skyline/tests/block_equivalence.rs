@@ -6,17 +6,21 @@
 //! constantly. CI runs this file with `--features strict-invariants` so
 //! every kernel call additionally self-checks minimality and completeness.
 //!
-//! `presort_merge_stats` is also checked against a row-by-row reference
-//! model of its documented contract (presort order, emission order and
-//! exact comparison counts), so whichever scan the host dispatches to —
-//! the AVX-512 lane scan or the portable row-wise one — must reproduce it.
+//! The three presort kernels (`presort_merge_stats`, `block_sfs_stats`,
+//! `block_salsa_stats`) are also checked against a row-by-row reference
+//! model of their documented contract (presort order, stop bound,
+//! watermark, emission order and exact comparison counts), so whichever
+//! scan the host dispatches to — the AVX-512 lane scan or the portable
+//! row-wise one — must reproduce it.
 
 use proptest::prelude::*;
 use skyline_algos::block::PointBlock;
 use skyline_algos::kernel::{
-    block_bnl, dominates_row, presort_merge, presort_merge_stats, BnlConfig,
+    block_bnl, block_sfs_stats, dominates_row, presort_merge, presort_merge_stats, BnlConfig,
+    KernelStats,
 };
 use skyline_algos::point::Point;
+use skyline_algos::salsa::block_salsa_stats;
 use skyline_algos::seq::naive_skyline_ids;
 use std::cmp::Ordering;
 
@@ -67,28 +71,91 @@ fn arb_merge_block() -> impl Strategy<Value = PointBlock> {
     })
 }
 
-/// The merge's contract, row by row: sort by (L1, coordinates, id), all
-/// compared numerically, then accept each candidate that no earlier
-/// survivor dominates, counting one comparison per survivor visited.
-fn reference_merge(block: &PointBlock) -> (Vec<u64>, Vec<u64>, u64) {
+/// A presort kernel's contract, row by row: sort by (`key`, coordinates,
+/// id), all compared numerically; then compare each candidate with the
+/// earlier survivors, stopping before the first whose `stop` key exceeds
+/// the candidate's, and accept it when none dominates it, counting one
+/// comparison per survivor visited. With `watermark`, the pass ends (and
+/// counts the rest as skipped) at the first candidate whose `stop` key
+/// exceeds the smallest max-coordinate of any survivor.
+///
+/// The `stop` bound is the published SFS and SaLSa scan's. The kernels
+/// have none: each sorts by the key its bound would test, so the bound
+/// never cuts a scan short, and matching this model's comparison counts
+/// checks exactly that.
+struct Spec {
+    key: fn(&PointBlock, usize) -> Vec<f64>,
+    stop: Option<fn(&PointBlock, usize) -> f64>,
+    watermark: bool,
+    kernel: fn(&PointBlock) -> (PointBlock, KernelStats),
+}
+
+const SPECS: [(&str, Spec); 3] = [
+    (
+        "merge",
+        Spec {
+            key: |b, i| vec![b.l1_norm(i)],
+            stop: None,
+            watermark: false,
+            kernel: presort_merge_stats,
+        },
+    ),
+    (
+        "sfs",
+        Spec {
+            key: |b, i| vec![b.entropy_score(i)],
+            stop: Some(PointBlock::entropy_score),
+            watermark: false,
+            kernel: block_sfs_stats,
+        },
+    ),
+    (
+        "salsa",
+        Spec {
+            key: |b, i| vec![b.min_coord(i), b.l1_norm(i)],
+            stop: Some(PointBlock::min_coord),
+            watermark: true,
+            kernel: block_salsa_stats,
+        },
+    ),
+];
+
+/// The ids, coordinate bits, comparisons and skipped rows `spec`'s
+/// contract gives on `block`.
+fn reference_scan(block: &PointBlock, spec: &Spec) -> (Vec<u64>, Vec<u64>, u64, u64) {
     let num = |a: f64, b: f64| a.partial_cmp(&b).unwrap();
     let mut order: Vec<usize> = (0..block.len()).collect();
     order.sort_by(|&a, &b| {
-        num(block.l1_norm(a), block.l1_norm(b))
-            .then_with(|| {
-                let pairs = block.row(a).iter().zip(block.row(b));
-                pairs
-                    .map(|(&x, &y)| num(x, y))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            })
+        let keys = (spec.key)(block, a).into_iter().zip((spec.key)(block, b));
+        keys.map(|(x, y)| num(x, y))
+            .chain(
+                block
+                    .row(a)
+                    .iter()
+                    .zip(block.row(b))
+                    .map(|(&x, &y)| num(x, y)),
+            )
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
             .then_with(|| block.id(a).cmp(&block.id(b)))
     });
     let mut accepted: Vec<usize> = Vec::new();
     let mut comparisons = 0u64;
-    for i in order {
+    let mut skipped = 0u64;
+    let mut watermark = f64::INFINITY;
+    for (rank, &i) in order.iter().enumerate() {
+        let bound = spec.stop.map(|stop| stop(block, i));
+        if spec.watermark && bound.unwrap() > watermark {
+            skipped = (order.len() - rank) as u64;
+            break;
+        }
         let mut dominated = false;
         for &s in &accepted {
+            if let (Some(stop), Some(bound)) = (spec.stop, bound) {
+                if stop(block, s) > bound {
+                    break;
+                }
+            }
             comparisons += 1;
             if dominates_row(block.row(s), block.row(i)) {
                 dominated = true;
@@ -97,6 +164,7 @@ fn reference_merge(block: &PointBlock) -> (Vec<u64>, Vec<u64>, u64) {
         }
         if !dominated {
             accepted.push(i);
+            watermark = watermark.min(block.max_coord(i));
         }
     }
     let ids = accepted.iter().map(|&i| block.id(i)).collect();
@@ -104,7 +172,7 @@ fn reference_merge(block: &PointBlock) -> (Vec<u64>, Vec<u64>, u64) {
         .iter()
         .flat_map(|&i| block.row(i).iter().map(|c| c.to_bits()))
         .collect();
-    (ids, bits, comparisons)
+    (ids, bits, comparisons, skipped)
 }
 
 fn block_ids(b: &PointBlock) -> Vec<u64> {
@@ -142,16 +210,19 @@ proptest! {
 
     #[test]
     fn presort_merge_matches_its_row_wise_reference(block in arb_merge_block()) {
-        let (ids, bits, comparisons) = reference_merge(&block);
-        let (sky, stats) = presort_merge_stats(&block);
-        prop_assert_eq!(sky.ids(), &ids[..]);
-        let sky_bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
-        prop_assert_eq!(sky_bits, bits);
-        prop_assert_eq!(stats.comparisons, comparisons);
-        prop_assert_eq!(stats.dim_weighted, comparisons * block.dim() as u64);
         let mut oracle = naive_skyline_ids(&block.to_points());
         oracle.sort_unstable();
-        prop_assert_eq!(block_ids(&sky), oracle);
+        for (name, spec) in &SPECS {
+            let (ids, bits, comparisons, skipped) = reference_scan(&block, spec);
+            let (sky, stats) = (spec.kernel)(&block);
+            prop_assert_eq!(sky.ids(), &ids[..], "{}", name);
+            let sky_bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(sky_bits, bits, "{}", name);
+            prop_assert_eq!(stats.comparisons, comparisons, "{}", name);
+            prop_assert_eq!(stats.dim_weighted, comparisons * block.dim() as u64, "{}", name);
+            prop_assert_eq!(stats.skipped, skipped, "{}", name);
+            prop_assert_eq!(block_ids(&sky), oracle.clone(), "{}", name);
+        }
     }
 
     #[test]

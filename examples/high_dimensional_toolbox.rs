@@ -4,8 +4,6 @@
 //!
 //! * the skyline under hash (MR-Random) vs angular (MR-Angle) partitioning,
 //!   both checked against the sequential oracle,
-//! * k-dominant skylines (services good on at least k of d attributes),
-//! * top-k dominating services,
 //! * k representatives (coverage + diversity).
 //!
 //! ```text
@@ -14,13 +12,11 @@
 
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
-use mr_skyline_suite::skyline::kdominant::k_dominant_skyline;
 use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
 };
 use mr_skyline_suite::skyline::seq::naive_skyline_ids;
-use mr_skyline_suite::skyline::topk::top_k_dominating;
 
 fn main() {
     let d = 8;
@@ -55,27 +51,6 @@ fn main() {
             report.algorithm.name(),
             report.merge_candidates(),
             wall
-        );
-    }
-
-    // --- k-dominant skylines shrink the answer ---
-    println!(
-        "\nk-dominant skylines (within the {}-point skyline):",
-        skyline.len()
-    );
-    for k in (d - 3..=d).rev() {
-        let kd = k_dominant_skyline(skyline, k);
-        println!("  k = {k:>2}: {:>6} services survive", kd.len());
-    }
-
-    // --- top dominators ---
-    println!("\ntop-5 dominating services (how much of the registry each beats):");
-    for entry in top_k_dominating(registry.points(), 5) {
-        println!(
-            "  service {:<6} dominates {:>6} services ({:.1}%)",
-            entry.point.id(),
-            entry.dominated,
-            100.0 * entry.dominated as f64 / registry.len() as f64
         );
     }
 

@@ -1,17 +1,13 @@
-//! Integration + property tests of the extension operators (k-dominance,
-//! top-k dominating, representatives) and the service registry, exercised
-//! together across crates.
+//! Integration + property tests of the representative operators and the
+//! service registry, exercised together across crates.
 
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, Category, QwsConfig, Registry};
-use mr_skyline_suite::skyline::dominance::dominates;
-use mr_skyline_suite::skyline::kdominant::{k_dominant_skyline, k_dominates};
 use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
 };
 use mr_skyline_suite::skyline::seq::naive_skyline_ids;
-use mr_skyline_suite::skyline::topk::top_k_dominating;
 use proptest::prelude::*;
 
 fn arb_points() -> impl Strategy<Value = Vec<Point>> {
@@ -38,43 +34,6 @@ fn ids(v: &[Point]) -> Vec<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn k_dominant_members_satisfy_definition(pts in arb_points()) {
-        let d = pts[0].dim();
-        for k in (d.saturating_sub(2).max(1))..=d {
-            let kd = k_dominant_skyline(&pts, k);
-            for m in &kd {
-                prop_assert!(
-                    !pts.iter().any(|q| q.id() != m.id() && k_dominates(q, m, k)),
-                    "k={} member {} is k-dominated", k, m.id()
-                );
-            }
-            // every excluded point IS k-dominated by someone
-            let kd_ids: std::collections::HashSet<u64> = kd.iter().map(Point::id).collect();
-            for p in &pts {
-                if !kd_ids.contains(&p.id()) {
-                    prop_assert!(
-                        pts.iter().any(|q| q.id() != p.id() && k_dominates(q, p, k)),
-                        "k={} excluded {} but nobody k-dominates it", k, p.id()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_counts_are_correct_and_sorted(pts in arb_points(), k in 1usize..8) {
-        let top = top_k_dominating(&pts, k);
-        prop_assert!(top.len() <= k);
-        for entry in &top {
-            let expected = pts.iter().filter(|q| dominates(&entry.point, q)).count();
-            prop_assert_eq!(entry.dominated, expected);
-        }
-        for w in top.windows(2) {
-            prop_assert!(w[0].dominated >= w[1].dominated);
-        }
-    }
 
     #[test]
     fn representatives_are_always_skyline_members(pts in arb_points(), k in 1usize..6) {
@@ -141,14 +100,4 @@ fn toolbox_composes_on_one_dataset() {
 
     // the MR result agrees with the sequential oracle
     assert_eq!(ids(sky), naive_skyline_ids(data.points()));
-
-    // k-dominant shrinks within the skyline
-    let k5 = k_dominant_skyline(sky, 5);
-    let k6 = k_dominant_skyline(sky, 6);
-    assert!(k5.len() <= k6.len());
-    assert_eq!(k6.len(), sky.len(), "k=d keeps the whole skyline");
-
-    // top dominator is a skyline member
-    let top = top_k_dominating(data.points(), 1);
-    assert!(ids(sky).contains(&top[0].point.id()));
 }

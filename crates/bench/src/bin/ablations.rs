@@ -7,8 +7,10 @@
 //! 5. random-partitioning baseline vs the geometric schemes;
 //! 6. BNL window size;
 //! 7. shuffle volume by partitioning scheme;
-//! 8. map-side combiner in the merging job (not in the paper's Algorithm 1);
-//! 9. HDFS-style data-locality scheduling of map tasks.
+//! 8. HDFS-style data-locality scheduling of map tasks;
+//! 9. fairness: quantile-balanced MR-Dim/MR-Grid baselines.
+//!
+//! The merge stage is always Algorithm 1's single reducer.
 //!
 //! ```text
 //! cargo run --release -p mr-skyline-bench --bin ablations -- --cardinality 20000 --dims 6
@@ -111,24 +113,7 @@ fn main() {
 
     println!("\n--- 7. shuffle volume by scheme (see shufMB column of section 5) ---");
 
-    println!("\n--- 8. merging-job combiner (parallelising the serial merge) ---");
-    for (name, combine) in [
-        ("Algorithm 1 (no combiner)", false),
-        ("with merge combiner", true),
-    ] {
-        let mut job = SkylineJob::new(Algorithm::MrAngle, servers);
-        job.config.merge_combiner = combine;
-        let r = job.run(&data);
-        println!(
-            "{:<34} sim {:>7.1}s reduce {:>6.1}s final-reducer input {:>7}",
-            name,
-            r.processing_time(),
-            r.reduce_time(),
-            r.metrics.reduce.records_in
-        );
-    }
-
-    println!("\n--- 9. data-locality scheduling (3x replication, 0.5s remote penalty) ---");
+    println!("\n--- 8. data-locality scheduling (3x replication, 0.5s remote penalty) ---");
     for (name, enabled) in [("locality-blind", false), ("locality-aware", true)] {
         let mut job = SkylineJob::new(Algorithm::MrAngle, servers);
         job.locality = if enabled {
@@ -147,7 +132,7 @@ fn main() {
         );
     }
 
-    println!("\n--- 10. fairness: quantile-balanced baselines ---");
+    println!("\n--- 9. fairness: quantile-balanced baselines ---");
     for (name, alg, quantile) in [
         ("MR-Dim equal-width (paper)", Algorithm::MrDim, false),
         ("MR-Dim quantile slabs", Algorithm::MrDim, true),
@@ -168,25 +153,5 @@ fn main() {
         );
     }
 
-    println!("\n--- 11. hierarchical (tree) merge vs Algorithm 1's single reducer ---");
-    println!("(the serial merge is the Fig. 6 saturation floor; a tree merge parallelises");
-    println!(" it -- but each extra MapReduce round pays full job+task overheads, and");
-    println!(" hash-spread shares of a skyline-dense candidate set barely prune, so at");
-    println!(" Hadoop-era overheads the paper's single reducer wins. Honest negative.)");
-    let big = master_dataset(arg_usize(&args, "--big", 100_000)).project(10);
-    for (name, fan_in) in [
-        ("single-reducer merge (paper)", None),
-        ("tree merge, fan-in 4", Some(4)),
-    ] {
-        let mut job = SkylineJob::new(Algorithm::MrAngle, 32);
-        job.config.merge_fan_in = fan_in;
-        let r = job.run(&big);
-        println!(
-            "{:<34} 32 servers: sim {:>7.1}s reduce {:>6.1}s",
-            name,
-            r.processing_time(),
-            r.reduce_time()
-        );
-    }
     println!("\ndone.");
 }

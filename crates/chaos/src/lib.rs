@@ -19,10 +19,9 @@
 //! - [`KillSwitch`] — a crash simulator that kills the run after N
 //!   checkpoint writes, for exercising checkpoint/resume paths.
 //!
-//! The convergence convention is shared with
-//! `FailureConfig::max_attempts` in `mrsky-mapreduce`: the final attempt
-//! of a plan's budget never faults, so any retry loop granted the plan's
-//! `max_attempts` terminates successfully. Exhaustion is still reachable
+//! The convergence convention: the final attempt of a plan's budget
+//! never faults, so any retry loop granted the plan's `max_attempts`
+//! terminates successfully. Exhaustion is still reachable
 //! (and traced as `TaskRetryExhausted`) when an executor runs with a
 //! smaller budget than the plan assumes.
 

@@ -8,10 +8,9 @@
 //! fault pattern, which is what makes the chaos property suite and the
 //! checked-in regression corpus possible.
 //!
-//! Convergence convention (shared with
-//! `FailureConfig::max_attempts` in the runtime): **the final attempt of
-//! any budget never faults**, so a bounded retry loop always terminates
-//! with a success as long as the caller grants the plan's `max_attempts`.
+//! Convergence convention: **the final attempt of any budget never
+//! faults**, so a bounded retry loop always terminates with a success as
+//! long as the caller grants the plan's `max_attempts`.
 //! Plans constructed with a larger `max_attempts` than the executing
 //! retry budget *can* exhaust it — that is the
 //! `TaskRetryExhausted` path, and it is reachable on purpose.

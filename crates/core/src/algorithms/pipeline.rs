@@ -30,7 +30,6 @@ use crate::config::AlgoConfig;
 use mini_mapreduce::prelude::*;
 use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::scheduler::SpeculationConfig;
-use mini_mapreduce::task::FailureConfig;
 use mini_mapreduce::OwnedMergeFn;
 use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
@@ -61,8 +60,6 @@ pub struct PipelineOptions {
     pub cluster: ClusterConfig,
     /// Cost model.
     pub cost: CostModel,
-    /// Failure injection (applies to both jobs).
-    pub failure: FailureConfig,
     /// Speculative execution.
     pub speculation: SpeculationConfig,
     /// Host execution threads (`0` = all cores).
@@ -448,7 +445,6 @@ pub fn run_two_job_pipeline(
     spec1.owned_merge = owned_merge.clone();
     spec1.spill = spill.clone();
     spec1.cost = opts.cost.clone();
-    spec1.failure = opts.failure.clone();
     spec1.speculation = opts.speculation.clone();
     spec1.threads = opts.threads;
     spec1.locality = opts.locality.clone();
@@ -591,7 +587,7 @@ pub fn run_two_job_pipeline(
 
     let input_splits = job1_input.chunks(BLOCK_ROWS);
     let job1: JobResult<u64, (u64, PointBlock)> =
-        run_job(&spec1, &input_splits, &mapper1, None, &reducer1);
+        run_job(&spec1, &input_splits, &mapper1, &reducer1);
     let metrics1 = job1.metrics.clone();
 
     // The per-task counter sums to the exact map-side drop count (counters
@@ -629,22 +625,13 @@ pub fn run_two_job_pipeline(
         })
         .collect();
 
-    // ---- Optional hierarchical pre-merge rounds ----
-    // Candidates are hash-spread over `fan_in` reducers, each computing the
-    // skyline of its share; rounds repeat until one reducer's share is small
-    // enough. Lossless: a global skyline point survives any subset's local
-    // skyline, and every point pruned in a round is globally dominated.
-    let mut premerge_metrics: Option<JobMetrics> = None;
-    // Chain edges record which job feeds the next one; premerge rounds
-    // splice themselves into the middle of the chain.
-    let mut chain_prev_job = format!("{}-partition", opts.name);
     // Candidate order: by service id, i.e. the registry's original (random)
     // order — what a real shuffle's map-completion order would roughly
     // carry. The merge kernel presorts by L1 norm internally, so candidate
     // order no longer changes merge cost; the id sort keeps the record and
     // byte accounting deterministic.
     let mut streaming_candidates = 0u64;
-    let mut merge_block = if let Some(sm) = &streaming {
+    let merge_block = if let Some(sm) = &streaming {
         // Job 2's input is the streaming merge's running skyline: the merge
         // work already happened inside Job 1's reduce wave, so Job 2 is the
         // (cheap) finalization pass the two-job contract still requires.
@@ -660,89 +647,6 @@ pub fn run_two_job_pipeline(
         b.sort_by_id();
         b
     };
-    // Hierarchical pre-merge is pointless after a streaming merge — the
-    // candidate set is already a skyline — so streaming wins the conflict.
-    if let (None, Some(fan_in)) = (&streaming, opts.config.merge_fan_in) {
-        assert!(fan_in >= 2, "hierarchical merge needs fan-in >= 2");
-        let mut round = 0u32;
-        while merge_block.len() > fan_in * 64 && round < 8 {
-            round += 1;
-            let reducers = merge_block
-                .len()
-                .div_ceil(fan_in * 64)
-                .min(opts.cluster.reduce_slots().max(1));
-            if reducers <= 1 {
-                break;
-            }
-            let mut spec_pm: JobSpec<u64, PointBlock> = JobSpec::new(
-                format!("{}-premerge{round}", opts.name),
-                opts.cluster.clone(),
-            )
-            .with_reducers(reducers)
-            .with_map_tasks(point_splits(merge_block.len()));
-            spec_pm.owned_merge = owned_merge.clone();
-            spec_pm.spill = spill.clone();
-            spec_pm.cost = opts.cost.clone();
-            spec_pm.failure = opts.failure.clone();
-            spec_pm.speculation = opts.speculation.clone();
-            spec_pm.threads = opts.threads;
-            spec_pm.locality = opts.locality.clone();
-            spec_pm.sizer = Some(sizer.clone());
-            spec_pm.tracer = opts.tracer.clone();
-            spec_pm.chaos = opts.chaos.clone();
-            let r = reducers as u64;
-            let mapper_pm =
-                move |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
-                    ctx.add_records_in(b.len().saturating_sub(1) as u64);
-                    let mut shards: Vec<PointBlock> = vec![PointBlock::new(b.dim()); reducers];
-                    for i in 0..b.len() {
-                        let shard = usize::try_from(b.id(i) % r).unwrap_or(0);
-                        shards[shard].push_row_from(b, i);
-                    }
-                    for (sid, shard) in shards.into_iter().enumerate() {
-                        if !shard.is_empty() {
-                            out.emit(sid as u64, shard);
-                        }
-                    }
-                };
-            let tracer_pm = opts.tracer.clone();
-            let reducer_pm = move |key: &u64,
-                                   values: Vec<PointBlock>,
-                                   ctx: &mut TaskContext,
-                                   out: &mut Vec<PointBlock>| {
-                let _ = key;
-                let points: u64 = values.iter().map(|b| b.len() as u64).sum();
-                ctx.add_records_in(points.saturating_sub(values.len() as u64));
-                let started_us = tracer_pm.now_us();
-                let outcome = run_merge_kernel(&concat_owned(dim, values));
-                let elapsed_us = tracer_pm.now_us().saturating_sub(started_us);
-                ctx.add_work(outcome.work);
-                outcome.trace(&tracer_pm, points, elapsed_us);
-                out.push(outcome.sky);
-            };
-            let splits = merge_block.chunks(BLOCK_ROWS);
-            let job: JobResult<u64, PointBlock> =
-                run_job(&spec_pm, &splits, &mapper_pm, None, &reducer_pm);
-            let this_job = format!("{}-premerge{round}", opts.name);
-            opts.tracer.emit(|| EventKind::CausalEdge {
-                edge: "chain".into(),
-                src: format!("job:{chain_prev_job}"),
-                dst: format!("job:{this_job}"),
-            });
-            chain_prev_job = this_job;
-            premerge_metrics = Some(match premerge_metrics.take() {
-                None => job.metrics.clone(),
-                Some(m) => m.chain(&job.metrics),
-            });
-            let before = merge_block.len();
-            merge_block = concat_blocks(dim, &job.into_outputs());
-            merge_block.sort_by_id();
-            if merge_block.len() == before {
-                break; // no progress: everything is mutually non-dominated
-            }
-        }
-    }
-
     // ---- Job 2: merge ----
     let mut spec2: JobSpec<u64, PointBlock> =
         JobSpec::new(format!("{}-merge", opts.name), opts.cluster.clone())
@@ -751,7 +655,6 @@ pub fn run_two_job_pipeline(
     spec2.owned_merge = owned_merge;
     spec2.spill = spill;
     spec2.cost = opts.cost.clone();
-    spec2.failure = opts.failure.clone();
     spec2.speculation = opts.speculation.clone();
     spec2.threads = opts.threads;
     spec2.locality = opts.locality.clone();
@@ -762,14 +665,6 @@ pub fn run_two_job_pipeline(
     let mapper2 = |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
         ctx.add_records_in(b.len().saturating_sub(1) as u64);
         out.emit(0u64, b.clone());
-    };
-    // Optional map-side pre-merge: each merge-map task reduces its slice of
-    // candidates to a local skyline before the single reducer sees them —
-    // the standard combiner trick the paper's Algorithm 1 does not use.
-    let combiner2 = move |_key: &u64, values: Vec<PointBlock>, ctx: &mut TaskContext| {
-        let outcome = run_merge_kernel(&concat_owned(dim, values));
-        ctx.add_work(outcome.work);
-        vec![outcome.sky]
     };
     let tracer2 = opts.tracer.clone();
     let reducer2 = move |_key: &u64,
@@ -787,21 +682,11 @@ pub fn run_two_job_pipeline(
     };
 
     let merge_splits = merge_block.chunks(BLOCK_ROWS);
-    let job2: JobResult<u64, PointBlock> = run_job(
-        &spec2,
-        &merge_splits,
-        &mapper2,
-        if opts.config.merge_combiner {
-            Some(&combiner2 as &dyn Combiner<u64, PointBlock>)
-        } else {
-            None
-        },
-        &reducer2,
-    );
+    let job2: JobResult<u64, PointBlock> = run_job(&spec2, &merge_splits, &mapper2, &reducer2);
     let metrics2 = job2.metrics.clone();
     opts.tracer.emit(|| EventKind::CausalEdge {
         edge: "chain".into(),
-        src: format!("job:{chain_prev_job}"),
+        src: format!("job:{}-partition", opts.name),
         dst: format!("job:{}-merge", opts.name),
     });
     let mut global_block = concat_blocks(dim, &job2.into_outputs());
@@ -832,10 +717,7 @@ pub fn run_two_job_pipeline(
         }
         metrics1.chain_overlapped(&metrics2, overlap)
     } else {
-        match premerge_metrics {
-            Some(pm) => metrics1.chain(&pm).chain(&metrics2),
-            None => metrics1.chain(&metrics2),
-        }
+        metrics1.chain(&metrics2)
     };
     PipelineOutput {
         local_skylines,
@@ -862,7 +744,6 @@ mod tests {
             name: name.into(),
             cluster: ClusterConfig::new(servers),
             cost: CostModel::default(),
-            failure: FailureConfig::none(),
             speculation: SpeculationConfig::default(),
             threads: 0,
             config: AlgoConfig::default(),
@@ -990,75 +871,6 @@ mod tests {
             sky_ids(&unbounded.global_skyline),
             sky_ids(&windowed.global_skyline)
         );
-    }
-
-    #[test]
-    fn failure_injection_preserves_result() {
-        let data = generate_qws(&QwsConfig::new(300, 3));
-        let clean = run(Algorithm::MrAngle, &data, 4);
-        let part =
-            build_partitioner(Algorithm::MrAngle, &AlgoConfig::default(), &data, 4).expect("fit");
-        let mut opts = options("MR-Angle-flaky", 4);
-        opts.failure = FailureConfig::with_rate(300, 5);
-        let flaky = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&clean.global_skyline),
-            sky_ids(&flaky.global_skyline)
-        );
-        assert!(
-            flaky.metrics.map.attempts + flaky.metrics.reduce.attempts
-                > clean.metrics.map.attempts + clean.metrics.reduce.attempts
-        );
-    }
-
-    #[test]
-    fn merge_combiner_preserves_result_and_cuts_reducer_input() {
-        let data = generate_qws(&QwsConfig::new(4000, 6));
-        let plain = run(Algorithm::MrAngle, &data, 8);
-        let cfg = AlgoConfig {
-            merge_combiner: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 8).expect("fit");
-        let mut opts = options("MR-Angle-combine", 8);
-        opts.config = cfg;
-        let combined = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&plain.global_skyline),
-            sky_ids(&combined.global_skyline)
-        );
-        // the final reducer now receives at most as many records
-        assert!(
-            combined.metrics.reduce.records_in <= plain.metrics.reduce.records_in,
-            "combiner must not inflate reducer input"
-        );
-    }
-
-    #[test]
-    fn hierarchical_merge_preserves_result() {
-        let data = generate_qws(&QwsConfig::new(6000, 8));
-        let plain = run(Algorithm::MrAngle, &data, 8);
-        let cfg = AlgoConfig {
-            merge_fan_in: Some(4),
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 8).expect("fit");
-        let mut opts = options("MR-Angle-tree", 8);
-        opts.config = cfg;
-        let tree = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&plain.global_skyline),
-            sky_ids(&tree.global_skyline)
-        );
-        // the final single reducer sees at most as much as without pre-merge
-        let final_in = |out: &PipelineOutput| {
-            *out.metrics
-                .reduce
-                .task_durations
-                .last()
-                .expect("merge task exists")
-        };
-        assert!(final_in(&tree) <= final_in(&plain) + 1e-9);
     }
 
     #[test]

@@ -48,10 +48,8 @@ impl std::fmt::Display for Algorithm {
 pub struct AlgoConfig {
     /// Partition-count policy: `partitions = partitions_per_node × servers`
     /// (the paper: "the number of partitions is set as (2 × number of
-    /// nodes)"). Overridden by `partitions_override`.
+    /// nodes)").
     pub partitions_per_node: usize,
-    /// Explicit partition count, if set.
-    pub partitions_override: Option<usize>,
     /// BNL window bound; `None` = unbounded (fits the 1 GB-heap model for
     /// the paper's dataset sizes).
     pub bnl_window: Option<usize>,
@@ -80,18 +78,6 @@ pub struct AlgoConfig {
     /// ablation: balanced baselines fix stragglers but still ship globally
     /// dominated candidates.
     pub baseline_quantile: bool,
-    /// Hierarchical merge: when set, local-skyline candidates are first
-    /// pre-merged by `fan_in`-way partial-merge jobs (parallel reducers)
-    /// until at most `fan_in × threshold` candidates remain, and only then
-    /// by the single-reducer merge of Algorithm 1. Attacks the serial-merge
-    /// bottleneck the Figure-6 analysis exposes; not in the paper.
-    pub merge_fan_in: Option<usize>,
-    /// Run a map-side combiner in the merging job (each merge-map task
-    /// pre-merges its slice of candidates before the single reducer). Not in
-    /// the paper's Algorithm 1 — default `false` — but a strict improvement
-    /// that parallelises the serial merge bottleneck; the ablation bench
-    /// quantifies it.
-    pub merge_combiner: bool,
     /// Filter-point broadcast: select this many strong candidates (the
     /// per-dimension minima plus smallest-L1 fillers) before the partitioning
     /// job, broadcast them to every map task, and drop any row one of them
@@ -133,15 +119,12 @@ impl Default for AlgoConfig {
     fn default() -> Self {
         Self {
             partitions_per_node: 2,
-            partitions_override: None,
             bnl_window: None,
             kernel: Some(BlockKernel::Bnl),
             grid_pruning: true,
             grid_dims: 2,
             angle_quantile: true,
             baseline_quantile: false,
-            merge_fan_in: None,
-            merge_combiner: false,
             filter_k: None,
             sector_prune: true,
             streaming_merge: false,
@@ -155,9 +138,7 @@ impl Default for AlgoConfig {
 impl AlgoConfig {
     /// Partition count for a cluster of `servers`.
     pub fn partitions_for(&self, servers: usize) -> usize {
-        self.partitions_override
-            .unwrap_or(self.partitions_per_node * servers)
-            .max(1)
+        (self.partitions_per_node * servers).max(1)
     }
 
     /// Resolved filter-point count for a `d`-dimensional dataset: the
@@ -223,19 +204,5 @@ mod tests {
         assert!(cfg.owned_shuffle, "owned shuffle defaults on");
         assert_eq!(cfg.spill_budget_bytes, None, "spilling defaults off");
         assert_eq!(cfg.spill_dir, None);
-    }
-
-    #[test]
-    fn partition_override_wins() {
-        let cfg = AlgoConfig {
-            partitions_override: Some(5),
-            ..AlgoConfig::default()
-        };
-        assert_eq!(cfg.partitions_for(8), 5);
-        let zero = AlgoConfig {
-            partitions_override: Some(0),
-            ..AlgoConfig::default()
-        };
-        assert_eq!(zero.partitions_for(8), 1, "clamped to at least 1");
     }
 }

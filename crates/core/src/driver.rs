@@ -9,7 +9,6 @@ use crate::report::SkylineRunReport;
 use mini_mapreduce::cost::CostModel;
 use mini_mapreduce::runtime::{ClusterConfig, LocalityConfig};
 use mini_mapreduce::scheduler::SpeculationConfig;
-use mini_mapreduce::task::FailureConfig;
 use mrsky_audit::plan::{audit_plan, PlanSpec};
 use mrsky_audit::AuditReport;
 use mrsky_chaos::{FaultPlan, KillSwitch};
@@ -31,8 +30,6 @@ pub struct SkylineJob {
     pub config: AlgoConfig,
     /// Cost model (leave default for paper-comparable timings).
     pub cost: CostModel,
-    /// Failure injection.
-    pub failure: FailureConfig,
     /// Speculative execution.
     pub speculation: SpeculationConfig,
     /// Data-locality model (HDFS block placement) for map scheduling.
@@ -72,7 +69,6 @@ impl SkylineJob {
             cluster: ClusterConfig::new(servers),
             config: AlgoConfig::default(),
             cost: CostModel::default(),
-            failure: FailureConfig::none(),
             speculation: SpeculationConfig::default(),
             locality: LocalityConfig::default(),
             threads: 0,
@@ -90,12 +86,6 @@ impl SkylineJob {
         self
     }
 
-    /// Builder: injects task failures.
-    pub fn with_failures(mut self, failure: FailureConfig) -> Self {
-        self.failure = failure;
-        self
-    }
-
     /// Builder: runs even when the plan audit reports errors.
     pub fn with_force(mut self, force: bool) -> Self {
         self.force = force;
@@ -110,9 +100,8 @@ impl SkylineJob {
         self
     }
 
-    /// Builder: arms a seeded fault-injection plan. Unlike
-    /// [`SkylineJob::with_failures`] (which *prices* simulated failures),
-    /// chaos faults make real code paths panic, error, and re-execute.
+    /// Builder: arms a seeded fault-injection plan. Chaos faults make real
+    /// code paths panic, error, and re-execute.
     pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = plan;
         self
@@ -302,7 +291,6 @@ impl SkylineJob {
             name: self.algorithm.name().to_string(),
             cluster: self.cluster.clone(),
             cost: self.cost.clone(),
-            failure: self.failure.clone(),
             speculation: self.speculation.clone(),
             threads: self.threads,
             config: self.config.clone(),

@@ -12,7 +12,7 @@
 //! comparisons each stage performs, and how many bytes cross the shuffle.
 //! This runtime therefore does two things at once:
 //!
-//! 1. **Really executes** user map/combine/reduce code in parallel on a
+//! 1. **Really executes** user map/reduce code in parallel on a
 //!    work-stealing pool of `std` scoped threads ([`pool`]), producing real
 //!    outputs; and
 //! 2. **Accounts simulated time** for every task from instrumented counters
@@ -27,17 +27,16 @@
 //!
 //! ## Programming model
 //!
-//! The classic triple, plus the paper's "middle process":
+//! The classic pair; the paper's *local skyline computation* runs inside
+//! the partitioning job's reducer:
 //!
 //! * [`Mapper`](mapper::Mapper) — `record → (key, value)*`
-//! * [`Combiner`](mapper::Combiner) — per-map-task, per-key aggregation (how
-//!   the paper's *local skyline computation* step slots between Map and
-//!   Reduce when run map-side)
 //! * [`Reducer`](reducer::Reducer) — `(key, values) → output*`
 //!
 //! Jobs are described by a [`JobSpec`](runtime::JobSpec) and executed with
-//! [`run_job`](runtime::run_job); [`run_job_chain`](runtime::run_job_chain)
-//! feeds one job's output into the next and chains their metrics.
+//! [`run_job`](runtime::run_job); a caller chains two jobs by feeding the
+//! first job's outputs to the second and joining their metrics with
+//! [`JobMetrics::chain`](metrics::JobMetrics::chain).
 //!
 //! ```
 //! use mini_mapreduce::prelude::*;
@@ -58,7 +57,7 @@
 //!                out: &mut Vec<(String, u64)>| {
 //!     out.push((word.clone(), counts.iter().sum()));
 //! };
-//! let result = run_job(&spec, &docs, &mapper, None, &reducer);
+//! let result = run_job(&spec, &docs, &mapper, &reducer);
 //! let totals: std::collections::HashMap<String, u64> =
 //!     result.into_outputs().into_iter().collect();
 //! assert_eq!(totals["the"], 3);
@@ -67,10 +66,12 @@
 //!
 //! ## Fault tolerance
 //!
-//! Deterministic failure injection ([`task::FailureConfig`]) re-runs failed
-//! attempts up to a retry budget (charging simulated time for the wasted
-//! attempts), and the scheduler models Hadoop-style speculative execution of
-//! straggler tasks.
+//! A seeded chaos [`FaultPlan`](mrsky_chaos::FaultPlan) on
+//! [`JobSpec::chaos`](runtime::JobSpec::chaos) is the one fault injector:
+//! map attempts genuinely re-run on injected DFS-read or map-task faults and
+//! reduce tasks re-fetch dropped shuffle segments, each charged to the
+//! simulated clock. The scheduler models Hadoop-style speculative execution
+//! of straggler tasks.
 
 #![warn(missing_docs)]
 
@@ -83,13 +84,12 @@ pub mod reducer;
 pub mod runtime;
 pub mod scheduler;
 pub mod shuffle;
-pub mod task;
 pub mod timeline;
 pub mod types;
 
 pub use cost::CostModel;
 pub use dfs::{BlockStore, SpillReader, SpillStore};
-pub use mapper::{Combiner, Mapper};
+pub use mapper::Mapper;
 pub use metrics::{JobMetrics, PeakMemBytes, PhaseMetrics};
 pub use reducer::Reducer;
 pub use runtime::{run_job, ClusterConfig, JobResult, JobSpec, LocalityConfig, SpillConfig};
@@ -97,17 +97,15 @@ pub use scheduler::{
     schedule_phase, schedule_phase_with_locality, PhaseSchedule, SpeculationConfig,
 };
 pub use shuffle::OwnedMergeFn;
-pub use task::FailureConfig;
 pub use timeline::render_timeline;
 pub use types::{Emitter, TaskContext};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::cost::CostModel;
-    pub use crate::mapper::{Combiner, Mapper};
+    pub use crate::mapper::Mapper;
     pub use crate::metrics::{JobMetrics, PhaseMetrics};
     pub use crate::reducer::Reducer;
     pub use crate::runtime::{run_job, ClusterConfig, JobResult, JobSpec, LocalityConfig};
-    pub use crate::task::FailureConfig;
     pub use crate::types::{Emitter, TaskContext};
 }

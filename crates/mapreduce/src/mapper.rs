@@ -1,4 +1,4 @@
-//! The `Mapper` and `Combiner` user-code traits.
+//! The `Mapper` user-code trait.
 
 use crate::types::{DataT, Emitter, KeyT, TaskContext};
 
@@ -24,29 +24,6 @@ where
     }
 }
 
-/// Optional map-side aggregation, run once per `(map task, key)` group after
-/// the task's records are mapped — Hadoop's combiner, and the natural slot
-/// for the paper's *local skyline computation* middle process when it is
-/// executed map-side rather than as a first reduce job.
-///
-/// Must be *idempotent in effect*: `combine(combine(vs)) == combine(vs)` up
-/// to order, because the reducer will see the union of combiner outputs from
-/// many map tasks and may apply the same aggregation again.
-pub trait Combiner<K: KeyT, V: DataT>: Send + Sync {
-    /// Reduces the values of one key group within one map task.
-    fn combine(&self, key: &K, values: Vec<V>, ctx: &mut TaskContext) -> Vec<V>;
-}
-
-/// Blanket impl so plain closures can serve as combiners.
-impl<K: KeyT, V: DataT, F> Combiner<K, V> for F
-where
-    F: Fn(&K, Vec<V>, &mut TaskContext) -> Vec<V> + Send + Sync,
-{
-    fn combine(&self, key: &K, values: Vec<V>, ctx: &mut TaskContext) -> Vec<V> {
-        self(key, values, ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,14 +40,5 @@ mod tests {
         let (pairs, _) = em.into_parts();
         assert_eq!(pairs, vec![(1, 7)]);
         assert_eq!(ctx.work_units(), 1);
-    }
-
-    #[test]
-    fn closure_is_a_combiner() {
-        let combiner =
-            |_k: &u32, vs: Vec<u32>, _ctx: &mut TaskContext| vec![vs.iter().sum::<u32>()];
-        let mut ctx = TaskContext::new(0, 0);
-        let out = Combiner::combine(&combiner, &0, vec![1, 2, 3], &mut ctx);
-        assert_eq!(out, vec![6]);
     }
 }

@@ -33,7 +33,7 @@ pub type KvSizer<K, V> = Arc<dyn Fn(&K, &V) -> usize + Send + Sync>;
 pub struct TaskContext {
     /// Index of this task within its phase.
     pub task_index: usize,
-    /// Attempt number (0 = first attempt; >0 after injected failures).
+    /// Attempt number (0 = first attempt; >0 after injected chaos faults).
     pub attempt: u32,
     records_in: u64,
     records_out: u64,
@@ -167,15 +167,6 @@ impl<K: KeyT, V: DataT> Emitter<K, V> {
     pub fn into_parts(self) -> (Vec<(K, V)>, u64) {
         (self.pairs, self.bytes)
     }
-
-    /// Recomputes the byte counter after a combiner rewrote the pairs.
-    pub(crate) fn from_pairs(pairs: Vec<(K, V)>, sizer: Option<KvSizer<K, V>>) -> Self {
-        let mut e = Self::new(sizer);
-        for (k, v) in pairs {
-            e.emit(k, v);
-        }
-        e
-    }
 }
 
 #[cfg(test)]
@@ -228,11 +219,5 @@ mod tests {
         e.emit(1, "hello".to_string());
         assert_eq!(e.bytes(), 9);
         assert!(!e.is_empty());
-    }
-
-    #[test]
-    fn from_pairs_recounts_bytes() {
-        let e: Emitter<u64, u64> = Emitter::from_pairs(vec![(1, 1), (2, 2)], None);
-        assert_eq!(e.bytes(), 32);
     }
 }

@@ -4,7 +4,8 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use skyline_algos::partition::Bounds;
 use skyline_algos::point::Point;
-use std::io::{BufRead, BufWriter, Write};
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// A named collection of points with cached bounds.
@@ -92,12 +93,18 @@ impl Dataset {
     ///
     /// Input the pipeline cannot run on is an [`std::io::ErrorKind::InvalidData`]
     /// error, never a panic: a malformed or non-finite field, a row whose
-    /// width differs from the first row's, an empty file, and a column whose
-    /// span `max - min` overflows f64 (every partitioner scales by it).
+    /// width differs from the first row's, a repeated id, an empty file, and
+    /// a column whose span `max - min` overflows f64 (every partitioner
+    /// scales by it).
     pub fn load_csv(name: impl Into<String>, path: &Path) -> std::io::Result<Self> {
         let f = std::fs::File::open(path)?;
         let mut points: Vec<Point> = Vec::new();
-        for (lineno, line) in std::io::BufReader::new(f).lines().enumerate() {
+        // Ids must be unique: the skyline validator matches rows by id, so a
+        // repeated id could hide a dropped row. Ascending ids (every
+        // `save_csv` file) cost one comparison per row; the first
+        // non-increasing id switches to a set of every id seen.
+        let mut seen: Option<HashSet<u64>> = None;
+        for (lineno, line) in BufReader::new(f).lines().enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
@@ -107,6 +114,19 @@ impl Dataset {
                 .next()
                 .and_then(|s| s.trim().parse().ok())
                 .ok_or_else(|| bad_line(lineno))?;
+            let fresh = match &mut seen {
+                Some(ids) => ids.insert(id),
+                None if points.last().is_none_or(|p| p.id() < id) => true,
+                None => {
+                    let mut ids: HashSet<u64> = points.iter().map(Point::id).collect();
+                    let fresh = ids.insert(id);
+                    seen = Some(ids);
+                    fresh
+                }
+            };
+            if !fresh {
+                return Err(duplicate_id(path, id, lineno));
+            }
             let coords: Result<Vec<f64>, _> = fields.map(|s| s.trim().parse::<f64>()).collect();
             let coords = coords.map_err(|_| bad_line(lineno))?;
             if let Some(first) = points.first() {
@@ -148,6 +168,25 @@ fn invalid_data(msg: String) -> std::io::Error {
 
 fn bad_line(lineno: usize) -> std::io::Error {
     invalid_data(format!("malformed CSV line {}", lineno + 1))
+}
+
+/// The error for `id` repeated on 0-based line `lineno`. Only this error
+/// path re-reads the file, to name the line of the id's first occurrence.
+fn duplicate_id(path: &Path, id: u64, lineno: usize) -> std::io::Error {
+    let first = std::fs::File::open(path).ok().and_then(|f| {
+        BufReader::new(f)
+            .lines()
+            .map_while(Result::ok)
+            .position(|l| l.split(',').next().and_then(|s| s.trim().parse().ok()) == Some(id))
+    });
+    invalid_data(match first {
+        Some(first) => format!(
+            "duplicate id {id} on CSV lines {} and {}",
+            first + 1,
+            lineno + 1
+        ),
+        None => format!("duplicate id {id} on CSV line {}", lineno + 1),
+    })
 }
 
 /// One event in a registry churn stream.
@@ -293,6 +332,29 @@ mod tests {
         let err = load_text("ragged.csv", "0,1,2\n1,2\n").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("ragged CSV line 2"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_duplicate_ids() {
+        let err = load_text("dup.csv", "0,1,2\n7,2,1\n7,3,0\n").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("duplicate id 7 on CSV lines 2 and 3"),
+            "{err}"
+        );
+        // after the first non-increasing id the set check still catches
+        // a repeat of an id from the ascending prefix, blank lines counted
+        let err = load_text("dup-late.csv", "3,1,1\n5,2,2\n\n4,0,9\n3,9,0\n").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate id 3 on CSV lines 1 and 5"),
+            "{err}"
+        );
+        // unique ids in any order load as written
+        let ok = load_text("shuffled.csv", "5,1,1\n3,2,2\n9,0,3\n").unwrap();
+        let ids: Vec<u64> = ok.points().iter().map(Point::id).collect();
+        assert_eq!(ids, vec![5, 3, 9]);
     }
 
     #[test]

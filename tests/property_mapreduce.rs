@@ -1,8 +1,8 @@
 //! Property-based tests: the MapReduce pipelines compute the true skyline
 //! for *arbitrary* inputs, regardless of algorithm, window, kernel, cluster
-//! size, or injected failures.
+//! size, or injected chaos faults.
 
-use mini_mapreduce::task::FailureConfig;
+use mr_skyline_suite::chaos::FaultPlan;
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::mr::SkylineJob;
 use mr_skyline_suite::qws::Dataset;
@@ -72,12 +72,11 @@ proptest! {
     #[test]
     fn failure_injection_never_changes_the_answer(
         data in arb_dataset(),
-        rate in 0u32..600,
+        profile in 0u8..2,
         seed in 0u64..1000,
     ) {
-        let mut job = SkylineJob::new(Algorithm::MrGrid, 3);
-        job.failure = FailureConfig::with_rate(rate, seed);
-        let flaky = job.run(&data);
+        let plan = if profile == 0 { FaultPlan::light(seed) } else { FaultPlan::heavy(seed) };
+        let flaky = SkylineJob::new(Algorithm::MrGrid, 3).with_chaos(plan).run(&data);
         prop_assert_eq!(sky_ids(&flaky), naive_skyline_ids(data.points()));
     }
 

@@ -7,13 +7,20 @@
 //! broadcast filter + witness pruning on (the defaults) and off, and
 //! compares end-to-end wall time, shuffled rows, and shuffle bytes.
 //!
+//! A second group times filter-point *selection* alone on 500k QWS-like
+//! rows at d=6 (the `qws-500k-d6` workload's shape), the map-side step that
+//! runs before Job 1 on every query.
+//!
 //! Outside `--test` smoke runs the guard *asserts* that filtering cuts the
 //! d=4 shuffle-candidate count by at least 2× and writes the numbers to
 //! `BENCH_filter.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mr_skyline::{AlgoConfig, Algorithm, SkylineJob, SkylineRunReport};
-use qws_data::{generate_synthetic, Dataset, Distribution, SyntheticConfig};
+use qws_data::{
+    generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
+};
+use skyline_algos::filter::select_filter_points;
 use std::time::Instant;
 
 const N: usize = 100_000;
@@ -77,6 +84,19 @@ fn bench_filter(c: &mut Criterion) {
         });
         group.finish();
     }
+
+    let qws = generate_qws(&QwsConfig::new(5 * N, 6));
+    let k = AlgoConfig::default().filter_points_for(6);
+    let mut group = c.benchmark_group(format!("filter/select_qws_n{}_d6", 5 * N));
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::new("select_filter_points", k),
+        &qws,
+        |b, qws| {
+            b.iter(|| select_filter_points(qws.block(), k).len());
+        },
+    );
+    group.finish();
 
     if std::env::args().any(|a| a == "--test") {
         return;

@@ -14,11 +14,16 @@
 //!
 //! Both must agree on the row count; the chunked path holds at most one
 //! chunk of rows resident.
+//!
+//! A second group measures `Dataset::load_csv` on a generic
+//! `id,coord0,…` file written by `save_csv` (QWS-like rows, d = 6): the
+//! loader every batch query of `mrsky` starts with, which parses straight
+//! into the dataset's columnar block.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsky_trace::Tracer;
 use qws_data::ingest::IngestOptions;
-use qws_data::{load_qws_file, load_qws_file_chunked};
+use qws_data::{generate_qws, load_qws_file, load_qws_file_chunked, Dataset, QwsConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -100,6 +105,23 @@ fn bench_ingest(c: &mut Criterion) {
             .expect("load");
             rows
         });
+    });
+    group.finish();
+
+    // The generic CSV loader, on the same row count.
+    let csv = path.with_file_name(format!("generic_{ROWS}.csv"));
+    let data = generate_qws(&QwsConfig::new(ROWS, 6));
+    data.save_csv(&csv).expect("write generic CSV");
+    let loaded = Dataset::load_csv("bench", &csv).expect("generic load");
+    assert_eq!(
+        loaded.block(),
+        data.block(),
+        "load_csv must round-trip save_csv"
+    );
+    let mut group = c.benchmark_group(format!("ingest/generic_n{ROWS}_d6"));
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("load_csv", ROWS), &csv, |b, csv| {
+        b.iter(|| Dataset::load_csv("bench", csv).expect("load").len());
     });
     group.finish();
 

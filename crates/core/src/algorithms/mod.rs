@@ -67,10 +67,14 @@ pub fn build_partitioner(
 
 /// Deterministic stride sample of up to ~10k points for quantile fitting —
 /// the Hadoop analogue is a sampling pre-pass like `TotalOrderPartitioner`'s.
+/// Reads the block, so a query never builds the dataset's AoS view.
 fn stride_sample(dataset: &Dataset) -> Vec<skyline_algos::point::Point> {
-    let pts = dataset.points();
-    let stride = (pts.len() / 10_000).max(1);
-    pts.iter().step_by(stride).cloned().collect()
+    let block = dataset.block();
+    let stride = (block.len() / 10_000).max(1);
+    (0..block.len())
+        .step_by(stride)
+        .map(|i| block.point(i))
+        .collect()
 }
 
 /// Per-point Map-stage CPU work (in cost-model work units) of computing the
@@ -99,6 +103,7 @@ pub fn map_work_per_point(algorithm: Algorithm, dim: usize) -> u64 {
 mod tests {
     use super::*;
     use qws_data::{generate_qws, QwsConfig};
+    use skyline_algos::point::Point;
 
     fn data() -> Dataset {
         generate_qws(&QwsConfig::new(200, 3))
@@ -150,6 +155,37 @@ mod tests {
         // grid/angle may round up to a full lattice
         let g = build_partitioner(Algorithm::MrGrid, &cfg, &d, 8).unwrap();
         assert!(g.num_partitions() >= 16);
+    }
+
+    #[test]
+    fn stride_sample_rows_are_pinned() {
+        // Quantile fits read these rows, so moving the sample moves every
+        // fitted boundary. Ids are scrambled so the pin checks rows, not
+        // just a stride over `0..n`.
+        let base = generate_qws(&QwsConfig::new(25_003, 4).with_seed(3));
+        let points = base
+            .points()
+            .iter()
+            .map(|p| {
+                Point::new(
+                    p.id().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20,
+                    p.coords().to_vec(),
+                )
+            })
+            .collect();
+        let sample = stride_sample(&Dataset::new("scrambled", points));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in &sample {
+            for word in std::iter::once(p.id()).chain(p.coords().iter().map(|c| c.to_bits())) {
+                h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(sample.len(), 12_502);
+        assert_eq!(
+            sample.iter().take(3).map(Point::id).collect::<Vec<_>>(),
+            [0, 4_152_951_779_305, 8_305_903_558_610]
+        );
+        assert_eq!(h, 0x17ec_2826_acc3_92ee);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::AlgoConfig;
+use mini_mapreduce::pool;
 use mini_mapreduce::prelude::*;
 use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::scheduler::SpeculationConfig;
@@ -41,6 +42,7 @@ use skyline_algos::kernel::{presort_merge_stats, BnlConfig, KernelStats};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
 use skyline_algos::select::{select_for_block, BlockKernel};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -302,6 +304,56 @@ fn run_merge_kernel(block: &PointBlock) -> KernelOutcome {
     (sky, stats, "presort-merge").into()
 }
 
+/// Rows per partition-profile task. Fixed, so the ranges and the order
+/// they are folded in do not depend on the thread count.
+const PROFILE_ROWS: usize = 16_384;
+
+/// Per-partition row counts and observed coordinate minima (`None` for a
+/// partition no row reaches), computed over fixed row ranges of `block` on
+/// the pool and folded in range order.
+fn partition_profile(
+    partitioner: &dyn SpacePartitioner,
+    block: &PointBlock,
+    threads: usize,
+) -> (Vec<usize>, Vec<Option<Vec<f64>>>) {
+    let np = partitioner.num_partitions();
+    let d = block.dim();
+    let threads = if threads == 0 {
+        pool::default_threads()
+    } else {
+        threads
+    };
+    let ranges = pool::run_indexed(block.len().div_ceil(PROFILE_ROWS), threads, |r| {
+        let mut counts = vec![0usize; np];
+        let mut mins = vec![f64::INFINITY; np * d];
+        for i in r * PROFILE_ROWS..((r + 1) * PROFILE_ROWS).min(block.len()) {
+            let row = block.row(i);
+            let p = partitioner.partition_of_row(block.id(i), row);
+            counts[p] += 1;
+            for (m, &v) in mins[p * d..(p + 1) * d].iter_mut().zip(row) {
+                *m = m.min(v);
+            }
+        }
+        (counts, mins)
+    });
+    let mut counts = vec![0usize; np];
+    let mut mins = vec![f64::INFINITY; np * d];
+    for (range_counts, range_mins) in ranges {
+        for (c, rc) in counts.iter_mut().zip(range_counts) {
+            *c += rc;
+        }
+        for (m, rm) in mins.iter_mut().zip(range_mins) {
+            *m = m.min(rm);
+        }
+    }
+    let observed = counts
+        .iter()
+        .zip(mins.chunks_exact(d))
+        .map(|(&c, m)| (c > 0).then(|| m.to_vec()))
+        .collect();
+    (counts, observed)
+}
+
 /// Runs the two-job chain of `partitioner` over `dataset`.
 pub fn run_two_job_pipeline(
     partitioner: Arc<dyn SpacePartitioner>,
@@ -309,35 +361,17 @@ pub fn run_two_job_pipeline(
     opts: &PipelineOptions,
 ) -> PipelineOutput {
     let num_partitions = partitioner.num_partitions();
-    let dim = dataset.points().first().map_or(1, Point::dim);
+    // The dataset's own columnar rows; map splits are slices of them.
+    let input_block = dataset.block();
+    let dim = input_block.dim();
     let sizer: BlockSizer = Arc::new(|_k: &u64, b: &PointBlock| 8 + b.wire_size());
-
-    // One columnar copy of the dataset; map splits are slices of it.
-    let mut input_block = PointBlock::with_capacity(dim, dataset.len());
-    for p in dataset.points() {
-        input_block.push_point(p);
-    }
 
     // Partition profile: per-partition counts and per-partition observed
     // coordinate minima, computed up front (the Hadoop analogue is a
     // counter pass / sampling job published via the distributed cache) and
     // used for grid pruning, witness pruning, and load metrics.
     let (partition_counts, observed_min) = opts.tracer.span("pipeline.partition_profile", || {
-        let mut counts = vec![0usize; num_partitions];
-        let mut mins: Vec<Option<Vec<f64>>> = vec![None; num_partitions];
-        for (id, row) in input_block.iter() {
-            let p = partitioner.partition_of_row(id, row);
-            counts[p] += 1;
-            match &mut mins[p] {
-                Some(m) => {
-                    for (mi, &v) in m.iter_mut().zip(row) {
-                        *mi = mi.min(v);
-                    }
-                }
-                None => mins[p] = Some(row.to_vec()),
-            }
-        }
-        (counts, mins)
+        partition_profile(partitioner.as_ref(), input_block, opts.threads)
     });
 
     // Broadcast filter points (per-dimension minima + max-entropy fillers).
@@ -350,7 +384,9 @@ pub fn run_two_job_pipeline(
     } else {
         crate::config::auto_filter_points(dim)
     };
-    let filter_points: Arc<PointBlock> = Arc::new(select_filter_points(&input_block, witness_k));
+    let filter_points: Arc<PointBlock> = Arc::new(select_filter_points(input_block, witness_k));
+    let map_filter: Option<Arc<PointBlock>> =
+        (filter_k > 0 && !filter_points.is_empty()).then(|| Arc::clone(&filter_points));
 
     // Sector-witness pruning: a partition whose best possible corner (its
     // sector envelope tightened by observed minima) is dominated by a
@@ -402,17 +438,23 @@ pub fn run_two_job_pipeline(
         }
         _ => BTreeMap::new(),
     };
-    let job1_input = if restored.is_empty() {
-        input_block.clone()
+    // Rows of restored partitions skip Job 1, so the broadcast filter
+    // never meets them there; they are counted here instead, which keeps
+    // `rows_filtered` equal to a fresh run's whatever the kill point.
+    let mut restored_rows_filtered = 0u64;
+    let job1_input: Cow<'_, PointBlock> = if restored.is_empty() {
+        Cow::Borrowed(input_block)
     } else {
         let mut b = PointBlock::with_capacity(dim, input_block.len());
-        for i in 0..input_block.len() {
-            let pid = partitioner.partition_of_row(input_block.id(i), input_block.row(i)) as u64;
+        for (i, (id, row)) in input_block.iter().enumerate() {
+            let pid = partitioner.partition_of_row(id, row) as u64;
             if !restored.contains_key(&pid) {
-                b.push_row_from(&input_block, i);
+                b.push_row_from(input_block, i);
+            } else if map_filter.as_ref().is_some_and(|f| filtered_out(f, row)) {
+                restored_rows_filtered += 1;
             }
         }
-        b
+        Cow::Owned(b)
     };
 
     // ---- Streaming merge state ----
@@ -455,8 +497,6 @@ pub fn run_two_job_pipeline(
 
     let part = Arc::clone(&partitioner);
     let map_work = opts.map_work_per_point;
-    let map_filter: Option<Arc<PointBlock>> =
-        (filter_k > 0 && !filter_points.is_empty()).then(|| Arc::clone(&filter_points));
     let mapper1 =
         move |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
             // The runtime charges one record per block; top up so records
@@ -597,9 +637,10 @@ pub fn run_two_job_pipeline(
         .counters
         .get("rows_filtered")
         .copied()
-        .unwrap_or(0);
+        .unwrap_or(0)
+        + restored_rows_filtered;
     if rows_filtered > 0 {
-        let input = job1_input.len() as u64;
+        let input = input_block.len() as u64;
         opts.tracer.emit(|| EventKind::RowsFiltered {
             input,
             filtered: rows_filtered,
@@ -1263,6 +1304,64 @@ mod tests {
                 clean.global_skyline, chaotic.global_skyline,
                 "seed {seed}: chaos + owned shuffle + spill changed the skyline"
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partition_profile_does_not_depend_on_thread_count() {
+        // Enough rows for several profile ranges, so the fold order matters.
+        let data = generate_qws(&QwsConfig::new(3 * PROFILE_ROWS + 123, 4));
+        let part =
+            build_partitioner(Algorithm::MrAngle, &AlgoConfig::default(), &data, 4).expect("fit");
+        let block = data.block();
+        let mut counts = vec![0usize; part.num_partitions()];
+        let mut mins: Vec<Option<Vec<f64>>> = vec![None; part.num_partitions()];
+        for (id, row) in block.iter() {
+            let p = part.partition_of_row(id, row);
+            counts[p] += 1;
+            let m = mins[p].get_or_insert_with(|| row.to_vec());
+            for (mi, &v) in m.iter_mut().zip(row) {
+                *mi = mi.min(v);
+            }
+        }
+        for threads in [1, 2, 3, 8] {
+            let (c, m) = partition_profile(part.as_ref(), block, threads);
+            assert_eq!(c, counts, "{threads} threads");
+            assert_eq!(m, mins, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn resumed_run_reports_the_fresh_rows_filtered() {
+        let data = generate_qws(&QwsConfig::new(1500, 4));
+        let fresh = run(Algorithm::MrAngle, &data, 4);
+        assert!(fresh.rows_filtered > 0, "the filter must drop something");
+        let dir = std::env::temp_dir().join(format!("mrsky-pipe-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::open(&dir).unwrap());
+        // Restore every other finished partition, then all of them: the
+        // count must not depend on which partitions the resume skipped.
+        for step in [2, 1] {
+            store.clear().unwrap();
+            for (p, sky) in fresh.local_skylines.iter().step_by(step) {
+                store.write_partition(*p, sky).unwrap();
+            }
+            let part = build_partitioner(Algorithm::MrAngle, &AlgoConfig::default(), &data, 4)
+                .expect("fit");
+            let mut opts = options("MR-Angle", 4);
+            opts.map_work_per_point = map_work_per_point(Algorithm::MrAngle, data.dim());
+            opts.checkpoints = Some(Arc::clone(&store));
+            opts.resume = true;
+            opts.tracer = Tracer::in_memory();
+            let resumed = run_two_job_pipeline(part, &data, &opts);
+            assert_eq!(resumed.global_skyline, fresh.global_skyline);
+            assert_eq!(resumed.rows_filtered, fresh.rows_filtered, "step {step}");
+            let event = opts.tracer.drain().into_iter().find_map(|e| match e.kind {
+                EventKind::RowsFiltered { input, filtered } => Some((input, filtered)),
+                _ => None,
+            });
+            assert_eq!(event, Some((1500, fresh.rows_filtered)), "step {step}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

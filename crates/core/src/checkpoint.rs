@@ -63,11 +63,11 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
     for b in (dataset.dim() as u64).to_le_bytes() {
         fold(b);
     }
-    for p in dataset.points() {
-        for b in p.id().to_le_bytes() {
+    for (id, row) in dataset.block().iter() {
+        for b in id.to_le_bytes() {
             fold(b);
         }
-        for c in p.coords() {
+        for c in row {
             for b in c.to_bits().to_le_bytes() {
                 fold(b);
             }
@@ -360,6 +360,23 @@ mod tests {
         assert_ne!(dataset_fingerprint(&a), dataset_fingerprint(&c));
         let d = generate_qws(&QwsConfig::new(50, 3).with_seed(99));
         assert_ne!(dataset_fingerprint(&a), dataset_fingerprint(&d));
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_so_old_checkpoints_still_resume() {
+        // A manifest stores this hash; if it moved, every checkpoint
+        // directory written before the change would refuse to resume.
+        let qws = generate_qws(&QwsConfig::new(300, 5).with_seed(11));
+        let hostile = Dataset::new(
+            "hostile",
+            vec![
+                Point::new(9, vec![-0.0, 1.5, 0.0]),
+                Point::new(2, vec![0.0, -0.0, 1e300]),
+                Point::new(5, vec![3.0, 3.0, -2.5]),
+            ],
+        );
+        assert_eq!(dataset_fingerprint(&qws), 0xceff_4c6c_e567_0402);
+        assert_eq!(dataset_fingerprint(&hostile), 0x6e63_7df1_462e_9a40);
     }
 
     #[test]

@@ -2,19 +2,27 @@
 //! incremental-maintenance experiments.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use skyline_algos::block::PointBlock;
 use skyline_algos::partition::Bounds;
 use skyline_algos::point::Point;
+use skyline_algos::SkylineError;
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// A named collection of points with cached bounds.
+///
+/// The rows live in one columnar [`PointBlock`], the layout the pipeline
+/// maps over. [`Dataset::points`] is an AoS view for API callers (oracles,
+/// examples, tests), built on its first call and kept.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Human-readable provenance, e.g. `"qws(n=100000,d=10,seed=42)"`.
     pub name: String,
-    points: Vec<Point>,
+    block: PointBlock,
     bounds: Bounds,
+    points: OnceLock<Vec<Point>>,
 }
 
 impl Dataset {
@@ -24,33 +32,53 @@ impl Dataset {
     ///
     /// Panics if `points` is empty or mixes dimensionalities.
     pub fn new(name: impl Into<String>, points: Vec<Point>) -> Self {
-        let bounds = Bounds::from_points(&points).expect("dataset must be non-empty and uniform");
+        let mut block =
+            PointBlock::with_capacity(points.first().map_or(1, Point::dim), points.len());
+        for p in &points {
+            block.push_point(p);
+        }
+        Self::from_block(name, block)
+    }
+
+    /// Wraps a block into a dataset, computing bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is empty.
+    pub fn from_block(name: impl Into<String>, block: PointBlock) -> Self {
+        let bounds = Bounds::from_block(&block).expect("dataset must be non-empty");
         Self {
             name: name.into(),
-            points,
+            block,
             bounds,
+            points: OnceLock::new(),
         }
     }
 
-    /// The points.
+    /// The rows, columnar.
+    pub fn block(&self) -> &PointBlock {
+        &self.block
+    }
+
+    /// The rows as points, in block order. The first call copies the block.
     pub fn points(&self) -> &[Point] {
-        &self.points
+        self.points.get_or_init(|| self.block.to_points())
     }
 
     /// Number of services.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.block.len()
     }
 
     /// `true` if the dataset holds no points (unreachable by construction,
     /// present for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.block.is_empty()
     }
 
     /// Dimensionality.
     pub fn dim(&self) -> usize {
-        self.points[0].dim()
+        self.block.dim()
     }
 
     /// Cached bounding box.
@@ -61,11 +89,11 @@ impl Dataset {
     /// Projects every point onto its first `d` dimensions — the paper's
     /// dimensionality sweeps evaluate the *same* services at d ∈ {2,…,10}.
     pub fn project(&self, d: usize) -> Dataset {
-        let points: Vec<Point> = self.points.iter().map(|p| p.project(d)).collect();
         Dataset {
             name: format!("{}|d={d}", self.name),
+            block: self.block.project(d),
             bounds: self.bounds.project(d),
-            points,
+            points: OnceLock::new(),
         }
     }
 
@@ -73,16 +101,16 @@ impl Dataset {
     /// so a prefix is an unbiased subsample).
     pub fn take(&self, n: usize) -> Dataset {
         assert!(n >= 1 && n <= self.len(), "invalid subsample size {n}");
-        Dataset::new(format!("{}|n={n}", self.name), self.points[..n].to_vec())
+        Dataset::from_block(format!("{}|n={n}", self.name), self.block.slice(0, n))
     }
 
     /// Writes `id,coord0,coord1,…` rows.
     pub fn save_csv(&self, path: &Path) -> std::io::Result<()> {
         let mut w = BufWriter::new(std::fs::File::create(path)?);
-        for p in &self.points {
-            write!(w, "{}", p.id())?;
-            for i in 0..p.dim() {
-                write!(w, ",{}", p.coord(i))?;
+        for (id, row) in self.block.iter() {
+            write!(w, "{id}")?;
+            for v in row {
+                write!(w, ",{v}")?;
             }
             writeln!(w)?;
         }
@@ -96,16 +124,27 @@ impl Dataset {
     /// width differs from the first row's, a repeated id, an empty file, and
     /// a column whose span `max - min` overflows f64 (every partitioner
     /// scales by it).
+    ///
+    /// Rows are parsed straight into the dataset's block through one
+    /// reused line buffer and one reused row buffer, so a row costs no
+    /// allocation of its own.
     pub fn load_csv(name: impl Into<String>, path: &Path) -> std::io::Result<Self> {
-        let f = std::fs::File::open(path)?;
-        let mut points: Vec<Point> = Vec::new();
+        let mut reader = BufReader::new(std::fs::File::open(path)?);
+        let mut line = String::new();
+        let mut row: Vec<f64> = Vec::new();
+        // The block is created by the first row, which fixes the width.
+        let mut block: Option<PointBlock> = None;
         // Ids must be unique: the skyline validator matches rows by id, so a
         // repeated id could hide a dropped row. Ascending ids (every
         // `save_csv` file) cost one comparison per row; the first
         // non-increasing id switches to a set of every id seen.
         let mut seen: Option<HashSet<u64>> = None;
-        for (lineno, line) in BufReader::new(f).lines().enumerate() {
-            let line = line?;
+        for at in 0usize.. {
+            line.clear();
+            if reader.read_line(&mut line)? == 0 {
+                break;
+            }
+            // Every field is trimmed, so the line ending needs no stripping.
             if line.trim().is_empty() {
                 continue;
             }
@@ -113,40 +152,43 @@ impl Dataset {
             let id: u64 = fields
                 .next()
                 .and_then(|s| s.trim().parse().ok())
-                .ok_or_else(|| bad_line(lineno))?;
+                .ok_or_else(|| bad_line(at))?;
+            let ids = block.as_ref().map_or(&[][..], PointBlock::ids);
             let fresh = match &mut seen {
-                Some(ids) => ids.insert(id),
-                None if points.last().is_none_or(|p| p.id() < id) => true,
+                Some(set) => set.insert(id),
+                None if ids.last().is_none_or(|&last| last < id) => true,
                 None => {
-                    let mut ids: HashSet<u64> = points.iter().map(Point::id).collect();
-                    let fresh = ids.insert(id);
-                    seen = Some(ids);
+                    let mut set: HashSet<u64> = ids.iter().copied().collect();
+                    let fresh = set.insert(id);
+                    seen = Some(set);
                     fresh
                 }
             };
             if !fresh {
-                return Err(duplicate_id(path, id, lineno));
+                return Err(duplicate_id(path, id, at));
             }
-            let coords: Result<Vec<f64>, _> = fields.map(|s| s.trim().parse::<f64>()).collect();
-            let coords = coords.map_err(|_| bad_line(lineno))?;
-            if let Some(first) = points.first() {
-                if coords.len() != first.dim() {
-                    return Err(invalid_data(format!(
-                        "ragged CSV line {}: {} coordinates where the first row has {}",
-                        lineno + 1,
-                        coords.len(),
-                        first.dim()
-                    )));
-                }
+            row.clear();
+            for field in fields {
+                row.push(field.trim().parse::<f64>().map_err(|_| bad_line(at))?);
             }
-            points.push(Point::try_new(id, coords).map_err(|_| bad_line(lineno))?);
+            // An id-only first row is malformed; a later one is ragged.
+            if block.is_none() && row.is_empty() {
+                return Err(bad_line(at));
+            }
+            let b = block.get_or_insert_with(|| PointBlock::new(row.len()));
+            b.push(id, &row).map_err(|e| match e {
+                SkylineError::DimensionMismatch { expected, actual } => invalid_data(format!(
+                    "ragged CSV line {}: {actual} coordinates where the first row has {expected}",
+                    at + 1
+                )),
+                _ => bad_line(at),
+            })?;
         }
-        if points.is_empty() {
+        let Some(block) = block else {
             return Err(invalid_data("CSV contains no points".to_string()));
-        }
-        // The bounds `Dataset::new` computes, built once here so the span
-        // check costs no second pass over the rows.
-        let bounds = Bounds::from_points(&points).map_err(|e| invalid_data(e.to_string()))?;
+        };
+        let dataset = Self::from_block(name, block);
+        let bounds = dataset.bounds();
         if let Some(i) = (0..bounds.dim()).find(|&i| !bounds.width(i).is_finite()) {
             return Err(invalid_data(format!(
                 "CSV coordinate {i} spans [{:e}, {:e}], a width that overflows f64",
@@ -154,11 +196,7 @@ impl Dataset {
                 bounds.max(i)
             )));
         }
-        Ok(Self {
-            name: name.into(),
-            points,
-            bounds,
-        })
+        Ok(dataset)
     }
 }
 
@@ -365,6 +403,147 @@ mod tests {
         // huge magnitudes whose span stays finite are fine
         let ok = load_text("wide.csv", "0,1e300,-1e300\n1,-1e300,1e300\n").unwrap();
         assert_eq!(ok.bounds().width(0), 2e300);
+    }
+
+    /// A load result as text: the error string, or every row's id and
+    /// coordinates plus the bounds, in `{:?}` form (round-trip exact, and
+    /// it tells `-0.0` from `0.0`).
+    fn describe(loaded: &std::io::Result<Dataset>) -> String {
+        match loaded {
+            Err(e) => format!("err {:?}: {e}", e.kind()),
+            Ok(d) => {
+                let rows: Vec<String> = d
+                    .points()
+                    .iter()
+                    .map(|p| format!("{}:{:?}", p.id(), p.coords()))
+                    .collect();
+                let b = d.bounds();
+                let mins: Vec<f64> = (0..b.dim()).map(|i| b.min(i)).collect();
+                let maxs: Vec<f64> = (0..b.dim()).map(|i| b.max(i)).collect();
+                format!("ok {} min={mins:?} max={maxs:?}", rows.join(" "))
+            }
+        }
+    }
+
+    /// Hostile CSV inputs and the exact result the `Vec<Point>` loader
+    /// (before the block-direct one) gave for each.
+    const HOSTILE: &[(&str, &str, &str)] = &[
+        (
+            "crlf",
+            "0,1,2\r\n1,2,1\r\n",
+            "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
+        ),
+        (
+            "crlf-no-final-newline",
+            "0,1,2\r\n1,2,1",
+            "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
+        ),
+        (
+            "blank-lines",
+            "0,1,2\n\n   \n1,2,1\n\t\n\n",
+            "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
+        ),
+        (
+            "spaces",
+            " 0 , 1 ,\t2 \n1,  2,1  \n",
+            "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
+        ),
+        (
+            "id-only-after-row",
+            "0,1,2\n1\n",
+            "err InvalidData: ragged CSV line 2: 0 coordinates where the first row has 2",
+        ),
+        (
+            "id-only-first",
+            "1\n2\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        (
+            "nan",
+            "0,1,2\n1,NaN,1\n",
+            "err InvalidData: malformed CSV line 2",
+        ),
+        ("inf", "0,inf,2\n", "err InvalidData: malformed CSV line 1"),
+        (
+            "neg-inf",
+            "0,1,2\n1,-inf,1\n",
+            "err InvalidData: malformed CSV line 2",
+        ),
+        (
+            "overflow-literal",
+            "0,1,2\n1,1e400,1\n",
+            "err InvalidData: malformed CSV line 2",
+        ),
+        (
+            "ragged-wide",
+            "0,1,2\n1,2,3,4\n",
+            "err InvalidData: ragged CSV line 2: 3 coordinates where the first row has 2",
+        ),
+        (
+            "ragged-narrow",
+            "0,1,2\n1,2\n",
+            "err InvalidData: ragged CSV line 2: 1 coordinates where the first row has 2",
+        ),
+        (
+            "trailing-comma",
+            "0,1,2,\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        (
+            "empty-field",
+            "0,,2\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        ("bad-id", "x,1,2\n", "err InvalidData: malformed CSV line 1"),
+        (
+            "negative-id",
+            "-1,1,2\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        (
+            "descending-then-dup",
+            "9,1,1\n7,2,2\n5,3,3\n8,4,4\n7,5,5\n",
+            "err InvalidData: duplicate id 7 on CSV lines 2 and 5",
+        ),
+        (
+            "ascending-dup",
+            "1,1,1\n2,2,2\n2,3,3\n",
+            "err InvalidData: duplicate id 2 on CSV lines 2 and 3",
+        ),
+        ("empty", "", "err InvalidData: CSV contains no points"),
+        (
+            "whitespace-only",
+            "  \n\t\n \n",
+            "err InvalidData: CSV contains no points",
+        ),
+        (
+            "neg-zero",
+            "0,-0.0,1\n1,0.0,-0.0\n2,-0,0\n",
+            "ok 0:[-0.0, 1.0] 1:[0.0, -0.0] 2:[-0.0, 0.0] min=[-0.0, -0.0] max=[-0.0, 1.0]",
+        ),
+        (
+            "single-row",
+            "42,3.5,-1e-300\n",
+            "ok 42:[3.5, -1e-300] min=[3.5, -1e-300] max=[3.5, -1e-300]",
+        ),
+        (
+            "span-overflow",
+            "0,1e308,1\n1,-1e308,2\n",
+            "err InvalidData: CSV coordinate 0 spans [-1e308, 1e308], a width that overflows f64",
+        ),
+        (
+            "hex-and-plus",
+            "0,+1.5,2E1\n1,.5,5.\n",
+            "ok 0:[1.5, 20.0] 1:[0.5, 5.0] min=[0.5, 5.0] max=[1.5, 20.0]",
+        ),
+    ];
+
+    #[test]
+    fn hostile_inputs_load_exactly_as_before() {
+        for (file, body, want) in HOSTILE {
+            let got = describe(&load_text(&format!("hostile-{file}.csv"), body));
+            assert_eq!(&got, want, "{file}");
+        }
     }
 
     #[test]

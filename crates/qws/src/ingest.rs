@@ -168,7 +168,7 @@ pub fn load_qws_file_with(
     }
     let n = block.len();
     Ok(IngestReport {
-        dataset: Dataset::new(format!("qws-file(n={n})"), block.to_points()),
+        dataset: Dataset::from_block(format!("qws-file(n={n})"), block),
         names,
         dead_letter: dead,
     })

@@ -261,6 +261,25 @@ impl PointBlock {
         }
     }
 
+    /// Keeps the first `d` coordinates of every row, like
+    /// [`Point::project`] does for one point.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= d <= self.dim()`.
+    pub fn project(&self, d: usize) -> PointBlock {
+        assert!(d >= 1 && d <= self.dim, "invalid projection dimension {d}");
+        let mut coords = Vec::with_capacity(self.len() * d);
+        for row in self.coords.chunks_exact(self.dim) {
+            coords.extend_from_slice(&row[..d]);
+        }
+        PointBlock {
+            dim: d,
+            ids: self.ids.clone(),
+            coords,
+        }
+    }
+
     /// Splits the block into chunks of at most `rows` points each (the last
     /// chunk may be shorter). `rows == 0` yields a single chunk.
     pub fn chunks(&self, rows: usize) -> Vec<PointBlock> {

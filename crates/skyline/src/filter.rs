@@ -30,8 +30,10 @@ pub fn select_filter_points(block: &PointBlock, k: usize) -> PointBlock {
     }
     let n = block.len();
     let d = block.dim();
-    // (L1, id) keys once; both tie-breaks need them.
-    let key = |i: usize| (block.l1_norm(i), block.id(i));
+    // Each row's L1 norm, once. `+ 0.0` folds -0.0 into 0.0, so on these
+    // finite-data norms `total_cmp` orders exactly as `<` and `==` do.
+    let l1: Vec<f64> = (0..n).map(|i| block.l1_norm(i) + 0.0).collect();
+    let key = |i: usize| (l1[i], block.id(i));
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
     for dim in 0..d {
         if chosen.len() == k {
@@ -49,12 +51,23 @@ pub fn select_filter_points(block: &PointBlock, k: usize) -> PointBlock {
         }
     }
     if chosen.len() < k {
+        // The fillers are the first `k - c` rows of the (L1, id, row) order
+        // that are not among the `c` minima already chosen, so all of them
+        // sit in the order's first `k` entries: select those in O(n) and
+        // sort only them. The row tie-break makes this the stable sort's
+        // order, even when ids repeat.
+        let order = |a: &usize, b: &usize| {
+            l1[*a]
+                .total_cmp(&l1[*b])
+                .then(block.id(*a).cmp(&block.id(*b)))
+                .then(a.cmp(b))
+        };
         let mut by_l1: Vec<usize> = (0..n).collect();
-        by_l1.sort_by(|&a, &b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        if k < n {
+            by_l1.select_nth_unstable_by(k - 1, order);
+            by_l1.truncate(k);
+        }
+        by_l1.sort_unstable_by(order);
         for i in by_l1 {
             if chosen.len() == k {
                 break;
@@ -137,6 +150,103 @@ mod tests {
         for _ in 0..3 {
             let f = select_filter_points(&b, 1);
             assert_eq!(f.ids(), &[2]);
+        }
+    }
+
+    /// The selection as first written: a stable sort of every row by
+    /// (L1, id), recomputing both norms in the comparator.
+    fn full_sort_reference(block: &PointBlock, k: usize) -> PointBlock {
+        let mut out = PointBlock::new(block.dim());
+        if k == 0 || block.is_empty() {
+            return out;
+        }
+        let key = |i: usize| (block.l1_norm(i), block.id(i));
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        for dim in 0..block.dim() {
+            if chosen.len() == k {
+                break;
+            }
+            let mut best = 0usize;
+            for i in 1..block.len() {
+                let (vb, vi) = (block.row(best)[dim], block.row(i)[dim]);
+                if vi < vb || (vi == vb && key(i) < key(best)) {
+                    best = i;
+                }
+            }
+            if !chosen.contains(&best) {
+                chosen.push(best);
+            }
+        }
+        let mut by_l1: Vec<usize> = (0..block.len()).collect();
+        by_l1.sort_by(|&a, &b| {
+            key(a)
+                .partial_cmp(&key(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        for i in by_l1 {
+            if chosen.len() == k {
+                break;
+            }
+            if !chosen.contains(&i) {
+                chosen.push(i);
+            }
+        }
+        chosen.sort_by_key(|&i| block.id(i));
+        for i in chosen {
+            out.push_row_from(block, i);
+        }
+        out
+    }
+
+    #[test]
+    fn selection_matches_the_full_sort_on_adversarial_blocks() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut blocks: Vec<PointBlock> = Vec::new();
+        for d in [1usize, 2, 3, 6] {
+            // permutations of one coordinate vector: every L1 norm ties
+            let base: Vec<f64> = (0..d).map(|i| i as f64 * 0.5).collect();
+            let mut b = PointBlock::new(d);
+            for _ in 0..60 {
+                let mut row = base.clone();
+                for i in (1..d).rev() {
+                    row.swap(i, rng.gen_range(0..=i));
+                }
+                b.push(rng.gen_range(0..20), &row).unwrap();
+            }
+            blocks.push(b);
+            // repeated ids, ±0.0, a constant column, a handful of values
+            let mut b = PointBlock::new(d);
+            for id in 0..80u64 {
+                let row: Vec<f64> = (0..d)
+                    .map(|i| match (i, rng.gen_range(0..4)) {
+                        (0, _) => 7.0,
+                        (_, 0) => -0.0,
+                        (_, 1) => 0.0,
+                        (_, v) => f64::from(v),
+                    })
+                    .collect();
+                b.push(id % 9, &row).unwrap();
+            }
+            blocks.push(b);
+            // distinct random rows
+            let mut b = PointBlock::new(d);
+            for id in 0..200u64 {
+                let row: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                b.push(id, &row).unwrap();
+            }
+            blocks.push(b);
+        }
+        for b in &blocks {
+            let (n, d) = (b.len(), b.dim());
+            for k in [0, 1, d, n - 1, n, n + 5] {
+                // whole rows, not just ids: ids repeat, so only the
+                // coordinates show which of two tied rows was taken
+                assert_eq!(
+                    select_filter_points(b, k),
+                    full_sort_reference(b, k),
+                    "n={n} d={d} k={k}"
+                );
+            }
         }
     }
 

@@ -29,7 +29,7 @@ use super::{
     lattice_splits, AxisProfile, BoundaryProfile, Bounds, PartitionSpace, SpacePartitioner,
 };
 use crate::error::SkylineError;
-use crate::hypersphere::{angles_of_row, to_hyperspherical_into};
+use crate::hypersphere::to_hyperspherical_into;
 use crate::point::Point;
 use std::f64::consts::FRAC_PI_2;
 
@@ -219,19 +219,22 @@ impl SpacePartitioner for AnglePartitioner {
         if self.dim == 1 {
             return 0;
         }
-        // Translate to the fitted origin and transform to angles without
-        // materialising a Point; fuse the sector lookup with row-major
-        // linearisation so no multi-index is allocated.
-        let shifted: Vec<f64> = coords
-            .iter()
-            .zip(self.origin.iter())
-            .map(|(&v, &o)| (v - o).max(0.0))
-            .collect();
-        let mut angles = vec![0.0; self.dim - 1];
-        let _r = angles_of_row(&shifted, &mut angles);
+        // Eq. (1) over the row translated to the fitted origin, fused with
+        // the sector lookup: one backward sweep keeps the running suffix
+        // sum of squares (`angles_of_row`'s arithmetic, in its order) and
+        // linearises the multi-index row-major from its last axis, so no
+        // shifted row, angle buffer or multi-index is allocated.
+        let mut sumsq = 0.0f64;
         let mut out = 0usize;
-        for ((&a, bs), &s) in angles.iter().zip(&self.boundaries).zip(&self.splits) {
-            out = out * s + bs.partition_point(|&b| b <= a);
+        let mut stride = 1usize;
+        for i in (0..self.dim).rev() {
+            let v = (coords[i] - self.origin[i]).max(0.0);
+            if i < self.dim - 1 {
+                let a = sumsq.sqrt().atan2(v);
+                out += stride * self.boundaries[i].partition_point(|&b| b <= a);
+                stride *= self.splits[i];
+            }
+            sumsq += v * v;
         }
         out
     }
@@ -352,6 +355,49 @@ mod tests {
             );
             let s = part.partition_of(&p);
             assert!(s < part.num_partitions());
+        }
+    }
+
+    #[test]
+    fn row_assignment_matches_the_transform_and_lookup() {
+        // `partition_of_row` fuses the shift, Eq. (1) and the lookup into
+        // one sweep; `sector_index` still runs them one after another.
+        // Rows include values below the origin, ±0.0 and constant columns.
+        use super::super::linearize;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for d in [2usize, 3, 6, 10] {
+            let b = Bounds::new(vec![0.25; d], vec![4.0; d]);
+            let sample: Vec<Point> = (0..300)
+                .map(|i| {
+                    Point::new(
+                        i,
+                        (0..d).map(|_| rng.gen_range(0.0..4.0)).collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            for part in [
+                AnglePartitioner::fit(&b, 16).unwrap(),
+                AnglePartitioner::fit_quantile(&sample, 16).unwrap(),
+            ] {
+                for i in 0..500u64 {
+                    let coords: Vec<f64> = (0..d)
+                        .map(|k| match (i + k as u64) % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => 0.25,
+                            _ => rng.gen_range(-1.0..5.0),
+                        })
+                        .collect();
+                    let p = Point::new(i, coords);
+                    assert_eq!(
+                        part.partition_of_row(i, p.coords()),
+                        linearize(&part.sector_index(&p), part.splits()),
+                        "d={d} row {:?}",
+                        p.coords()
+                    );
+                }
+            }
         }
     }
 

@@ -26,6 +26,7 @@ pub use dim::DimPartitioner;
 pub use grid::GridPartitioner;
 pub use random::RandomPartitioner;
 
+use crate::block::PointBlock;
 use crate::error::SkylineError;
 use crate::point::Point;
 
@@ -84,6 +85,24 @@ impl Bounds {
             for i in 0..d {
                 min[i] = min[i].min(p.coord(i));
                 max[i] = max[i].max(p.coord(i));
+            }
+        }
+        Ok(Self::new(min, max))
+    }
+
+    /// Tight bounds of a block's rows, folded in row order exactly like
+    /// [`Bounds::from_points`], so both give the same bits.
+    pub fn from_block(block: &PointBlock) -> Result<Self, SkylineError> {
+        if block.is_empty() {
+            return Err(SkylineError::EmptyDataset);
+        }
+        let d = block.dim();
+        let mut min = vec![f64::INFINITY; d];
+        let mut max = vec![f64::NEG_INFINITY; d];
+        for (_, row) in block.iter() {
+            for i in 0..d {
+                min[i] = min[i].min(row[i]);
+                max[i] = max[i].max(row[i]);
             }
         }
         Ok(Self::new(min, max))

@@ -28,8 +28,8 @@ pub enum Code {
     /// Reducer count is zero or wastes reduce slots against the partition
     /// count.
     ReducerMismatch,
-    /// The simulated cluster, scheduler, or cost model cannot make
-    /// progress (zero slots, bad thresholds, non-finite costs).
+    /// The simulated cluster or cost model cannot make progress (zero
+    /// slots, zero host threads, negative or non-finite costs).
     ZeroCapacityCluster,
     /// Two partitions both claim a boundary point (ownership at a
     /// boundary disagrees with the right-closed convention).

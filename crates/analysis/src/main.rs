@@ -12,7 +12,7 @@
 //! Exit code 0 when clean, 1 on violations/error diagnostics, 2 on usage
 //! errors — so CI can gate directly on the process status.
 
-use mini_mapreduce::{ClusterConfig, CostModel, SpeculationConfig};
+use mini_mapreduce::{ClusterConfig, CostModel};
 use mrsky_audit::diag::Code;
 use mrsky_audit::lint::{run_lint, LintConfig};
 use mrsky_audit::plan::{audit_plan, PlanSpec};
@@ -125,7 +125,6 @@ fn cmd_plan(args: &[String]) -> ExitCode {
     };
 
     let cluster = ClusterConfig::new(servers.max(1));
-    let speculation = SpeculationConfig::default();
     let cost = CostModel::default();
     let reducers = flag_value(args, "--reducers")
         .and_then(|v| v.parse().ok())
@@ -134,7 +133,6 @@ fn cmd_plan(args: &[String]) -> ExitCode {
         partitioner: partitioner.as_ref(),
         bounds: &bounds,
         cluster: &cluster,
-        speculation: &speculation,
         cost: &cost,
         reducers_job1: reducers,
         grid_pruning: flag_present(args, "--grid-pruning"),

@@ -23,11 +23,11 @@
 //!   partitioner would prune without a geometric dominator is flagged
 //!   (`MRA006`, `MRA012`);
 //! - **runtime cross-checks**: reducers vs partitions, cluster slot
-//!   capacity, speculation thresholds, cost-model finiteness, reduce-wave
-//!   explosion (`MRA007`, `MRA008`, `MRA011`).
+//!   capacity, cost-model finiteness, reduce-wave explosion (`MRA007`,
+//!   `MRA008`, `MRA011`).
 
 use crate::diag::{AuditReport, Code, Diagnostic, Severity};
-use mini_mapreduce::{ClusterConfig, CostModel, SpeculationConfig};
+use mini_mapreduce::{ClusterConfig, CostModel};
 use skyline_algos::hypersphere::{to_cartesian, HyperPoint};
 use skyline_algos::partition::{AxisProfile, BoundaryProfile, Bounds, PartitionSpace};
 use skyline_algos::point::Point;
@@ -41,8 +41,6 @@ pub struct PlanSpec<'a> {
     pub bounds: &'a Bounds,
     /// The simulated cluster the job runs on.
     pub cluster: &'a ClusterConfig,
-    /// Straggler-speculation settings.
-    pub speculation: &'a SpeculationConfig,
     /// The calibrated cost model.
     pub cost: &'a CostModel,
     /// Reducer count for job 1 (the pipeline uses one per partition).
@@ -249,14 +247,6 @@ fn check_runtime(spec: &PlanSpec<'_>, report: &mut AuditReport) {
                 p,
             ));
         }
-    }
-    if let Err(p) = spec.speculation.validate() {
-        report.diagnostics.push(Diagnostic::new(
-            Code::ZeroCapacityCluster,
-            Severity::Error,
-            "speculation",
-            p,
-        ));
     }
     if let Err(problems) = spec.cost.validate() {
         for p in problems {
@@ -1051,14 +1041,12 @@ mod tests {
         partitioner: &'a dyn SpacePartitioner,
         bounds: &'a Bounds,
         cluster: &'a ClusterConfig,
-        speculation: &'a SpeculationConfig,
         cost: &'a CostModel,
     ) -> PlanSpec<'a> {
         PlanSpec {
             partitioner,
             bounds,
             cluster,
-            speculation,
             cost,
             reducers_job1: partitioner.num_partitions(),
             grid_pruning: false,
@@ -1070,15 +1058,8 @@ mod tests {
 
     fn audit_default(partitioner: &dyn SpacePartitioner, bounds: &Bounds) -> AuditReport {
         let cluster = ClusterConfig::new(4);
-        let speculation = SpeculationConfig::default();
         let cost = CostModel::default();
-        audit_plan(&spec_for(
-            partitioner,
-            bounds,
-            &cluster,
-            &speculation,
-            &cost,
-        ))
+        audit_plan(&spec_for(partitioner, bounds, &cluster, &cost))
     }
 
     #[test]
@@ -1111,7 +1092,6 @@ mod tests {
         let angle = AnglePartitioner::fit(&bounds, 8).unwrap();
         let random = RandomPartitioner::with_seed(3, 8, 42).unwrap();
         let cluster = ClusterConfig::new(4);
-        let speculation = SpeculationConfig::default();
         let cost = CostModel::default();
         for (name, p) in [
             ("dim", &dim as &dyn SpacePartitioner),
@@ -1119,7 +1099,7 @@ mod tests {
             ("angle", &angle),
             ("random", &random),
         ] {
-            let mut spec = spec_for(p, &bounds, &cluster, &speculation, &cost);
+            let mut spec = spec_for(p, &bounds, &cluster, &cost);
             spec.filter_k = 8;
             spec.sector_prune = true;
             let report = audit_plan(&spec);
@@ -1137,9 +1117,8 @@ mod tests {
         let bounds = Bounds::zero_to(10.0, 3);
         let grid = GridPartitioner::fit(&bounds, 8).unwrap();
         let cluster = ClusterConfig::new(4);
-        let speculation = SpeculationConfig::default();
         let cost = CostModel::default();
-        let mut spec = spec_for(&grid, &bounds, &cluster, &speculation, &cost);
+        let mut spec = spec_for(&grid, &bounds, &cluster, &cost);
         spec.filter_k = 0;
         spec.sector_prune = true;
         let report = audit_plan(&spec);
@@ -1155,15 +1134,11 @@ mod tests {
         let grid = GridPartitioner::fit(&bounds, 4).unwrap();
         let mut cluster = ClusterConfig::new(2);
         cluster.reduce_slots_per_server = 0;
-        let speculation = SpeculationConfig {
-            enabled: true,
-            threshold: 0.2,
-        };
         let cost = CostModel {
             task_startup: f64::NAN,
             ..CostModel::default()
         };
-        let mut spec = spec_for(&grid, &bounds, &cluster, &speculation, &cost);
+        let mut spec = spec_for(&grid, &bounds, &cluster, &cost);
         spec.reducers_job1 = 0;
         spec.threads = 0;
         let report = audit_plan(&spec);
@@ -1186,9 +1161,8 @@ mod tests {
         let bounds = Bounds::zero_to(1.0, 4);
         let grid = GridPartitioner::fit_on_dims(&bounds, 4, 2).unwrap();
         let cluster = ClusterConfig::new(4);
-        let speculation = SpeculationConfig::default();
         let cost = CostModel::default();
-        let mut spec = spec_for(&grid, &bounds, &cluster, &speculation, &cost);
+        let mut spec = spec_for(&grid, &bounds, &cluster, &cost);
         spec.grid_pruning = true;
         let report = audit_plan(&spec);
         assert!(!report.with_code(Code::PruningUnavailable).is_empty());

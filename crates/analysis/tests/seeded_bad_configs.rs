@@ -1,7 +1,7 @@
 //! Each seeded-bad configuration must trigger its documented diagnostic
 //! code — the audit's regression suite against silent soundness rot.
 
-use mini_mapreduce::{ClusterConfig, CostModel, SpeculationConfig};
+use mini_mapreduce::{ClusterConfig, CostModel};
 use mrsky_audit::plan::{audit_plan, PlanSpec};
 use mrsky_audit::{Code, Severity};
 use skyline_algos::partition::{
@@ -98,14 +98,12 @@ fn spec_for<'a>(
     part: &'a dyn SpacePartitioner,
     bounds: &'a Bounds,
     cluster: &'a ClusterConfig,
-    speculation: &'a SpeculationConfig,
     cost: &'a CostModel,
 ) -> PlanSpec<'a> {
     PlanSpec {
         partitioner: part,
         bounds,
         cluster,
-        speculation,
         cost,
         reducers_job1: part.num_partitions(),
         grid_pruning: false,
@@ -118,7 +116,6 @@ fn spec_for<'a>(
 struct Fixture {
     bounds: Bounds,
     cluster: ClusterConfig,
-    speculation: SpeculationConfig,
     cost: CostModel,
 }
 
@@ -127,7 +124,6 @@ impl Fixture {
         Self {
             bounds: Bounds::zero_to(100.0, 2),
             cluster: ClusterConfig::new(4),
-            speculation: SpeculationConfig::default(),
             cost: CostModel::default(),
         }
     }
@@ -151,13 +147,7 @@ fn assert_error_code(report: &mrsky_audit::AuditReport, code: Code) {
 fn non_total_partitioner_triggers_mra001() {
     let f = Fixture::new();
     let part = NotTotal;
-    let report = audit_plan(&spec_for(
-        &part,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::PartitionNotTotal);
 }
 
@@ -169,13 +159,7 @@ fn decreasing_boundaries_trigger_mra003() {
         domain: (0.0, 100.0),
         claimed: 4,
     };
-    let report = audit_plan(&spec_for(
-        &part,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::NonMonotonicBoundaries);
 }
 
@@ -187,13 +171,7 @@ fn out_of_domain_boundary_triggers_mra004() {
         domain: (0.0, 100.0),
         claimed: 3,
     };
-    let report = audit_plan(&spec_for(
-        &part,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::BoundaryOutsideDomain);
 }
 
@@ -206,13 +184,7 @@ fn lattice_partition_count_mismatch_triggers_mra005() {
         domain: (0.0, 100.0),
         claimed: 9,
     };
-    let report = audit_plan(&spec_for(
-        &part,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::IndexOverflow);
 }
 
@@ -221,7 +193,7 @@ fn unsound_pruning_triggers_mra006() {
     let f = Fixture::new();
     let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
     let part = OverzealousPruner(grid);
-    let mut spec = spec_for(&part, &f.bounds, &f.cluster, &f.speculation, &f.cost);
+    let mut spec = spec_for(&part, &f.bounds, &f.cluster, &f.cost);
     spec.grid_pruning = true;
     let report = audit_plan(&spec);
     assert_error_code(&report, Code::UnsoundPruning);
@@ -231,7 +203,7 @@ fn unsound_pruning_triggers_mra006() {
 fn zero_reducers_trigger_mra007() {
     let f = Fixture::new();
     let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
-    let mut spec = spec_for(&grid, &f.bounds, &f.cluster, &f.speculation, &f.cost);
+    let mut spec = spec_for(&grid, &f.bounds, &f.cluster, &f.cost);
     spec.reducers_job1 = 0;
     let report = audit_plan(&spec);
     assert_error_code(&report, Code::ReducerMismatch);
@@ -242,29 +214,7 @@ fn zero_slot_cluster_triggers_mra008() {
     let mut f = Fixture::new();
     f.cluster.map_slots_per_server = 0;
     let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
-    let report = audit_plan(&spec_for(
-        &grid,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
-    assert_error_code(&report, Code::ZeroCapacityCluster);
-}
-
-#[test]
-fn bad_speculation_threshold_triggers_mra008() {
-    let mut f = Fixture::new();
-    f.speculation.enabled = true;
-    f.speculation.threshold = 0.25;
-    let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
-    let report = audit_plan(&spec_for(
-        &grid,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&grid, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::ZeroCapacityCluster);
 }
 
@@ -273,13 +223,7 @@ fn negative_cost_triggers_mra008() {
     let mut f = Fixture::new();
     f.cost.work_unit_cost = -1.0;
     let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
-    let report = audit_plan(&spec_for(
-        &grid,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&grid, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::ZeroCapacityCluster);
 }
 
@@ -291,13 +235,7 @@ fn duplicate_boundaries_warn_mra010_without_blocking() {
         domain: (0.0, 100.0),
         claimed: 4,
     };
-    let report = audit_plan(&spec_for(
-        &part,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     let hits = report.with_code(Code::DegenerateAxis);
     assert!(
         !hits.is_empty(),
@@ -312,13 +250,7 @@ fn excess_partitions_warn_mra011() {
     let f = Fixture::new();
     // 256 partitions against 4 servers × 2 reduce slots = 32 waves.
     let grid = GridPartitioner::fit(&f.bounds, 256).expect("grid fit");
-    let report = audit_plan(&spec_for(
-        &grid,
-        &f.bounds,
-        &f.cluster,
-        &f.speculation,
-        &f.cost,
-    ));
+    let report = audit_plan(&spec_for(&grid, &f.bounds, &f.cluster, &f.cost));
     assert!(
         !report.with_code(Code::ExcessPartitionWaves).is_empty(),
         "expected MRA011:\n{}",

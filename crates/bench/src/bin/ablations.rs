@@ -4,11 +4,10 @@
 //! 2. local-skyline kernel (BNL vs SFS);
 //! 3. MR-Grid dominated-cell pruning on/off (at d = 2, where it is sound);
 //! 4. MR-Angle split strategy (quantile vs equal-width);
-//! 5. random-partitioning baseline vs the geometric schemes;
+//! 5. random-partitioning baseline vs the geometric schemes (the `shufMB`
+//!    column gives the shuffle volume of each scheme);
 //! 6. BNL window size;
-//! 7. shuffle volume by partitioning scheme;
-//! 8. HDFS-style data-locality scheduling of map tasks;
-//! 9. fairness: quantile-balanced MR-Dim/MR-Grid baselines.
+//! 7. fairness: quantile-balanced MR-Dim/MR-Grid baselines.
 //!
 //! The merge stage is always Algorithm 1's single reducer.
 //!
@@ -111,28 +110,7 @@ fn main() {
         line(&tag, &job.run(&data));
     }
 
-    println!("\n--- 7. shuffle volume by scheme (see shufMB column of section 5) ---");
-
-    println!("\n--- 8. data-locality scheduling (3x replication, 0.5s remote penalty) ---");
-    for (name, enabled) in [("locality-blind", false), ("locality-aware", true)] {
-        let mut job = SkylineJob::new(Algorithm::MrAngle, servers);
-        job.locality = if enabled {
-            mini_mapreduce::runtime::LocalityConfig::enabled()
-        } else {
-            mini_mapreduce::runtime::LocalityConfig::default()
-        };
-        let r = job.run(&data);
-        println!(
-            "{:<34} sim {:>7.1}s map {:>6.1}s local tasks {:>3}/{:<3}",
-            name,
-            r.processing_time(),
-            r.map_time(),
-            r.metrics.map.data_local_tasks,
-            r.metrics.map.tasks
-        );
-    }
-
-    println!("\n--- 9. fairness: quantile-balanced baselines ---");
+    println!("\n--- 7. fairness: quantile-balanced baselines ---");
     for (name, alg, quantile) in [
         ("MR-Dim equal-width (paper)", Algorithm::MrDim, false),
         ("MR-Dim quantile slabs", Algorithm::MrDim, true),

@@ -29,8 +29,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::AlgoConfig;
 use mini_mapreduce::pool;
 use mini_mapreduce::prelude::*;
-use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
-use mini_mapreduce::scheduler::SpeculationConfig;
+use mini_mapreduce::runtime::{SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::OwnedMergeFn;
 use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
@@ -62,14 +61,10 @@ pub struct PipelineOptions {
     pub cluster: ClusterConfig,
     /// Cost model.
     pub cost: CostModel,
-    /// Speculative execution.
-    pub speculation: SpeculationConfig,
     /// Host execution threads (`0` = all cores).
     pub threads: usize,
     /// Algorithm knobs (kernel, window, pruning).
     pub config: AlgoConfig,
-    /// Data-locality model for map scheduling (both jobs).
-    pub locality: LocalityConfig,
     /// Map-stage work units charged per input point (partition-assignment
     /// cost; see [`crate::algorithms::map_work_per_point`]).
     pub map_work_per_point: u64,
@@ -462,7 +457,7 @@ pub fn run_two_job_pipeline(
     // shared incremental merge as they complete, so the merge work happens
     // *inside* the reduce wave instead of waiting behind the job barrier.
     // Restored checkpoints are absorbed up front; the per-id dedup makes
-    // re-absorbed blocks (retries, speculative duplicates) idempotent.
+    // re-absorbed blocks (retried tasks) idempotent.
     let streaming: Option<Arc<SharedStreamingMerge>> = opts.config.streaming_merge.then(|| {
         let mut sm = StreamingMerge::new(dim);
         for sky in restored.values() {
@@ -487,9 +482,7 @@ pub fn run_two_job_pipeline(
     spec1.owned_merge = owned_merge.clone();
     spec1.spill = spill.clone();
     spec1.cost = opts.cost.clone();
-    spec1.speculation = opts.speculation.clone();
     spec1.threads = opts.threads;
-    spec1.locality = opts.locality.clone();
     spec1.sizer = Some(sizer.clone());
     spec1.router = Some(Arc::new(|k: &u64, r: usize| (*k % r as u64) as usize));
     spec1.tracer = opts.tracer.clone();
@@ -696,9 +689,7 @@ pub fn run_two_job_pipeline(
     spec2.owned_merge = owned_merge;
     spec2.spill = spill;
     spec2.cost = opts.cost.clone();
-    spec2.speculation = opts.speculation.clone();
     spec2.threads = opts.threads;
-    spec2.locality = opts.locality.clone();
     spec2.sizer = Some(sizer);
     spec2.tracer = opts.tracer.clone();
     spec2.chaos = opts.chaos.clone();
@@ -785,10 +776,8 @@ mod tests {
             name: name.into(),
             cluster: ClusterConfig::new(servers),
             cost: CostModel::default(),
-            speculation: SpeculationConfig::default(),
             threads: 0,
             config: AlgoConfig::default(),
-            locality: LocalityConfig::default(),
             map_work_per_point: 1,
             tracer: Tracer::disabled(),
             chaos: FaultPlan::off(),

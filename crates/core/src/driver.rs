@@ -7,8 +7,7 @@ use crate::checkpoint::{dataset_fingerprint, CheckpointStore, Manifest};
 use crate::config::{AlgoConfig, Algorithm};
 use crate::report::SkylineRunReport;
 use mini_mapreduce::cost::CostModel;
-use mini_mapreduce::runtime::{ClusterConfig, LocalityConfig};
-use mini_mapreduce::scheduler::SpeculationConfig;
+use mini_mapreduce::runtime::ClusterConfig;
 use mrsky_audit::plan::{audit_plan, PlanSpec};
 use mrsky_audit::AuditReport;
 use mrsky_chaos::{FaultPlan, KillSwitch};
@@ -30,10 +29,6 @@ pub struct SkylineJob {
     pub config: AlgoConfig,
     /// Cost model (leave default for paper-comparable timings).
     pub cost: CostModel,
-    /// Speculative execution.
-    pub speculation: SpeculationConfig,
-    /// Data-locality model (HDFS block placement) for map scheduling.
-    pub locality: LocalityConfig,
     /// Host threads for real execution (`0` = all cores).
     pub threads: usize,
     /// Run even when the plan audit reports error-level diagnostics.
@@ -69,8 +64,6 @@ impl SkylineJob {
             cluster: ClusterConfig::new(servers),
             config: AlgoConfig::default(),
             cost: CostModel::default(),
-            speculation: SpeculationConfig::default(),
-            locality: LocalityConfig::default(),
             threads: 0,
             force: false,
             tracer: Tracer::disabled(),
@@ -156,7 +149,6 @@ impl SkylineJob {
             partitioner: partitioner.as_ref(),
             bounds,
             cluster: &self.cluster,
-            speculation: &self.speculation,
             cost: &self.cost,
             // Job 1 configures one reduce task per partition (see
             // `run_two_job_pipeline`).
@@ -291,10 +283,8 @@ impl SkylineJob {
             name: self.algorithm.name().to_string(),
             cluster: self.cluster.clone(),
             cost: self.cost.clone(),
-            speculation: self.speculation.clone(),
             threads: self.threads,
             config: self.config.clone(),
-            locality: self.locality.clone(),
             map_work_per_point: map_work_per_point(self.algorithm, dataset.dim()),
             tracer: self.tracer.clone(),
             chaos: self.chaos.clone(),
@@ -391,15 +381,14 @@ mod tests {
     #[test]
     fn force_bypasses_the_audit_gate() {
         let data = generate_qws(&QwsConfig::new(100, 3));
-        // threshold < 1.0 is an error-level MRA008 (every task would be
-        // called a straggler) but the simulator still completes, so it
-        // exercises the force path end to end.
+        // A negative job overhead is an error-level MRA008 (a non-finite or
+        // negative cost) but the simulator still completes, so it exercises
+        // the force path end to end.
         let mut job = SkylineJob::new(Algorithm::MrDim, 2);
-        job.speculation.enabled = true;
-        job.speculation.threshold = 0.5;
+        job.cost.job_overhead = -1.0;
         let err = job
             .run_checked(&data)
-            .expect_err("bad threshold must be refused");
+            .expect_err("a negative cost must be refused");
         assert!(!err
             .with_code(mrsky_audit::Code::ZeroCapacityCluster)
             .is_empty());

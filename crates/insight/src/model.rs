@@ -21,8 +21,6 @@ pub struct TaskRec {
     pub start: f64,
     /// Sim end, job-local.
     pub end: f64,
-    /// Whether a speculative backup won this task.
-    pub speculative: bool,
 }
 
 impl TaskRec {
@@ -230,7 +228,6 @@ impl RunModel {
                     slot,
                     sim_start,
                     sim_end,
-                    speculative,
                 } => {
                     let mut rec = lookup(&mut open, job)?;
                     rec.phase_mut(*phase).tasks.push(TaskRec {
@@ -238,7 +235,6 @@ impl RunModel {
                         slot: *slot,
                         start: *sim_start,
                         end: *sim_end,
-                        speculative: *speculative,
                     });
                     open.insert(job.clone(), rec);
                 }
@@ -380,7 +376,6 @@ mod tests {
                 slot: 0,
                 start: 0.0,
                 end: *d,
-                speculative: false,
             });
         }
         assert!((p.median_duration() - 2.0).abs() < 1e-12);

@@ -3,9 +3,8 @@
 //!
 //! This mirrors the runtime scheduler's core rule: tasks are assigned in
 //! task-index order, each to the slot that frees up earliest, and start at
-//! `max(phase start, slot free time)`. It deliberately ignores speculation
-//! and locality — it is the *counterfactual* baseline the what-if analysis
-//! re-runs with altered durations.
+//! `max(phase start, slot free time)`. It is the *counterfactual* baseline
+//! the what-if analysis re-runs with altered durations.
 
 use crate::model::TaskRec;
 
@@ -27,7 +26,6 @@ pub fn fifo_schedule(durations: &[f64], slots: usize, start: f64) -> (Vec<TaskRe
             slot: slot as u64,
             start: t0,
             end: t1,
-            speculative: false,
         });
     }
     let end = tasks.iter().map(|t| t.end).fold(start, f64::max);

@@ -74,24 +74,6 @@ pub fn job_events(job: &SimJob, seq0: u64) -> Vec<TraceEvent> {
         for t in tasks.iter() {
             push(
                 &mut out,
-                EventKind::TaskScheduled {
-                    job: job.name.clone(),
-                    phase: kind,
-                    task: t.task,
-                },
-            );
-            push(
-                &mut out,
-                EventKind::TaskLaunched {
-                    job: job.name.clone(),
-                    phase: kind,
-                    task: t.task,
-                    slot: t.slot,
-                    sim: t.start,
-                },
-            );
-            push(
-                &mut out,
                 EventKind::TaskFinished {
                     job: job.name.clone(),
                     phase: kind,
@@ -99,7 +81,6 @@ pub fn job_events(job: &SimJob, seq0: u64) -> Vec<TraceEvent> {
                     slot: t.slot,
                     sim_start: t.start,
                     sim_end: t.end,
-                    speculative: false,
                 },
             );
         }
@@ -109,7 +90,6 @@ pub fn job_events(job: &SimJob, seq0: u64) -> Vec<TraceEvent> {
                 job: job.name.clone(),
                 phase: kind,
                 sim: end,
-                speculative_wins: 0,
             },
         );
     }

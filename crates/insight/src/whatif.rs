@@ -3,8 +3,7 @@
 //! with the observed task durations, once with the slowest task clamped to
 //! the phase median (what a perfectly timed backup copy would achieve) —
 //! and report the difference. Both walls come from the same simulator, so
-//! the comparison is apples-to-apples even when the original schedule used
-//! speculation or locality placement.
+//! the comparison is apples-to-apples whatever scheduler wrote the trace.
 
 use crate::model::RunModel;
 use crate::sim::fifo_schedule;

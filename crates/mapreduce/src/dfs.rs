@@ -1,86 +1,15 @@
-//! Block placement — the HDFS stand-in — and the reduce-input spill store.
+//! The reduce-input spill store — the HDFS stand-in's real disk layer.
 //!
-//! Hadoop schedules map tasks close to their data: each input split lives as
-//! a block replicated on `r` servers, and the JobTracker prefers giving a
-//! task to a TaskTracker that holds one of its replicas ("data locality").
-//! [`BlockStore`] models the placement: deterministic, spread round-robin
-//! with a hashed starting offset per split, never placing two replicas of
-//! the same block on one server.
-//!
-//! Locality-aware scheduling itself lives in
-//! [`scheduler::schedule_phase_with_locality`](crate::scheduler::schedule_phase_with_locality);
-//! the runtime enables it through
-//! [`LocalityConfig`](crate::runtime::LocalityConfig).
-//!
-//! [`SpillStore`] is the *real* disk half of this layer: reduce inputs whose
-//! shuffled bytes exceed the job's memory budget are serialized to
-//! length-prefixed frame files (one frame per value, written to a temp file
-//! and atomically renamed, the same discipline the checkpoint store uses)
-//! and re-read frame-by-frame when their reduce task runs, so at most the
-//! currently-reducing inputs are resident.
+//! Reduce inputs whose shuffled bytes exceed the job's memory budget are
+//! serialized by [`SpillStore`] to length-prefixed frame files (one frame per
+//! value, written to a temp file and atomically renamed, the same discipline
+//! the checkpoint store uses) and re-read frame-by-frame by [`SpillReader`]
+//! when their reduce task runs, so at most the currently-reducing inputs are
+//! resident.
 
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// Replica placement for a phase's input splits.
-#[derive(Debug, Clone)]
-pub struct BlockStore {
-    /// `replicas[split]` = sorted server ids holding that split.
-    replicas: Vec<Vec<usize>>,
-    servers: usize,
-}
-
-impl BlockStore {
-    /// Places `splits` blocks across `servers` servers with `replication`
-    /// copies each (clamped to the server count), deterministically from
-    /// `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0` or `replication == 0`.
-    pub fn place(splits: usize, servers: usize, replication: usize, seed: u64) -> Self {
-        assert!(servers >= 1, "need at least one server");
-        assert!(replication >= 1, "need at least one replica");
-        let r = replication.min(servers);
-        let replicas = (0..splits)
-            .map(|s| {
-                // hashed starting offset, then consecutive servers — the
-                // rack-unaware version of HDFS's default placement
-                let mut h = seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                h ^= h >> 33;
-                let start = (h % servers as u64) as usize;
-                let mut servers_for_split: Vec<usize> =
-                    (0..r).map(|k| (start + k) % servers).collect();
-                servers_for_split.sort_unstable();
-                servers_for_split
-            })
-            .collect();
-        Self { replicas, servers }
-    }
-
-    /// Number of splits placed.
-    pub fn splits(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Number of servers in the cluster this placement targets.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// The servers holding `split`.
-    pub fn replicas(&self, split: usize) -> &[usize] {
-        &self.replicas[split]
-    }
-
-    /// Whether `server` holds a replica of `split`.
-    pub fn is_local(&self, split: usize, server: usize) -> bool {
-        self.replicas[split].binary_search(&server).is_ok()
-    }
-}
 
 /// On-disk spill area for reduce inputs that exceed the job's memory
 /// budget. One spill file holds one reduce task's values as consecutive
@@ -189,77 +118,6 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placement_is_deterministic() {
-        let a = BlockStore::place(20, 8, 3, 7);
-        let b = BlockStore::place(20, 8, 3, 7);
-        for s in 0..20 {
-            assert_eq!(a.replicas(s), b.replicas(s));
-        }
-    }
-
-    #[test]
-    fn replication_count_respected_and_distinct() {
-        let store = BlockStore::place(50, 10, 3, 1);
-        for s in 0..50 {
-            let reps = store.replicas(s);
-            assert_eq!(reps.len(), 3);
-            let mut dedup = reps.to_vec();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 3, "replicas must be distinct servers");
-            assert!(reps.iter().all(|&srv| srv < 10));
-        }
-    }
-
-    #[test]
-    fn replication_clamped_to_cluster_size() {
-        let store = BlockStore::place(5, 2, 3, 0);
-        for s in 0..5 {
-            assert_eq!(store.replicas(s).len(), 2);
-        }
-    }
-
-    #[test]
-    fn is_local_matches_replica_list() {
-        let store = BlockStore::place(10, 6, 2, 3);
-        for s in 0..10 {
-            for srv in 0..6 {
-                assert_eq!(store.is_local(s, srv), store.replicas(s).contains(&srv));
-            }
-        }
-    }
-
-    #[test]
-    fn placement_spreads_across_servers() {
-        let servers = 8;
-        let store = BlockStore::place(400, servers, 3, 11);
-        let mut counts = vec![0usize; servers];
-        for s in 0..store.splits() {
-            for &srv in store.replicas(s) {
-                counts[srv] += 1;
-            }
-        }
-        let expected = 400 * 3 / servers;
-        for (srv, &c) in counts.iter().enumerate() {
-            assert!(
-                c > expected / 2 && c < expected * 2,
-                "server {srv} holds {c} replicas, expected ~{expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_splits_is_fine() {
-        let store = BlockStore::place(0, 4, 2, 0);
-        assert_eq!(store.splits(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_servers_rejected() {
-        let _ = BlockStore::place(1, 0, 1, 0);
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

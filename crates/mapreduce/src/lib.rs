@@ -70,8 +70,8 @@
 //! [`JobSpec::chaos`](runtime::JobSpec::chaos) is the one fault injector:
 //! map attempts genuinely re-run on injected DFS-read or map-task faults and
 //! reduce tasks re-fetch dropped shuffle segments, each charged to the
-//! simulated clock. The scheduler models Hadoop-style speculative execution
-//! of straggler tasks.
+//! simulated clock. The scheduler places tasks FIFO onto the cluster's slots,
+//! as stock Hadoop's JobTracker does.
 
 #![warn(missing_docs)]
 
@@ -88,14 +88,12 @@ pub mod timeline;
 pub mod types;
 
 pub use cost::CostModel;
-pub use dfs::{BlockStore, SpillReader, SpillStore};
+pub use dfs::{SpillReader, SpillStore};
 pub use mapper::Mapper;
 pub use metrics::{JobMetrics, PeakMemBytes, PhaseMetrics};
 pub use reducer::Reducer;
-pub use runtime::{run_job, ClusterConfig, JobResult, JobSpec, LocalityConfig, SpillConfig};
-pub use scheduler::{
-    schedule_phase, schedule_phase_with_locality, PhaseSchedule, SpeculationConfig,
-};
+pub use runtime::{run_job, ClusterConfig, JobResult, JobSpec, SpillConfig};
+pub use scheduler::{schedule_phase, PhaseSchedule};
 pub use shuffle::OwnedMergeFn;
 pub use timeline::render_timeline;
 pub use types::{Emitter, TaskContext};
@@ -106,6 +104,6 @@ pub mod prelude {
     pub use crate::mapper::Mapper;
     pub use crate::metrics::{JobMetrics, PhaseMetrics};
     pub use crate::reducer::Reducer;
-    pub use crate::runtime::{run_job, ClusterConfig, JobResult, JobSpec, LocalityConfig};
+    pub use crate::runtime::{run_job, ClusterConfig, JobResult, JobSpec};
     pub use crate::types::{Emitter, TaskContext};
 }

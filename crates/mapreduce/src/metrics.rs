@@ -24,11 +24,6 @@ pub struct PhaseMetrics {
     /// Per-task simulated durations (successful attempt, including retries'
     /// wasted time folded into the task's duration).
     pub task_durations: Vec<f64>,
-    /// Speculative backups that won (scheduler model).
-    pub speculative_wins: usize,
-    /// Tasks that ran on a server holding their input block (only set when
-    /// locality-aware scheduling is enabled; otherwise 0).
-    pub data_local_tasks: usize,
     /// Named user counters summed across the phase's tasks.
     pub counters: BTreeMap<String, u64>,
 }
@@ -126,8 +121,6 @@ impl JobMetrics {
         out.map
             .task_durations
             .extend_from_slice(&next.map.task_durations);
-        out.map.speculative_wins += next.map.speculative_wins;
-        out.map.data_local_tasks += next.map.data_local_tasks;
         for (name, value) in &next.map.counters {
             let slot = out.map.counters.entry(name.clone()).or_insert(0);
             *slot = slot.saturating_add(*value);
@@ -142,8 +135,6 @@ impl JobMetrics {
         out.reduce
             .task_durations
             .extend_from_slice(&next.reduce.task_durations);
-        out.reduce.speculative_wins += next.reduce.speculative_wins;
-        out.reduce.data_local_tasks += next.reduce.data_local_tasks;
         for (name, value) in &next.reduce.counters {
             let slot = out.reduce.counters.entry(name.clone()).or_insert(0);
             *slot = slot.saturating_add(*value);
@@ -199,8 +190,6 @@ mod tests {
             sim_start: 0.0,
             sim_end: span,
             task_durations: vec![span / tasks.max(1) as f64; tasks],
-            speculative_wins: 0,
-            data_local_tasks: 0,
             counters: BTreeMap::new(),
         }
     }
@@ -328,8 +317,6 @@ mod tests {
                     sim_start: start,
                     sim_end: start + span,
                     task_durations: vec![span / tasks as f64; tasks],
-                    speculative_wins: 0,
-                    data_local_tasks: 0,
                     counters: BTreeMap::new(),
                 }
             })

@@ -28,7 +28,7 @@ use crate::mapper::Mapper;
 use crate::metrics::{JobMetrics, PeakMemBytes, PhaseMetrics};
 use crate::pool;
 use crate::reducer::Reducer;
-use crate::scheduler::{schedule_phase, SpeculationConfig};
+use crate::scheduler::schedule_phase;
 use crate::shuffle::{default_router, shuffle_with, KeyRouter, OwnedMergeFn};
 use crate::types::{DataT, Emitter, KeyT, KvSizer, TaskContext};
 use mrsky_chaos::{FaultKind, FaultPlan, FaultSite};
@@ -114,8 +114,6 @@ pub struct JobSpec<K, V> {
     pub cluster: ClusterConfig,
     /// Cost model for simulated durations.
     pub cost: CostModel,
-    /// Speculative execution policy.
-    pub speculation: SpeculationConfig,
     /// Host threads for real execution; `0` means all available cores.
     pub threads: usize,
     /// Key→reducer routing; `None` uses the hash router.
@@ -123,8 +121,6 @@ pub struct JobSpec<K, V> {
     /// Wire-size estimator for shuffle byte accounting; `None` uses
     /// `size_of`.
     pub sizer: Option<KvSizer<K, V>>,
-    /// Data-locality model for map scheduling.
-    pub locality: LocalityConfig,
     /// Structured trace destination; [`Tracer::disabled`] (the default)
     /// costs one branch per emission site.
     pub tracer: Tracer,
@@ -181,43 +177,6 @@ impl<V> Clone for SpillConfig<V> {
 /// 100-byte records). Input-derived, cluster-independent.
 pub const RECORDS_PER_SPLIT: usize = 1600;
 
-/// Data-locality model for the map phase (HDFS block placement + the
-/// JobTracker's preference for replica-holding servers). Off by default so
-/// the paper-figure timings are placement-independent; the ablation suite
-/// and tests exercise it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalityConfig {
-    /// Enable locality-aware map scheduling.
-    pub enabled: bool,
-    /// HDFS-style replication factor per split block.
-    pub replication: usize,
-    /// Extra simulated seconds a map task pays to read a remote block.
-    pub remote_penalty: f64,
-    /// Placement seed.
-    pub seed: u64,
-}
-
-impl Default for LocalityConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            replication: 3,
-            remote_penalty: 0.5,
-            seed: 0,
-        }
-    }
-}
-
-impl LocalityConfig {
-    /// HDFS defaults (3 replicas, 0.5 s remote-read penalty), enabled.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 impl<K: KeyT, V: DataT> JobSpec<K, V> {
     /// A job named `name` on `cluster` with one reducer and defaults
     /// everywhere else.
@@ -228,11 +187,9 @@ impl<K: KeyT, V: DataT> JobSpec<K, V> {
             num_reducers: 1,
             cluster,
             cost: CostModel::default(),
-            speculation: SpeculationConfig::default(),
             threads: 0,
             router: None,
             sizer: None,
-            locality: LocalityConfig::default(),
             tracer: Tracer::disabled(),
             chaos: FaultPlan::off(),
             owned_merge: None,
@@ -581,45 +538,7 @@ where
     for &d in &map_durations {
         mrsky_trace::metrics().observe_quantile("mapreduce.task_seconds.map", d);
     }
-    let (map_schedule, map_local_tasks) = if spec.locality.enabled {
-        let blocks = crate::dfs::BlockStore::place(
-            num_map_tasks,
-            spec.cluster.servers,
-            spec.locality.replication,
-            spec.locality.seed,
-        );
-        let scheduled = crate::scheduler::schedule_phase_with_locality(
-            &map_durations,
-            spec.cluster.servers,
-            spec.cluster.map_slots_per_server,
-            0.0,
-            &blocks,
-            spec.locality.remote_penalty,
-            &spec.speculation,
-        );
-        if spec.tracer.is_enabled() {
-            for ts in &scheduled.0.timeline {
-                let server = ts.slot / spec.cluster.map_slots_per_server;
-                spec.tracer.emit(|| EventKind::DfsBlockRead {
-                    job: spec.name.clone(),
-                    task: ts.task as u64,
-                    server: server as u64,
-                    local: blocks.is_local(ts.task, server),
-                });
-            }
-        }
-        scheduled
-    } else {
-        (
-            schedule_phase(
-                &map_durations,
-                spec.cluster.map_slots(),
-                0.0,
-                &spec.speculation,
-            ),
-            0,
-        )
-    };
+    let map_schedule = schedule_phase(&map_durations, spec.cluster.map_slots(), 0.0);
     let map_attempts: Vec<u32> = map_results.iter().map(|m| m.attempts).collect();
     emit_phase_trace(
         &spec.tracer,
@@ -639,8 +558,6 @@ where
         sim_start: 0.0,
         sim_end: map_schedule.end,
         task_durations: map_durations,
-        speculative_wins: map_schedule.speculative_wins,
-        data_local_tasks: map_local_tasks,
         counters: Default::default(),
     };
     for m in &map_results {
@@ -881,7 +798,6 @@ where
         &reduce_durations,
         spec.cluster.reduce_slots(),
         map_schedule.end,
-        &spec.speculation,
     );
     // reduce tasks run once: a faulted shuffle fetch re-fetches a segment,
     // it does not re-run the task
@@ -903,8 +819,6 @@ where
         sim_start: map_schedule.end,
         sim_end: reduce_schedule.end,
         task_durations: reduce_durations,
-        speculative_wins: reduce_schedule.speculative_wins,
-        data_local_tasks: 0,
         counters: Default::default(),
     };
     for r in &reduce_results {
@@ -963,9 +877,9 @@ where
 }
 
 /// Emits the task-lifecycle trace of one scheduled phase: the phase
-/// announcement, each task's queue/launch/retry/speculation/completion,
-/// and the phase close. `attempts[t]` is the total attempt count of task
-/// `t` (1 = no retries); a task past the end of `attempts` ran once.
+/// announcement, each task's retries and completion, and the phase close.
+/// `attempts[t]` is the total attempt count of task `t` (1 = no retries); a
+/// task past the end of `attempts` ran once.
 fn emit_phase_trace(
     tracer: &Tracer,
     job: &str,
@@ -984,33 +898,12 @@ fn emit_phase_trace(
     });
     for ts in &schedule.timeline {
         let task = ts.task as u64;
-        tracer.emit(|| EventKind::TaskScheduled {
-            job: job.to_string(),
-            phase,
-            task,
-        });
-        tracer.emit(|| EventKind::TaskLaunched {
-            job: job.to_string(),
-            phase,
-            task,
-            slot: ts.slot as u64,
-            sim: ts.start,
-        });
         for attempt in 1..attempts.get(ts.task).copied().unwrap_or(1) {
             tracer.emit(|| EventKind::TaskRetried {
                 job: job.to_string(),
                 phase,
                 task,
                 attempt: u64::from(attempt),
-            });
-        }
-        if ts.speculative {
-            // The simplified scheduler records only winning backups.
-            tracer.emit(|| EventKind::TaskSpeculated {
-                job: job.to_string(),
-                phase,
-                task,
-                won: true,
             });
         }
         tracer.emit(|| EventKind::TaskFinished {
@@ -1020,7 +913,6 @@ fn emit_phase_trace(
             slot: ts.slot as u64,
             sim_start: ts.start,
             sim_end: ts.end,
-            speculative: ts.speculative,
         });
     }
     // Causal edges for slot occupancy: the first task launched on each slot
@@ -1053,7 +945,6 @@ fn emit_phase_trace(
         job: job.to_string(),
         phase,
         sim: schedule.end,
-        speculative_wins: schedule.speculative_wins as u64,
     });
 }
 
@@ -1233,78 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_rescues_stragglers() {
-        let docs: Vec<String> = (0..8000).map(|i| format!("w{}", i % 13)).collect();
-        // Split 0 of 16 (500 records) charges nine task startups of extra
-        // work, so it runs ~10x longer than its peers.
-        let cost = CostModel::default();
-        let heavy = (9.0 * cost.task_startup / cost.work_unit_cost / 500.0) as u64;
-        let mapper = move |doc: &String, ctx: &mut TaskContext, out: &mut Emitter<String, u64>| {
-            ctx.add_work(if ctx.task_index == 0 { heavy } else { 1 });
-            out.emit(doc.clone(), 1);
-        };
-        let reducer =
-            |k: &String, vs: Vec<u64>, _ctx: &mut TaskContext, out: &mut Vec<(String, u64)>| {
-                out.push((k.clone(), vs.iter().sum()));
-            };
-        let mut slow = word_count_spec(4).with_map_tasks(16);
-        let unaided = run_job(&slow, &docs, &mapper, &reducer);
-        slow.speculation = SpeculationConfig::enabled();
-        let rescued = run_job(&slow, &docs, &mapper, &reducer);
-        let (a, b) = (unaided.metrics.sim_total, rescued.metrics.sim_total);
-        let wins = rescued.metrics.map.speculative_wins;
-        assert_eq!(counts(unaided), counts(rescued), "results unchanged");
-        assert!(wins > 0, "the 10x split must be rescued by a backup");
-        assert!(b < a, "speculation must shorten the job: {b} vs {a}");
-    }
-
-    #[test]
-    fn locality_scheduling_reports_local_tasks_and_preserves_results() {
-        let docs: Vec<String> = (0..4000).map(|i| format!("w{}", i % 17)).collect();
-        let mut plain = word_count_spec(4);
-        let baseline = run_word_count(&plain, &docs);
-        plain.locality = LocalityConfig::enabled();
-        let local = run_word_count(&plain, &docs);
-        assert_eq!(counts(baseline), counts(local));
-    }
-
-    #[test]
-    fn locality_metrics_track_local_fraction() {
-        let docs: Vec<String> = (0..8000).map(|i| format!("w{}", i % 17)).collect();
-        let mut spec = word_count_spec(4);
-        spec.locality = LocalityConfig::enabled();
-        let r = run_word_count(&spec, &docs);
-        let local = r.metrics.map.data_local_tasks;
-        assert!(local > 0, "3x replication on 4 servers must hit locality");
-        assert!(local <= r.metrics.map.tasks);
-    }
-
-    #[test]
-    fn remote_penalty_costs_simulated_time() {
-        let docs: Vec<String> = (0..8000).map(|i| format!("w{}", i % 17)).collect();
-        let mut cheap = word_count_spec(8);
-        cheap.locality = LocalityConfig {
-            enabled: true,
-            replication: 1,
-            remote_penalty: 0.0,
-            seed: 1,
-        };
-        let mut dear = word_count_spec(8);
-        dear.locality = LocalityConfig {
-            enabled: true,
-            replication: 1,
-            remote_penalty: 30.0,
-            seed: 1,
-        };
-        let a = run_word_count(&cheap, &docs);
-        let b = run_word_count(&dear, &docs);
-        assert!(
-            b.metrics.map.sim_span() >= a.metrics.map.sim_span(),
-            "a large remote penalty cannot make the map phase faster"
-        );
-    }
-
-    #[test]
     fn tracer_records_a_schema_valid_stream() {
         use mrsky_chaos::{FaultKind, SiteRule};
         let mut plan = FaultPlan::off();
@@ -1316,7 +1135,6 @@ mod tests {
             permille: 400,
         }];
         let mut spec = word_count_spec(2).with_map_tasks(4).with_chaos(plan);
-        spec.locality = LocalityConfig::enabled();
         let tracer = Tracer::in_memory();
         spec.tracer = tracer.clone();
         let result = run_word_count(&spec, &docs());
@@ -1332,12 +1150,6 @@ mod tests {
             + (result.metrics.reduce.attempts as usize - result.metrics.reduce.tasks);
         assert!(extra_attempts > 0, "map-task faults must retry something");
         assert_eq!(retries, extra_attempts);
-        // Locality scheduling logs one DFS read per map task.
-        let dfs_reads = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::DfsBlockRead { .. }))
-            .count();
-        assert_eq!(dfs_reads, result.metrics.map.tasks);
         // One shuffle record per reducer.
         let shuffles = events
             .iter()
@@ -1358,15 +1170,6 @@ mod tests {
             counts(run_word_count(&spec, &docs())),
             counts(run_word_count(&traced, &docs()))
         );
-    }
-
-    #[test]
-    fn speculation_reported_in_metrics() {
-        let mut spec = word_count_spec(2);
-        spec.speculation = SpeculationConfig::enabled();
-        let r = run_word_count(&spec, &docs());
-        // no stragglers in this tiny job, but the field must be present/zero
-        assert_eq!(r.metrics.map.speculative_wins, 0);
     }
 
     #[test]

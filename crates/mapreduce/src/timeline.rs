@@ -1,12 +1,12 @@
 //! ASCII Gantt rendering of phase schedules — makes the discrete-event
-//! simulator's decisions visible (waves, stragglers, speculative rescues).
+//! simulator's decisions visible (waves, stragglers).
 
 use crate::scheduler::PhaseSchedule;
 use std::fmt::Write;
 
 /// Renders `schedule` as one row per slot, time flowing left to right across
-/// `width` columns. Task cells show the task index modulo 10; speculative
-/// completions are marked with `*` at their end column; idle time is `.`.
+/// `width` columns. Task cells show the task index modulo 10; idle time is
+/// `.`.
 ///
 /// Returns an empty string for an empty schedule.
 pub fn render_timeline(schedule: &PhaseSchedule, width: usize) -> String {
@@ -25,9 +25,6 @@ pub fn render_timeline(schedule: &PhaseSchedule, width: usize) -> String {
         let ch = char::from_digit((task.task % 10) as u32, 10).unwrap_or('?');
         for cell in rows[task.slot].iter_mut().take(c1 + 1).skip(c0) {
             *cell = ch;
-        }
-        if task.speculative {
-            rows[task.slot][c1.min(width - 1)] = '*';
         }
     }
 
@@ -48,18 +45,18 @@ pub fn render_timeline(schedule: &PhaseSchedule, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{schedule_phase, SpeculationConfig};
+    use crate::scheduler::schedule_phase;
 
     #[test]
     fn empty_schedule_renders_empty() {
-        let s = schedule_phase(&[], 4, 0.0, &SpeculationConfig::default());
+        let s = schedule_phase(&[], 4, 0.0);
         assert!(render_timeline(&s, 40).is_empty());
     }
 
     #[test]
     fn rows_match_slots_and_waves_are_visible() {
         // 4 unit tasks on 2 slots: 2 waves
-        let s = schedule_phase(&[1.0; 4], 2, 0.0, &SpeculationConfig::default());
+        let s = schedule_phase(&[1.0; 4], 2, 0.0);
         let rendered = render_timeline(&s, 40);
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 3, "2 slot rows + axis");
@@ -71,17 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn speculative_completion_is_marked() {
-        let mut durations = vec![1.0; 7];
-        durations.push(30.0);
-        let s = schedule_phase(&durations, 8, 0.0, &SpeculationConfig::enabled());
-        let rendered = render_timeline(&s, 60);
-        assert!(rendered.contains('*'), "{rendered}");
-    }
-
-    #[test]
     fn axis_shows_span() {
-        let s = schedule_phase(&[2.0, 2.0], 2, 0.0, &SpeculationConfig::default());
+        let s = schedule_phase(&[2.0, 2.0], 2, 0.0);
         let rendered = render_timeline(&s, 40);
         assert!(rendered.contains("0.0s"), "{rendered}");
         assert!(rendered.contains("2.0s"), "{rendered}");
@@ -91,7 +79,7 @@ mod tests {
     fn axis_labels_absolute_start_and_end_for_offset_phase() {
         // A reduce-style phase starting at t=100: the axis must read
         // 100.0s..102.0s, not 0s..2.0s (the span).
-        let s = schedule_phase(&[1.0, 2.0], 2, 100.0, &SpeculationConfig::default());
+        let s = schedule_phase(&[1.0, 2.0], 2, 100.0);
         let rendered = render_timeline(&s, 40);
         let axis = rendered.lines().last().unwrap_or("");
         assert!(axis.contains("100.0s"), "{rendered}");
@@ -105,7 +93,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 10 columns")]
     fn tiny_width_rejected() {
-        let s = schedule_phase(&[1.0], 1, 0.0, &SpeculationConfig::default());
+        let s = schedule_phase(&[1.0], 1, 0.0);
         let _ = render_timeline(&s, 3);
     }
 }

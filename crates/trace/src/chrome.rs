@@ -9,9 +9,7 @@
 //!   starts at 0 — the exporter re-bases job *N* by the summed
 //!   `sim_total` of jobs before it so the processes lay out sequentially.
 //! - Each cluster **slot** becomes a thread (`tid = slot + 1`); tid 0
-//!   carries the phase envelope slices. Task attempts are `"X"` complete
-//!   slices; speculative completions additionally get an async
-//!   `"b"`/`"e"` pair so the backup race is visible as an overlay.
+//!   carries the phase envelope slices. Tasks are `"X"` complete slices.
 //! - Driver-level spans ([`SpanBegin`](crate::EventKind::SpanBegin)) and
 //!   point records (kernels, shuffle, ingest) live on **pid 0**, which
 //!   runs on the wall clock (`wall_us`), as `"B"`/`"E"` duration events
@@ -99,7 +97,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     let mut jobs: BTreeMap<String, JobState> = BTreeMap::new();
     let mut next_pid = 1u64;
     let mut sim_cursor = 0.0f64;
-    let mut async_id = 0u64;
 
     // Causal-DAG node anchors, keyed by the node-id grammar
     // (`job:`/`phase:`/`task:` — see `EventKind::CausalEdge`):
@@ -169,7 +166,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                 slot,
                 sim_start,
                 sim_end,
-                speculative,
             } => {
                 if let Some(state) = jobs.get_mut(job) {
                     let tid = slot + 1;
@@ -183,28 +179,12 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                         (state.pid, tid, ts, ts + dur),
                     );
                     em.push(&format!(
-                        "\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"name\":\"{} {task}\",\"cat\":\"task\",\"ts\":{},\"dur\":{},\"args\":{{\"task\":{task},\"speculative\":{speculative}}}",
+                        "\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"name\":\"{} {task}\",\"cat\":\"task\",\"ts\":{},\"dur\":{},\"args\":{{\"task\":{task}}}",
                         state.pid,
                         phase.as_str(),
                         number(ts),
                         number(dur)
                     ));
-                    if *speculative {
-                        async_id += 1;
-                        let te = sim_us(state.offset, *sim_end);
-                        em.push(&format!(
-                            "\"ph\":\"b\",\"pid\":{0},\"tid\":{tid},\"id\":{async_id},\"cat\":\"speculation\",\"name\":\"backup {2} {task}\",\"ts\":{1}",
-                            state.pid,
-                            number(ts),
-                            phase.as_str()
-                        ));
-                        em.push(&format!(
-                            "\"ph\":\"e\",\"pid\":{0},\"tid\":{tid},\"id\":{async_id},\"cat\":\"speculation\",\"name\":\"backup {2} {task}\",\"ts\":{1}",
-                            state.pid,
-                            number(te),
-                            phase.as_str()
-                        ));
-                    }
                 }
             }
             EventKind::SpanBegin { name } => {
@@ -400,16 +380,12 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     *victim,
                 ));
             }
-            // Queue/launch/retry/speculation bookkeeping and ingest are
+            // Retry bookkeeping and ingest are
             // visible in the summary view; the timeline keeps to slices.
             // Per-request serve events are too dense for the timeline —
             // the summary's op/outcome table and latency sketches carry
             // them; only breaker/shed/repair markers surface here.
-            EventKind::TaskScheduled { .. }
-            | EventKind::TaskLaunched { .. }
-            | EventKind::TaskRetried { .. }
-            | EventKind::TaskSpeculated { .. }
-            | EventKind::DfsBlockRead { .. }
+            EventKind::TaskRetried { .. }
             | EventKind::IngestStarted { .. }
             | EventKind::IngestFinished { .. }
             | EventKind::Request { .. }
@@ -418,9 +394,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     }
 
     // Second pass: every slice is anchored, so causal flows resolve.
-    // Flow ids share a namespace with the speculation async pairs only by
-    // number, not category, but keep them disjoint anyway.
-    let mut flow_id = 1_000_000u64;
+    let mut flow_id = 0u64;
     for (edge, src, dst) in &pending_edges {
         let (Some(&(spid, stid, _, send)), Some(&(dpid, dtid, dstart, _))) =
             (nodes.get(src), nodes.get(dst))
@@ -502,7 +476,6 @@ mod tests {
                     slot: 2,
                     sim_start: 0.0,
                     sim_end: 1.5,
-                    speculative: true,
                 },
             ),
             ev(
@@ -511,7 +484,6 @@ mod tests {
                     job: "j1".into(),
                     phase: PhaseKind::Map,
                     sim: 1.5,
-                    speculative_wins: 1,
                 },
             ),
             ev(
@@ -532,7 +504,6 @@ mod tests {
                     slot: 0,
                     sim_start: 0.5,
                     sim_end: 1.0,
-                    speculative: false,
                 },
             ),
             ev(8, SpanEnd { name: "run".into() }),
@@ -570,14 +541,6 @@ mod tests {
             task.get("ts").and_then(json::JsonValue::as_f64),
             Some(2.5e6)
         );
-    }
-
-    #[test]
-    fn speculative_task_gets_async_pair() {
-        let text = to_chrome_trace(&sample_run());
-        assert!(text.contains("\"ph\":\"b\""));
-        assert!(text.contains("\"ph\":\"e\""));
-        assert!(text.contains("backup map 0"));
     }
 
     #[test]

@@ -10,14 +10,18 @@
 //! |---|---|
 //! | job | `job_started`, `job_finished` |
 //! | phase | `phase_started`, `phase_finished` |
-//! | task lifecycle | `task_scheduled`, `task_launched`, `task_retried`, `task_speculated`, `task_finished`, `task_stolen` |
-//! | shuffle / DFS | `shuffle_partition`, `dfs_block_read` |
+//! | task lifecycle | `task_retried`, `task_finished`, `task_stolen` |
+//! | shuffle / memory | `shuffle_partition`, `phase_peak_memory` |
 //! | causality | `causal_edge` |
 //! | skyline | `kernel_run`, `partition_local_skyline` |
 //! | early pruning / streaming | `rows_filtered`, `sector_pruned`, `merge_overlap` |
 //! | ingest | `ingest_started`, `ingest_finished` |
 //! | chaos / recovery | `fault_injected`, `task_retry_exhausted`, `checkpoint_written`, `checkpoint_restored`, `record_quarantined`, `run_resumed` |
 //! | generic spans | `span_begin`, `span_end` |
+//!
+//! Types the schema no longer emits are listed in [`RETIRED_EVENT_TYPES`];
+//! [`parse_jsonl`](crate::parse_jsonl) skips their lines, and unknown extra
+//! fields on live types are ignored, so older traces still load.
 
 use crate::json::{self, JsonValue};
 use std::fmt::Write as _;
@@ -107,30 +111,6 @@ pub enum EventKind {
         phase: PhaseKind,
         /// Simulated phase end.
         sim: f64,
-        /// Speculative backups that won their race.
-        speculative_wins: u64,
-    },
-    /// A task entered the phase's FIFO queue.
-    TaskScheduled {
-        /// Job name.
-        job: String,
-        /// Which phase.
-        phase: PhaseKind,
-        /// Task index within the phase.
-        task: u64,
-    },
-    /// A task started executing on a slot.
-    TaskLaunched {
-        /// Job name.
-        job: String,
-        /// Which phase.
-        phase: PhaseKind,
-        /// Task index within the phase.
-        task: u64,
-        /// Cluster slot (`server * slots_per_server + slot`).
-        slot: u64,
-        /// Simulated launch time.
-        sim: f64,
     },
     /// A task attempt failed and was re-run (injected failure model).
     TaskRetried {
@@ -143,20 +123,7 @@ pub enum EventKind {
         /// 1-based retry number (first retry = 1).
         attempt: u64,
     },
-    /// A speculative backup attempt was observed for a straggler task. In
-    /// the simulator's monotone model only *winning* backups are recorded,
-    /// so `won` also implies the original attempt lost the race.
-    TaskSpeculated {
-        /// Job name.
-        job: String,
-        /// Which phase.
-        phase: PhaseKind,
-        /// Task index within the phase.
-        task: u64,
-        /// Whether the backup beat the original attempt.
-        won: bool,
-    },
-    /// A task completed (at its winning attempt's end).
+    /// A task completed (at its last attempt's end).
     TaskFinished {
         /// Job name.
         job: String,
@@ -164,14 +131,12 @@ pub enum EventKind {
         phase: PhaseKind,
         /// Task index within the phase.
         task: u64,
-        /// Cluster slot the winning attempt ran on.
+        /// Cluster slot the task ran on.
         slot: u64,
         /// Simulated start.
         sim_start: f64,
         /// Simulated end.
         sim_end: f64,
-        /// Whether a speculative backup produced the completion.
-        speculative: bool,
     },
     /// A work-stealing handoff during real execution: a dry worker stole a
     /// task from the back of a victim worker's deque and ran it itself.
@@ -229,17 +194,6 @@ pub enum EventKind {
         phase: PhaseKind,
         /// Peak concurrent resident bytes.
         peak_bytes: u64,
-    },
-    /// A map task read its input block from the simulated DFS.
-    DfsBlockRead {
-        /// Job name.
-        job: String,
-        /// Map task (= split/block) index.
-        task: u64,
-        /// Server the task ran on.
-        server: u64,
-        /// Whether a replica of the block lived on that server.
-        local: bool,
     },
     /// One skyline kernel invocation (local computation or merge).
     KernelRun {
@@ -447,16 +401,12 @@ impl EventKind {
             EventKind::JobFinished { .. } => "job_finished",
             EventKind::PhaseStarted { .. } => "phase_started",
             EventKind::PhaseFinished { .. } => "phase_finished",
-            EventKind::TaskScheduled { .. } => "task_scheduled",
-            EventKind::TaskLaunched { .. } => "task_launched",
             EventKind::TaskRetried { .. } => "task_retried",
-            EventKind::TaskSpeculated { .. } => "task_speculated",
             EventKind::TaskFinished { .. } => "task_finished",
             EventKind::TaskStolen { .. } => "task_stolen",
             EventKind::CausalEdge { .. } => "causal_edge",
             EventKind::ShufflePartition { .. } => "shuffle_partition",
             EventKind::PhasePeakMemory { .. } => "phase_peak_memory",
-            EventKind::DfsBlockRead { .. } => "dfs_block_read",
             EventKind::KernelRun { .. } => "kernel_run",
             EventKind::PartitionLocalSkyline { .. } => "partition_local_skyline",
             EventKind::RowsFiltered { .. } => "rows_filtered",
@@ -480,6 +430,18 @@ impl EventKind {
         }
     }
 }
+
+/// Wire names of event types the schema no longer emits: the FIFO
+/// scheduler's queue and launch markers (`task_finished` carries the slot
+/// and start), and the speculation and data-locality simulator modes'
+/// events. Traces written before their retirement still load because
+/// [`parse_jsonl`](crate::parse_jsonl) skips these lines.
+pub const RETIRED_EVENT_TYPES: &[&str] = &[
+    "task_scheduled",
+    "task_launched",
+    "task_speculated",
+    "dfs_block_read",
+];
 
 /// One serialized field value.
 enum Field {
@@ -525,33 +487,9 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             ("tasks", U(*tasks)),
             ("sim", F(*sim)),
         ],
-        PhaseFinished {
-            job,
-            phase,
-            sim,
-            speculative_wins,
-        } => vec![
+        PhaseFinished { job, phase, sim } => vec![
             ("job", S(job.clone())),
             ("phase", S(phase.as_str().into())),
-            ("sim", F(*sim)),
-            ("speculative_wins", U(*speculative_wins)),
-        ],
-        TaskScheduled { job, phase, task } => vec![
-            ("job", S(job.clone())),
-            ("phase", S(phase.as_str().into())),
-            ("task", U(*task)),
-        ],
-        TaskLaunched {
-            job,
-            phase,
-            task,
-            slot,
-            sim,
-        } => vec![
-            ("job", S(job.clone())),
-            ("phase", S(phase.as_str().into())),
-            ("task", U(*task)),
-            ("slot", U(*slot)),
             ("sim", F(*sim)),
         ],
         TaskRetried {
@@ -565,17 +503,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             ("task", U(*task)),
             ("attempt", U(*attempt)),
         ],
-        TaskSpeculated {
-            job,
-            phase,
-            task,
-            won,
-        } => vec![
-            ("job", S(job.clone())),
-            ("phase", S(phase.as_str().into())),
-            ("task", U(*task)),
-            ("won", B(*won)),
-        ],
         TaskFinished {
             job,
             phase,
@@ -583,7 +510,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             slot,
             sim_start,
             sim_end,
-            speculative,
         } => vec![
             ("job", S(job.clone())),
             ("phase", S(phase.as_str().into())),
@@ -591,7 +517,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             ("slot", U(*slot)),
             ("sim_start", F(*sim_start)),
             ("sim_end", F(*sim_end)),
-            ("speculative", B(*speculative)),
         ],
         TaskStolen {
             job,
@@ -632,17 +557,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             ("job", S(job.clone())),
             ("phase", S(phase.as_str().into())),
             ("peak_bytes", U(*peak_bytes)),
-        ],
-        DfsBlockRead {
-            job,
-            task,
-            server,
-            local,
-        } => vec![
-            ("job", S(job.clone())),
-            ("task", U(*task)),
-            ("server", U(*server)),
-            ("local", B(*local)),
         ],
         KernelRun {
             kernel,
@@ -808,14 +722,23 @@ impl TraceEvent {
     /// # Errors
     ///
     /// Returns a description of the first schema violation: malformed JSON,
-    /// a missing/badly-typed field, or an unknown `type`.
+    /// a missing/badly-typed field, or an unknown or retired `type`.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
+        Self::from_json_or_retired(line)?.ok_or_else(|| "retired event type".to_string())
+    }
+
+    /// As [`TraceEvent::from_json`], but a well-formed line whose `type` is
+    /// in [`RETIRED_EVENT_TYPES`] yields `Ok(None)` instead of an error.
+    pub(crate) fn from_json_or_retired(line: &str) -> Result<Option<TraceEvent>, String> {
         let value = json::parse(line).map_err(|e| e.to_string())?;
         let seq = req_u64(&value, "seq")?;
         let wall_us = req_u64(&value, "wall_us")?;
         let ty = req_str(&value, "type")?;
+        if RETIRED_EVENT_TYPES.contains(&ty.as_str()) {
+            return Ok(None);
+        }
         let kind = kind_from(&value, &ty)?;
-        Ok(TraceEvent { seq, wall_us, kind })
+        Ok(Some(TraceEvent { seq, wall_us, kind }))
     }
 }
 
@@ -888,31 +811,12 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             job: req_str(v, "job")?,
             phase: req_phase(v, "phase")?,
             sim: req_f64(v, "sim")?,
-            speculative_wins: req_u64(v, "speculative_wins")?,
-        },
-        "task_scheduled" => TaskScheduled {
-            job: req_str(v, "job")?,
-            phase: req_phase(v, "phase")?,
-            task: req_u64(v, "task")?,
-        },
-        "task_launched" => TaskLaunched {
-            job: req_str(v, "job")?,
-            phase: req_phase(v, "phase")?,
-            task: req_u64(v, "task")?,
-            slot: req_u64(v, "slot")?,
-            sim: req_f64(v, "sim")?,
         },
         "task_retried" => TaskRetried {
             job: req_str(v, "job")?,
             phase: req_phase(v, "phase")?,
             task: req_u64(v, "task")?,
             attempt: req_u64(v, "attempt")?,
-        },
-        "task_speculated" => TaskSpeculated {
-            job: req_str(v, "job")?,
-            phase: req_phase(v, "phase")?,
-            task: req_u64(v, "task")?,
-            won: req_bool(v, "won")?,
         },
         "task_finished" => TaskFinished {
             job: req_str(v, "job")?,
@@ -921,7 +825,6 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             slot: req_u64(v, "slot")?,
             sim_start: req_f64(v, "sim_start")?,
             sim_end: req_f64(v, "sim_end")?,
-            speculative: req_bool(v, "speculative")?,
         },
         "task_stolen" => TaskStolen {
             job: req_str(v, "job")?,
@@ -946,12 +849,6 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             job: req_str(v, "job")?,
             phase: req_phase(v, "phase")?,
             peak_bytes: req_u64(v, "peak_bytes")?,
-        },
-        "dfs_block_read" => DfsBlockRead {
-            job: req_str(v, "job")?,
-            task: req_u64(v, "task")?,
-            server: req_u64(v, "server")?,
-            local: req_bool(v, "local")?,
         },
         "kernel_run" => KernelRun {
             kernel: req_str(v, "kernel")?,
@@ -1078,31 +975,12 @@ mod tests {
                 job: "j1".into(),
                 phase: PhaseKind::Reduce,
                 sim: 9.0,
-                speculative_wins: 1,
-            },
-            TaskScheduled {
-                job: "j1".into(),
-                phase: PhaseKind::Map,
-                task: 3,
-            },
-            TaskLaunched {
-                job: "j1".into(),
-                phase: PhaseKind::Map,
-                task: 3,
-                slot: 5,
-                sim: 1.5,
             },
             TaskRetried {
                 job: "j1".into(),
                 phase: PhaseKind::Reduce,
                 task: 0,
                 attempt: 2,
-            },
-            TaskSpeculated {
-                job: "j1".into(),
-                phase: PhaseKind::Map,
-                task: 7,
-                won: true,
             },
             TaskFinished {
                 job: "j\"quoted\"".into(),
@@ -1111,7 +989,6 @@ mod tests {
                 slot: 5,
                 sim_start: 1.5,
                 sim_end: 2.75,
-                speculative: false,
             },
             TaskStolen {
                 job: "j1".into(),
@@ -1136,12 +1013,6 @@ mod tests {
                 job: "j1".into(),
                 phase: PhaseKind::Reduce,
                 peak_bytes: 1_048_576,
-            },
-            DfsBlockRead {
-                job: "j1".into(),
-                task: 1,
-                server: 3,
-                local: true,
             },
             KernelRun {
                 kernel: "bnl".into(),
@@ -1289,8 +1160,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_phase() {
-        let line =
-            r#"{"seq":0,"wall_us":0,"type":"task_scheduled","job":"j","phase":"combine","task":0}"#;
+        let line = r#"{"seq":0,"wall_us":0,"type":"task_retried","job":"j","phase":"combine","task":0,"attempt":1}"#;
         assert!(TraceEvent::from_json(line).is_err());
     }
 

@@ -36,7 +36,9 @@ pub use sketch::QuantileSketch;
 pub use summary::{validate_events, TraceSummary};
 
 /// Parses a JSONL trace document (one event per line, blank lines
-/// ignored) into events.
+/// ignored) into events. Lines of a type in
+/// [`RETIRED_EVENT_TYPES`](event::RETIRED_EVENT_TYPES) are skipped, so
+/// traces written by older versions still load.
 ///
 /// # Errors
 ///
@@ -48,8 +50,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
         if line.is_empty() {
             continue;
         }
-        let ev = TraceEvent::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(ev);
+        let ev =
+            TraceEvent::from_json_or_retired(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        events.extend(ev);
     }
     Ok(events)
 }

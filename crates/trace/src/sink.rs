@@ -279,10 +279,11 @@ mod tests {
         let clone = tracer.clone();
         for i in 0..5u64 {
             let t = if i % 2 == 0 { &tracer } else { &clone };
-            t.emit(|| EventKind::TaskScheduled {
+            t.emit(|| EventKind::TaskRetried {
                 job: "j".into(),
                 phase: PhaseKind::Map,
                 task: i,
+                attempt: 1,
             });
         }
         let events = tracer.drain();

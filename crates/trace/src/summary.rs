@@ -13,7 +13,8 @@ use std::fmt::Write as _;
 /// 1. sequence numbers strictly increase,
 /// 2. jobs and phases finish only after they start (and at most once),
 /// 3. every generic span closes a matching open,
-/// 4. each phase finishes exactly the task count it announced,
+/// 4. each phase finishes exactly the task count it announced (counted
+///    per run, so a job name that runs again starts from zero),
 /// 5. a partition restored from a checkpoint is never *also* recomputed:
 ///    no `partition_local_skyline` may share a partition id with a
 ///    `checkpoint_restored` in the same run (this is how the resume
@@ -74,6 +75,9 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
                         ev.seq
                     ));
                 }
+                // A job name can run again later (a sweep reruns every job
+                // per cluster size): each run counts its own tasks.
+                finished_tasks.insert((job.clone(), *phase), 0);
             }
             EventKind::PhaseFinished { job, phase, .. } => {
                 let key = (job.clone(), *phase);
@@ -186,8 +190,6 @@ pub struct PhaseSummary {
     pub finished: u64,
     /// Retry attempts.
     pub retries: u64,
-    /// Speculative backups that won.
-    pub speculative_wins: u64,
     /// Tasks rebalanced by work stealing during real execution.
     pub steals: u64,
     /// Simulated phase span in seconds.
@@ -204,8 +206,6 @@ pub struct JobSummary {
     /// Per-phase peak resident bytes (map = buffered map output, reduce =
     /// shuffled reduce input), maxed across `phase_peak_memory` events.
     pub peak_mem: BTreeMap<PhaseKind, u64>,
-    /// DFS block reads: (local, remote).
-    pub dfs_reads: (u64, u64),
     /// Simulated end-to-end seconds.
     pub sim_total: f64,
     /// Host wall-clock seconds.
@@ -322,17 +322,10 @@ impl TraceSummary {
                     let entry = summary.jobs.entry(job.clone()).or_default();
                     entry.phases.entry(*phase).or_default().tasks = *tasks;
                 }
-                EventKind::PhaseFinished {
-                    job,
-                    phase,
-                    sim,
-                    speculative_wins,
-                } => {
+                EventKind::PhaseFinished { job, phase, sim } => {
                     let start = phase_starts.remove(&(job.clone(), *phase)).unwrap_or(0.0);
                     let entry = summary.jobs.entry(job.clone()).or_default();
-                    let p = entry.phases.entry(*phase).or_default();
-                    p.sim_span = (sim - start).max(0.0);
-                    p.speculative_wins = *speculative_wins;
+                    entry.phases.entry(*phase).or_default().sim_span = (sim - start).max(0.0);
                 }
                 EventKind::TaskRetried { job, phase, .. } => {
                     let entry = summary.jobs.entry(job.clone()).or_default();
@@ -385,14 +378,6 @@ impl TraceSummary {
                     let entry = summary.jobs.entry(job.clone()).or_default();
                     let slot = entry.peak_mem.entry(*phase).or_insert(0);
                     *slot = (*slot).max(*peak_bytes);
-                }
-                EventKind::DfsBlockRead { job, local, .. } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    if *local {
-                        entry.dfs_reads.0 += 1;
-                    } else {
-                        entry.dfs_reads.1 += 1;
-                    }
                 }
                 EventKind::KernelRun {
                     kernel,
@@ -512,10 +497,7 @@ impl TraceSummary {
                 EventKind::StaleServed { reason, .. } => {
                     *summary.stale_served.entry(reason.clone()).or_insert(0) += 1;
                 }
-                EventKind::TaskScheduled { .. }
-                | EventKind::TaskLaunched { .. }
-                | EventKind::TaskSpeculated { .. }
-                | EventKind::IngestStarted { .. } => {}
+                EventKind::IngestStarted { .. } => {}
             }
         }
         summary
@@ -539,8 +521,8 @@ impl TraceSummary {
             for (phase, p) in &js.phases {
                 let _ = writeln!(
                     out,
-                    "    {phase:<6} tasks={} finished={} retries={} spec_wins={} span={:.2}s",
-                    p.tasks, p.finished, p.retries, p.speculative_wins, p.sim_span
+                    "    {phase:<6} tasks={} finished={} retries={} span={:.2}s",
+                    p.tasks, p.finished, p.retries, p.sim_span
                 );
             }
             if js.shuffle != (0, 0, 0) {
@@ -548,13 +530,6 @@ impl TraceSummary {
                     out,
                     "    shuffle: {} bytes, {} records, {} segments",
                     js.shuffle.0, js.shuffle.1, js.shuffle.2
-                );
-            }
-            if js.dfs_reads != (0, 0) {
-                let _ = writeln!(
-                    out,
-                    "    dfs reads: {} local, {} remote",
-                    js.dfs_reads.0, js.dfs_reads.1
                 );
             }
             if !js.peak_mem.is_empty() {
@@ -769,7 +744,6 @@ mod tests {
                     slot: 0,
                     sim_start: 0.0,
                     sim_end: 1.0,
-                    speculative: false,
                 },
             ),
             ev(
@@ -792,7 +766,6 @@ mod tests {
                     slot: 1,
                     sim_start: 0.0,
                     sim_end: 2.0,
-                    speculative: true,
                 },
             ),
             ev(
@@ -802,7 +775,6 @@ mod tests {
                     job: "j".into(),
                     phase: PhaseKind::Map,
                     sim: 2.0,
-                    speculative_wins: 1,
                 },
             ),
             ev(
@@ -868,6 +840,28 @@ mod tests {
         let mut wrong_count = valid_stream();
         wrong_count.remove(3); // drop one task_finished
         assert!(validate_events(&wrong_count)
+            .iter()
+            .any(|e| e.contains("announced 2 tasks but finished 1")));
+    }
+
+    #[test]
+    fn a_job_that_runs_twice_counts_each_run_on_its_own() {
+        // The job's events without the enclosing span, run back to back
+        // under the same name (what `mrsky sweep` does per cluster size).
+        let job_run: Vec<TraceEvent> = valid_stream()[1..10].to_vec();
+        let rerun = |runs: [&[TraceEvent]; 2]| -> Vec<TraceEvent> {
+            runs.concat()
+                .into_iter()
+                .enumerate()
+                .map(|(i, e)| ev(i as u64, i as u64, e.kind))
+                .collect()
+        };
+        assert!(validate_events(&rerun([&job_run, &job_run])).is_empty());
+
+        // the reset must not hide a short second run
+        let mut short = job_run.clone();
+        short.remove(2); // drop one task_finished
+        assert!(validate_events(&rerun([&job_run, &short]))
             .iter()
             .any(|e| e.contains("announced 2 tasks but finished 1")));
     }
@@ -1228,7 +1222,6 @@ mod tests {
         assert_eq!(map.tasks, 2);
         assert_eq!(map.finished, 2);
         assert_eq!(map.retries, 1);
-        assert_eq!(map.speculative_wins, 1);
         assert_eq!(map.sim_span, 2.0);
         let bnl = summary.kernels.get("bnl").unwrap();
         assert_eq!(bnl.calls, 1);
@@ -1413,7 +1406,7 @@ mod tests {
         assert!(text.contains("job j"));
         assert!(text.contains("tasks=2"));
         assert!(text.contains("retries=1"));
-        assert!(text.contains("spec_wins=1"));
+        assert!(text.contains("span=2.00s"));
         assert!(text.contains("kernel bnl"));
         assert!(text.contains("local_skyline=10"));
         assert!(text.contains("comparisons histogram:"));

@@ -10,7 +10,7 @@
 //! cargo run --release --example cluster_scalability
 //! ```
 
-use mr_skyline_suite::mapreduce::scheduler::{schedule_phase, SpeculationConfig};
+use mr_skyline_suite::mapreduce::scheduler::schedule_phase;
 use mr_skyline_suite::mapreduce::timeline::render_timeline;
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
@@ -62,12 +62,7 @@ fn main() {
         "
 map-phase Gantt at 4 servers (8 slots, digits = task index mod 10):"
     );
-    let schedule = schedule_phase(
-        &report4.metrics.map.task_durations,
-        4 * 2,
-        0.0,
-        &SpeculationConfig::default(),
-    );
+    let schedule = schedule_phase(&report4.metrics.map.task_durations, 4 * 2, 0.0);
     print!("{}", render_timeline(&schedule, 64));
     println!(
         "\n4 -> 32 servers: {:.1}s -> {:.1}s ({:.0}% faster). The Map waves shrink",

@@ -147,8 +147,8 @@ Fault injection & recovery (skyline):
                           instead of recomputing them
 
 `mrsky trace` replays a recorded JSONL trace: --summary renders per-phase
-task/retry/speculation tables, --chrome converts to a Perfetto-loadable
-JSON file, --validate checks event-schema invariants.
+task/retry tables, --chrome converts to a Perfetto-loadable JSON file,
+--validate checks event-schema invariants.
 
 `mrsky insight` analyzes a recorded JSONL trace: --critical-path extracts
 the longest weighted chain with per-phase blame summing to the simulated

@@ -1,13 +1,16 @@
 //! The [`Dataset`] container, CSV persistence and an update stream for the
 //! incremental-maintenance experiments.
 
+use mini_mapreduce::pool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use skyline_algos::block::PointBlock;
 use skyline_algos::partition::Bounds;
 use skyline_algos::point::Point;
 use skyline_algos::SkylineError;
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -120,111 +123,272 @@ impl Dataset {
     /// Reads a file written by [`Dataset::save_csv`].
     ///
     /// Input the pipeline cannot run on is an [`std::io::ErrorKind::InvalidData`]
-    /// error, never a panic: a malformed or non-finite field, a row whose
-    /// width differs from the first row's, a repeated id, an empty file, and
-    /// a column whose span `max - min` overflows f64 (every partitioner
-    /// scales by it).
+    /// error, never a panic: a line that is not UTF-8, a malformed or
+    /// non-finite field, a row whose width differs from the first row's, a
+    /// repeated id, an empty file, and a column whose span `max - min`
+    /// overflows f64 (every partitioner scales by it). The first such line
+    /// in the file is the one named.
     ///
-    /// Rows are parsed straight into the dataset's block through one
-    /// reused line buffer and one reused row buffer, so a row costs no
-    /// allocation of its own.
-    pub fn load_csv(name: impl Into<String>, path: &Path) -> std::io::Result<Self> {
-        let mut reader = BufReader::new(std::fs::File::open(path)?);
-        let mut line = String::new();
-        let mut row: Vec<f64> = Vec::new();
-        // The block is created by the first row, which fixes the width.
-        let mut block: Option<PointBlock> = None;
-        // Ids must be unique: the skyline validator matches rows by id, so a
-        // repeated id could hide a dropped row. Ascending ids (every
-        // `save_csv` file) cost one comparison per row; the first
-        // non-increasing id switches to a set of every id seen.
-        let mut seen: Option<HashSet<u64>> = None;
-        for at in 0usize.. {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            // Every field is trimmed, so the line ending needs no stripping.
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut fields = line.split(',');
-            let id: u64 = fields
-                .next()
-                .and_then(|s| s.trim().parse().ok())
-                .ok_or_else(|| bad_line(at))?;
-            let ids = block.as_ref().map_or(&[][..], PointBlock::ids);
-            let fresh = match &mut seen {
-                Some(set) => set.insert(id),
-                None if ids.last().is_none_or(|&last| last < id) => true,
-                None => {
-                    let mut set: HashSet<u64> = ids.iter().copied().collect();
-                    let fresh = set.insert(id);
-                    seen = Some(set);
-                    fresh
-                }
-            };
-            if !fresh {
-                return Err(duplicate_id(path, id, at));
-            }
-            row.clear();
-            for field in fields {
-                row.push(field.trim().parse::<f64>().map_err(|_| bad_line(at))?);
-            }
-            // An id-only first row is malformed; a later one is ragged.
-            if block.is_none() && row.is_empty() {
-                return Err(bad_line(at));
-            }
-            let b = block.get_or_insert_with(|| PointBlock::new(row.len()));
-            b.push(id, &row).map_err(|e| match e {
-                SkylineError::DimensionMismatch { expected, actual } => invalid_data(format!(
-                    "ragged CSV line {}: {actual} coordinates where the first row has {expected}",
-                    at + 1
-                )),
-                _ => bad_line(at),
-            })?;
-        }
-        let Some(block) = block else {
-            return Err(invalid_data("CSV contains no points".to_string()));
-        };
-        let dataset = Self::from_block(name, block);
-        let bounds = dataset.bounds();
-        if let Some(i) = (0..bounds.dim()).find(|&i| !bounds.width(i).is_finite()) {
-            return Err(invalid_data(format!(
-                "CSV coordinate {i} spans [{:e}, {:e}], a width that overflows f64",
-                bounds.min(i),
-                bounds.max(i)
-            )));
-        }
-        Ok(dataset)
+    /// The file is read as fixed 1 MiB byte ranges, Hadoop-style splits that
+    /// each own the lines whose first byte they hold. The splits are parsed
+    /// on the task pool, each into its own block, and the blocks are
+    /// concatenated in file order, so the dataset and its errors do not
+    /// depend on the thread count.
+    pub fn load_csv(name: impl Into<String>, path: &Path) -> io::Result<Self> {
+        load_csv_split(name, path, SPLIT_BYTES, pool::default_threads())
     }
 }
 
-fn invalid_data(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+/// The byte length of one [`Dataset::load_csv`] input split.
+const SPLIT_BYTES: u64 = 1 << 20;
+
+/// [`Dataset::load_csv`] with `split_bytes`-long splits on `threads` threads.
+///
+/// A clean file is parsed once, in parallel. A split that fails, rows of
+/// different widths in different splits, or a repeated id send the load to
+/// [`walk_splits`], which finds the first error in file order.
+fn load_csv_split(
+    name: impl Into<String>,
+    path: &Path,
+    split_bytes: u64,
+    threads: usize,
+) -> io::Result<Dataset> {
+    let meta = std::fs::metadata(path)?;
+    // A pipe has no byte ranges to split.
+    if !meta.is_file() {
+        return Err(invalid_data(format!(
+            "{} is not a regular file",
+            path.display()
+        )));
+    }
+    let len = meta.len();
+    let splits = usize::try_from(len.div_ceil(split_bytes)).map_err(|_| too_large(len))?;
+    let clean = parse_parallel(path, len, split_bytes, splits, threads)
+        .filter(|block| block.as_ref().is_none_or(unique_ids));
+    let block = match clean {
+        Some(block) => block,
+        None => walk_splits(path, len, split_bytes, splits)?,
+    };
+    let Some(block) = block else {
+        return Err(invalid_data("CSV contains no points".to_string()));
+    };
+    let dataset = Dataset::from_block(name, block);
+    let bounds = dataset.bounds();
+    if let Some(i) = (0..bounds.dim()).find(|&i| !bounds.width(i).is_finite()) {
+        return Err(invalid_data(format!(
+            "CSV coordinate {i} spans [{:e}, {:e}], a width that overflows f64",
+            bounds.min(i),
+            bounds.max(i)
+        )));
+    }
+    Ok(dataset)
 }
 
-fn bad_line(lineno: usize) -> std::io::Error {
+/// Reads split `k` of a `len`-byte file cut into `split_bytes`-long byte
+/// ranges, returning its bytes and the offset of its first owned line.
+///
+/// A split owns every line whose first byte lies in its range, as Hadoop's
+/// `TextInputFormat` has it: it skips the partial line at its head unless
+/// the byte before its start is `\n`, and reads past its end only to
+/// finish a line that started inside it. The range and the byte before it
+/// take one `read_exact`. Owned bytes start at the offset and run to the
+/// end; a split holding no line start owns none.
+fn read_split(path: &Path, len: u64, split_bytes: u64, k: usize) -> io::Result<(Vec<u8>, usize)> {
+    let start = u64::try_from(k).map_err(|_| too_large(len))? * split_bytes;
+    let end = start.saturating_add(split_bytes).min(len);
+    let from = start.saturating_sub(1);
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(from))?;
+    let mut bytes = vec![0; usize::try_from(end - from).map_err(|_| too_large(len))?];
+    file.read_exact(&mut bytes)?;
+    let head = if start == 0 {
+        0
+    } else {
+        bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |nl| nl + 1)
+    };
+    if head < bytes.len() && end < len && bytes.last() != Some(&b'\n') {
+        BufReader::new(file).read_until(b'\n', &mut bytes)?;
+    }
+    Ok((bytes, head))
+}
+
+/// Parses the lines of one split into a block. `first_line` is the 0-based
+/// file line number of its first line; `width` is the row width, or `None`
+/// to take it from the split's first row; `check_id(id, line)` sees each id
+/// before its coordinates are parsed. Returns the block (`None` when the
+/// split holds no row) and the number of lines, blank ones included.
+///
+/// This is the loader's one line parser. UTF-8 is validated once per split:
+/// the lines before the first invalid byte's line are parsed, so an earlier
+/// error wins, and that line is the error.
+fn parse_split(
+    bytes: &[u8],
+    first_line: usize,
+    mut width: Option<usize>,
+    check_id: &mut dyn FnMut(u64, usize) -> io::Result<()>,
+) -> io::Result<(Option<PointBlock>, usize)> {
+    let (text, utf8) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, true),
+        Err(e) => {
+            let valid = &bytes[..e.valid_up_to()];
+            let whole = valid
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+            (
+                std::str::from_utf8(&valid[..whole]).unwrap_or_default(),
+                false,
+            )
+        }
+    };
+    let mut block: Option<PointBlock> = None;
+    let mut row: Vec<f64> = Vec::new();
+    let mut lines = 0;
+    for line in text.split_terminator('\n') {
+        let at = first_line + lines;
+        lines += 1;
+        // Every field is trimmed, so a `\r` needs no stripping.
+        if line.trim().is_empty() {
+            continue;
+        }
+        let mut fields = line.split(',');
+        let id: u64 = fields
+            .next()
+            .and_then(|s| s.trim().parse().ok())
+            .ok_or_else(|| bad_line(at))?;
+        check_id(id, at)?;
+        row.clear();
+        for field in fields {
+            row.push(field.trim().parse::<f64>().map_err(|_| bad_line(at))?);
+        }
+        // An id-only first row is malformed; a later one is ragged.
+        if width.is_none() && row.is_empty() {
+            return Err(bad_line(at));
+        }
+        let dim = *width.get_or_insert(row.len());
+        // Room for the split's rows if they are no shorter than its first,
+        // and an eighth more; capacity no row touches is never resident.
+        let b = block.get_or_insert_with(|| {
+            PointBlock::with_capacity(dim, bytes.len() * 9 / (8 * (line.len() + 1)) + 1)
+        });
+        b.push(id, &row).map_err(|e| match e {
+            SkylineError::DimensionMismatch { expected, actual } => invalid_data(format!(
+                "ragged CSV line {}: {actual} coordinates where the first row has {expected}",
+                at + 1
+            )),
+            _ => bad_line(at),
+        })?;
+    }
+    if !utf8 {
+        return Err(invalid_data(format!(
+            "CSV line {} is not valid UTF-8",
+            first_line + lines + 1
+        )));
+    }
+    Ok((block, lines))
+}
+
+/// Parses the splits in file order on one thread, carrying the line number,
+/// the row width and the first line of every id across each seam, so the
+/// error it returns is the first in the file, named by its line. It holds
+/// one split's bytes at a time.
+fn walk_splits(
+    path: &Path,
+    len: u64,
+    split_bytes: u64,
+    splits: usize,
+) -> io::Result<Option<PointBlock>> {
+    let mut first_lines: HashMap<u64, usize> = HashMap::new();
+    let mut check_id = |id: u64, at: usize| match first_lines.entry(id) {
+        Entry::Occupied(first) => Err(invalid_data(format!(
+            "duplicate id {id} on CSV lines {} and {}",
+            first.get() + 1,
+            at + 1
+        ))),
+        Entry::Vacant(slot) => {
+            slot.insert(at);
+            Ok(())
+        }
+    };
+    let mut line = 0;
+    let mut width = None;
+    let mut out = None;
+    for k in 0..splits {
+        let (bytes, head) = read_split(path, len, split_bytes, k)?;
+        let (block, lines) = parse_split(&bytes[head..], line, width, &mut check_id)?;
+        line += lines;
+        if let Some(block) = block {
+            width = Some(block.dim());
+            append(&mut out, &block, splits).map_err(|e| invalid_data(e.to_string()))?;
+        }
+    }
+    Ok(out)
+}
+
+/// Parses the splits on `threads` threads, a wave of `8 * threads` at a
+/// time, and appends each wave's blocks to the result in file order, so at
+/// most one wave of split blocks is alive beside it. `None` when a split
+/// fails or two splits disagree on the row width; `Some(None)` when the
+/// file holds no row.
+fn parse_parallel(
+    path: &Path,
+    len: u64,
+    split_bytes: u64,
+    splits: usize,
+    threads: usize,
+) -> Option<Option<PointBlock>> {
+    let wave = threads.saturating_mul(8);
+    let mut out = None;
+    for first in (0..splits).step_by(wave) {
+        let parsed = pool::run_indexed(wave.min(splits - first), threads, |i| {
+            let (bytes, head) = read_split(path, len, split_bytes, first + i)?;
+            parse_split(&bytes[head..], 0, None, &mut |_, _| Ok(())).map(|(block, _)| block)
+        });
+        for block in parsed {
+            if let Some(block) = block.ok()? {
+                append(&mut out, &block, splits).ok()?;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Appends `block`, one of `splits`, to `out`. The first block starts
+/// `out` with room for as many rows in every split, so a file of even
+/// lines is assembled without a reallocation.
+fn append(
+    out: &mut Option<PointBlock>,
+    block: &PointBlock,
+    splits: usize,
+) -> Result<(), SkylineError> {
+    out.get_or_insert_with(|| PointBlock::with_capacity(block.dim(), block.len() * splits))
+        .append(block)
+}
+
+/// Whether the ids of `block` are distinct. The skyline validator matches
+/// rows by id, so a repeated id could hide a dropped row. Ascending ids
+/// (every `save_csv` file) cost one comparison per row; others, a set.
+fn unique_ids(block: &PointBlock) -> bool {
+    let ids = block.ids();
+    ids.windows(2).all(|w| w[0] < w[1]) || {
+        let mut seen = HashSet::with_capacity(ids.len());
+        ids.iter().all(|&id| seen.insert(id))
+    }
+}
+
+fn invalid_data(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn bad_line(lineno: usize) -> io::Error {
     invalid_data(format!("malformed CSV line {}", lineno + 1))
 }
 
-/// The error for `id` repeated on 0-based line `lineno`. Only this error
-/// path re-reads the file, to name the line of the id's first occurrence.
-fn duplicate_id(path: &Path, id: u64, lineno: usize) -> std::io::Error {
-    let first = std::fs::File::open(path).ok().and_then(|f| {
-        BufReader::new(f)
-            .lines()
-            .map_while(Result::ok)
-            .position(|l| l.split(',').next().and_then(|s| s.trim().parse().ok()) == Some(id))
-    });
-    invalid_data(match first {
-        Some(first) => format!(
-            "duplicate id {id} on CSV lines {} and {}",
-            first + 1,
-            lineno + 1
-        ),
-        None => format!("duplicate id {id} on CSV line {}", lineno + 1),
-    })
+fn too_large(len: u64) -> io::Error {
+    invalid_data(format!("a {len}-byte CSV does not fit in memory"))
 }
 
 /// One event in a registry churn stream.
@@ -352,17 +516,27 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         assert!(Dataset::load_csv("empty", &path).is_err());
         std::fs::remove_file(&path).unwrap();
+        // splits are byte ranges, so only a regular file can be read
+        let err = Dataset::load_csv("dir", &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("is not a regular file"), "{err}");
     }
 
-    /// Writes `body` to a temporary CSV and loads it.
-    fn load_text(file: &str, body: &str) -> std::io::Result<Dataset> {
+    /// Writes `body` to a temporary CSV, runs `check` on its path, removes
+    /// the file and returns what `check` returned.
+    fn with_csv<R>(file: &str, body: &[u8], check: impl FnOnce(&Path) -> R) -> R {
         let dir = std::env::temp_dir().join("qws-data-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(file);
         std::fs::write(&path, body).unwrap();
-        let loaded = Dataset::load_csv(file, &path);
+        let result = check(&path);
         std::fs::remove_file(&path).unwrap();
-        loaded
+        result
+    }
+
+    /// Writes `body` to a temporary CSV and loads it.
+    fn load_text(file: &str, body: impl AsRef<[u8]>) -> std::io::Result<Dataset> {
+        with_csv(file, body.as_ref(), |path| Dataset::load_csv(file, path))
     }
 
     #[test]
@@ -427,114 +601,128 @@ mod tests {
 
     /// Hostile CSV inputs and the exact result the `Vec<Point>` loader
     /// (before the block-direct one) gave for each.
-    const HOSTILE: &[(&str, &str, &str)] = &[
+    const HOSTILE: &[(&str, &[u8], &str)] = &[
         (
             "crlf",
-            "0,1,2\r\n1,2,1\r\n",
+            b"0,1,2\r\n1,2,1\r\n",
             "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
         ),
         (
             "crlf-no-final-newline",
-            "0,1,2\r\n1,2,1",
+            b"0,1,2\r\n1,2,1",
             "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
         ),
         (
             "blank-lines",
-            "0,1,2\n\n   \n1,2,1\n\t\n\n",
+            b"0,1,2\n\n   \n1,2,1\n\t\n\n",
             "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
         ),
         (
             "spaces",
-            " 0 , 1 ,\t2 \n1,  2,1  \n",
+            b" 0 , 1 ,\t2 \n1,  2,1  \n",
             "ok 0:[1.0, 2.0] 1:[2.0, 1.0] min=[1.0, 1.0] max=[2.0, 2.0]",
         ),
         (
             "id-only-after-row",
-            "0,1,2\n1\n",
+            b"0,1,2\n1\n",
             "err InvalidData: ragged CSV line 2: 0 coordinates where the first row has 2",
         ),
         (
             "id-only-first",
-            "1\n2\n",
+            b"1\n2\n",
             "err InvalidData: malformed CSV line 1",
         ),
         (
             "nan",
-            "0,1,2\n1,NaN,1\n",
+            b"0,1,2\n1,NaN,1\n",
             "err InvalidData: malformed CSV line 2",
         ),
-        ("inf", "0,inf,2\n", "err InvalidData: malformed CSV line 1"),
+        ("inf", b"0,inf,2\n", "err InvalidData: malformed CSV line 1"),
         (
             "neg-inf",
-            "0,1,2\n1,-inf,1\n",
+            b"0,1,2\n1,-inf,1\n",
             "err InvalidData: malformed CSV line 2",
         ),
         (
             "overflow-literal",
-            "0,1,2\n1,1e400,1\n",
+            b"0,1,2\n1,1e400,1\n",
             "err InvalidData: malformed CSV line 2",
         ),
         (
             "ragged-wide",
-            "0,1,2\n1,2,3,4\n",
+            b"0,1,2\n1,2,3,4\n",
             "err InvalidData: ragged CSV line 2: 3 coordinates where the first row has 2",
         ),
         (
             "ragged-narrow",
-            "0,1,2\n1,2\n",
+            b"0,1,2\n1,2\n",
             "err InvalidData: ragged CSV line 2: 1 coordinates where the first row has 2",
         ),
         (
             "trailing-comma",
-            "0,1,2,\n",
+            b"0,1,2,\n",
             "err InvalidData: malformed CSV line 1",
         ),
         (
             "empty-field",
-            "0,,2\n",
+            b"0,,2\n",
             "err InvalidData: malformed CSV line 1",
         ),
-        ("bad-id", "x,1,2\n", "err InvalidData: malformed CSV line 1"),
+        (
+            "bad-id",
+            b"x,1,2\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
         (
             "negative-id",
-            "-1,1,2\n",
+            b"-1,1,2\n",
             "err InvalidData: malformed CSV line 1",
         ),
         (
             "descending-then-dup",
-            "9,1,1\n7,2,2\n5,3,3\n8,4,4\n7,5,5\n",
+            b"9,1,1\n7,2,2\n5,3,3\n8,4,4\n7,5,5\n",
             "err InvalidData: duplicate id 7 on CSV lines 2 and 5",
         ),
         (
             "ascending-dup",
-            "1,1,1\n2,2,2\n2,3,3\n",
+            b"1,1,1\n2,2,2\n2,3,3\n",
             "err InvalidData: duplicate id 2 on CSV lines 2 and 3",
         ),
-        ("empty", "", "err InvalidData: CSV contains no points"),
+        ("empty", b"", "err InvalidData: CSV contains no points"),
         (
             "whitespace-only",
-            "  \n\t\n \n",
+            b"  \n\t\n \n",
             "err InvalidData: CSV contains no points",
         ),
         (
             "neg-zero",
-            "0,-0.0,1\n1,0.0,-0.0\n2,-0,0\n",
+            b"0,-0.0,1\n1,0.0,-0.0\n2,-0,0\n",
             "ok 0:[-0.0, 1.0] 1:[0.0, -0.0] 2:[-0.0, 0.0] min=[-0.0, -0.0] max=[-0.0, 1.0]",
         ),
         (
             "single-row",
-            "42,3.5,-1e-300\n",
+            b"42,3.5,-1e-300\n",
             "ok 42:[3.5, -1e-300] min=[3.5, -1e-300] max=[3.5, -1e-300]",
         ),
         (
             "span-overflow",
-            "0,1e308,1\n1,-1e308,2\n",
+            b"0,1e308,1\n1,-1e308,2\n",
             "err InvalidData: CSV coordinate 0 spans [-1e308, 1e308], a width that overflows f64",
         ),
         (
             "hex-and-plus",
-            "0,+1.5,2E1\n1,.5,5.\n",
+            b"0,+1.5,2E1\n1,.5,5.\n",
             "ok 0:[1.5, 20.0] 1:[0.5, 5.0] min=[0.5, 5.0] max=[1.5, 20.0]",
+        ),
+        (
+            "invalid-utf8",
+            b"0,1,2\n1,\xff,1\n",
+            "err InvalidData: CSV line 2 is not valid UTF-8",
+        ),
+        (
+            "malformed-before-invalid-utf8",
+            b"0,1,2\n1,x,1\n2,\xff,1\n",
+            "err InvalidData: malformed CSV line 2",
         ),
     ];
 
@@ -543,6 +731,194 @@ mod tests {
         for (file, body, want) in HOSTILE {
             let got = describe(&load_text(&format!("hostile-{file}.csv"), body));
             assert_eq!(&got, want, "{file}");
+        }
+    }
+
+    /// The bytes every split owns, in split order.
+    fn owned_bytes(path: &Path, split_bytes: u64) -> Vec<u8> {
+        let len = std::fs::metadata(path).unwrap().len();
+        let splits = usize::try_from(len.div_ceil(split_bytes)).unwrap();
+        let mut out = Vec::new();
+        for k in 0..splits {
+            let (bytes, head) = read_split(path, len, split_bytes, k).unwrap();
+            out.extend_from_slice(&bytes[head..]);
+        }
+        out
+    }
+
+    /// Asserts that `body` owns each line once and loads to the same
+    /// result at every split size from 1 byte to `len + 1`, at 1, 2 and
+    /// 3 threads. Returns that result.
+    fn assert_split_invariant(file: &str, body: &[u8]) -> String {
+        with_csv(file, body, |path| {
+            let want = describe(&load_csv_split(file, path, SPLIT_BYTES, 1));
+            for split_bytes in 1..=body.len() as u64 + 1 {
+                assert_eq!(
+                    owned_bytes(path, split_bytes),
+                    body,
+                    "{file} @ {split_bytes}"
+                );
+                for threads in 1..=3 {
+                    let got = describe(&load_csv_split(file, path, split_bytes, threads));
+                    assert_eq!(got, want, "{file} @ {split_bytes} bytes, {threads} threads");
+                }
+            }
+            want
+        })
+    }
+
+    #[test]
+    fn hostile_inputs_load_alike_at_every_split_layout() {
+        for (file, body, want) in HOSTILE {
+            assert_eq!(
+                &assert_split_invariant(&format!("layout-{file}.csv"), body),
+                want,
+                "{file}"
+            );
+        }
+    }
+
+    /// Boundaries on the spots a byte-range reader gets wrong. Each case is
+    /// a body, a split size that puts a boundary on the spot, and the bytes
+    /// each split owns.
+    #[test]
+    fn split_boundaries_on_the_hard_spots() {
+        type Case<'a> = (&'a str, &'a [u8], u64, &'a [&'a [u8]]);
+        let cases: &[Case] = &[
+            // a boundary on a line start: the split starting there owns it
+            (
+                "at-line-start",
+                b"0,1,2\n1,2,1\n",
+                6,
+                &[b"0,1,2\n", b"1,2,1\n"],
+            ),
+            // on the `\r` of a CRLF: the split before finishes the line
+            (
+                "on-crlf-r",
+                b"0,1,2\r\n1,2,1\r\n",
+                5,
+                &[b"0,1,2\r\n", b"1,2,1\r\n", b""],
+            ),
+            // inside an id: the split starting there skips the partial line
+            (
+                "inside-id",
+                b"0,1,2\n123,2,1\n5,3,3\n",
+                8,
+                &[b"0,1,2\n123,2,1\n", b"5,3,3\n", b""],
+            ),
+            // on a blank line: the split starting there owns the blank line
+            (
+                "on-blank-line",
+                b"0,1,2\n\n1,2,1\n",
+                6,
+                &[b"0,1,2\n", b"\n1,2,1\n", b""],
+            ),
+            // splits with no line start in them own nothing
+            (
+                "no-line-start",
+                b"0,1.000000000,2\n1,2,1\n",
+                4,
+                &[b"0,1.000000000,2\n", b"", b"", b"", b"1,2,1\n", b""],
+            ),
+        ];
+        for (file, body, split_bytes, owned) in cases {
+            let file = format!("spot-{file}.csv");
+            with_csv(&file, body, |path| {
+                let len = body.len() as u64;
+                let got: Vec<Vec<u8>> = (0..owned.len())
+                    .map(|k| {
+                        let (bytes, head) = read_split(path, len, *split_bytes, k).unwrap();
+                        bytes[head..].to_vec()
+                    })
+                    .collect();
+                assert_eq!(&got, owned, "{file}");
+            });
+            let loaded = assert_split_invariant(&file, body);
+            assert!(loaded.starts_with("ok "), "{file}: {loaded}");
+        }
+        // a range that ends in `\n` reads nothing past its end
+        with_csv("spot-ends-in-newline.csv", b"0,1,2\n1,2,1\n", |path| {
+            let (bytes, head) = read_split(path, 12, 6, 0).unwrap();
+            assert_eq!((head, bytes.len()), (0, 6));
+        });
+    }
+
+    /// One random CSV line: mostly valid rows, and every kind of line the
+    /// loader must skip or reject. `next` is the running ascending id.
+    fn random_line(kind: u8, x: u64, next: &mut u64) -> Vec<u8> {
+        *next += 1 + x % 3;
+        let id = *next;
+        let line = match kind {
+            0 => "\n".to_string(),
+            1 => " \t \n".to_string(),
+            2 => format!("{id},{x}.5,-{x}e-3\r\n"),
+            3 => format!("{id}\n"),
+            4 => format!("{id},NaN,1\n"),
+            5 => format!("{id},1,-inf\n"),
+            6 => format!("{id},1,2,3\n"),
+            7 => format!("{x},1,1\n"),
+            8 => format!("{},{x},0\n", 100 - x),
+            9 => return [format!("{id},").as_bytes(), b"\xff\xfe,1\n"].concat(),
+            10 => format!("{id},\u{e9},1\n"),
+            11 => format!("{id},-0.0,{x}\n"),
+            _ => format!("{id},{x},{}\n", 9 - x),
+        };
+        line.into_bytes()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn split_layout_never_changes_the_load(
+            lines in proptest::collection::vec((0u8..40, 0u64..10), 0..12),
+            final_newline in 0u8..2,
+        ) {
+            let mut next = 0;
+            let mut body: Vec<u8> = lines
+                .iter()
+                .flat_map(|&(kind, x)| random_line(kind, x, &mut next))
+                .collect();
+            if final_newline == 0 && body.last() == Some(&b'\n') {
+                body.pop();
+            }
+            assert_split_invariant("layout-random.csv", &body);
+        }
+    }
+
+    /// At the benchmark's sizes a load spans dozens of splits; it must
+    /// give the generator's block back bit for bit at 1 and 2 threads.
+    #[test]
+    fn generated_files_load_bit_identically_across_many_splits() {
+        for (n, d) in [(500_000, 6), (100_000, 10)] {
+            let data = crate::generate_qws(&crate::QwsConfig::new(n, d));
+            let dir = std::env::temp_dir().join("qws-data-test");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("generated-{n}-{d}.csv"));
+            data.save_csv(&path).unwrap();
+            assert!(std::fs::metadata(&path).unwrap().len() > 8 * SPLIT_BYTES);
+            for threads in [1, 2] {
+                let loaded = load_csv_split("generated", &path, SPLIT_BYTES, threads).unwrap();
+                let bits = |b: &PointBlock| -> Vec<u64> {
+                    b.coords().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    loaded.block().ids(),
+                    data.block().ids(),
+                    "{n}x{d} @ {threads}"
+                );
+                assert_eq!(
+                    bits(loaded.block()),
+                    bits(data.block()),
+                    "{n}x{d} @ {threads}"
+                );
+                for i in 0..d {
+                    let (got, want) = (loaded.bounds(), data.bounds());
+                    assert_eq!(got.min(i).to_bits(), want.min(i).to_bits());
+                    assert_eq!(got.max(i).to_bits(), want.max(i).to_bits());
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
         }
     }
 

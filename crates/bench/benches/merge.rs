@@ -10,7 +10,9 @@
 //!
 //! The anti n=10k d=6 cell's medians, their ratio and both kernels'
 //! comparison counts land in `BENCH_merge.json` at the workspace root
-//! (skipped in `--test` smoke runs so the committed baseline survives).
+//! (skipped in `--test` smoke runs so the committed baseline survives),
+//! with the presort merge's block-synchronous pass on
+//! [`PARALLEL_THREADS`] threads beside its one-thread run.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
@@ -25,6 +27,8 @@ const RECORD_N: usize = 10_000;
 const RECORD_D: usize = 6;
 const CHUNKS: usize = 16;
 const RECORD_SAMPLES: usize = 11;
+/// Threads of the recorded parallel merge.
+const PARALLEL_THREADS: usize = 2;
 
 /// Concatenated per-chunk local skylines of an anti-correlated dataset —
 /// the pipeline merge reducer's input shape.
@@ -90,23 +94,39 @@ fn record_merge_cell(_c: &mut Criterion) {
     }
     let cands = merge_candidates(RECORD_N, RECORD_D, CHUNKS);
     let cfg = BnlConfig::default();
-    let (sky, presort_stats) = presort_merge_stats(&cands);
+    let (sky, presort_stats) = presort_merge_stats(&cands, 1);
+    let (par_sky, par_stats) = presort_merge_stats(&cands, PARALLEL_THREADS);
     let (bnl_sky, bnl_stats) = block_bnl_stats(&cands, &cfg);
     assert_eq!(sky.len(), bnl_sky.len(), "merge kernels disagree");
+    assert_eq!(
+        par_sky.ids(),
+        sky.ids(),
+        "parallel merge changed the skyline"
+    );
+    assert_eq!(
+        par_stats.comparisons, presort_stats.comparisons,
+        "parallel merge changed the comparison count"
+    );
     let presort_ns = median_wall_ns(|| presort_merge(&cands).len());
+    let parallel_ns = median_wall_ns(|| presort_merge_stats(&cands, PARALLEL_THREADS).0.len());
     let bnl_ns = median_wall_ns(|| block_bnl(&cands, &cfg).len());
     let speedup = bnl_ns / presort_ns;
+    let parallel_speedup = presort_ns / parallel_ns;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_merge.json");
     let json = format!(
-        "{{\n  \"bench\": \"merge/anti_n{RECORD_N}_d{RECORD_D}\",\n  \"distribution\": \"anti-correlated\",\n  \"n\": {RECORD_N},\n  \"d\": {RECORD_D},\n  \"chunks\": {CHUNKS},\n  \"candidates\": {},\n  \"skyline\": {},\n  \"samples\": {RECORD_SAMPLES},\n  \"presort_merge_ns\": {presort_ns:.0},\n  \"bnl_merge_ns\": {bnl_ns:.0},\n  \"speedup\": {speedup:.2},\n  \"presort_merge_comparisons\": {},\n  \"bnl_merge_comparisons\": {},\n  \"avx512f\": {}\n}}\n",
+        "{{\n  \"bench\": \"merge/anti_n{RECORD_N}_d{RECORD_D}\",\n  \"distribution\": \"anti-correlated\",\n  \"n\": {RECORD_N},\n  \"d\": {RECORD_D},\n  \"chunks\": {CHUNKS},\n  \"candidates\": {},\n  \"skyline\": {},\n  \"samples\": {RECORD_SAMPLES},\n  \"presort_merge_ns\": {presort_ns:.0},\n  \"bnl_merge_ns\": {bnl_ns:.0},\n  \"speedup\": {speedup:.2},\n  \"presort_merge_comparisons\": {},\n  \"bnl_merge_comparisons\": {},\n  \"threads\": {PARALLEL_THREADS},\n  \"presort_merge_parallel_ns\": {parallel_ns:.0},\n  \"parallel_speedup\": {parallel_speedup:.2},\n  \"presort_merge_parallel_comparisons\": {},\n  \"avx512f\": {}\n}}\n",
         cands.len(),
         sky.len(),
         presort_stats.comparisons,
         bnl_stats.comparisons,
+        par_stats.comparisons,
         host_avx512f(),
     );
     match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path} (presort merge {speedup:.2}x over a BNL pass)"),
+        Ok(()) => println!(
+            "wrote {path} (presort merge {speedup:.2}x over a BNL pass, \
+             {parallel_speedup:.2}x on {PARALLEL_THREADS} threads)"
+        ),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

@@ -293,10 +293,21 @@ fn run_local_kernel(
 /// filtering pass suffices ([`presort_merge_stats`]), independent of which
 /// local kernel is configured. Every scheme's merge gets the same kernel,
 /// so merge cost differences between schemes reflect candidate *counts*,
-/// not candidate order.
-fn run_merge_kernel(block: &PointBlock) -> KernelOutcome {
-    let (sky, stats) = presort_merge_stats(block);
+/// not candidate order. The pass runs on `threads` host threads (see
+/// [`host_threads`]); its output and counts do not depend on them.
+fn run_merge_kernel(block: &PointBlock, threads: usize) -> KernelOutcome {
+    let (sky, stats) = presort_merge_stats(block, host_threads(threads));
     (sky, stats, "presort-merge").into()
+}
+
+/// The host threads a [`PipelineOptions::threads`] value asks for: `0`
+/// resolves to [`pool::default_threads`].
+fn host_threads(threads: usize) -> usize {
+    if threads == 0 {
+        pool::default_threads()
+    } else {
+        threads
+    }
 }
 
 /// Rows per partition-profile task. Fixed, so the ranges and the order
@@ -313,11 +324,7 @@ fn partition_profile(
 ) -> (Vec<usize>, Vec<Option<Vec<f64>>>) {
     let np = partitioner.num_partitions();
     let d = block.dim();
-    let threads = if threads == 0 {
-        pool::default_threads()
-    } else {
-        threads
-    };
+    let threads = host_threads(threads);
     let ranges = pool::run_indexed(block.len().div_ceil(PROFILE_ROWS), threads, |r| {
         let mut counts = vec![0usize; np];
         let mut mins = vec![f64::INFINITY; np * d];
@@ -699,6 +706,7 @@ pub fn run_two_job_pipeline(
         out.emit(0u64, b.clone());
     };
     let tracer2 = opts.tracer.clone();
+    let merge_threads = opts.threads;
     let reducer2 = move |_key: &u64,
                          values: Vec<PointBlock>,
                          ctx: &mut TaskContext,
@@ -706,7 +714,7 @@ pub fn run_two_job_pipeline(
         let points: u64 = values.iter().map(|b| b.len() as u64).sum();
         ctx.add_records_in(points.saturating_sub(values.len() as u64));
         let started_us = tracer2.now_us();
-        let outcome = run_merge_kernel(&concat_owned(dim, values));
+        let outcome = run_merge_kernel(&concat_owned(dim, values), merge_threads);
         let elapsed_us = tracer2.now_us().saturating_sub(started_us);
         ctx.add_work(outcome.work);
         outcome.trace(&tracer2, points, elapsed_us);

@@ -9,7 +9,7 @@ use crate::report::SkylineRunReport;
 use qws_data::Dataset;
 use skyline_algos::dominance::dominates;
 use skyline_algos::point::Point;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Ways a report can fail validation.
@@ -32,6 +32,17 @@ pub enum ValidationError {
         /// The foreign id.
         id: u64,
     },
+    /// A reported skyline point's coordinates are not its dataset row's,
+    /// bit for bit.
+    ForgedCoordinates {
+        /// Id of the forged member.
+        id: u64,
+    },
+    /// A reported skyline id appears more than once.
+    DuplicatePoint {
+        /// The repeated id.
+        id: u64,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -46,24 +57,50 @@ impl fmt::Display for ValidationError {
             ValidationError::UnknownPoint { id } => {
                 write!(f, "result point {id} does not exist in the dataset")
             }
+            ValidationError::ForgedCoordinates { id } => {
+                write!(
+                    f,
+                    "result point {id} does not carry its dataset coordinates"
+                )
+            }
+            ValidationError::DuplicatePoint { id } => {
+                write!(f, "result point {id} is reported more than once")
+            }
         }
     }
 }
 
 impl std::error::Error for ValidationError {}
 
-/// Checks `skyline` against the dataset from first principles (soundness:
-/// no member dominated by any dataset point; completeness: every
-/// non-member dominated by some member). O(n·|skyline|).
+/// Checks `skyline` against the dataset from first principles. Each
+/// member must be a dataset row, reported once and with that row's exact
+/// coordinate bits; then soundness (no member dominated by any dataset
+/// point) and completeness (every non-member dominated by some member).
+/// O(n·|skyline|).
 pub fn validate_against_oracle(
     skyline: &[Point],
     dataset: &Dataset,
 ) -> Result<(), ValidationError> {
-    let ids: HashSet<u64> = skyline.iter().map(Point::id).collect();
-    let known: HashSet<u64> = dataset.points().iter().map(Point::id).collect();
+    let rows: BTreeMap<u64, &[f64]> = dataset
+        .points()
+        .iter()
+        .map(|q| (q.id(), q.coords()))
+        .collect();
+    let mut ids = HashSet::with_capacity(skyline.len());
     for p in skyline {
-        if !known.contains(&p.id()) {
+        let Some(row) = rows.get(&p.id()) else {
             return Err(ValidationError::UnknownPoint { id: p.id() });
+        };
+        if !ids.insert(p.id()) {
+            return Err(ValidationError::DuplicatePoint { id: p.id() });
+        }
+        let same_bits = row.len() == p.dim()
+            && row
+                .iter()
+                .zip(p.coords())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_bits {
+            return Err(ValidationError::ForgedCoordinates { id: p.id() });
         }
     }
     // soundness
@@ -181,6 +218,52 @@ mod tests {
         );
     }
 
+    /// `{0:(2,2), 1:(1,3), 2:(3,1)}`: every point is on the skyline.
+    fn three_point_front() -> Dataset {
+        Dataset::new(
+            "front",
+            vec![
+                Point::new(0, vec![2.0, 2.0]),
+                Point::new(1, vec![1.0, 3.0]),
+                Point::new(2, vec![3.0, 1.0]),
+            ],
+        )
+    }
+
+    #[test]
+    fn detects_forged_coordinates() {
+        let data = three_point_front();
+        // a member that dominates every row would otherwise pass both the
+        // soundness and the completeness check
+        let forged = vec![Point::new(0, vec![0.0, 0.0])];
+        assert_eq!(
+            validate_against_oracle(&forged, &data),
+            Err(ValidationError::ForgedCoordinates { id: 0 })
+        );
+        // a sign flip on a zero coordinate is a different row too
+        let data = Dataset::new("zero", vec![Point::new(0, vec![0.0, 1.0])]);
+        assert_eq!(
+            validate_against_oracle(&[Point::new(0, vec![-0.0, 1.0])], &data),
+            Err(ValidationError::ForgedCoordinates { id: 0 })
+        );
+        assert_eq!(
+            validate_against_oracle(&[Point::new(0, vec![0.0, 1.0])], &data),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn detects_duplicate_point() {
+        let data = three_point_front();
+        let mut reported: Vec<Point> = data.points().to_vec();
+        assert_eq!(validate_against_oracle(&reported, &data), Ok(()));
+        reported.push(Point::new(1, vec![1.0, 3.0]));
+        assert_eq!(
+            validate_against_oracle(&reported, &data),
+            Err(ValidationError::DuplicatePoint { id: 1 })
+        );
+    }
+
     #[test]
     fn error_messages_are_descriptive() {
         assert!(ValidationError::MissingPoint { id: 3 }
@@ -195,5 +278,11 @@ mod tests {
         assert!(ValidationError::UnknownPoint { id: 7 }
             .to_string()
             .contains("not exist"));
+        assert!(ValidationError::ForgedCoordinates { id: 7 }
+            .to_string()
+            .contains("coordinates"));
+        assert!(ValidationError::DuplicatePoint { id: 7 }
+            .to_string()
+            .contains("more than once"));
     }
 }

@@ -9,8 +9,8 @@
 //! task of a range). Stealing moves one task at a time and executes it
 //! immediately, so a task is only ever "in flight" while it is actually
 //! running — a worker that finds every deque empty can exit knowing all
-//! remaining work is already being executed by someone else. No channels, no
-//! dynamic spawning, no unsafe.
+//! remaining work is already being executed by someone else. The calling
+//! thread is worker 0. No channels, no dynamic spawning, no unsafe.
 //!
 //! All synchronization goes through the `mrsky-model` facade, so the
 //! deque handoff is model-checked under `--cfg mrsky_model`
@@ -18,7 +18,8 @@
 //! panic cannot strand the scope.
 //!
 //! This is the repository's only task executor: the MapReduce runtime's
-//! map and reduce waves run on it. A straggler range is redistributed by
+//! map and reduce waves, the CSV loader's splits and the global merge's
+//! presort pass run on it. A straggler range is redistributed by
 //! stealing instead of gating completion.
 
 use mrsky_model::sync::{scope, Mutex};
@@ -77,41 +78,43 @@ where
         .collect();
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
 
-    // A panicking worker unwinds through the scope at join, which is the
-    // desired crash-loudly behaviour documented above.
-    scope(|s| {
-        for w in 0..threads {
-            let deques = &deques;
-            let slots = &slots;
-            let worker = &worker;
-            s.spawn(move || loop {
-                // Own deque first: pop the front (task order, cache-warm).
-                let mut task = deques[w].lock().pop_front();
-                if task.is_none() {
-                    // Dry: steal one task from the back of the first
-                    // non-empty victim, scanning round-robin from w+1.
-                    for k in 1..threads {
-                        let v = (w + k) % threads;
-                        task = deques[v].lock().pop_back();
-                        if let Some(i) = task {
-                            if let Some(observe) = on_steal {
-                                observe(w, v, i);
-                            }
-                            break;
-                        }
+    let run_worker = |w: usize| loop {
+        // Own deque first: pop the front (task order, cache-warm).
+        let mut task = deques[w].lock().pop_front();
+        if task.is_none() {
+            // Dry: steal one task from the back of the first non-empty
+            // victim, scanning round-robin from w+1.
+            for k in 1..threads {
+                let v = (w + k) % threads;
+                task = deques[v].lock().pop_back();
+                if let Some(i) = task {
+                    if let Some(observe) = on_steal {
+                        observe(w, v, i);
                     }
+                    break;
                 }
-                match task {
-                    Some(i) => {
-                        let result = worker(i);
-                        *slots[i].lock() = Some(result);
-                    }
-                    // Every deque is empty: all remaining tasks are already
-                    // executing on other workers. Nothing left to help with.
-                    None => break,
-                }
-            });
+            }
         }
+        match task {
+            Some(i) => {
+                let result = worker(i);
+                *slots[i].lock() = Some(result);
+            }
+            // Every deque is empty: all remaining tasks are already
+            // executing on other workers. Nothing left to help with.
+            None => break,
+        }
+    };
+
+    // The calling thread is worker 0, so a run spawns `threads - 1`
+    // threads. A panicking worker unwinds through the scope at join, which
+    // is the desired crash-loudly behaviour documented above.
+    scope(|s| {
+        let run_worker = &run_worker;
+        for w in 1..threads {
+            s.spawn(move || run_worker(w));
+        }
+        run_worker(0);
     });
 
     slots

@@ -18,17 +18,23 @@
 //!   which puts every dominator strictly before the rows it dominates (see
 //!   [`presort_order`]); then make one filtering pass that stops at each
 //!   candidate's first dominator among the accepted rows. Each kernel is a
-//!   key, plus SaLSa's watermark, for that pass. On x86-64 hosts with AVX-512
-//!   the pass runs as a first-dominator lane scan over a column-major copy
-//!   of the accepted rows, dispatched once per call; every other host runs
-//!   the row-wise scan. Both return the same rows in the same order and
-//!   count exactly the same comparisons.
+//!   key, plus SaLSa's watermark, for that pass. The pass is
+//!   block-synchronous: given more than one thread, each block of
+//!   candidates is first scanned against the accepted rows frozen at its
+//!   start on the task pool, then its survivors are tested against each
+//!   other on the calling thread (see `filter_pass`). On x86-64 hosts
+//!   with AVX-512 the pass runs as a first-dominator lane scan over a
+//!   column-major copy of the accepted rows, dispatched once per call;
+//!   every other host runs the row-wise scan. Every body and every thread
+//!   count returns the same rows in the same order and counts exactly the
+//!   same comparisons.
 //! * [`dominated_count`] — the bulk dominance sweep used by benchmarks and
 //!   pruning heuristics: how many candidate rows are dominated by at least
 //!   one window row. Same dispatch and the same two bodies as the pass.
 
 use crate::block::PointBlock;
 use crate::dominance::DomRelation;
+use mini_mapreduce::pool;
 use std::cmp::Ordering;
 
 /// Configuration for a [`block_bnl`] run.
@@ -175,7 +181,7 @@ fn scalar_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
     candidates
         .coords()
         .chunks_exact(window.dim())
-        .filter(|cand| row_first_dominator(window, cand, window.len()).is_some())
+        .filter(|cand| row_first_dominator(window, cand, 0, window.len()).is_some())
         .count()
 }
 
@@ -192,7 +198,7 @@ fn lane_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
     candidates
         .coords()
         .chunks_exact(window.dim())
-        .filter(|cand| cols.first_dominator(cand).is_some())
+        .filter(|cand| cols.first_dominator(cand, 0).is_some())
         .count()
 }
 
@@ -255,17 +261,21 @@ impl LaneColumns {
         }
     }
 
-    /// Index of the first row that dominates `cand`, or `None`.
+    /// Index of the first row at or after `start` that dominates `cand`,
+    /// or `None`.
     ///
     /// Each 64-row block compares one broadcast candidate coordinate
     /// against 64 contiguous column values per dimension, accumulating
     /// `all_le`/`any_lt` as `u64` bitmasks — on AVX-512 a handful of vector
     /// compares straight into mask registers. The lowest set bit of
     /// `le & lt` is the first dominator in the block, so the scan stops
-    /// exactly where a row-by-row scan would.
+    /// exactly where a row-by-row scan would. The scan begins at the lane
+    /// block holding `start`, with the bits of the rows below `start`
+    /// masked out.
     #[inline(always)]
-    fn first_dominator(&self, cand: &[f64]) -> Option<usize> {
-        let mut j0 = 0;
+    fn first_dominator(&self, cand: &[f64], start: usize) -> Option<usize> {
+        let mut j0 = start - start % LANES;
+        let mut from = !0u64 << (start % LANES);
         while j0 < self.len {
             let mut le_mask = !0u64;
             let mut lt_mask = 0u64;
@@ -280,10 +290,11 @@ impl LaneColumns {
                 le_mask &= le;
                 lt_mask |= lt;
             }
-            let hits = le_mask & lt_mask;
+            let hits = le_mask & lt_mask & from;
             if hits != 0 {
                 return Some(j0 + hits.trailing_zeros() as usize);
             }
+            from = !0;
             j0 += LANES;
         }
         None
@@ -293,12 +304,13 @@ impl LaneColumns {
 /// Runtime-dispatched SIMD entry points. The workspace denies `unsafe`
 /// by default; this module is the one sanctioned exception, and every
 /// `unsafe` block here is a `#[target_feature]` call guarded by
-/// [`simd::lane_isa_detected`].
+/// [`simd::lane_isa_detected`], directly or through a body type built only
+/// after it passed.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
 
-    use super::{KernelStats, PointBlock};
+    use super::{KernelStats, LaneBody, PointBlock, Scan, ScanBody};
 
     /// `true` iff the host supports every feature the wrappers below enable.
     fn lane_isa_detected() -> bool {
@@ -318,9 +330,58 @@ mod simd {
         block: &PointBlock,
         order: &[usize],
         watermark_keys: Option<&[f64]>,
+        scan: Scan,
         stats: &mut KernelStats,
     ) -> PointBlock {
-        super::lane_scan(block, order, watermark_keys, stats)
+        let mut body = Avx512Lanes(LaneBody::new(block.dim()));
+        super::filter_pass(block, order, watermark_keys, scan, stats, &mut body)
+    }
+
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+    fn prefix_task_avx512(
+        body: &LaneBody,
+        accepted: &PointBlock,
+        block: &PointBlock,
+        rows: &[usize],
+    ) -> Vec<Option<usize>> {
+        body.prefix_task(accepted, block, rows)
+    }
+
+    /// The lane body, built only once the host has passed
+    /// [`lane_isa_detected`]. The serial phase inlines into
+    /// [`lane_scan_avx512`]; the parallel phase's tasks run on pool
+    /// workers, outside that function, so they enter AVX-512 codegen
+    /// through [`prefix_task_avx512`].
+    struct Avx512Lanes(LaneBody);
+
+    impl ScanBody for Avx512Lanes {
+        #[inline(always)]
+        fn catch_up(&mut self, accepted: &PointBlock) {
+            self.0.catch_up(accepted);
+        }
+
+        #[inline(always)]
+        fn first_dominator(
+            &self,
+            accepted: &PointBlock,
+            cand: &[f64],
+            start: usize,
+        ) -> Option<usize> {
+            self.0.first_dominator(accepted, cand, start)
+        }
+
+        fn prefix_task(
+            &self,
+            accepted: &PointBlock,
+            block: &PointBlock,
+            rows: &[usize],
+        ) -> Vec<Option<usize>> {
+            // SAFETY: an `Avx512Lanes` is only built inside
+            // `lane_scan_avx512`, which `try_lane_scan` calls after
+            // verifying every feature of the `#[target_feature]` list at
+            // runtime; CPU features are the same on every thread.
+            unsafe { prefix_task_avx512(&self.0, accepted, block, rows) }
+        }
     }
 
     /// Runs the lane sweep with AVX-512 codegen when the host supports it;
@@ -341,6 +402,7 @@ mod simd {
         block: &PointBlock,
         order: &[usize],
         watermark_keys: Option<&[f64]>,
+        scan: Scan,
         stats: &mut KernelStats,
     ) -> Option<PointBlock> {
         if !lane_isa_detected() {
@@ -348,7 +410,7 @@ mod simd {
         }
         // SAFETY: every feature named in `lane_scan_avx512`'s
         // `#[target_feature]` list was just verified at runtime.
-        Some(unsafe { lane_scan_avx512(block, order, watermark_keys, stats) })
+        Some(unsafe { lane_scan_avx512(block, order, watermark_keys, scan, stats) })
     }
 }
 
@@ -599,14 +661,16 @@ pub(crate) fn presort_order(
 }
 
 /// Runs one presort kernel: sorts `block` with [`presort_order`] under
-/// `key`, makes the single filtering pass, checks the result and records
-/// the run under `name`. `watermark_keys` (SaLSa's minC keys, indexed by
-/// input row) arm the max-coordinate watermark of [`crate::salsa`].
+/// `key`, makes the single filtering pass with `scan`, checks the result
+/// and records the run under `name`. `watermark_keys` (SaLSa's minC keys,
+/// indexed by input row) arm the max-coordinate watermark of
+/// [`crate::salsa`].
 pub(crate) fn presort_kernel(
     name: &'static str,
     block: &PointBlock,
     key: impl Fn(usize, usize) -> Ordering,
     watermark_keys: Option<&[f64]>,
+    scan: Scan,
 ) -> (PointBlock, KernelStats) {
     let mut stats = KernelStats {
         input_len: block.len() as u64,
@@ -617,124 +681,237 @@ pub(crate) fn presort_kernel(
     }
     stats.passes = 1;
     let order = presort_order(block, key);
-    let skyline = presort_scan(block, &order, watermark_keys, &mut stats);
+    let skyline = presort_scan(block, &order, watermark_keys, scan, &mut stats);
     crate::invariants::check_skyline_block(name, block, &skyline);
     stats.output_len = skyline.len() as u64;
     record_kernel_metrics(name, &stats);
     (skyline, stats)
 }
 
+/// Candidates per block of the block-synchronous filtering pass.
+const SCAN_BLOCK: usize = 1024;
+
+/// Candidates per parallel-phase task.
+const SCAN_TASK: usize = 64;
+
+/// How a filtering pass is cut up: candidates per block and the threads
+/// the parallel phase may use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scan {
+    block_rows: usize,
+    threads: usize,
+}
+
+impl Scan {
+    /// The production pass on `threads` threads (`1` = the serial scan).
+    pub(crate) fn on(threads: usize) -> Self {
+        Self::blocked(SCAN_BLOCK, threads)
+    }
+
+    fn blocked(block_rows: usize, threads: usize) -> Self {
+        assert!(
+            block_rows > 0 && threads > 0,
+            "a scan needs rows and threads"
+        );
+        Self {
+            block_rows,
+            threads,
+        }
+    }
+}
+
 /// The presort kernels' filtering pass over `block` in `order`, on the
-/// fastest body the host supports: the AVX-512 lane scan ([`lane_scan`])
-/// where the host has it, the row body ([`row_first_dominator`])
-/// everywhere else. Both return the same rows in the same order with the
-/// same [`KernelStats`].
+/// fastest body the host supports: the AVX-512 lane body ([`LaneBody`])
+/// where the host has it, the row body ([`RowBody`]) everywhere else.
+/// Both return the same rows in the same order with the same
+/// [`KernelStats`].
 fn presort_scan(
     block: &PointBlock,
     order: &[usize],
     watermark_keys: Option<&[f64]>,
+    scan: Scan,
     stats: &mut KernelStats,
 ) -> PointBlock {
     #[cfg(target_arch = "x86_64")]
-    if let Some(skyline) = simd::try_lane_scan(block, order, watermark_keys, stats) {
+    if let Some(skyline) = simd::try_lane_scan(block, order, watermark_keys, scan, stats) {
         return skyline;
     }
-    filter_pass(block, order, watermark_keys, stats, |accepted, cand| {
-        row_first_dominator(accepted, cand, accepted.len())
-    })
+    filter_pass(block, order, watermark_keys, scan, stats, &mut RowBody)
 }
 
-/// The one filtering pass. Each candidate, in `order`, asks
-/// `first_dominator` for the first accepted row that dominates it, and is
-/// accepted when there is none. A first dominator at row `j` counts
-/// `j + 1` comparisons and none counts the accepted-set size: exactly the
-/// rows a row-by-row scan visits, so every body reports the same
-/// [`KernelStats`].
+/// How the filtering pass finds a candidate's first dominator among the
+/// accepted rows.
+trait ScanBody: Sync {
+    /// Brings any copy of the accepted rows the body keeps up to
+    /// `accepted`.
+    fn catch_up(&mut self, accepted: &PointBlock);
+
+    /// Index of the first of the rows `[start, accepted.len())` of
+    /// `accepted` that dominates `cand`, or `None`. Reads only the rows
+    /// the body has caught up to.
+    fn first_dominator(&self, accepted: &PointBlock, cand: &[f64], start: usize) -> Option<usize>;
+
+    /// One task of the parallel phase: the first dominator among all of
+    /// `accepted` of each row of `block` listed in `rows`.
+    #[inline(always)]
+    fn prefix_task(
+        &self,
+        accepted: &PointBlock,
+        block: &PointBlock,
+        rows: &[usize],
+    ) -> Vec<Option<usize>> {
+        rows.iter()
+            .map(|&i| self.first_dominator(accepted, block.row(i), 0))
+            .collect()
+    }
+}
+
+/// The one filtering pass. Each candidate, in `order`, gets its first
+/// dominator among the accepted rows, and is accepted when there is none.
+/// A first dominator at row `j` counts `j + 1` comparisons and none counts
+/// the accepted-set size: exactly the rows a row-by-row scan visits, so
+/// every body reports the same [`KernelStats`].
+///
+/// The pass is block-synchronous. The candidates are taken in blocks of
+/// `scan.block_rows`. In the parallel phase every row of a block is
+/// scanned on the task pool against the accepted rows frozen at the
+/// block's start, the prefix. In the serial phase the calling thread
+/// walks the block in order and tests each row that no prefix row
+/// dominates against the rows accepted since the block started. In
+/// presort order a dominator always precedes its victim, so the rows
+/// accepted before a candidate are exactly the prefix plus the block's
+/// earlier survivors; the first dominator found, and so every count, is
+/// the serial scan's. The parallel phase is skipped on one thread and on
+/// an empty prefix (always the first block), where the serial phase scans
+/// from row 0: a pass over at most one block never touches the pool.
 ///
 /// There is no per-candidate stop bound. Every kernel sorts by the key
 /// such a bound would test (SFS's entropy score, SaLSa's leading minC),
 /// so each accepted row's key is already `<=` the candidate's and the
 /// bound would always be the whole accepted set.
 #[inline(always)]
-fn filter_pass(
+fn filter_pass<B: ScanBody>(
     block: &PointBlock,
     order: &[usize],
     watermark_keys: Option<&[f64]>,
+    scan: Scan,
     stats: &mut KernelStats,
-    mut first_dominator: impl FnMut(&PointBlock, &[f64]) -> Option<usize>,
+    body: &mut B,
 ) -> PointBlock {
     let d = block.dim();
     let mut skyline = PointBlock::with_capacity(d, 0);
     // SaLSa's watermark: the smallest max-coordinate over accepted rows.
     let mut watermark = f64::INFINITY;
     let mut comparisons = 0u64;
-    for (rank, &i) in order.iter().enumerate() {
-        if watermark_keys.is_some_and(|keys| keys[i] > watermark) {
-            stats.skipped = (order.len() - rank) as u64;
-            break;
+    'blocks: for (b, rows) in order.chunks(scan.block_rows).enumerate() {
+        let prefix = if scan.threads > 1 { skyline.len() } else { 0 };
+        let prefix_hits: Vec<Option<usize>> = if prefix == 0 {
+            Vec::new()
+        } else {
+            body.catch_up(&skyline);
+            let (body, accepted) = (&*body, &skyline);
+            pool::run_indexed(rows.len().div_ceil(SCAN_TASK), scan.threads, |t| {
+                let task = &rows[t * SCAN_TASK..rows.len().min((t + 1) * SCAN_TASK)];
+                body.prefix_task(accepted, block, task)
+            })
+            .concat()
+        };
+        for (k, &i) in rows.iter().enumerate() {
+            if watermark_keys.is_some_and(|keys| keys[i] > watermark) {
+                stats.skipped = (order.len() - b * scan.block_rows - k) as u64;
+                break 'blocks;
+            }
+            let cand = block.row(i);
+            let first = prefix_hits.get(k).copied().flatten().or_else(|| {
+                body.catch_up(&skyline);
+                body.first_dominator(&skyline, cand, prefix)
+            });
+            if let Some(j) = first {
+                comparisons += j as u64 + 1;
+                continue;
+            }
+            comparisons += skyline.len() as u64;
+            skyline.push_trusted(block.id(i), cand);
+            watermark = watermark.min(block.max_coord(i));
         }
-        let cand = block.row(i);
-        if let Some(j) = first_dominator(&skyline, cand) {
-            comparisons += j as u64 + 1;
-            continue;
-        }
-        comparisons += skyline.len() as u64;
-        skyline.push_trusted(block.id(i), cand);
-        watermark = watermark.min(block.max_coord(i));
     }
     stats.comparisons += comparisons;
     stats.dim_weighted += comparisons * d as u64;
     skyline
 }
 
-/// Row body: the first of the rows `[0, stop)` of `accepted` that
-/// dominates `cand`, tested row by row with the branchless
-/// [`dominates_row`]. The portable path, and the reference the lane scan
-/// is tested against.
+/// The first of the rows `[start, stop)` of `accepted` that dominates
+/// `cand`, tested row by row with the branchless [`dominates_row`].
 #[inline]
-fn row_first_dominator(accepted: &PointBlock, cand: &[f64], stop: usize) -> Option<usize> {
-    accepted
-        .coords()
-        .chunks_exact(accepted.dim())
-        .take(stop)
+fn row_first_dominator(
+    accepted: &PointBlock,
+    cand: &[f64],
+    start: usize,
+    stop: usize,
+) -> Option<usize> {
+    let d = accepted.dim();
+    accepted.coords()[start * d..stop * d]
+        .chunks_exact(d)
         .position(|row| dominates_row(row, cand))
+        .map(|j| start + j)
 }
 
-/// Accepted rows the lane scan still tests row by row before it goes to
+/// Row body: [`row_first_dominator`] over the accepted rows themselves.
+/// The portable path, and the reference the lane body is tested against.
+struct RowBody;
+
+impl ScanBody for RowBody {
+    fn catch_up(&mut self, _accepted: &PointBlock) {}
+
+    #[inline]
+    fn first_dominator(&self, accepted: &PointBlock, cand: &[f64], start: usize) -> Option<usize> {
+        row_first_dominator(accepted, cand, start, accepted.len())
+    }
+}
+
+/// Accepted rows the lane body still tests row by row before it goes to
 /// the lanes. On correlated inputs nearly every candidate falls to the
 /// first accepted row, and sweeping a whole 64-row lane block for it costs
 /// more than one row test; a longer prefix measured no better there and
 /// slower on anti-correlated merges, where most candidates get past it.
 const ROW_PREFIX: usize = 1;
 
-/// Lane filtering pass: the first [`ROW_PREFIX`] accepted rows are tested
-/// row by row, the rest through a [`LaneColumns`] copy of the accepted
-/// rows, filled only when a candidate gets past the prefix.
+/// Lane body: the first [`ROW_PREFIX`] accepted rows are tested row by
+/// row, the rest through a [`LaneColumns`] copy of the accepted rows.
 ///
-/// `#[inline(always)]` for the same reason as [`lane_sweep`].
-#[inline(always)]
-fn lane_scan(
-    block: &PointBlock,
-    order: &[usize],
-    watermark_keys: Option<&[f64]>,
-    stats: &mut KernelStats,
-) -> PointBlock {
-    let mut cols = LaneColumns::new(block.dim());
-    filter_pass(block, order, watermark_keys, stats, |accepted, cand| {
-        if let Some(j) = row_first_dominator(accepted, cand, ROW_PREFIX) {
-            return Some(j);
-        }
-        if accepted.len() <= ROW_PREFIX {
-            return None;
-        }
-        cols.catch_up(accepted);
-        cols.first_dominator(cand)
-    })
+/// Only profitable compiled with wide vector ISAs, hence the
+/// `#[inline(always)]` methods: like [`lane_sweep`], the serial phase must
+/// inline into a `#[target_feature]` wrapper in [`simd`].
+struct LaneBody(LaneColumns);
+
+impl LaneBody {
+    fn new(dim: usize) -> Self {
+        Self(LaneColumns::new(dim))
+    }
 }
 
-/// Computes the skyline of `block` with the presorting merge kernel.
+impl ScanBody for LaneBody {
+    #[inline(always)]
+    fn catch_up(&mut self, accepted: &PointBlock) {
+        self.0.catch_up(accepted);
+    }
+
+    #[inline(always)]
+    fn first_dominator(&self, accepted: &PointBlock, cand: &[f64], start: usize) -> Option<usize> {
+        let head = ROW_PREFIX.min(accepted.len());
+        if start < head {
+            if let Some(j) = row_first_dominator(accepted, cand, start, head) {
+                return Some(j);
+            }
+        }
+        self.0.first_dominator(cand, start.max(head))
+    }
+}
+
+/// Computes the skyline of `block` with the presorting merge kernel, on
+/// one thread.
 pub fn presort_merge(block: &PointBlock) -> PointBlock {
-    presort_merge_stats(block).0
+    presort_merge_stats(block, 1).0
 }
 
 /// SFS-style merge: sorts candidates by ascending L1 norm (ties broken by
@@ -749,9 +926,37 @@ pub fn presort_merge(block: &PointBlock) -> PointBlock {
 /// mostly undominated, so the `O(n log n)` sort buys a filtering pass that
 /// does near-zero evictions.
 ///
-pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
+/// The pass runs block-synchronously on up to `threads` threads; the
+/// skyline and every statistic are the same for any thread count.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
+pub fn presort_merge_stats(block: &PointBlock, threads: usize) -> (PointBlock, KernelStats) {
+    presort_merge_stats_in_blocks(block, threads, SCAN_BLOCK)
+}
+
+/// [`presort_merge_stats`] with `block_rows` candidates per block of the
+/// pass instead of the production block size, so that tests outside this
+/// crate can put block boundaries inside small inputs.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or `block_rows == 0`.
+#[doc(hidden)]
+pub fn presort_merge_stats_in_blocks(
+    block: &PointBlock,
+    threads: usize,
+    block_rows: usize,
+) -> (PointBlock, KernelStats) {
     let l1: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
-    presort_kernel("merge", block, |a, b| num_cmp(l1[a], l1[b]), None)
+    presort_kernel(
+        "merge",
+        block,
+        |a, b| num_cmp(l1[a], l1[b]),
+        None,
+        Scan::blocked(block_rows, threads),
+    )
 }
 
 /// Computes the skyline of `block` with the columnar SFS kernel.
@@ -773,7 +978,13 @@ pub fn block_sfs(block: &PointBlock) -> PointBlock {
 /// bit-for-bit.
 pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let scores: Vec<f64> = (0..block.len()).map(|i| block.entropy_score(i)).collect();
-    presort_kernel("sfs", block, |a, b| num_cmp(scores[a], scores[b]), None)
+    presort_kernel(
+        "sfs",
+        block,
+        |a, b| num_cmp(scores[a], scores[b]),
+        None,
+        Scan::on(1),
+    )
 }
 
 #[cfg(test)]
@@ -938,7 +1149,7 @@ mod tests {
         for seed in 20..30 {
             let block = random_block(150, 4, seed, 6);
             let points = block.to_points();
-            let (sky, stats) = presort_merge_stats(&block);
+            let (sky, stats) = presort_merge_stats(&block, 1);
             assert_eq!(sorted_ids(&sky), naive_skyline_ids(&points), "seed {seed}");
             assert_eq!(stats.passes, 1);
             assert_eq!(stats.overflowed, 0);
@@ -968,7 +1179,7 @@ mod tests {
 
     #[test]
     fn presort_merge_empty() {
-        let (sky, stats) = presort_merge_stats(&PointBlock::new(2));
+        let (sky, stats) = presort_merge_stats(&PointBlock::new(2), 2);
         assert!(sky.is_empty());
         assert_eq!(stats.passes, 0);
     }
@@ -1047,28 +1258,79 @@ mod tests {
         )
     }
 
-    /// Runs the row body, the lane body compiled for the baseline ISA and
-    /// (where the host has AVX-512) the dispatched lane scan on `block` in
-    /// `order`; all must agree. Returns the row body's result.
+    /// The serial pass written out row by row, independent of
+    /// [`filter_pass`]: each candidate in `order` against every accepted
+    /// row from row 0 with [`row_first_dominator`].
+    fn reference_pass(
+        block: &PointBlock,
+        order: &[usize],
+        watermark_keys: Option<&[f64]>,
+    ) -> Fingerprint {
+        let mut sky = PointBlock::new(block.dim());
+        let mut stats = KernelStats::default();
+        let mut watermark = f64::INFINITY;
+        for (rank, &i) in order.iter().enumerate() {
+            if watermark_keys.is_some_and(|keys| keys[i] > watermark) {
+                stats.skipped = (order.len() - rank) as u64;
+                break;
+            }
+            match row_first_dominator(&sky, block.row(i), 0, sky.len()) {
+                Some(j) => stats.comparisons += j as u64 + 1,
+                None => {
+                    stats.comparisons += sky.len() as u64;
+                    sky.push_trusted(block.id(i), block.row(i));
+                    watermark = watermark.min(block.max_coord(i));
+                }
+            }
+        }
+        stats.dim_weighted = stats.comparisons * block.dim() as u64;
+        fingerprint(&sky, &stats)
+    }
+
+    /// What one block-synchronous pass with `body` returns.
+    fn pass<B: ScanBody>(
+        block: &PointBlock,
+        order: &[usize],
+        watermark_keys: Option<&[f64]>,
+        scan: Scan,
+        body: &mut B,
+    ) -> Fingerprint {
+        let mut stats = KernelStats::default();
+        let sky = filter_pass(block, order, watermark_keys, scan, &mut stats, body);
+        fingerprint(&sky, &stats)
+    }
+
+    /// Runs the block-synchronous pass with the row body, the lane body
+    /// compiled for the baseline ISA and (where the host has AVX-512) the
+    /// dispatched lane body on `block` in `order`, at one row per block,
+    /// either side of a lane block and the whole input per block, each on
+    /// 1, 2 and 3 threads; all must match [`reference_pass`], which is
+    /// returned.
     fn assert_scans_agree(
         block: &PointBlock,
         order: &[usize],
         watermark_keys: Option<&[f64]>,
         what: &str,
     ) -> Fingerprint {
-        let mut row_stats = KernelStats::default();
-        let row = filter_pass(block, order, watermark_keys, &mut row_stats, |acc, cand| {
-            row_first_dominator(acc, cand, acc.len())
-        });
-        let want = fingerprint(&row, &row_stats);
-        let mut lane_stats = KernelStats::default();
-        let lane = lane_scan(block, order, watermark_keys, &mut lane_stats);
-        assert_eq!(fingerprint(&lane, &lane_stats), want, "{what}: lane body");
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut simd_stats = KernelStats::default();
-            if let Some(sky) = simd::try_lane_scan(block, order, watermark_keys, &mut simd_stats) {
-                assert_eq!(fingerprint(&sky, &simd_stats), want, "{what}: avx-512");
+        let want = reference_pass(block, order, watermark_keys);
+        for block_rows in [1, 63, 64, 65, block.len().max(1)] {
+            for threads in 1..=3 {
+                let scan = Scan::blocked(block_rows, threads);
+                let what = format!("{what} B={block_rows} threads={threads}");
+                let row = pass(block, order, watermark_keys, scan, &mut RowBody);
+                assert_eq!(row, want, "{what}: row body");
+                let mut lanes = LaneBody::new(block.dim());
+                let lane = pass(block, order, watermark_keys, scan, &mut lanes);
+                assert_eq!(lane, want, "{what}: lane body");
+                #[cfg(target_arch = "x86_64")]
+                {
+                    let mut stats = KernelStats::default();
+                    if let Some(sky) =
+                        simd::try_lane_scan(block, order, watermark_keys, scan, &mut stats)
+                    {
+                        assert_eq!(fingerprint(&sky, &stats), want, "{what}: avx-512");
+                    }
+                }
             }
         }
         want
@@ -1092,7 +1354,7 @@ mod tests {
             assert_eq!(fingerprint(&sky, &stats), want, "{what}: dispatched");
         };
         let merge_order = presort_order(block, |a, b| num_cmp(l1[a], l1[b]));
-        check("merge", merge_order, None, presort_merge_stats);
+        check("merge", merge_order, None, |b| presort_merge_stats(b, 2));
         let sfs_order = presort_order(block, |a, b| num_cmp(entropy[a], entropy[b]));
         check("sfs", sfs_order, None, block_sfs_stats);
         let salsa_order = presort_order(block, |a, b| {
@@ -1132,6 +1394,44 @@ mod tests {
         row(next, -1.0, 1e6);
         row(next + 1, -1.0, 1e6 + 1.0);
         b
+    }
+
+    #[test]
+    fn first_dominator_honours_its_start_row() {
+        // m incomparable rows (an anti-diagonal), every third replaced by
+        // a dominator of `cand`, so each start row has its own answer
+        for (m, d) in [
+            (1usize, 2usize),
+            (63, 2),
+            (64, 6),
+            (65, 3),
+            (130, 6),
+            (200, 16),
+        ] {
+            let mut accepted = PointBlock::new(d);
+            for i in 0..m {
+                let mut row = vec![0.0; d];
+                row[0] = i as f64;
+                row[1] = if i % 3 == 1 {
+                    0.0
+                } else {
+                    (m - i) as f64 + 1.0
+                };
+                accepted.push(i as u64, &row).unwrap();
+            }
+            let mut cand = vec![1.0; d];
+            cand[0] = m as f64;
+            let mut body = LaneBody::new(d);
+            body.catch_up(&accepted);
+            for start in 0..=m {
+                let want = row_first_dominator(&accepted, &cand, start, m);
+                assert_eq!(want.map(|j| j % 3), want.map(|_| 1), "m={m} start={start}");
+                let row = RowBody.first_dominator(&accepted, &cand, start);
+                assert_eq!(row, want, "m={m} d={d} start={start}: row body");
+                let lane = body.first_dominator(&accepted, &cand, start);
+                assert_eq!(lane, want, "m={m} d={d} start={start}: lane body");
+            }
+        }
     }
 
     #[test]

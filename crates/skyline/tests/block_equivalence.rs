@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use skyline_algos::block::PointBlock;
 use skyline_algos::kernel::{
-    block_bnl, block_sfs_stats, dominates_row, presort_merge, presort_merge_stats, BnlConfig,
-    KernelStats,
+    block_bnl, block_sfs_stats, dominates_row, presort_merge, presort_merge_stats,
+    presort_merge_stats_in_blocks, BnlConfig, KernelStats,
 };
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
@@ -97,7 +97,7 @@ const SPECS: [(&str, Spec); 3] = [
             key: |b, i| vec![b.l1_norm(i)],
             stop: None,
             watermark: false,
-            kernel: presort_merge_stats,
+            kernel: |b| presort_merge_stats(b, 1),
         },
     ),
     (
@@ -208,13 +208,24 @@ proptest! {
         prop_assert_eq!(block_ids(&sky), naive_skyline_ids(&pts));
     }
 
+    /// Every presort kernel against its contract; the merge also on 1 to 3
+    /// threads with block boundaries anywhere in the input (a block of
+    /// 200 rows holds any input whole).
     #[test]
-    fn presort_merge_matches_its_row_wise_reference(block in arb_merge_block()) {
+    fn presort_merge_matches_its_row_wise_reference(
+        block in arb_merge_block(),
+        threads in 1usize..=3,
+        block_rows in 1usize..=200,
+    ) {
         let mut oracle = naive_skyline_ids(&block.to_points());
         oracle.sort_unstable();
-        for (name, spec) in &SPECS {
+        let in_blocks = presort_merge_stats_in_blocks(&block, threads, block_rows);
+        let runs = SPECS
+            .iter()
+            .map(|(name, spec)| (*name, spec, (spec.kernel)(&block)))
+            .chain([("merge in blocks", &SPECS[0].1, in_blocks)]);
+        for (name, spec, (sky, stats)) in runs {
             let (ids, bits, comparisons, skipped) = reference_scan(&block, spec);
-            let (sky, stats) = (spec.kernel)(&block);
             prop_assert_eq!(sky.ids(), &ids[..], "{}", name);
             let sky_bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
             prop_assert_eq!(sky_bits, bits, "{}", name);

@@ -141,6 +141,7 @@ fn cmd_plan(args: &[String]) -> ExitCode {
             .unwrap_or(0),
         sector_prune: flag_present(args, "--sector-prune"),
         threads: 2,
+        bnl_window: None,
     };
     let report = audit_plan(&spec);
     if flag_present(args, "--json") {

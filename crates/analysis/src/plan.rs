@@ -23,8 +23,8 @@
 //!   partitioner would prune without a geometric dominator is flagged
 //!   (`MRA006`, `MRA012`);
 //! - **runtime cross-checks**: reducers vs partitions, cluster slot
-//!   capacity, cost-model finiteness, reduce-wave explosion (`MRA007`,
-//!   `MRA008`, `MRA011`).
+//!   capacity, cost-model finiteness, a zero-row BNL window, reduce-wave
+//!   explosion (`MRA007`, `MRA008`, `MRA011`).
 
 use crate::diag::{AuditReport, Code, Diagnostic, Severity};
 use mini_mapreduce::{ClusterConfig, CostModel};
@@ -54,6 +54,8 @@ pub struct PlanSpec<'a> {
     pub sector_prune: bool,
     /// Host threads driving the simulation.
     pub threads: usize,
+    /// The local BNL window bound (`None` = unbounded).
+    pub bnl_window: Option<usize>,
 }
 
 /// Hard cap on lattice probe combinations; beyond it the combinations are
@@ -264,6 +266,14 @@ fn check_runtime(spec: &PlanSpec<'_>, report: &mut AuditReport) {
             Severity::Error,
             "driver",
             "zero host threads: the simulation pool cannot run",
+        ));
+    }
+    if spec.bnl_window == Some(0) {
+        report.diagnostics.push(Diagnostic::new(
+            Code::ZeroCapacityCluster,
+            Severity::Error,
+            "job 1",
+            "zero-row BNL window: a local skyline cannot hold a single point",
         ));
     }
     let reduce_slots = spec.cluster.reduce_slots();
@@ -1053,6 +1063,7 @@ mod tests {
             filter_k: 0,
             sector_prune: false,
             threads: 2,
+            bnl_window: None,
         }
     }
 

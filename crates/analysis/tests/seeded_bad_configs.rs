@@ -110,6 +110,7 @@ fn spec_for<'a>(
         filter_k: 0,
         sector_prune: false,
         threads: 2,
+        bnl_window: None,
     }
 }
 
@@ -225,6 +226,20 @@ fn negative_cost_triggers_mra008() {
     let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
     let report = audit_plan(&spec_for(&grid, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::ZeroCapacityCluster);
+}
+
+#[test]
+fn zero_bnl_window_triggers_mra008() {
+    let f = Fixture::new();
+    let grid = GridPartitioner::fit(&f.bounds, 4).expect("grid fit");
+    let mut spec = spec_for(&grid, &f.bounds, &f.cluster, &f.cost);
+    spec.bnl_window = Some(0);
+    let report = audit_plan(&spec);
+    assert_error_code(&report, Code::ZeroCapacityCluster);
+    spec.bnl_window = Some(1);
+    assert!(audit_plan(&spec)
+        .with_code(Code::ZeroCapacityCluster)
+        .is_empty());
 }
 
 #[test]

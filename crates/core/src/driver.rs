@@ -157,6 +157,7 @@ impl SkylineJob {
             filter_k: self.config.filter_points_for(dataset.dim()),
             sector_prune: self.config.sector_prune,
             threads: self.threads.max(1),
+            bnl_window: self.config.bnl_window,
         };
         audit_plan(&spec)
     }
@@ -373,6 +374,19 @@ mod tests {
             .run_checked(&data)
             .expect_err("zero reduce slots must be refused");
         assert!(err.has_errors());
+        assert!(!err
+            .with_code(mrsky_audit::Code::ZeroCapacityCluster)
+            .is_empty());
+    }
+
+    #[test]
+    fn run_checked_refuses_a_zero_bnl_window() {
+        let data = generate_qws(&QwsConfig::new(500, 3));
+        let mut job = SkylineJob::new(Algorithm::MrAngle, 4);
+        job.config.bnl_window = Some(0);
+        let err = job
+            .run_checked(&data)
+            .expect_err("a zero BNL window must be refused");
         assert!(!err
             .with_code(mrsky_audit::Code::ZeroCapacityCluster)
             .is_empty());

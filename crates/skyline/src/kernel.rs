@@ -8,9 +8,14 @@
 //!   comparison but defeats vectorization; the branchless forms trade a few
 //!   redundant flops for straight-line SIMD-friendly code.
 //! * [`block_bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001), the
-//!   kernel the paper runs for both the local skylines and the global merge,
-//!   with a bounded self-organising window in one flat buffer and
-//!   multi-pass overflow handling.
+//!   kernel the paper runs for the local skylines, with a bounded
+//!   self-organising window and multi-pass overflow handling. The passes
+//!   are written once over two window bodies: a row body that scans a flat
+//!   row-major window row by row, and, on x86-64 hosts with AVX-512, a lane
+//!   body that keeps the window in [`LaneColumns`] and finds a candidate's
+//!   first dominator, or else every window row it dominates, with one
+//!   two-sided lane scan. Both keep the same window order and count exactly
+//!   the same comparisons (see [`LaneWindow`]).
 //! * the presort kernels — [`presort_merge`] (the global merge, L1 key),
 //!   [`block_sfs`] (Sort-Filter-Skyline, entropy key) and
 //!   [`crate::salsa::block_salsa`] (minC key) — are one algorithm: sort by
@@ -35,6 +40,7 @@
 use crate::block::PointBlock;
 use crate::dominance::DomRelation;
 use mini_mapreduce::pool;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Configuration for a [`block_bnl`] run.
@@ -205,11 +211,12 @@ fn lane_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
 /// Rows per lane block: one `u64` mask bit per row.
 const LANES: usize = 64;
 
-/// Column-major copy of an append-only row set, the operand of the lane
-/// scans. Column `k` holds coordinate `k` of every row and is padded with
-/// `+inf` to a multiple of [`LANES`] rows; infinity is never `<=` a finite
-/// coordinate, so pad rows can never witness dominance. The columns double
-/// their padded length whenever a push finds them full.
+/// Column-major copy of a row set, the operand of the lane scans. Column
+/// `k` holds coordinate `k` of every row and is padded with `+inf` to a
+/// multiple of [`LANES`] rows; infinity is never `<=` a finite coordinate,
+/// so pad rows can never witness dominance. Every lane past `len` is pad:
+/// [`LaneColumns::swap_remove`] refills the lane it frees. The columns
+/// double their padded length whenever a push finds them full.
 struct LaneColumns {
     dim: usize,
     /// Padded rows per column (a multiple of [`LANES`]).
@@ -261,40 +268,119 @@ impl LaneColumns {
         }
     }
 
+    /// Swaps rows `i` and `j`.
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        for k in 0..self.dim {
+            self.cols.swap(k * self.stride + i, k * self.stride + j);
+        }
+    }
+
+    /// Removes row `i` by moving the last row into its place, like
+    /// `Vec::swap_remove`, and refills the freed lane with `+inf` so that
+    /// it is pad again.
+    #[inline(always)]
+    fn swap_remove(&mut self, i: usize) {
+        self.len -= 1;
+        let last = self.len;
+        for k in 0..self.dim {
+            let col = &mut self.cols[k * self.stride..];
+            col[i] = col[last];
+            col[last] = f64::INFINITY;
+        }
+    }
+
+    /// Writes row `i` into `out`.
+    #[inline(always)]
+    fn copy_row(&self, i: usize, out: &mut [f64]) {
+        for (k, v) in out.iter_mut().enumerate() {
+            *v = self.cols[k * self.stride + i];
+        }
+    }
+
+    /// Whether row `j` dominates `cand`, tested on that row alone like
+    /// [`dominates_row`].
+    #[inline(always)]
+    fn row_dominates(&self, j: usize, cand: &[f64]) -> bool {
+        let mut all_le = true;
+        let mut any_lt = false;
+        for (k, &c) in cand.iter().enumerate() {
+            let w = self.cols[k * self.stride + j];
+            all_le &= w <= c;
+            any_lt |= w < c;
+        }
+        all_le && any_lt
+    }
+
+    /// The `(w <= cand, w < cand)` masks of the 64 rows from `j0` on: bit
+    /// `j` of the first is set when row `j0 + j` is `<=` `cand` on every
+    /// coordinate, bit `j` of the second when it is `<` on at least one.
+    ///
+    /// Each dimension compares one broadcast candidate coordinate against
+    /// 64 contiguous column values — on AVX-512 a handful of vector
+    /// compares straight into mask registers.
+    #[inline(always)]
+    fn lane_masks(&self, cand: &[f64], j0: usize) -> (u64, u64) {
+        let mut le_mask = !0u64;
+        let mut lt_mask = 0u64;
+        for (k, &ck) in cand.iter().enumerate() {
+            let start = k * self.stride + j0;
+            let mut le = 0u64;
+            let mut lt = 0u64;
+            for (j, &w) in self.cols[start..start + LANES].iter().enumerate() {
+                le |= u64::from(w <= ck) << j;
+                lt |= u64::from(w < ck) << j;
+            }
+            le_mask &= le;
+            lt_mask |= lt;
+        }
+        (le_mask, lt_mask)
+    }
+
     /// Index of the first row at or after `start` that dominates `cand`,
     /// or `None`.
     ///
-    /// Each 64-row block compares one broadcast candidate coordinate
-    /// against 64 contiguous column values per dimension, accumulating
-    /// `all_le`/`any_lt` as `u64` bitmasks — on AVX-512 a handful of vector
-    /// compares straight into mask registers. The lowest set bit of
-    /// `le & lt` is the first dominator in the block, so the scan stops
-    /// exactly where a row-by-row scan would. The scan begins at the lane
-    /// block holding `start`, with the bits of the rows below `start`
-    /// masked out.
+    /// The lowest set bit of `le & lt` (see [`LaneColumns::lane_masks`])
+    /// is the first dominator in a lane block, so the scan stops exactly
+    /// where a row-by-row scan would. The scan begins at the lane block
+    /// holding `start`, with the bits of the rows below `start` masked out.
     #[inline(always)]
     fn first_dominator(&self, cand: &[f64], start: usize) -> Option<usize> {
         let mut j0 = start - start % LANES;
         let mut from = !0u64 << (start % LANES);
         while j0 < self.len {
-            let mut le_mask = !0u64;
-            let mut lt_mask = 0u64;
-            for (k, &ck) in cand.iter().enumerate() {
-                let start = k * self.stride + j0;
-                let mut le = 0u64;
-                let mut lt = 0u64;
-                for (j, &w) in self.cols[start..start + LANES].iter().enumerate() {
-                    le |= u64::from(w <= ck) << j;
-                    lt |= u64::from(w < ck) << j;
-                }
-                le_mask &= le;
-                lt_mask |= lt;
-            }
+            let (le_mask, lt_mask) = self.lane_masks(cand, j0);
             let hits = le_mask & lt_mask & from;
             if hits != 0 {
                 return Some(j0 + hits.trailing_zeros() as usize);
             }
             from = !0;
+            j0 += LANES;
+        }
+        None
+    }
+
+    /// The two-sided scan of the BNL lane body: the index of the first row
+    /// that dominates `cand`, or else `None`, with `victims` set to one
+    /// mask word per lane block marking the rows `cand` dominates.
+    ///
+    /// A row is dominated by `cand` when it is nowhere `<` `cand` and
+    /// somewhere not `<=` it, so both answers come out of the same two
+    /// masks. A pad row (`+inf`) reads as dominated, so the lanes past
+    /// `len` are masked off.
+    #[inline(always)]
+    fn dominator_or_victims(&self, cand: &[f64], victims: &mut Vec<u64>) -> Option<usize> {
+        victims.clear();
+        let mut j0 = 0;
+        while j0 < self.len {
+            let (le_mask, lt_mask) = self.lane_masks(cand, j0);
+            let hits = le_mask & lt_mask;
+            if hits != 0 {
+                return Some(j0 + hits.trailing_zeros() as usize);
+            }
+            let live = self.len - j0;
+            let live_mask = if live >= LANES { !0 } else { !(!0u64 << live) };
+            victims.push(!(le_mask | lt_mask) & live_mask);
             j0 += LANES;
         }
         None
@@ -310,7 +396,7 @@ impl LaneColumns {
 mod simd {
     #![allow(unsafe_code)]
 
-    use super::{KernelStats, LaneBody, PointBlock, Scan, ScanBody};
+    use super::{KernelStats, LaneBody, LaneWindow, PointBlock, Scan, ScanBody};
 
     /// `true` iff the host supports every feature the wrappers below enable.
     fn lane_isa_detected() -> bool {
@@ -335,6 +421,15 @@ mod simd {
     ) -> PointBlock {
         let mut body = Avx512Lanes(LaneBody::new(block.dim()));
         super::filter_pass(block, order, watermark_keys, scan, stats, &mut body)
+    }
+
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+    fn lane_bnl_avx512(
+        block: &PointBlock,
+        window_cap: usize,
+        stats: &mut KernelStats,
+    ) -> PointBlock {
+        super::bnl_passes::<LaneWindow>(block, window_cap, stats)
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
@@ -412,11 +507,53 @@ mod simd {
         // `#[target_feature]` list was just verified at runtime.
         Some(unsafe { lane_scan_avx512(block, order, watermark_keys, scan, stats) })
     }
+
+    /// Runs the BNL passes over the lane window with AVX-512 codegen when
+    /// the host supports it; `None` (with `stats` untouched) tells the
+    /// caller to take the row-wise path.
+    pub(super) fn try_lane_bnl(
+        block: &PointBlock,
+        window_cap: usize,
+        stats: &mut KernelStats,
+    ) -> Option<PointBlock> {
+        if !lane_isa_detected() {
+            return None;
+        }
+        // SAFETY: every feature named in `lane_bnl_avx512`'s
+        // `#[target_feature]` list was just verified at runtime.
+        Some(unsafe { lane_bnl_avx512(block, window_cap, stats) })
+    }
 }
 
-/// Self-organising BNL window in one flat buffer: coordinates, ids and
-/// entry timestamps are parallel arrays, so a window scan walks one
-/// contiguous `f64` run instead of chasing per-point boxes.
+/// A BNL window body: the self-organising window the passes of
+/// [`bnl_passes`] keep, with each row's id and entry timestamp.
+trait BnlWindow {
+    fn new(dim: usize) -> Self;
+
+    fn len(&self) -> usize;
+
+    fn push(&mut self, id: u64, row: &[f64], ts: u64);
+
+    fn id(&self, i: usize) -> u64;
+
+    /// Entry timestamp of row `i`.
+    fn entered(&self, i: usize) -> u64;
+
+    /// Writes row `i` into `out`.
+    fn copy_row(&self, i: usize, out: &mut [f64]);
+
+    /// Tests `cand` against the window as the row scan of
+    /// [`FlatWindow::offer`] does: a window row that dominates `cand` is
+    /// moved to the front, and the window rows `cand` dominates are
+    /// evicted. Returns the comparisons the row scan makes and whether
+    /// `cand` is dominated.
+    fn offer(&mut self, cand: &[f64]) -> (u64, bool);
+}
+
+/// Row body: the window in one flat row-major buffer, with coordinates,
+/// ids and entry timestamps as parallel arrays, so a window scan walks one
+/// contiguous `f64` run. The portable path, and the reference the lane
+/// body is tested against.
 struct FlatWindow {
     dim: usize,
     coords: Vec<f64>,
@@ -425,30 +562,9 @@ struct FlatWindow {
 }
 
 impl FlatWindow {
-    fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            coords: Vec::new(),
-            ids: Vec::new(),
-            entered: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.coords[i * self.dim..(i + 1) * self.dim]
-    }
-
-    #[inline]
-    fn push(&mut self, id: u64, row: &[f64], ts: u64) {
-        self.coords.extend_from_slice(row);
-        self.ids.push(id);
-        self.entered.push(ts);
     }
 
     /// Swaps rows `i` and `j` (the move-to-front self-organisation).
@@ -471,6 +587,195 @@ impl FlatWindow {
         self.coords.truncate(last * self.dim);
         self.ids.swap_remove(i);
         self.entered.swap_remove(i);
+    }
+}
+
+impl BnlWindow for FlatWindow {
+    fn new(dim: usize) -> Self {
+        Self {
+            dim,
+            coords: Vec::new(),
+            ids: Vec::new(),
+            entered: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn push(&mut self, id: u64, row: &[f64], ts: u64) {
+        self.coords.extend_from_slice(row);
+        self.ids.push(id);
+        self.entered.push(ts);
+    }
+
+    fn id(&self, i: usize) -> u64 {
+        self.ids[i]
+    }
+
+    fn entered(&self, i: usize) -> u64 {
+        self.entered[i]
+    }
+
+    fn copy_row(&self, i: usize, out: &mut [f64]) {
+        out.copy_from_slice(self.row(i));
+    }
+
+    /// The row scan: each window row in turn, one comparison each. A
+    /// dominator ends the scan and moves to the front; an evicted row's
+    /// place is taken by the last row, which is examined next.
+    fn offer(&mut self, cand: &[f64]) -> (u64, bool) {
+        let mut comparisons = 0;
+        let mut i = 0;
+        while i < self.len() {
+            comparisons += 1;
+            match compare_rows(self.row(i), cand) {
+                DomRelation::LeftDominates => {
+                    // move to front; a no-op when `i == 0`
+                    self.swap(0, i);
+                    return (comparisons, true);
+                }
+                DomRelation::RightDominates => {
+                    self.swap_remove(i);
+                    // re-examine the row swapped into position i
+                }
+                // Distinct points with equal rows are mutually
+                // non-dominating: both stay.
+                DomRelation::Equal | DomRelation::Incomparable => {
+                    i += 1;
+                }
+            }
+        }
+        (comparisons, false)
+    }
+}
+
+/// Lane body: the window in [`LaneColumns`], ids and entry timestamps
+/// beside it, and the victim masks of the last scan.
+///
+/// The window is an antichain, so a candidate with a dominator in it
+/// dominates no window row: if row `j` dominates the candidate and the
+/// candidate dominated row `i`, row `j` would dominate row `i`. The row
+/// scan therefore either stops at the first dominator `j` having evicted
+/// nothing, after `j + 1` comparisons, or visits every row once, evicting
+/// as it goes. [`LaneWindow::offer`] does the same from one
+/// [`LaneColumns::dominator_or_victims`] scan: it moves row `j` to the
+/// front, or it evicts the victims in the row scan's order
+/// ([`LaneWindow::evict_victims`]) and charges the window length.
+///
+/// Only profitable compiled with wide vector ISAs, hence the
+/// `#[inline(always)]` methods: the passes must inline into the
+/// `#[target_feature]` wrapper in [`simd`].
+struct LaneWindow {
+    cols: LaneColumns,
+    ids: Vec<u64>,
+    entered: Vec<u64>,
+    victims: Vec<u64>,
+}
+
+impl LaneWindow {
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        self.cols.swap(i, j);
+        self.ids.swap(i, j);
+        self.entered.swap(i, j);
+    }
+
+    #[inline(always)]
+    fn swap_remove(&mut self, i: usize) {
+        self.cols.swap_remove(i);
+        self.ids.swap_remove(i);
+        self.entered.swap_remove(i);
+    }
+
+    /// Removes the rows marked in `victims` in the order the row scan's
+    /// `swap_remove`s take them: the lowest marked position first, and the
+    /// row moved into a freed position, carrying its own mark, is examined
+    /// there before any later position. Marks only ever move down into the
+    /// word being walked, so one walk over the words finds them all.
+    #[inline(always)]
+    fn evict_victims(&mut self) {
+        let mut w = 0;
+        while w < self.victims.len() {
+            let bits = self.victims[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            let i = w * LANES + bits.trailing_zeros() as usize;
+            let last = self.cols.len - 1;
+            let (lw, lb) = (last / LANES, last % LANES);
+            let moved = if i == last {
+                0
+            } else {
+                (self.victims[lw] >> lb) & 1
+            };
+            self.victims[lw] &= !(1u64 << lb);
+            let ib = i % LANES;
+            self.victims[w] = (self.victims[w] & !(1u64 << ib)) | (moved << ib);
+            self.swap_remove(i);
+        }
+    }
+}
+
+impl BnlWindow for LaneWindow {
+    fn new(dim: usize) -> Self {
+        Self {
+            cols: LaneColumns::new(dim),
+            ids: Vec::new(),
+            entered: Vec::new(),
+            victims: Vec::new(),
+        }
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline(always)]
+    fn push(&mut self, id: u64, row: &[f64], ts: u64) {
+        self.cols.push(row);
+        self.ids.push(id);
+        self.entered.push(ts);
+    }
+
+    #[inline(always)]
+    fn id(&self, i: usize) -> u64 {
+        self.ids[i]
+    }
+
+    #[inline(always)]
+    fn entered(&self, i: usize) -> u64 {
+        self.entered[i]
+    }
+
+    #[inline(always)]
+    fn copy_row(&self, i: usize, out: &mut [f64]) {
+        self.cols.copy_row(i, out);
+    }
+
+    /// Tests the front row on its own first: move-to-front puts the last
+    /// killer there, and on correlated input it kills nearly every
+    /// candidate, for less than a lane block costs.
+    #[inline(always)]
+    fn offer(&mut self, cand: &[f64]) -> (u64, bool) {
+        let n = self.len();
+        if n == 0 {
+            return (0, false);
+        }
+        if self.cols.row_dominates(0, cand) {
+            return (1, true);
+        }
+        if let Some(j) = self.cols.dominator_or_victims(cand, &mut self.victims) {
+            self.swap(0, j);
+            return (j as u64 + 1, true);
+        }
+        self.evict_victims();
+        (n as u64, false)
     }
 }
 
@@ -518,21 +823,53 @@ pub fn block_bnl(block: &PointBlock, cfg: &BnlConfig) -> PointBlock {
 }
 
 /// Like [`block_bnl`] but also returns execution statistics.
+///
+/// Runs on the fastest window body the host supports: the AVX-512 lane
+/// body ([`LaneWindow`]) where the host has it, the row body
+/// ([`FlatWindow`]) everywhere else. Both return the same rows in the same
+/// order with the same [`KernelStats`].
+///
+/// # Panics
+///
+/// Panics if `cfg.window_size` is `Some(0)`: every pass would overflow
+/// its whole input, forever.
 pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, KernelStats) {
-    let d = block.dim();
     let mut stats = KernelStats {
         input_len: block.len() as u64,
         ..KernelStats::default()
     };
-    let mut skyline = PointBlock::with_capacity(d, 0);
-    if block.is_empty() {
-        return (skyline, stats);
-    }
-
     let window_cap = cfg.window_size.unwrap_or(usize::MAX);
-    let mut window = FlatWindow::new(d);
-    let mut input = block.clone();
+    assert!(window_cap > 0, "BNL window must hold at least one point");
+    let skyline = bnl_scan(block, window_cap, &mut stats);
+    crate::invariants::check_skyline_block("block-bnl", block, &skyline);
+    stats.output_len = skyline.len() as u64;
+    record_kernel_metrics("bnl", &stats);
+    (skyline, stats)
+}
+
+fn bnl_scan(block: &PointBlock, window_cap: usize, stats: &mut KernelStats) -> PointBlock {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(skyline) = simd::try_lane_bnl(block, window_cap, stats) {
+        return skyline;
+    }
+    bnl_passes::<FlatWindow>(block, window_cap, stats)
+}
+
+/// The BNL passes over window body `W`, holding at most `window_cap` rows:
+/// the overflow, timestamp and emission logic of [`block_bnl`], with every
+/// window test left to [`BnlWindow::offer`].
+#[inline(always)]
+fn bnl_passes<W: BnlWindow>(
+    block: &PointBlock,
+    window_cap: usize,
+    stats: &mut KernelStats,
+) -> PointBlock {
+    let d = block.dim();
+    let mut skyline = PointBlock::with_capacity(d, 0);
+    let mut window = W::new(d);
+    let mut input = Cow::Borrowed(block);
     let mut clock = block.len() as u64;
+    let mut row = vec![0.0; d];
 
     while !input.is_empty() {
         stats.passes += 1;
@@ -544,34 +881,15 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
         for idx in 0..input.len() {
             let ts = clock;
             clock += 1;
-            let mut dominated = false;
-            let mut i = 0;
-            while i < window.len() {
-                stats.comparisons += 1;
-                stats.dim_weighted += d as u64;
-                match compare_rows(window.row(i), input.row(idx)) {
-                    DomRelation::LeftDominates => {
-                        dominated = true;
-                        // move to front; a no-op when `i == 0`
-                        window.swap(0, i);
-                        break;
-                    }
-                    DomRelation::RightDominates => {
-                        window.swap_remove(i);
-                        // re-examine the row swapped into position i
-                    }
-                    // Distinct points with equal rows are mutually
-                    // non-dominating: both stay.
-                    DomRelation::Equal | DomRelation::Incomparable => {
-                        i += 1;
-                    }
-                }
-            }
+            let cand = input.row(idx);
+            let (comparisons, dominated) = window.offer(cand);
+            stats.comparisons += comparisons;
+            stats.dim_weighted += comparisons * d as u64;
             if dominated {
                 continue;
             }
             if window.len() < window_cap {
-                window.push(input.id(idx), input.row(idx), ts);
+                window.push(input.id(idx), cand, ts);
             } else {
                 if first_overflow_ts.is_none() {
                     first_overflow_ts = Some(ts);
@@ -582,35 +900,21 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
         }
 
         // Emit confirmed window rows; retain the rest for the next pass.
-        match first_overflow_ts {
-            None => {
-                for i in 0..window.len() {
-                    skyline.push_trusted(window.ids[i], window.row(i));
-                }
-                window = FlatWindow::new(d);
-            }
-            Some(cut) => {
-                let mut retained = FlatWindow::new(d);
-                for i in 0..window.len() {
-                    if window.entered[i] < cut {
-                        skyline.push_trusted(window.ids[i], window.row(i));
-                    } else {
-                        retained.push(window.ids[i], window.row(i), window.entered[i]);
-                    }
-                }
-                window = retained;
+        // A pass without overflow confirms the whole window and ends the
+        // run.
+        let mut retained = W::new(d);
+        for i in 0..window.len() {
+            window.copy_row(i, &mut row);
+            if first_overflow_ts.is_none_or(|cut| window.entered(i) < cut) {
+                skyline.push_trusted(window.id(i), &row);
+            } else {
+                retained.push(window.id(i), &row, window.entered(i));
             }
         }
-        input = overflow;
+        window = retained;
+        input = Cow::Owned(overflow);
     }
-    for i in 0..window.len() {
-        skyline.push_trusted(window.ids[i], window.row(i));
-    }
-
-    crate::invariants::check_skyline_block("block-bnl", block, &skyline);
-    stats.output_len = skyline.len() as u64;
-    record_kernel_metrics("bnl", &stats);
-    (skyline, stats)
+    skyline
 }
 
 /// Numeric order on non-NaN values. Unlike [`f64::total_cmp`] it has
@@ -1138,6 +1442,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one point")]
+    fn zero_window_field_rejected() {
+        let cfg = BnlConfig {
+            window_size: Some(0),
+        };
+        let _ = block_bnl(&block_of(&[&[1.0, 2.0]]), &cfg);
+    }
+
+    #[test]
     fn block_bnl_empty_input() {
         let (sky, stats) = block_bnl_stats(&PointBlock::new(3), &BnlConfig::default());
         assert!(sky.is_empty());
@@ -1199,16 +1512,10 @@ mod tests {
         ),
     ];
 
-    /// Runs `kernel` on every [`SCORE_TIES`] pair, alone and inside a
-    /// 400-row block of 200 such pairs, and checks the oracle's answer.
-    fn assert_score_ties_resolved(name: &str, kernel: impl Fn(&PointBlock) -> PointBlock) {
-        for (case, p, q) in SCORE_TIES {
-            let mut pair = PointBlock::new(p.len());
-            pair.push(0, q).unwrap();
-            pair.push(1, p).unwrap();
-            assert_eq!(sorted_ids(&kernel(&pair)), vec![1], "{name}: {case}");
-        }
-        // 200 anti-diagonal pairs, every victim id below its dominator's
+    /// 200 anti-diagonal L1 rounding-tie pairs `(1e16 + 4i, 1e16 − 4i)`
+    /// under `(1e16 + 4i, 1e16 − 4i + 2)`, every victim id below its
+    /// dominator's.
+    fn score_tie_block() -> PointBlock {
         let mut block = PointBlock::new(2);
         for i in 0..200u64 {
             let x = 1e16 + 4.0 * i as f64;
@@ -1218,6 +1525,19 @@ mod tests {
             let x = 1e16 + 4.0 * i as f64;
             block.push(200 + i, &[x, 1e16 - 4.0 * i as f64]).unwrap();
         }
+        block
+    }
+
+    /// Runs `kernel` on every [`SCORE_TIES`] pair, alone and inside a
+    /// 400-row block of 200 such pairs, and checks the oracle's answer.
+    fn assert_score_ties_resolved(name: &str, kernel: impl Fn(&PointBlock) -> PointBlock) {
+        for (case, p, q) in SCORE_TIES {
+            let mut pair = PointBlock::new(p.len());
+            pair.push(0, q).unwrap();
+            pair.push(1, p).unwrap();
+            assert_eq!(sorted_ids(&kernel(&pair)), vec![1], "{name}: {case}");
+        }
+        let block = score_tie_block();
         let want = naive_skyline_ids(&block.to_points());
         assert_eq!(want, (200..400).collect::<Vec<u64>>());
         assert_eq!(sorted_ids(&kernel(&block)), want, "{name}: 400-row ties");
@@ -1578,6 +1898,201 @@ mod tests {
             .get("skyline.bnl.comparisons_per_call")
             .unwrap();
         assert!(hist.count() >= 1);
+    }
+
+    /// The BNL windows the body tests run: one row, two, either side of a
+    /// lane block, two lane blocks, and unbounded.
+    const BNL_WINDOWS: [Option<usize>; 7] = [
+        Some(1),
+        Some(2),
+        Some(63),
+        Some(64),
+        Some(65),
+        Some(128),
+        None,
+    ];
+
+    /// What the BNL bodies must agree on: ids in order, coordinate bits,
+    /// and every [`KernelStats`] field.
+    type BnlFingerprint = (Vec<u64>, Vec<u64>, [u64; 7]);
+
+    fn bnl_fingerprint(sky: &PointBlock, stats: &KernelStats) -> BnlFingerprint {
+        let bits = sky.coords().iter().map(|c| c.to_bits()).collect();
+        let fields = [
+            stats.comparisons,
+            stats.dim_weighted,
+            u64::from(stats.passes),
+            stats.overflowed,
+            stats.skipped,
+            stats.input_len,
+            stats.output_len,
+        ];
+        (sky.ids().to_vec(), bits, fields)
+    }
+
+    /// The BNL passes over window body `W`, outside any dispatch.
+    fn bnl_with<W: BnlWindow>(block: &PointBlock, window: Option<usize>) -> BnlFingerprint {
+        let mut stats = KernelStats {
+            input_len: block.len() as u64,
+            ..KernelStats::default()
+        };
+        let sky = bnl_passes::<W>(block, window.unwrap_or(usize::MAX), &mut stats);
+        stats.output_len = sky.len() as u64;
+        bnl_fingerprint(&sky, &stats)
+    }
+
+    /// Runs BNL on `block` at every [`BNL_WINDOWS`] window with the row
+    /// body, the lane body compiled for the baseline ISA, the AVX-512 lane
+    /// body where the host has it and the dispatched kernel; all must match
+    /// the row body, whose skyline must be the oracle's.
+    fn assert_bnl_bodies_agree(block: &PointBlock, what: &str) {
+        let oracle = naive_skyline_ids(&block.to_points());
+        for window in BNL_WINDOWS {
+            let what = format!("{what} window={window:?}");
+            let want = bnl_with::<FlatWindow>(block, window);
+            let mut ids = want.0.clone();
+            ids.sort_unstable();
+            assert_eq!(ids, oracle, "{what}: row body");
+            assert_eq!(
+                bnl_with::<LaneWindow>(block, window),
+                want,
+                "{what}: lane body"
+            );
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut stats = KernelStats {
+                    input_len: block.len() as u64,
+                    ..KernelStats::default()
+                };
+                let cap = window.unwrap_or(usize::MAX);
+                if let Some(sky) = simd::try_lane_bnl(block, cap, &mut stats) {
+                    stats.output_len = sky.len() as u64;
+                    assert_eq!(bnl_fingerprint(&sky, &stats), want, "{what}: avx-512");
+                }
+            }
+            let cfg = BnlConfig {
+                window_size: window,
+            };
+            let (sky, stats) = block_bnl_stats(block, &cfg);
+            assert_eq!(bnl_fingerprint(&sky, &stats), want, "{what}: dispatched");
+        }
+    }
+
+    /// `n` rows near the anti-diagonal `Σ x = (d − 1)·grid`: the first
+    /// `d − 1` coordinates on a grid, the last closing the sum plus up to
+    /// `noise` more, so most rows are incomparable (windows of hundreds of
+    /// rows) and the noise makes candidates evict several rows at once.
+    fn anti_block(n: usize, d: usize, seed: u64, grid: u32, noise: u32) -> PointBlock {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = PointBlock::new(d);
+        for i in 0..n {
+            let mut row: Vec<f64> = (1..d).map(|_| f64::from(rng.gen_range(0..grid))).collect();
+            let sum: f64 = row.iter().sum();
+            let last = f64::from(grid) * (d - 1) as f64 - sum;
+            row.push(last + f64::from(rng.gen_range(0..=noise)));
+            b.push(i as u64, &row).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn bnl_bodies_agree_across_the_lane_boundary() {
+        for (d, n, grid, noise) in [
+            (2usize, 300usize, 2000u32, 20u32),
+            (3, 300, 40, 4),
+            (4, 300, 12, 3),
+        ] {
+            for seed in 0..2 {
+                let block = anti_block(n, d, seed, grid, noise);
+                let (sky, _) = block_bnl_stats(&block, &BnlConfig::unbounded());
+                assert!(sky.len() > 2 * LANES, "d={d} seed={seed}: window too short");
+                assert_bnl_bodies_agree(&block, &format!("anti d={d} seed={seed}"));
+            }
+        }
+        // correlated: the front row kills nearly every candidate
+        assert_bnl_bodies_agree(&random_block(300, 4, 3, 6), "grid d=4");
+    }
+
+    #[test]
+    fn bnl_bodies_agree_on_hostile_inputs() {
+        assert_bnl_bodies_agree(&PointBlock::new(3), "n=0");
+        assert_bnl_bodies_agree(&block_of(&[&[1.0, -0.0]]), "n=1");
+        let identical: Vec<&[f64]> = vec![&[2.0, -0.0, 5.0]; 130];
+        assert_bnl_bodies_agree(&block_of(&identical), "all identical");
+        assert_bnl_bodies_agree(&score_tie_block(), "score ties");
+        // every anti-diagonal row three times over, in three rounds
+        let base = anti_block(150, 3, 7, 30, 2);
+        let mut dups = PointBlock::new(3);
+        for round in 0..3u64 {
+            for i in 0..base.len() {
+                dups.push(round * 1000 + i as u64, base.row(i)).unwrap();
+            }
+        }
+        assert_bnl_bodies_agree(&dups, "exact duplicates");
+        for seed in 0..4u64 {
+            for (d, n) in [(1usize, 200usize), (2, 300), (3, 300), (6, 300)] {
+                // small grid: partial ties everywhere; 0 drawn as a signed
+                // zero; column 0 held constant
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut b = PointBlock::new(d);
+                for i in 0..n {
+                    let row: Vec<f64> = (0..d)
+                        .map(|k| match (k, rng.gen_range(0..5u32)) {
+                            (0, _) if d > 1 => 7.0,
+                            (_, 0) if rng.gen_bool(0.5) => -0.0,
+                            (_, v) => f64::from(v),
+                        })
+                        .collect();
+                    b.push(i as u64, &row).unwrap();
+                }
+                assert_bnl_bodies_agree(&b, &format!("grid seed={seed} d={d}"));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bnl_bodies_agree_on_random_blocks(
+            (n, d, seed) in (0usize..300, 1usize..7, 0u64..1 << 32),
+            (grid, noise, window) in (2u32..60, 0u32..5, 1usize..140),
+        ) {
+            let block = if d == 1 {
+                random_block(n, 1, seed, grid)
+            } else {
+                anti_block(n, d, seed, grid, noise)
+            };
+            let what = format!("n={n} d={d} seed={seed} grid={grid} noise={noise}");
+            assert_bnl_bodies_agree(&block, &what);
+            let cfg = BnlConfig::with_window(window);
+            let want = bnl_with::<FlatWindow>(&block, Some(window));
+            let (sky, stats) = block_bnl_stats(&block, &cfg);
+            proptest::prop_assert_eq!(bnl_fingerprint(&sky, &stats), want);
+        }
+    }
+
+    #[test]
+    fn lane_columns_swap_remove_refills_the_freed_lane() {
+        // 70 incomparable rows, the last of which alone dominates `cand`
+        let mut cols = LaneColumns::new(2);
+        for i in 0..70 {
+            cols.push(&[f64::from(i), f64::from(100 - i)]);
+        }
+        let cand = [69.5, 31.0];
+        assert_eq!(cols.first_dominator(&cand, 0), Some(69));
+        cols.swap_remove(69);
+        assert_eq!(cols.first_dominator(&cand, 0), None, "freed last lane");
+        // remove row 3: row 68 moves into its place and its lane is freed
+        cols.swap_remove(3);
+        let mut row = [0.0; 2];
+        cols.copy_row(3, &mut row);
+        assert_eq!(row, [68.0, 32.0]);
+        cols.copy_row(68, &mut row);
+        assert_eq!(row, [f64::INFINITY; 2], "freed inner lane");
+        let mut victims = Vec::new();
+        assert_eq!(cols.dominator_or_victims(&[-1.0, -1.0], &mut victims), None);
+        assert_eq!(victims, vec![!0, (1 << 4) - 1], "every live row, no pad");
     }
 
     #[test]

@@ -27,10 +27,13 @@
 //! `ρ̂ = (Var(S) − Σ σ_k²) / (2 Σ_{j<k} σ_j σ_k)` falls in `[-1, 1]`.
 //! No RNG is involved, so selection is deterministic and replay-stable.
 //!
-//! The thresholds were fit on the row-wise SFS and SaLSa scans. Both now
-//! run the merge's AVX-512 lane scan on hosts that have it, which makes
-//! them several times faster on large independent and anti-correlated
-//! blocks, so the crossovers against BNL have moved and are due a re-fit
+//! The thresholds were fit on row-wise scans, of BNL as well as of SFS
+//! and SaLSa. On hosts with AVX-512, SFS and SaLSa now run the merge's
+//! lane scan, which makes them several times faster on large independent
+//! and anti-correlated blocks, and BNL runs its own lane body, which takes
+//! 0.13–0.36× the row body's time on independent and anti-correlated
+//! blocks at d ≥ 6 and 0.23–0.68× of it on correlated ones. Both sides of
+//! every crossover have moved, so the thresholds are due a re-fit
 //! (ROADMAP.md, the cost-based planner item).
 
 use crate::block::PointBlock;

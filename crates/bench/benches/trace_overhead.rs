@@ -14,7 +14,10 @@
 //!
 //! Outside `--test` smoke runs the guard *asserts* that the enabled
 //! registry stays within 5% of the disabled path on the kernel, and writes
-//! the medians to `BENCH_trace.json` at the workspace root.
+//! the medians to `BENCH_trace.json` at the workspace root. The two
+//! registry arms are timed in interleaved rounds, so host noise that lasts
+//! longer than a round lands on both arms alike; the overhead is the
+//! median of the per-round differences.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrsky_trace::{EventKind, Tracer};
@@ -28,6 +31,10 @@ const D: usize = 6;
 
 /// Maximum relative cost of an enabled metrics registry on the BNL kernel.
 const MAX_OVERHEAD_PCT: f64 = 5.0;
+/// Interleaved rounds; each times both registry arms once.
+const ROUNDS: usize = 31;
+/// Kernel calls per timed sample (one call takes about 1.5 ms).
+const CALLS_PER_SAMPLE: usize = 4;
 
 fn dataset() -> PointBlock {
     let pts = generate_synthetic(&SyntheticConfig::new(N, D, Distribution::Correlated));
@@ -36,15 +43,53 @@ fn dataset() -> PointBlock {
 
 fn median_wall_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
     black_box(f()); // warm-up
-    let mut v: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
+    median(
+        (0..samples)
+            .map(|_| {
+                let t = Instant::now();
+                black_box(f());
+                t.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
+}
+
+/// Per-call wall time of `f` with the metrics registry off and on, taken
+/// in [`ROUNDS`] interleaved rounds that alternate which arm runs first.
+/// Returns the median of each arm and the median per-round overhead in
+/// percent of the disabled arm.
+fn interleaved_overhead(mut f: impl FnMut() -> usize) -> (f64, f64, f64) {
+    let registry = mrsky_trace::metrics();
+    let mut sample = |enabled: bool| {
+        registry.set_enabled(enabled);
+        let t = Instant::now();
+        for _ in 0..CALLS_PER_SAMPLE {
+            black_box(f());
+        }
+        t.elapsed().as_nanos() as f64 / CALLS_PER_SAMPLE as f64
+    };
+    sample(false); // warm-up
+    sample(true);
+    let (mut off, mut on, mut pct) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        let (d, e) = if round % 2 == 0 {
+            let d = sample(false);
+            (d, sample(true))
+        } else {
+            let e = sample(true);
+            (sample(false), e)
+        };
+        off.push(d);
+        on.push(e);
+        pct.push((e - d) / d * 100.0);
+    }
+    registry.set_enabled(false);
+    (median(off), median(on), median(pct))
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {
@@ -84,11 +129,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    registry.set_enabled(false);
-    let disabled_ns = median_wall_ns(7, || block_bnl_stats(&block, &cfg).0.len());
-    registry.set_enabled(true);
-    let enabled_ns = median_wall_ns(7, || block_bnl_stats(&block, &cfg).0.len());
-    registry.set_enabled(false);
+    let (disabled_ns, enabled_ns, overhead_pct) =
+        interleaved_overhead(|| block_bnl_stats(&block, &cfg).0.len());
     let emit_ns = median_wall_ns(7, || {
         for i in 0..1_000_000u64 {
             // black_box defeats dead-code elimination of the disabled
@@ -104,11 +146,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
         }
         0
     }) / 1e6;
-    let overhead_pct = (enabled_ns - disabled_ns) / disabled_ns * 100.0;
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
     let json = format!(
-        "{{\n  \"bench\": \"trace/block_bnl_overhead\",\n  \"distribution\": \"correlated\",\n  \"n\": {N},\n  \"d\": {D},\n  \"registry_disabled_ns\": {disabled_ns:.0},\n  \"registry_enabled_ns\": {enabled_ns:.0},\n  \"enabled_overhead_pct\": {overhead_pct:.2},\n  \"disabled_tracer_emit_ns\": {emit_ns:.2},\n  \"max_overhead_pct\": {MAX_OVERHEAD_PCT}\n}}\n"
+        "{{\n  \"bench\": \"trace/block_bnl_overhead\",\n  \"distribution\": \"correlated\",\n  \"n\": {N},\n  \"d\": {D},\n  \"rounds\": {ROUNDS},\n  \"calls_per_sample\": {CALLS_PER_SAMPLE},\n  \"registry_disabled_ns\": {disabled_ns:.0},\n  \"registry_enabled_ns\": {enabled_ns:.0},\n  \"enabled_overhead_pct\": {overhead_pct:.2},\n  \"disabled_tracer_emit_ns\": {emit_ns:.2},\n  \"max_overhead_pct\": {MAX_OVERHEAD_PCT}\n}}\n"
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path} (enabled-registry overhead {overhead_pct:+.2}%)"),

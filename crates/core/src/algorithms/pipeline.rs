@@ -36,7 +36,6 @@ use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
 use skyline_algos::filter::{filtered_out, select_filter_points};
-use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
 use skyline_algos::kernel::{presort_merge_stats, BnlConfig, KernelStats};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
@@ -107,9 +106,6 @@ pub struct PipelineOutput {
     /// Partitions pruned by the sector-witness argument alone (i.e. beyond
     /// what dominated-cell pruning already caught).
     pub sector_pruned_partitions: usize,
-    /// Simulated seconds of the merge stage hidden behind Job 1's reduce
-    /// wave by the streaming merge. `0.0` unless streaming is on.
-    pub merge_overlap_seconds: f64,
 }
 
 /// Map-task count preserving the runtime's "one split per
@@ -459,20 +455,6 @@ pub fn run_two_job_pipeline(
         Cow::Owned(b)
     };
 
-    // ---- Streaming merge state ----
-    // When enabled, Job 1's reduce tasks feed their local skylines into a
-    // shared incremental merge as they complete, so the merge work happens
-    // *inside* the reduce wave instead of waiting behind the job barrier.
-    // Restored checkpoints are absorbed up front; the per-id dedup makes
-    // re-absorbed blocks (retried tasks) idempotent.
-    let streaming: Option<Arc<SharedStreamingMerge>> = opts.config.streaming_merge.then(|| {
-        let mut sm = StreamingMerge::new(dim);
-        for sky in restored.values() {
-            sm.absorb_block(&repack(dim, sky));
-        }
-        Arc::new(SharedStreamingMerge::new(sm))
-    });
-
     // ---- Scale plumbing shared by every job in the chain ----
     let owned_merge: Option<OwnedMergeFn<PointBlock>> =
         opts.config.owned_shuffle.then(owned_block_merge);
@@ -560,11 +542,6 @@ pub fn run_two_job_pipeline(
         }
     };
     let kill1 = opts.kill.clone();
-    let stream1 = streaming.clone();
-    // Node ids for the streaming-merge causal edges: each partition's local
-    // skyline flows straight from Job 1's reduce task into the merge job.
-    let stream_src_job = format!("{}-partition", opts.name);
-    let stream_dst_node = format!("job:{}-merge", opts.name);
     let reducer1 = move |key: &u64,
                          values: Vec<PointBlock>,
                          ctx: &mut TaskContext,
@@ -611,17 +588,6 @@ pub fn run_two_job_pipeline(
             kernel: outcome.kernel.to_string(),
         });
         write_checkpoint(ctx, *key, &outcome.sky.to_points());
-        if let Some(sm) = &stream1 {
-            sm.absorb_block(&outcome.sky);
-            // Job 1's reduce task index equals the partition id (modulo
-            // router with reducers == num_partitions), so this names the
-            // exact reduce task the merge consumed.
-            tracer1.emit(|| EventKind::CausalEdge {
-                edge: "merge".into(),
-                src: format!("task:{stream_src_job}/reduce/{key}"),
-                dst: stream_dst_node.clone(),
-            });
-        }
         out.push((*key, outcome.sky));
     };
 
@@ -671,23 +637,11 @@ pub fn run_two_job_pipeline(
     // carry. The merge kernel presorts by L1 norm internally, so candidate
     // order no longer changes merge cost; the id sort keeps the record and
     // byte accounting deterministic.
-    let mut streaming_candidates = 0u64;
-    let merge_block = if let Some(sm) = &streaming {
-        // Job 2's input is the streaming merge's running skyline: the merge
-        // work already happened inside Job 1's reduce wave, so Job 2 is the
-        // (cheap) finalization pass the two-job contract still requires.
-        streaming_candidates = sm.absorbed();
-        let mut b = sm.skyline_snapshot();
-        b.sort_by_id();
-        b
-    } else {
-        let mut b = PointBlock::with_capacity(dim, flat.iter().map(|(_, b)| b.len()).sum());
-        for (_, sky) in &flat {
-            b.extend_from_block(sky);
-        }
-        b.sort_by_id();
-        b
-    };
+    let mut merge_block = PointBlock::with_capacity(dim, flat.iter().map(|(_, b)| b.len()).sum());
+    for (_, sky) in &flat {
+        merge_block.extend_from_block(sky);
+    }
+    merge_block.sort_by_id();
     // ---- Job 2: merge ----
     let mut spec2: JobSpec<u64, PointBlock> =
         JobSpec::new(format!("{}-merge", opts.name), opts.cluster.clone())
@@ -733,41 +687,14 @@ pub fn run_two_job_pipeline(
     global_block.sort_by_id();
     let global_skyline = global_block.to_points();
 
-    let mut merge_overlap_seconds = 0.0f64;
-    let chained = if streaming.is_some() {
-        // Overlap credit: Job 2's map wave could have started as soon as
-        // the first Job 1 reduce task delivered its local skyline, so the
-        // simulated timeline hides up to that much of Job 2 behind the
-        // remainder of Job 1's reduce wave.
-        let reduce = &metrics1.reduce;
-        let first_done = reduce.sim_start
-            + reduce
-                .task_durations
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-        let window = (reduce.sim_end - first_done).max(0.0);
-        let overlap = window.min(metrics2.map.sim_span()).max(0.0);
-        merge_overlap_seconds = overlap;
-        if overlap > 0.0 {
-            opts.tracer.emit(|| EventKind::MergeOverlap {
-                seconds: overlap,
-                candidates: streaming_candidates,
-            });
-        }
-        metrics1.chain_overlapped(&metrics2, overlap)
-    } else {
-        metrics1.chain(&metrics2)
-    };
     PipelineOutput {
         local_skylines,
         global_skyline,
-        metrics: chained,
+        metrics: metrics1.chain(&metrics2),
         partition_counts,
         pruned_partitions,
         rows_filtered,
         sector_pruned_partitions,
-        merge_overlap_seconds,
     }
 }
 
@@ -1121,55 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_removes_the_reduce_barrier() {
-        let data = generate_qws(&QwsConfig::new(2000, 4));
-        let plain = run(Algorithm::MrAngle, &data, 4);
-        let cfg = AlgoConfig {
-            streaming_merge: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 4).expect("fit");
-        let mut opts = options("MR-Angle-stream", 4);
-        opts.config = cfg;
-        opts.tracer = Tracer::in_memory();
-        let streamed = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&plain.global_skyline),
-            sky_ids(&streamed.global_skyline),
-            "streaming merge must be bit-identical"
-        );
-        assert!(
-            streamed.merge_overlap_seconds > 0.0,
-            "multi-partition reduce wave must leave a window to overlap"
-        );
-        assert!(
-            streamed.metrics.sim_total < plain.metrics.sim_total,
-            "overlap credit plus the smaller merge input must shorten the timeline: {} vs {}",
-            streamed.metrics.sim_total,
-            plain.metrics.sim_total
-        );
-        let events = opts.tracer.drain();
-        let problems = mrsky_trace::validate_events(&events);
-        assert!(problems.is_empty(), "{problems:?}");
-        let overlap = events.iter().find_map(|e| match &e.kind {
-            EventKind::MergeOverlap {
-                seconds,
-                candidates,
-            } => Some((*seconds, *candidates)),
-            _ => None,
-        });
-        let (seconds, candidates) = overlap.expect("MergeOverlap event present");
-        assert!((seconds - streamed.merge_overlap_seconds).abs() < 1e-12);
-        // every unfiltered local-skyline row went through the incremental merge
-        let shipped: u64 = streamed
-            .local_skylines
-            .iter()
-            .map(|(_, v)| v.len() as u64)
-            .sum();
-        assert!(candidates >= shipped);
-    }
-
-    #[test]
     fn owned_shuffle_matches_seed_row_shuffle_bit_for_bit() {
         let data = generate_qws(&QwsConfig::new(1500, 4));
         let owned = run(Algorithm::MrAngle, &data, 4);
@@ -1364,7 +1242,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_emits_rows_filtered_event() {
+    fn pipeline_emits_rows_filtered_event() {
         let data = generate_qws(&QwsConfig::new(800, 3));
         let part =
             build_partitioner(Algorithm::MrAngle, &AlgoConfig::default(), &data, 4).expect("fit");

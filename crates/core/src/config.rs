@@ -92,12 +92,6 @@ pub struct AlgoConfig {
     /// point living elsewhere skips its local-skyline task entirely.
     /// Generalises MR-Grid's dominated-cell pruning to angular sectors.
     pub sector_prune: bool,
-    /// Streaming, barrier-free global merge: local skylines feed an
-    /// incremental merge as reduce tasks complete instead of waiting for the
-    /// reduce barrier, and the simulated timeline credits the overlap. The
-    /// final result is bit-identical either way; off by default to preserve
-    /// the paper's two-phase cost model.
-    pub streaming_merge: bool,
     /// Zero-copy block shuffle: same-key value blocks are concatenated by
     /// ownership transfer *during* the shuffle (no clone, no second concat
     /// in the reducer). Bit-identical output; on by default. The seed
@@ -127,7 +121,6 @@ impl Default for AlgoConfig {
             baseline_quantile: false,
             filter_k: None,
             sector_prune: true,
-            streaming_merge: false,
             owned_shuffle: true,
             spill_budget_bytes: None,
             spill_dir: None,

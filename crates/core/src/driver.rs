@@ -315,7 +315,6 @@ impl SkylineJob {
             pruned_partitions: out.pruned_partitions,
             rows_filtered: out.rows_filtered,
             sector_pruned_partitions: out.sector_pruned_partitions,
-            merge_overlap_seconds: out.merge_overlap_seconds,
             optimality,
             metrics: out.metrics,
         }

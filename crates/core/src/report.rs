@@ -37,9 +37,6 @@ pub struct SkylineRunReport {
     pub rows_filtered: u64,
     /// Partitions pruned by the sector-witness argument alone.
     pub sector_pruned_partitions: usize,
-    /// Simulated seconds of merge work hidden behind Job 1's reduce wave
-    /// by the streaming merge (`0.0` unless streaming was enabled).
-    pub merge_overlap_seconds: f64,
     /// Local skyline optimality — paper Eq. (5).
     pub optimality: f64,
     /// Load-balance statistics of the partition assignment.
@@ -119,7 +116,6 @@ impl SkylineRunReport {
                 "sector_pruned_partitions",
                 self.sector_pruned_partitions as u64,
             )
-            .num("merge_overlap_seconds", self.merge_overlap_seconds)
             .num("optimality", self.optimality)
             .num("processing_time_s", self.processing_time())
             .num("map_time_s", self.map_time())
@@ -164,7 +160,6 @@ mod tests {
             pruned_partitions: 0,
             rows_filtered: 3,
             sector_pruned_partitions: 0,
-            merge_overlap_seconds: 0.0,
             optimality: 0.5,
             load_balance: skyline_algos::metrics::load_balance(&[5, 5]),
             metrics: JobMetrics {

@@ -13,7 +13,6 @@
 //!   median, with work-stealing rescue accounting.
 //! - **Skew** ([`skew`]): row-count and kernel-time Gini per partitioner
 //!   sector, and the hot partition.
-//! - **What-if** ([`whatif`]): wall time perfect speculation would save.
 //! - **Gate** ([`gate`]): the `bench-gate` regression check comparing
 //!   current `BENCH_*.json` artifacts against committed baselines.
 //!
@@ -26,15 +25,12 @@ pub mod critpath;
 pub mod gate;
 pub mod model;
 pub mod report;
-pub mod sim;
 pub mod skew;
 pub mod stragglers;
 pub mod testutil;
-pub mod whatif;
 
 pub use critpath::{critical_path, CriticalPath, Segment, SegmentKind};
 pub use gate::{evaluate, parse_baselines, BaselineMetric, Direction, GateOutcome};
 pub use model::{JobRec, PhaseRec, RunModel, TaskRec};
 pub use skew::{gini, skew, SkewReport};
 pub use stragglers::{stragglers, Straggler, DEFAULT_THRESHOLD};
-pub use whatif::{what_if_speculation, WhatIf};

@@ -4,7 +4,7 @@
 //! (starting at 0); chained jobs restart the clock. The model rebases
 //! every job onto one run-global timeline by accumulating the finished
 //! jobs' `sim_total`s — the same rebasing the Chrome exporter performs —
-//! so downstream analyses (critical path, stragglers, what-if) can reason
+//! so downstream analyses (critical path, stragglers, skew) can reason
 //! about one monotonic clock.
 
 use mrsky_trace::{EventKind, PhaseKind, TraceEvent};
@@ -116,7 +116,7 @@ pub struct PartitionRec {
 /// A causal edge from the trace, verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeRec {
-    /// Edge kind (`dispatch`, `slot`, `barrier`, `shuffle`, `merge`, `chain`).
+    /// Edge kind (`dispatch`, `slot`, `barrier`, `shuffle`, `chain`).
     pub edge: String,
     /// Source node id.
     pub src: String,

@@ -4,7 +4,6 @@ use crate::critpath::{CriticalPath, Segment, SegmentKind};
 use crate::model::RunModel;
 use crate::skew::SkewReport;
 use crate::stragglers::Straggler;
-use crate::whatif::WhatIf;
 use std::fmt::Write as _;
 
 fn secs(v: f64) -> String {
@@ -123,37 +122,12 @@ pub fn render_skew(report: &SkewReport) -> String {
     out
 }
 
-/// Renders the what-if-speculation table.
-pub fn render_whatif(list: &[WhatIf]) -> String {
-    let mut out = String::new();
-    if list.is_empty() {
-        let _ = writeln!(out, "what-if speculation: nothing to save (uniform phases)");
-        return out;
-    }
-    let _ = writeln!(out, "what-if speculation (slowest task clamped to median):");
-    let mut total = 0.0;
-    for w in list {
-        total += w.saved();
-        let _ = writeln!(
-            out,
-            "  {:<28} task {} ({}) -> saves {:>10}",
-            format!("{}/{}", w.job, w.phase.as_str()),
-            w.slowest_task,
-            secs(w.slowest_duration),
-            secs(w.saved()),
-        );
-    }
-    let _ = writeln!(out, "  total potential saving: {}", secs(total));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::critpath::critical_path;
     use crate::stragglers::{stragglers, DEFAULT_THRESHOLD};
     use crate::testutil::{job_events, SimJob};
-    use crate::whatif::what_if_speculation;
 
     fn skewed_run() -> RunModel {
         let job = SimJob::uniform(
@@ -178,12 +152,5 @@ mod tests {
         let run = skewed_run();
         let text = render_stragglers(&stragglers(&run, DEFAULT_THRESHOLD));
         assert!(text.contains("partition 1"), "{text}");
-    }
-
-    #[test]
-    fn whatif_report_totals_savings() {
-        let run = skewed_run();
-        let text = render_whatif(&what_if_speculation(&run));
-        assert!(text.contains("total potential saving"), "{text}");
     }
 }

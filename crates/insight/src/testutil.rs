@@ -1,9 +1,9 @@
 //! Synthetic trace generation: turns declared phase durations into the
-//! schema-valid event stream a real run would emit, via the same FIFO
-//! scheduler the what-if analysis uses. Shared by this crate's unit tests
+//! schema-valid event stream a real run would emit, via a FIFO list
+//! scheduler that mirrors the runtime's. Shared by this crate's unit tests
 //! and the property tests; public so downstream tests can build fixtures.
 
-use crate::sim::fifo_schedule;
+use crate::model::TaskRec;
 use mrsky_trace::{EventKind, PhaseKind, TraceEvent};
 
 /// A declarative job: per-task durations for both phases plus the slot
@@ -33,6 +33,33 @@ impl SimJob {
             overhead: 0.1,
         }
     }
+}
+
+/// List-schedules `durations` (indexed by task) onto `slots` slots starting
+/// at sim second `start`, by the runtime scheduler's core rule: tasks are
+/// assigned in task-index order, each to the slot that frees up earliest,
+/// and start at `max(phase start, slot free time)`. Returns the per-task
+/// spans and the phase end.
+fn fifo_schedule(durations: &[f64], slots: usize, start: f64) -> (Vec<TaskRec>, f64) {
+    assert!(slots >= 1, "need at least one slot");
+    let mut free = vec![start; slots];
+    let mut tasks = Vec::with_capacity(durations.len());
+    for (i, &d) in durations.iter().enumerate() {
+        let slot = (0..slots)
+            .min_by(|&a, &b| free[a].total_cmp(&free[b]))
+            .unwrap_or(0);
+        let t0 = free[slot];
+        let t1 = t0 + d.max(0.0);
+        free[slot] = t1;
+        tasks.push(TaskRec {
+            task: i as u64,
+            slot: slot as u64,
+            start: t0,
+            end: t1,
+        });
+    }
+    let end = tasks.iter().map(|t| t.end).fold(start, f64::max);
+    (tasks, end)
 }
 
 /// Emits the full event stream of one simulated job, with sequence numbers
@@ -113,5 +140,30 @@ mod tests {
         let events = job_events(&SimJob::uniform("j", 2, &[1.0, 2.0, 0.5], &[1.0]), 0);
         let problems = mrsky_trace::validate_events(&events);
         assert!(problems.is_empty(), "{problems:?}");
+    }
+
+    #[test]
+    fn single_slot_serializes() {
+        let (tasks, end) = fifo_schedule(&[1.0, 2.0, 3.0], 1, 0.0);
+        assert_eq!(tasks[1].start, 1.0);
+        assert_eq!(tasks[2].start, 3.0);
+        assert_eq!(end, 6.0);
+    }
+
+    #[test]
+    fn two_slots_overlap() {
+        let (tasks, end) = fifo_schedule(&[2.0, 1.0, 1.0], 2, 5.0);
+        assert_eq!(tasks[0].slot, 0);
+        assert_eq!(tasks[1].slot, 1);
+        // task 2 goes to the slot that frees first (slot 1 at t=6)
+        assert_eq!(tasks[2].slot, 1);
+        assert_eq!(end, 7.0);
+    }
+
+    #[test]
+    fn empty_phase_ends_at_start() {
+        let (tasks, end) = fifo_schedule(&[], 3, 2.5);
+        assert!(tasks.is_empty());
+        assert_eq!(end, 2.5);
     }
 }

@@ -147,21 +147,6 @@ impl JobMetrics {
         out
     }
 
-    /// Like [`JobMetrics::chain`], but credits `overlap_seconds` of the next
-    /// job's execution as concurrent with this one: a streaming merge that
-    /// starts consuming reduce outputs before the reduce barrier spends that
-    /// much of the second job's time *inside* the first job's window, so the
-    /// chained `sim_total` is reduced by the overlap (clamped so the next
-    /// job's contribution never goes negative). Everything else — counters,
-    /// phase spans, shuffle bytes — is plain accumulation, identical to
-    /// `chain`; `chain_overlapped(next, 0.0)` *is* `chain(next)`.
-    pub fn chain_overlapped(&self, next: &JobMetrics, overlap_seconds: f64) -> JobMetrics {
-        let mut out = self.chain(next);
-        let credit = overlap_seconds.max(0.0).min(next.sim_total);
-        out.sim_total -= credit;
-        out
-    }
-
     /// Total simulated time attributed to the Map side of the pipeline
     /// (the "Map Time" bars of Figure 6).
     pub fn map_time(&self) -> f64 {
@@ -357,27 +342,6 @@ mod tests {
                 // sim_start stays the first job's; the gap lives in sim_total only.
                 prop_assert_eq!(c.map.sim_start, a.map.sim_start);
                 prop_assert!((c.sim_total - (a.sim_total + b.sim_total)).abs() < 1e-9);
-            }
-
-            // Overlap credit only moves sim_total, is clamped to the next
-            // job's total, and a zero overlap degenerates to plain chain.
-            #[test]
-            fn chain_overlapped_credits_sim_total_only(
-                a in arb_job("a"),
-                b in arb_job("b"),
-                overlap in -5.0f64..2000.0,
-            ) {
-                let plain = a.chain(&b);
-                let lapped = a.chain_overlapped(&b, overlap);
-                let credit = overlap.max(0.0).min(b.sim_total);
-                prop_assert!((lapped.sim_total - (plain.sim_total - credit)).abs() < 1e-9);
-                prop_assert!(lapped.sim_total >= a.sim_total - 1e-9, "next job never negative");
-                // everything but sim_total matches plain chaining
-                let mut normalized = lapped.clone();
-                normalized.sim_total = plain.sim_total;
-                prop_assert_eq!(normalized, plain);
-                // zero overlap is exactly chain()
-                prop_assert_eq!(a.chain_overlapped(&b, 0.0), plain);
             }
         }
     }

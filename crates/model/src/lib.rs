@@ -2,8 +2,8 @@
 //!
 //! The distributed-skyline correctness argument leans on a handful of
 //! shared-state steps being linearizable: metrics-shard merges, the
-//! work pool's cursor/slot handoff, streaming-merge absorption, and the
-//! chaos kill switch's exactly-once firing. Ordinary tests only observe
+//! work pool's cursor/slot handoff, and the chaos kill switch's
+//! exactly-once firing. Ordinary tests only observe
 //! the schedules the OS happens to pick; this crate explores the
 //! schedule space deliberately, in the style of loom/CHESS, with zero
 //! dependencies (per the workspace's vendored-shim policy).

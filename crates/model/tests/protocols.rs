@@ -1,18 +1,14 @@
-//! Model checks of the runtime's four sync protocols, expressed as
+//! Model checks of the runtime's three sync protocols, expressed as
 //! faithful in-crate replicas (the real components run these same
 //! shapes through the facade; their own `tests/model.rs` suites — built
 //! with `--cfg mrsky_model` — check the actual code).
 //!
 //! - registry: sharded counter merge is linearizable (no lost `incr`);
 //! - pool: cursor/slot handoff neither loses nor double-executes tasks;
-//! - streaming merge: id-deduped absorption credits each id once and
-//!   converges to the same skyline on every schedule;
 //! - kill switch: the threshold fires exactly once across racing writers.
 
 use mrsky_model::checked::{scope, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use mrsky_model::{check_opts, CheckOptions};
-use std::collections::BTreeSet;
-use std::sync::Mutex as StdMutex;
 
 fn opts() -> CheckOptions {
     CheckOptions {
@@ -86,52 +82,6 @@ fn pool_handoff_loses_nothing_and_runs_once() {
         }
     });
     assert!(report.executions > 1);
-}
-
-/// `skyline::incremental::StreamingMerge` shape: absorption dedupes by
-/// point id before inserting, and reports how many points it absorbed.
-/// Across racing absorbers the final skyline must be schedule-invariant
-/// and each id credited exactly once.
-#[test]
-fn streaming_merge_absorption_is_schedule_invariant() {
-    let outcomes = StdMutex::new(BTreeSet::new());
-    check_opts(&opts(), || {
-        let merge: Mutex<(BTreeSet<u64>, Vec<u64>)> = Mutex::new((BTreeSet::new(), Vec::new()));
-        let absorb = |ids: &[u64]| -> usize {
-            let mut absorbed = 0;
-            for &id in ids {
-                // Lock per point, like the shared-merge absorb loop: the
-                // seen-check and the skyline insert stay atomic together.
-                let mut guard = merge.lock();
-                let (seen, sky) = &mut *guard;
-                if seen.insert(id) {
-                    sky.push(id);
-                    absorbed += 1;
-                }
-            }
-            absorbed
-        };
-        let credited = Mutex::new(0usize);
-        scope(|s| {
-            let h = s.spawn(|| {
-                let n = absorb(&[1, 2]);
-                *credited.lock() += n;
-            });
-            let n = absorb(&[2, 3]);
-            *credited.lock() += n;
-            let _ = h.join();
-        });
-        assert_eq!(credited.into_inner(), 3, "id 2 double- or un-credited");
-        let (seen, mut sky) = merge.into_inner();
-        assert_eq!(seen, [1, 2, 3].into_iter().collect::<BTreeSet<u64>>());
-        sky.sort_unstable();
-        outcomes.lock().unwrap().insert(sky);
-    });
-    assert_eq!(
-        outcomes.lock().unwrap().len(),
-        1,
-        "skyline must be bit-identical across schedules"
-    );
 }
 
 /// `chaos::KillSwitch` shape: racing writers pass the threshold, but

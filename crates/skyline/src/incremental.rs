@@ -14,163 +14,9 @@
 
 use crate::block::PointBlock;
 use crate::dominance::{compare, DomRelation};
-use crate::kernel::{block_bnl_stats, compare_rows, BnlConfig};
+use crate::kernel::{block_bnl_stats, BnlConfig};
 use crate::partition::SpacePartitioner;
 use crate::point::Point;
-use std::collections::HashSet;
-
-/// A barrier-free global merge: local-skyline blocks are absorbed as their
-/// reduce tasks complete, maintaining the running skyline incrementally
-/// instead of collecting everything and running one final BNL.
-///
-/// Absorption is **idempotent per id** — a `seen` set drops rows whose id
-/// was already absorbed — so retried or speculatively duplicated reduce
-/// outputs (the `mrsky-chaos` failure modes) cannot corrupt the result, and
-/// the final skyline is independent of completion order (the skyline of a
-/// union is order-insensitive).
-pub struct StreamingMerge {
-    dim: usize,
-    sky: PointBlock,
-    seen: HashSet<u64>,
-    absorbed: u64,
-    comparisons: u64,
-}
-
-impl StreamingMerge {
-    /// An empty merge over `dim`-dimensional rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            sky: PointBlock::new(dim),
-            seen: HashSet::new(),
-            absorbed: 0,
-            comparisons: 0,
-        }
-    }
-
-    /// Absorbs one local-skyline block, updating the running global skyline.
-    /// Rows with an already-seen id are skipped (retry/speculation dedup).
-    /// Returns the number of *new* rows absorbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` has a different dimensionality (unless empty).
-    pub fn absorb_block(&mut self, block: &PointBlock) -> usize {
-        let mut fresh = 0usize;
-        for idx in 0..block.len() {
-            if !self.seen.insert(block.id(idx)) {
-                continue;
-            }
-            fresh += 1;
-            self.absorbed += 1;
-            self.insert_row(block, idx);
-        }
-        fresh
-    }
-
-    fn insert_row(&mut self, block: &PointBlock, idx: usize) {
-        let row = block.row(idx);
-        debug_assert_eq!(row.len(), self.dim);
-        // One sweep decides the row's fate. An incumbent dominating `row`
-        // and another dominated by it cannot coexist (the running skyline is
-        // mutually non-dominating), so returning early on the first
-        // dominator never forgets a pending eviction.
-        let mut evicted: Vec<usize> = Vec::new();
-        for i in 0..self.sky.len() {
-            self.comparisons += 1;
-            match compare_rows(self.sky.row(i), row) {
-                DomRelation::LeftDominates => return,
-                DomRelation::RightDominates => evicted.push(i),
-                DomRelation::Equal | DomRelation::Incomparable => {}
-            }
-        }
-        if !evicted.is_empty() {
-            let mut survivors = PointBlock::with_capacity(self.dim, self.sky.len());
-            let mut next_evicted = 0usize;
-            for i in 0..self.sky.len() {
-                if next_evicted < evicted.len() && evicted[next_evicted] == i {
-                    next_evicted += 1;
-                    continue;
-                }
-                survivors.push_row_from(&self.sky, i);
-            }
-            self.sky = survivors;
-        }
-        self.sky.push_row_from(block, idx);
-    }
-
-    /// The running global skyline, in absorption order.
-    pub fn skyline(&self) -> &PointBlock {
-        &self.sky
-    }
-
-    /// Consumes the merge and returns the skyline block.
-    pub fn into_skyline(self) -> PointBlock {
-        self.sky
-    }
-
-    /// Total distinct rows absorbed so far (the merge's candidate volume).
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
-    }
-
-    /// Dominance comparisons spent so far.
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-}
-
-/// A [`StreamingMerge`] shareable across reduce workers: the merge
-/// state sits behind the `mrsky-model` sync facade's mutex, so the
-/// absorb path is model-checked under `--cfg mrsky_model`
-/// (`tests/model.rs`) — racing absorbers must converge to the same
-/// skyline with each id credited exactly once.
-///
-/// Each [`absorb_block`](SharedStreamingMerge::absorb_block) holds the
-/// lock for the whole block, so the seen-check and the skyline update
-/// are atomic together — the linearization point the exactness
-/// argument needs.
-pub struct SharedStreamingMerge {
-    inner: mrsky_model::sync::Mutex<StreamingMerge>,
-}
-
-impl SharedStreamingMerge {
-    /// Wraps a merge for shared use.
-    pub fn new(merge: StreamingMerge) -> Self {
-        Self {
-            inner: mrsky_model::sync::Mutex::new(merge),
-        }
-    }
-
-    /// Absorbs one local-skyline block (see [`StreamingMerge::absorb_block`]).
-    pub fn absorb_block(&self, block: &PointBlock) -> usize {
-        self.inner.lock().absorb_block(block)
-    }
-
-    /// Total distinct rows absorbed so far.
-    pub fn absorbed(&self) -> u64 {
-        self.inner.lock().absorbed()
-    }
-
-    /// Dominance comparisons spent so far.
-    pub fn comparisons(&self) -> u64 {
-        self.inner.lock().comparisons()
-    }
-
-    /// A clone of the current running skyline.
-    pub fn skyline_snapshot(&self) -> PointBlock {
-        self.inner.lock().skyline().clone()
-    }
-
-    /// Consumes the wrapper and returns the final skyline block.
-    pub fn into_skyline(self) -> PointBlock {
-        self.inner.into_inner().into_skyline()
-    }
-}
 
 /// A dynamically maintained, partitioned skyline.
 pub struct IncrementalSkyline<P: SpacePartitioner> {
@@ -452,84 +298,6 @@ mod tests {
         inc.insert(Point::new(0, vec![1.0, 1.0]));
         assert!(!inc.remove(99));
         assert_eq!(inc.len(), 1);
-    }
-
-    #[test]
-    fn streaming_merge_matches_batch_oracle_in_any_order() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let points: Vec<Point> = (0..600)
-            .map(|i| {
-                Point::new(
-                    i,
-                    vec![
-                        rng.gen_range(0.0..10.0),
-                        rng.gen_range(0.0..10.0),
-                        rng.gen_range(0.0..10.0),
-                    ],
-                )
-            })
-            .collect();
-        let oracle = naive_skyline_ids(&points);
-        // split into blocks and absorb in two different orders
-        let all = PointBlock::from_points(&points).unwrap();
-        let chunks = all.chunks(64);
-        for reversed in [false, true] {
-            let mut merge = StreamingMerge::new(3);
-            let order: Vec<&PointBlock> = if reversed {
-                chunks.iter().rev().collect()
-            } else {
-                chunks.iter().collect()
-            };
-            for c in order {
-                merge.absorb_block(c);
-            }
-            let mut got: Vec<u64> = merge.skyline().ids().to_vec();
-            got.sort_unstable();
-            assert_eq!(got, oracle, "reversed={reversed}");
-            assert_eq!(merge.absorbed(), 600);
-        }
-    }
-
-    #[test]
-    fn streaming_merge_dedups_replayed_blocks() {
-        let points = vec![
-            Point::new(0, vec![1.0, 4.0]),
-            Point::new(1, vec![2.0, 2.0]),
-            Point::new(2, vec![4.0, 1.0]),
-            Point::new(3, vec![3.0, 3.0]),
-        ];
-        let block = PointBlock::from_points(&points).unwrap();
-        let mut merge = StreamingMerge::new(2);
-        assert_eq!(merge.absorb_block(&block), 4);
-        // a chaos retry re-delivers the same output: nothing new absorbed
-        assert_eq!(merge.absorb_block(&block), 0);
-        assert_eq!(merge.absorbed(), 4);
-        let mut got: Vec<u64> = merge.into_skyline().ids().to_vec();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn streaming_merge_keeps_equal_rows_with_distinct_ids() {
-        // matches BNL semantics: coordinate ties never dominate
-        let points = vec![Point::new(0, vec![1.0, 1.0]), Point::new(1, vec![1.0, 1.0])];
-        let block = PointBlock::from_points(&points).unwrap();
-        let mut merge = StreamingMerge::new(2);
-        merge.absorb_block(&block);
-        assert_eq!(merge.skyline().len(), 2);
-    }
-
-    #[test]
-    fn streaming_merge_counts_comparisons() {
-        let points = vec![
-            Point::new(0, vec![1.0, 4.0]),
-            Point::new(1, vec![2.0, 2.0]),
-            Point::new(2, vec![0.5, 5.0]), // evicts nothing, joins
-        ];
-        let block = PointBlock::from_points(&points).unwrap();
-        let mut merge = StreamingMerge::new(2);
-        merge.absorb_block(&block);
-        assert!(merge.comparisons() > 0);
     }
 
     #[test]

@@ -94,24 +94,54 @@ pub struct KernelStats {
     pub output_len: u64,
 }
 
-/// Records a kernel run into the process-global metrics registry under the
-/// `skyline.<name>.*` namespace. One relaxed-atomic branch when metrics are
-/// disabled (the default), so the hot kernels can call it unconditionally.
-fn record_kernel_metrics(name: &str, stats: &KernelStats) {
+/// Registry keys of one kernel's `skyline.<name>.*` metrics, spelled out
+/// at compile time so an enabled recording call formats no key string.
+pub(crate) struct KernelMetricKeys {
+    name: &'static str,
+    calls: &'static str,
+    comparisons: &'static str,
+    passes: &'static str,
+    overflowed: &'static str,
+    skipped: &'static str,
+    comparisons_per_call: &'static str,
+    output_len: &'static str,
+}
+
+macro_rules! kernel_metric_keys {
+    ($name:literal) => {
+        KernelMetricKeys {
+            name: $name,
+            calls: concat!("skyline.", $name, ".calls"),
+            comparisons: concat!("skyline.", $name, ".comparisons"),
+            passes: concat!("skyline.", $name, ".passes"),
+            overflowed: concat!("skyline.", $name, ".overflowed"),
+            skipped: concat!("skyline.", $name, ".skipped"),
+            comparisons_per_call: concat!("skyline.", $name, ".comparisons_per_call"),
+            output_len: concat!("skyline.", $name, ".output_len"),
+        }
+    };
+}
+
+const BNL_METRICS: KernelMetricKeys = kernel_metric_keys!("bnl");
+const MERGE_METRICS: KernelMetricKeys = kernel_metric_keys!("merge");
+const SFS_METRICS: KernelMetricKeys = kernel_metric_keys!("sfs");
+pub(crate) const SALSA_METRICS: KernelMetricKeys = kernel_metric_keys!("salsa");
+
+/// Records a kernel run into the process-global metrics registry under
+/// `keys`. One relaxed-atomic branch when metrics are disabled (the
+/// default), so the hot kernels can call it unconditionally.
+fn record_kernel_metrics(keys: &KernelMetricKeys, stats: &KernelStats) {
     let m = mrsky_trace::metrics();
     if !m.is_enabled() {
         return;
     }
-    m.incr(&format!("skyline.{name}.calls"), 1);
-    m.incr(&format!("skyline.{name}.comparisons"), stats.comparisons);
-    m.incr(&format!("skyline.{name}.passes"), u64::from(stats.passes));
-    m.incr(&format!("skyline.{name}.overflowed"), stats.overflowed);
-    m.incr(&format!("skyline.{name}.skipped"), stats.skipped);
-    m.observe(
-        &format!("skyline.{name}.comparisons_per_call"),
-        stats.comparisons,
-    );
-    m.observe(&format!("skyline.{name}.output_len"), stats.output_len);
+    m.incr(keys.calls, 1);
+    m.incr(keys.comparisons, stats.comparisons);
+    m.incr(keys.passes, u64::from(stats.passes));
+    m.incr(keys.overflowed, stats.overflowed);
+    m.incr(keys.skipped, stats.skipped);
+    m.observe(keys.comparisons_per_call, stats.comparisons);
+    m.observe(keys.output_len, stats.output_len);
 }
 
 /// Returns `true` iff row `a` dominates row `b`: `a ≤ b` on all dimensions
@@ -843,7 +873,7 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
     let skyline = bnl_scan(block, window_cap, &mut stats);
     crate::invariants::check_skyline_block("block-bnl", block, &skyline);
     stats.output_len = skyline.len() as u64;
-    record_kernel_metrics("bnl", &stats);
+    record_kernel_metrics(&BNL_METRICS, &stats);
     (skyline, stats)
 }
 
@@ -966,11 +996,11 @@ pub(crate) fn presort_order(
 
 /// Runs one presort kernel: sorts `block` with [`presort_order`] under
 /// `key`, makes the single filtering pass with `scan`, checks the result
-/// and records the run under `name`. `watermark_keys` (SaLSa's minC keys,
+/// and records the run under `metrics`. `watermark_keys` (SaLSa's minC keys,
 /// indexed by input row) arm the max-coordinate watermark of
 /// [`crate::salsa`].
 pub(crate) fn presort_kernel(
-    name: &'static str,
+    metrics: &KernelMetricKeys,
     block: &PointBlock,
     key: impl Fn(usize, usize) -> Ordering,
     watermark_keys: Option<&[f64]>,
@@ -986,9 +1016,9 @@ pub(crate) fn presort_kernel(
     stats.passes = 1;
     let order = presort_order(block, key);
     let skyline = presort_scan(block, &order, watermark_keys, scan, &mut stats);
-    crate::invariants::check_skyline_block(name, block, &skyline);
+    crate::invariants::check_skyline_block(metrics.name, block, &skyline);
     stats.output_len = skyline.len() as u64;
-    record_kernel_metrics(name, &stats);
+    record_kernel_metrics(metrics, &stats);
     (skyline, stats)
 }
 
@@ -1255,7 +1285,7 @@ pub fn presort_merge_stats_in_blocks(
 ) -> (PointBlock, KernelStats) {
     let l1: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
     presort_kernel(
-        "merge",
+        &MERGE_METRICS,
         block,
         |a, b| num_cmp(l1[a], l1[b]),
         None,
@@ -1283,7 +1313,7 @@ pub fn block_sfs(block: &PointBlock) -> PointBlock {
 pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let scores: Vec<f64> = (0..block.len()).map(|i| block.entropy_score(i)).collect();
     presort_kernel(
-        "sfs",
+        &SFS_METRICS,
         block,
         |a, b| num_cmp(scores[a], scores[b]),
         None,

@@ -40,7 +40,7 @@
 //! an SFS with a slightly weaker sort key.
 
 use crate::block::PointBlock;
-use crate::kernel::{num_cmp, presort_kernel, KernelStats, Scan};
+use crate::kernel::{num_cmp, presort_kernel, KernelStats, Scan, SALSA_METRICS};
 
 /// Computes the skyline of `block` with the SaLSa kernel.
 pub fn block_salsa(block: &PointBlock) -> PointBlock {
@@ -55,7 +55,7 @@ pub fn block_salsa_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let key = |a: usize, b: usize| {
         num_cmp(min_keys[a], min_keys[b]).then_with(|| num_cmp(l1_keys[a], l1_keys[b]))
     };
-    presort_kernel("salsa", block, key, Some(&min_keys), Scan::on(1))
+    presort_kernel(&SALSA_METRICS, block, key, Some(&min_keys), Scan::on(1))
 }
 
 #[cfg(test)]

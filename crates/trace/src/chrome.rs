@@ -312,15 +312,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     ev.wall_us
                 ));
             }
-            EventKind::MergeOverlap {
-                seconds,
-                candidates,
-            } => {
-                em.push(&format!(
-                    "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":1,\"s\":\"t\",\"name\":\"merge overlap\",\"cat\":\"pruning\",\"ts\":{},\"args\":{{\"seconds\":{},\"candidates\":{candidates}}}",
-                    ev.wall_us, *seconds
-                ));
-            }
             EventKind::BreakerTransition {
                 tenant,
                 op,
@@ -706,20 +697,11 @@ mod tests {
                     points: 120,
                 },
             ),
-            ev(
-                2,
-                MergeOverlap {
-                    seconds: 3.25,
-                    candidates: 640,
-                },
-            ),
         ];
         let text = to_chrome_trace(&stream);
         json::parse(&text).unwrap();
         assert!(text.contains("filter sweep"));
         assert!(text.contains("\"filtered\":900"));
         assert!(text.contains("sector pruned p5"));
-        assert!(text.contains("merge overlap"));
-        assert!(text.contains("\"seconds\":3.25"));
     }
 }

@@ -14,7 +14,7 @@
 //! | shuffle / memory | `shuffle_partition`, `phase_peak_memory` |
 //! | causality | `causal_edge` |
 //! | skyline | `kernel_run`, `partition_local_skyline` |
-//! | early pruning / streaming | `rows_filtered`, `sector_pruned`, `merge_overlap` |
+//! | early pruning | `rows_filtered`, `sector_pruned` |
 //! | ingest | `ingest_started`, `ingest_finished` |
 //! | chaos / recovery | `fault_injected`, `task_retry_exhausted`, `checkpoint_written`, `checkpoint_restored`, `record_quarantined`, `run_resumed` |
 //! | generic spans | `span_begin`, `span_end` |
@@ -159,12 +159,10 @@ pub enum EventKind {
     /// `phase:{job}/{map|reduce}`, and `task:{job}/{phase}/{index}`. Edge
     /// kinds: `dispatch` (phase start → first task on a slot), `slot` (a
     /// slot's previous task → its next), `barrier` (map phase → reduce
-    /// phase), `shuffle` (contributing map task → reduce task), `merge`
-    /// (partition reduce task → the streaming global merge job), and
+    /// phase), `shuffle` (contributing map task → reduce task), and
     /// `chain` (job → the next job in a chained pipeline).
     CausalEdge {
-        /// Edge kind (`dispatch`, `slot`, `barrier`, `shuffle`, `merge`,
-        /// `chain`).
+        /// Edge kind (`dispatch`, `slot`, `barrier`, `shuffle`, `chain`).
         edge: String,
         /// Source node id (the happens-before side).
         src: String,
@@ -244,15 +242,6 @@ pub enum EventKind {
         partition: u64,
         /// Points routed into the pruned partition.
         points: u64,
-    },
-    /// The streaming global merge overlapped the reduce phase: how much of
-    /// the merge work ran before the reduce barrier would have released it.
-    MergeOverlap {
-        /// Simulated seconds of merge execution credited as concurrent with
-        /// the reduce phase.
-        seconds: f64,
-        /// Candidate rows the streaming merge absorbed.
-        candidates: u64,
     },
     /// Dataset ingestion began.
     IngestStarted {
@@ -411,7 +400,6 @@ impl EventKind {
             EventKind::PartitionLocalSkyline { .. } => "partition_local_skyline",
             EventKind::RowsFiltered { .. } => "rows_filtered",
             EventKind::SectorPruned { .. } => "sector_pruned",
-            EventKind::MergeOverlap { .. } => "merge_overlap",
             EventKind::IngestStarted { .. } => "ingest_started",
             EventKind::IngestFinished { .. } => "ingest_finished",
             EventKind::FaultInjected { .. } => "fault_injected",
@@ -433,14 +421,16 @@ impl EventKind {
 
 /// Wire names of event types the schema no longer emits: the FIFO
 /// scheduler's queue and launch markers (`task_finished` carries the slot
-/// and start), and the speculation and data-locality simulator modes'
-/// events. Traces written before their retirement still load because
-/// [`parse_jsonl`](crate::parse_jsonl) skips these lines.
+/// and start), the speculation and data-locality simulator modes' events,
+/// and the deleted streaming merge's overlap credit. Traces written before
+/// their retirement still load because [`parse_jsonl`](crate::parse_jsonl)
+/// skips these lines.
 pub const RETIRED_EVENT_TYPES: &[&str] = &[
     "task_scheduled",
     "task_launched",
     "task_speculated",
     "dfs_block_read",
+    "merge_overlap",
 ];
 
 /// One serialized field value.
@@ -592,10 +582,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
         SectorPruned { partition, points } => {
             vec![("partition", U(*partition)), ("points", U(*points))]
         }
-        MergeOverlap {
-            seconds,
-            candidates,
-        } => vec![("seconds", F(*seconds)), ("candidates", U(*candidates))],
         IngestStarted { source } => vec![("source", S(source.clone()))],
         IngestFinished { services, rejected } => {
             vec![("services", U(*services)), ("rejected", U(*rejected))]
@@ -873,10 +859,6 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             partition: req_u64(v, "partition")?,
             points: req_u64(v, "points")?,
         },
-        "merge_overlap" => MergeOverlap {
-            seconds: req_f64(v, "seconds")?,
-            candidates: req_u64(v, "candidates")?,
-        },
         "ingest_started" => IngestStarted {
             source: req_str(v, "source")?,
         },
@@ -1036,10 +1018,6 @@ mod tests {
             SectorPruned {
                 partition: 5,
                 points: 120,
-            },
-            MergeOverlap {
-                seconds: 3.25,
-                candidates: 640,
             },
             IngestStarted {
                 source: "data.csv".into(),

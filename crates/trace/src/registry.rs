@@ -180,28 +180,36 @@ impl MetricsRegistry {
         &self.shards[idx]
     }
 
-    /// Adds to a named monotonic counter (no-op while disabled).
+    /// Adds to a named monotonic counter (no-op while disabled). The key
+    /// is copied only the first time a shard sees it.
     pub fn incr(&self, name: &str, delta: u64) {
         if !self.is_enabled() || delta == 0 {
             return;
         }
         let mut shard = self.shard().lock();
-        let slot = shard.counters.entry(name.to_string()).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        match shard.counters.get_mut(name) {
+            Some(slot) => *slot = slot.saturating_add(delta),
+            None => {
+                shard.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Records one observation into a named histogram (no-op while
-    /// disabled).
+    /// disabled). The key is copied only the first time a shard sees it.
     pub fn observe(&self, name: &str, value: u64) {
         if !self.is_enabled() {
             return;
         }
         let mut shard = self.shard().lock();
-        shard
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match shard.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => shard
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(value),
+        }
     }
 
     /// Records one observation into a named quantile sketch (no-op while

@@ -133,12 +133,6 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
                     ev.seq
                 ));
             }
-            EventKind::MergeOverlap { seconds, .. } if !seconds.is_finite() || *seconds < 0.0 => {
-                errors.push(format!(
-                    "merge_overlap span {seconds} is not a non-negative finite duration (seq {})",
-                    ev.seq
-                ));
-            }
             EventKind::CausalEdge { edge, src, dst } => {
                 if edge.is_empty() || src.is_empty() || dst.is_empty() {
                     errors.push(format!("causal_edge with empty field (seq {})", ev.seq));
@@ -255,9 +249,6 @@ pub struct TraceSummary {
     pub filtered: (u64, u64),
     /// Witness-based sector pruning: (partitions skipped, points skipped).
     pub sectors_pruned: (u64, u64),
-    /// Streaming-merge overlap: (seconds concurrent with reduce, candidates
-    /// absorbed), summed across `merge_overlap` events.
-    pub merge_overlap: (f64, u64),
     /// Records quarantined to the dead-letter report.
     pub quarantined: u64,
     /// Crash-recovery resumes observed (`run_resumed` markers).
@@ -444,13 +435,6 @@ impl TraceSummary {
                     summary.sectors_pruned.0 += 1;
                     summary.sectors_pruned.1 += points;
                 }
-                EventKind::MergeOverlap {
-                    seconds,
-                    candidates,
-                } => {
-                    summary.merge_overlap.0 += seconds;
-                    summary.merge_overlap.1 += candidates;
-                }
                 EventKind::RecordQuarantined { .. } => {
                     summary.quarantined += 1;
                 }
@@ -611,13 +595,6 @@ impl TraceSummary {
                 out,
                 "  sector pruning: {} partition(s) skipped ({} points)",
                 self.sectors_pruned.0, self.sectors_pruned.1
-            );
-        }
-        if self.merge_overlap.1 > 0 {
-            let _ = writeln!(
-                out,
-                "  streaming merge: {:.2}s overlapped with reduce ({} candidates)",
-                self.merge_overlap.0, self.merge_overlap.1
             );
         }
         if self.checkpoints != (0, 0) {
@@ -1073,18 +1050,6 @@ mod tests {
             .iter()
             .any(|e| e.contains("rows_filtered")));
 
-        let bad_overlap = vec![ev(
-            0,
-            0,
-            MergeOverlap {
-                seconds: -1.0,
-                candidates: 5,
-            },
-        )];
-        assert!(validate_events(&bad_overlap)
-            .iter()
-            .any(|e| e.contains("merge_overlap")));
-
         let fine = vec![
             ev(
                 0,
@@ -1100,14 +1065,6 @@ mod tests {
                 SectorPruned {
                     partition: 2,
                     points: 30,
-                },
-            ),
-            ev(
-                2,
-                2,
-                MergeOverlap {
-                    seconds: 0.0,
-                    candidates: 0,
                 },
             ),
         ];
@@ -1142,23 +1099,13 @@ mod tests {
                     points: 120,
                 },
             ),
-            ev(
-                3,
-                3,
-                MergeOverlap {
-                    seconds: 2.5,
-                    candidates: 64,
-                },
-            ),
         ];
         let summary = TraceSummary::from_events(&stream);
         assert_eq!(summary.filtered, (1600, 800));
         assert_eq!(summary.sectors_pruned, (1, 120));
-        assert_eq!(summary.merge_overlap, (2.5, 64));
         let text = summary.render();
         assert!(text.contains("filter points: 800 of 1600 rows dropped map-side"));
         assert!(text.contains("sector pruning: 1 partition(s) skipped (120 points)"));
-        assert!(text.contains("streaming merge: 2.50s overlapped with reduce (64 candidates)"));
     }
 
     #[test]

@@ -99,7 +99,7 @@ USAGE:
                  [--algorithm angle] [--servers 8]
   mrsky sweep    --data FILE --servers 4,8,16,32 [--algorithm angle] [--json]
   mrsky trace    --summary FILE | --validate FILE | --chrome OUT FILE
-  mrsky insight  [--critical-path] [--stragglers] [--skew] [--what-if-speculation] FILE
+  mrsky insight  [--critical-path] [--stragglers] [--skew] FILE
   mrsky chaos    plan --profile light|heavy [--seed 42] [--kill-after N] [--out FILE]
   mrsky chaos    replay --plan FILE --data FILE [--algorithm angle] [--servers 8]
   mrsky loadgen  [--seed 7] [--tenants 3] [--ops 400] [--dim 3] [--out FILE]
@@ -119,8 +119,6 @@ Pruning knobs (skyline / compare / sweep):
                           at least 16)
   --no-filter             disable the map-side filter sweep
   --no-sector-prune       disable witness-based partition pruning
-  --streaming-merge       stream local skylines into the global merge as
-                          reduce tasks finish, removing the reduce barrier
 
 Scale knobs (skyline / compare / sweep):
   --row-shuffle           disable the zero-copy block shuffle and ship every
@@ -154,9 +152,7 @@ task/retry tables, --chrome converts to a Perfetto-loadable JSON file,
 the longest weighted chain with per-phase blame summing to the simulated
 wall time, --stragglers flags tasks slow against their phase median (with
 steal-rescue marks), --skew scores per-partition row and kernel-time Gini
-and names the hot partition, --what-if-speculation estimates the wall time
-a perfectly timed backup of the slowest task would save. With no section
-flags, all sections print.
+and names the hot partition. With no section flags, all sections print.
 
 `mrsky chaos plan` writes a fault plan as JSON; `mrsky chaos replay` re-runs
 a skyline job under a recorded plan and verifies the result against the
@@ -169,7 +165,40 @@ seeded workload through it (optionally under a chaos profile, optionally
 crashing and resuming from --checkpoint-dir when --kill-after is set),
 verifies every fresh response and the final quiesced skylines against a
 recompute oracle, and reports request-path stats; --json emits the report
-as one machine-readable JSON object for CI.";
+as one machine-readable JSON object for CI.
+
+Every subcommand refuses a `--` argument it does not read.";
+
+/// Input flags of every command that reads a dataset.
+const DATA_FLAGS: &[&str] = &["--data", "--qws-file"];
+/// Flags read by [`pruning_opts`].
+const PRUNING_FLAGS: &[&str] = &[
+    "--kernel",
+    "--filter-k",
+    "--no-filter",
+    "--no-sector-prune",
+    "--row-shuffle",
+    "--spill-budget",
+    "--spill-dir",
+];
+/// Flags read by [`trace_opts`].
+const TRACE_FLAGS: &[&str] = &["--trace", "--trace-format", "--metrics"];
+/// Flags read by [`chaos_opts`].
+const CHAOS_FLAGS: &[&str] = &["--chaos-profile", "--chaos-seed", "--chaos-kill-after"];
+/// Flags read by [`loadgen_opts`].
+const LOADGEN_FLAGS: &[&str] = &["--seed", "--tenants", "--ops", "--dim"];
+
+/// Refuses the first `--` argument that is in none of `known`, so a
+/// misspelt or retired flag is an error instead of a silent no-op.
+fn check_flags(args: &[String], known: &[&[&str]]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.iter().any(|set| set.contains(&a.as_str())))
+    {
+        Some(unknown) => Err(format!("unknown flag {unknown}")),
+        None => Ok(()),
+    }
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -216,8 +245,7 @@ fn chaos_opts(args: &[String]) -> Result<FaultPlan, String> {
 /// Parses the pruning knobs shared by `skyline`, `compare`, and `sweep`
 /// into an [`AlgoConfig`]: `--filter-k N` pins the broadcast filter size,
 /// `--no-filter` disables the map-side filter sweep, `--no-sector-prune`
-/// disables witness-based partition pruning, and `--streaming-merge`
-/// overlaps the global merge with job 1's reduce wave.
+/// disables witness-based partition pruning.
 fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     let mut config = AlgoConfig::default();
     if let Some(k) = flag(args, "--kernel") {
@@ -240,9 +268,6 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     }
     if args.iter().any(|a| a == "--no-sector-prune") {
         config.sector_prune = false;
-    }
-    if args.iter().any(|a| a == "--streaming-merge") {
-        config.streaming_merge = true;
     }
     if args.iter().any(|a| a == "--row-shuffle") {
         config.owned_shuffle = false;
@@ -364,6 +389,7 @@ impl TraceOpts {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[&["--out", "--n", "--dims", "--seed", "--dist"]])?;
     let out = flag(args, "--out").ok_or("--out FILE is required")?;
     let n = flag_usize(args, "--n", 10_000)?;
     let dims = flag_usize(args, "--dims", 6)?;
@@ -413,6 +439,22 @@ fn check_generate_shape(n: usize, dims: usize, dist: &str) -> Result<(), String>
 }
 
 fn cmd_skyline(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            DATA_FLAGS,
+            PRUNING_FLAGS,
+            TRACE_FLAGS,
+            CHAOS_FLAGS,
+            &[
+                "--algorithm",
+                "--servers",
+                "--force",
+                "--checkpoint-dir",
+                "--resume",
+            ],
+        ],
+    )?;
     let data = load_data(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
     let servers = flag_servers(args)?;
@@ -465,12 +507,6 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
         report.pruned_partitions,
         report.rows_filtered
     );
-    if report.merge_overlap_seconds > 0.0 {
-        println!(
-            "streaming merge overlapped {:.2}s of the reduce wave",
-            report.merge_overlap_seconds
-        );
-    }
     println!(
         "peak memory: map-out {} B, reduce-in {} B",
         report.peak_map_out_bytes(),
@@ -482,6 +518,10 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[DATA_FLAGS, PRUNING_FLAGS, TRACE_FLAGS, &["--servers"]],
+    )?;
     let data = load_data(args)?;
     let servers = flag_servers(args)?;
     let topts = trace_opts(args)?;
@@ -497,6 +537,15 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            DATA_FLAGS,
+            PRUNING_FLAGS,
+            TRACE_FLAGS,
+            &["--algorithm", "--servers", "--json"],
+        ],
+    )?;
     let data = load_data(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
     let servers: Vec<usize> = flag(args, "--servers")
@@ -540,6 +589,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// Replays a recorded JSONL trace: summary table, Chrome conversion, or
 /// schema validation.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[&["--summary", "--validate", "--chrome"]])?;
     let chrome_out = flag(args, "--chrome");
     let validate = args.iter().any(|a| a == "--validate");
     // the input file is the last operand that is neither a flag nor the
@@ -587,20 +637,20 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Analyzes a recorded JSONL trace: critical path, stragglers, partition
-/// skew, and the what-if-speculation estimate. Section flags select
-/// sections; with none given, all sections print.
+/// Analyzes a recorded JSONL trace: critical path, stragglers and
+/// partition skew. Section flags select sections; with none given, all
+/// sections print.
 fn cmd_insight(args: &[String]) -> Result<(), String> {
     use mr_skyline_suite::insight;
+    check_flags(args, &[&["--critical-path", "--stragglers", "--skew"]])?;
     let want_cp = args.iter().any(|a| a == "--critical-path");
     let want_stragglers = args.iter().any(|a| a == "--stragglers");
     let want_skew = args.iter().any(|a| a == "--skew");
-    let want_whatif = args.iter().any(|a| a == "--what-if-speculation");
-    let all = !(want_cp || want_stragglers || want_skew || want_whatif);
-    let input = args.iter().rfind(|a| !a.starts_with("--")).ok_or(
-        "usage: mrsky insight [--critical-path] [--stragglers] [--skew] \
-             [--what-if-speculation] FILE",
-    )?;
+    let all = !(want_cp || want_stragglers || want_skew);
+    let input = args
+        .iter()
+        .rfind(|a| !a.starts_with("--"))
+        .ok_or("usage: mrsky insight [--critical-path] [--stragglers] [--skew] FILE")?;
     let text =
         std::fs::read_to_string(input).map_err(|e| format!("cannot read trace `{input}`: {e}"))?;
     let events = trace::parse_jsonl(&text).map_err(|e| format!("`{input}`: {e}"))?;
@@ -619,10 +669,6 @@ fn cmd_insight(args: &[String]) -> Result<(), String> {
             None => println!("partition skew: no partition accounting in this trace"),
         }
     }
-    if all || want_whatif {
-        let list = insight::what_if_speculation(&run);
-        print!("{}", insight::report::render_whatif(&list));
-    }
     Ok(())
 }
 
@@ -636,6 +682,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("plan") => {
             let rest = &args[1..];
+            check_flags(rest, &[&["--profile", "--seed", "--kill-after", "--out"]])?;
             let profile = flag(rest, "--profile").unwrap_or_else(|| "light".into());
             let seed = flag_usize(rest, "--seed", 42)? as u64;
             let mut plan = FaultPlan::profile(&profile, seed).ok_or_else(|| {
@@ -660,6 +707,13 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         }
         Some("replay") => {
             let rest = &args[1..];
+            check_flags(
+                rest,
+                &[
+                    DATA_FLAGS,
+                    &["--plan", "--algorithm", "--servers", "--checkpoint-dir"],
+                ],
+            )?;
             let plan_path = flag(rest, "--plan").ok_or("--plan FILE is required")?;
             let text = std::fs::read_to_string(&plan_path)
                 .map_err(|e| format!("cannot read plan `{plan_path}`: {e}"))?;
@@ -714,6 +768,7 @@ fn loadgen_opts(args: &[String]) -> Result<LoadgenConfig, String> {
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[LOADGEN_FLAGS, &["--out"]])?;
     let cfg = loadgen_opts(args)?;
     let ops = load_script(&cfg);
     let mut text = String::new();
@@ -757,6 +812,22 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+    check_flags(
+        args,
+        &[
+            LOADGEN_FLAGS,
+            CHAOS_FLAGS,
+            &[
+                "--skyband-k",
+                "--max-attempts",
+                "--breaker-threshold",
+                "--checkpoint-dir",
+                "--kill-after",
+                "--trace",
+                "--json",
+            ],
+        ],
+    )?;
     let load_cfg = loadgen_opts(args)?;
     let plan = chaos_opts(args)?;
     let mut serve_cfg = ServeConfig {
@@ -913,6 +984,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_select(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            DATA_FLAGS,
+            &[
+                "--servers",
+                "--algorithm",
+                "--weights",
+                "--top",
+                "--diverse",
+                "--covering",
+            ],
+        ],
+    )?;
     let data = load_data(args)?;
     let servers = flag_servers(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
@@ -1001,6 +1086,21 @@ mod tests {
         let err = check_generate_shape(100, max + 1, "qws").unwrap_err();
         assert!(err.contains(&format!("at most {max}")), "{err}");
         assert!(check_generate_shape(100, max + 1, "indep").is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let args = |v: &[&str]| v.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let known: &[&[&str]] = &[DATA_FLAGS, &["--servers"]];
+        assert!(check_flags(&args(&["--data", "f.csv", "--servers", "2"]), known).is_ok());
+        assert_eq!(
+            check_flags(&args(&["--data", "f.csv", "--serverz", "2"]), known),
+            Err("unknown flag --serverz".to_string())
+        );
+        assert_eq!(
+            check_flags(&args(&["--filter_k", "0"]), &[PRUNING_FLAGS]),
+            Err("unknown flag --filter_k".to_string())
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based exactness proofs for the early-pruning pipeline: the
-//! filter-point broadcast, witness-based sector pruning, and the streaming
-//! global merge must be *bit-identical* to the plain pipeline — across all
+//! filter-point broadcast and witness-based sector pruning must be
+//! *bit-identical* to the plain pipeline — across all
 //! four partitioning schemes, all data distributions, arbitrary filter
 //! sizes, and chaos fault interleavings. These optimisations may only drop
 //! work, never answers.
@@ -74,22 +74,20 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
-/// The pipeline with every new optimisation armed.
-fn optimised(filter_k: Option<usize>, streaming: bool) -> AlgoConfig {
+/// The pipeline with every early-pruning optimisation armed.
+fn optimised(filter_k: Option<usize>) -> AlgoConfig {
     AlgoConfig {
         filter_k,
         sector_prune: true,
-        streaming_merge: streaming,
         ..AlgoConfig::default()
     }
 }
 
-/// The plain pipeline: no filter, no witness pruning, barrier merge.
+/// The plain pipeline: no filter, no witness pruning.
 fn plain() -> AlgoConfig {
     AlgoConfig {
         filter_k: Some(0),
         sector_prune: false,
-        streaming_merge: false,
         ..AlgoConfig::default()
     }
 }
@@ -97,7 +95,7 @@ fn plain() -> AlgoConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Filter + sector pruning + streaming merge returns bit-identical
+    /// Filter + sector pruning returns bit-identical
     /// skylines to the plain pipeline on every partitioning scheme, and
     /// both match the independent sequential oracle.
     #[test]
@@ -105,16 +103,14 @@ proptest! {
         data in arb_dataset(),
         servers in 1usize..6,
         filter_raw in 0usize..24,
-        streaming_bit in 0u8..2,
     ) {
         // 0 means "auto-sized filter" here, not "filter off" — the plain
         // baseline is the only run with the filter disabled.
         let filter_k = (filter_raw > 0).then_some(filter_raw);
-        let streaming = streaming_bit == 1;
         let oracle = naive_skyline_ids(data.points());
         for alg in ALL_SCHEMES {
             let fast = SkylineJob::new(alg, servers)
-                .with_config(optimised(filter_k, streaming))
+                .with_config(optimised(filter_k))
                 .run(&data);
             let base = SkylineJob::new(alg, servers)
                 .with_config(plain())
@@ -127,22 +123,20 @@ proptest! {
     }
 
     /// Same property with chaos interleaved: injected task faults, retries,
-    /// and shuffle disruption must not interact with filtering or the
-    /// streaming merge (the `rows_filtered` ledger and the merge state only
-    /// ever see each task's last successful attempt).
+    /// and shuffle disruption must not interact with filtering (the
+    /// `rows_filtered` ledger only ever sees each task's last successful
+    /// attempt).
     #[test]
     fn optimised_pipeline_survives_chaos_exactly(
         data in arb_dataset(),
         seed in 0u64..1u64 << 16,
         heavy_bit in 0u8..2,
-        streaming_bit in 0u8..2,
     ) {
         quiet_chaos_panics();
-        let streaming = streaming_bit == 1;
         let plan = if heavy_bit == 1 { FaultPlan::heavy(seed) } else { FaultPlan::light(seed) };
         for alg in ALL_SCHEMES {
             let chaotic = SkylineJob::new(alg, 4)
-                .with_config(optimised(None, streaming))
+                .with_config(optimised(None))
                 .with_chaos(plan.clone())
                 .run(&data);
             let calm = SkylineJob::new(alg, 4)
@@ -163,7 +157,7 @@ fn filter_really_fires_and_stays_exact() {
         &SyntheticConfig::new(4000, 4, Distribution::AntiCorrelated).with_seed(7),
     );
     let fast = SkylineJob::new(Algorithm::MrAngle, 8)
-        .with_config(optimised(None, true))
+        .with_config(optimised(None))
         .run(&data);
     let base = SkylineJob::new(Algorithm::MrAngle, 8)
         .with_config(plain())

@@ -100,15 +100,10 @@ fn causal_edges_cover_every_runtime_layer() {
 }
 
 #[test]
-fn what_if_and_stragglers_run_on_real_traces() {
+fn stragglers_run_on_real_traces() {
     let (events, _) = skewed_trace();
     let run = insight::RunModel::from_events(&events).unwrap();
-    // Both analyses must complete; savings and flags depend on the data but
-    // the structures must be internally consistent.
-    for w in insight::what_if_speculation(&run) {
-        assert!(w.speculative_wall <= w.baseline_wall + 1e-9);
-        assert!(w.saved() >= 0.0);
-    }
+    // Flags depend on the data, but each one must be internally consistent.
     for s in insight::stragglers(&run, insight::DEFAULT_THRESHOLD) {
         assert!(s.ratio >= insight::DEFAULT_THRESHOLD);
         assert!(s.duration > s.median);

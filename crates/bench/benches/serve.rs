@@ -9,26 +9,24 @@
 //! cost (retries, backoff, breaker windows), not host speed, and are
 //! pinned in `benches/bench-baselines.json` for the bench gate.
 //!
-//! The latencies are folded through the mergeable Greenwald–Khanna
-//! [`QuantileSketch`] — the same sketch the trace registry ships — so
-//! the bench also exercises the sketch on a real latency distribution.
-//! Criterion separately times wall-clock throughput of the full
-//! drive-and-verify loop (machine-dependent, not gated).
+//! The quantiles are exact nearest-rank ones ([`nearest_rank`], the
+//! rule the trace summary's latency rows use). Criterion separately
+//! times wall-clock throughput of the full drive-and-verify loop
+//! (machine-dependent, not gated).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrsky_chaos::FaultPlan;
 use mrsky_serve::{load_script, run_load, LoadgenConfig, ServeConfig, SkylineService};
-use mrsky_trace::sketch::QuantileSketch;
-use mrsky_trace::{EventKind, Tracer};
+use mrsky_trace::{nearest_rank, EventKind, Tracer};
 
 const OPS: u64 = 800;
 const SEED: u64 = 7;
 
 /// Drives the seeded workload against a fresh service and returns
-/// (mutation sketch, query sketch, ok-mutation count) of simulated
+/// (mutation latencies, query latencies, ok-mutation count) of simulated
 /// request latencies in seconds, taken from the `request` trace
 /// events (one per request, by construction).
-fn latency_sketches(plan: FaultPlan) -> (QuantileSketch, QuantileSketch, u64) {
+fn latencies(plan: FaultPlan) -> (Vec<f64>, Vec<f64>, u64) {
     let tracer = Tracer::in_memory();
     let service = SkylineService::new(ServeConfig::default(), plan, tracer);
     let ops = load_script(&LoadgenConfig {
@@ -42,25 +40,25 @@ fn latency_sketches(plan: FaultPlan) -> (QuantileSketch, QuantileSketch, u64) {
         "bench run served an incorrect response"
     );
     assert_eq!(report.final_mismatches, 0, "bench run failed to converge");
-    let mut mutations = QuantileSketch::new(0.001);
-    let mut queries = QuantileSketch::new(0.001);
+    let mut mutations = Vec::new();
+    let mut queries = Vec::new();
     for event in service.tracer().drain() {
         if let EventKind::Request {
             op, sim_latency, ..
         } = &event.kind
         {
             if op == "query" {
-                queries.observe(*sim_latency);
+                queries.push(*sim_latency);
             } else {
-                mutations.observe(*sim_latency);
+                mutations.push(*sim_latency);
             }
         }
     }
     (mutations, queries, report.mutations_ok)
 }
 
-fn quantile_ms(sketch: &QuantileSketch, q: f64) -> f64 {
-    sketch.quantile(q).unwrap_or(0.0) * 1e3
+fn quantile_ms(latencies: &[f64], q: f64) -> f64 {
+    nearest_rank(latencies, q).unwrap_or(0.0) * 1e3
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -99,8 +97,8 @@ fn bench_serve(c: &mut Criterion) {
         return;
     }
 
-    let (free_mut, free_q, free_ok) = latency_sketches(FaultPlan::off());
-    let (chaos_mut, chaos_q, chaos_ok) = latency_sketches(FaultPlan::heavy(SEED));
+    let (free_mut, free_q, free_ok) = latencies(FaultPlan::off());
+    let (chaos_mut, chaos_q, chaos_ok) = latencies(FaultPlan::heavy(SEED));
 
     let json = format!(
         "{{\n  \"bench\": \"serve/load\",\n  \"seed\": {SEED},\n  \"operations\": {OPS},\n  \

@@ -242,8 +242,6 @@ impl KernelOutcome {
             passes: self.passes,
             elapsed_us,
         });
-        mrsky_trace::metrics()
-            .observe_quantile("skyline.kernel_comparisons", self.comparisons as f64);
     }
 }
 

@@ -10,8 +10,9 @@
 //! segments for any scheduling gaps, and one overhead segment — so the
 //! per-phase blame always sums to the reported simulated wall time.
 
-use crate::model::{JobRec, PhaseRec, RunModel};
+use mrsky_trace::model::{JobRun, PhaseRec};
 use mrsky_trace::PhaseKind;
+use mrsky_trace::RunModel;
 use std::collections::BTreeMap;
 
 /// What one critical-path segment spent its time on.
@@ -116,7 +117,7 @@ fn phase_chain(phase: &PhaseRec) -> Vec<usize> {
 
 /// Tiles `[phase.start, phase.end]` with the phase's critical chain,
 /// inserting explicit wait segments for any gaps.
-fn phase_segments(job: &JobRec, phase: &PhaseRec, out: &mut Vec<Segment>) {
+fn phase_segments(job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
     let scale = phase.end;
     let mut t0 = phase.start;
     for i in phase_chain(phase) {
@@ -157,7 +158,7 @@ fn phase_segments(job: &JobRec, phase: &PhaseRec, out: &mut Vec<Segment>) {
 /// into the map chain, and the fixed job overhead gets its own segment.
 pub fn critical_path(run: &RunModel) -> CriticalPath {
     let mut segments = Vec::new();
-    for job in &run.jobs {
+    for job in run.finished_runs() {
         phase_segments(job, &job.map, &mut segments);
         phase_segments(job, &job.reduce, &mut segments);
         let overhead = job.overhead();
@@ -192,11 +193,10 @@ pub fn critical_path(run: &RunModel) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::RunModel;
     use crate::testutil::{job_events, SimJob};
 
     fn run(job: &SimJob) -> RunModel {
-        RunModel::from_events(&job_events(job, 0)).unwrap()
+        RunModel::from_events(&job_events(job, 0))
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
         let mut events = job_events(&a, 0);
         let n = events.len() as u64;
         events.extend(job_events(&b, n));
-        let model = RunModel::from_events(&events).unwrap();
+        let model = RunModel::from_events(&events);
         let cp = critical_path(&model);
         assert!((cp.total - model.total_sim()).abs() < 1e-9);
         assert!(cp.phase_blame.keys().any(|k| k.starts_with("a/")));

@@ -1,9 +1,9 @@
 //! Plain-text rendering of the analyses for `mrsky insight`.
 
 use crate::critpath::{CriticalPath, Segment, SegmentKind};
-use crate::model::RunModel;
 use crate::skew::SkewReport;
 use crate::stragglers::Straggler;
+use mrsky_trace::RunModel;
 use std::fmt::Write as _;
 
 fn secs(v: f64) -> String {
@@ -136,7 +136,7 @@ mod tests {
             &[1.0, 1.0, 1.0, 1.0],
             &[1.0, 9.0, 1.0, 1.0],
         );
-        RunModel::from_events(&job_events(&job, 0)).unwrap()
+        RunModel::from_events(&job_events(&job, 0))
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! id* — the reduce-task durations are a faithful per-partition kernel-time
 //! proxy without any extra instrumentation.
 
-use crate::model::RunModel;
+use mrsky_trace::model::TaskRec;
+use mrsky_trace::RunModel;
 
 /// Skew report over the partition job.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,14 +65,9 @@ pub fn skew(run: &RunModel) -> Option<SkewReport> {
         .collect();
     let row_values: Vec<f64> = rows.iter().map(|&(_, r)| r as f64).collect();
     let time_values: Vec<f64> = run
-        .job_with_suffix("-partition")
-        .map(|j| {
-            j.reduce
-                .tasks
-                .iter()
-                .map(super::model::TaskRec::duration)
-                .collect()
-        })
+        .finished_runs()
+        .find(|j| j.name.ends_with("-partition"))
+        .map(|j| j.reduce.tasks.iter().map(TaskRec::duration).collect())
         .unwrap_or_default();
     let (hot_partition, hot_rows) = rows
         .iter()
@@ -98,7 +94,7 @@ pub fn skew(run: &RunModel) -> Option<SkewReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::PartitionRec;
+    use mrsky_trace::model::PartitionRec;
 
     #[test]
     fn gini_extremes() {

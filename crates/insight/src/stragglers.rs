@@ -1,8 +1,8 @@
 //! Straggler attribution: tasks that ran long relative to their phase's
 //! median, with work-stealing rescue accounting.
 
-use crate::model::RunModel;
 use mrsky_trace::PhaseKind;
+use mrsky_trace::RunModel;
 
 /// Default flagging threshold: a task is a straggler when it ran at least
 /// this many times the phase median.
@@ -35,7 +35,7 @@ pub struct Straggler {
 /// skipped — a single task is trivially "the whole phase", not a straggler.
 pub fn stragglers(run: &RunModel, threshold: f64) -> Vec<Straggler> {
     let mut out = Vec::new();
-    for job in &run.jobs {
+    for job in run.finished_runs() {
         for phase in [&job.map, &job.reduce] {
             if phase.tasks.len() < 2 {
                 continue;
@@ -68,13 +68,13 @@ pub fn stragglers(run: &RunModel, threshold: f64) -> Vec<Straggler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{RunModel, StealRec};
     use crate::testutil::{job_events, SimJob};
+    use mrsky_trace::model::StealRec;
 
     #[test]
     fn flags_the_slow_task_and_orders_by_ratio() {
         let job = SimJob::uniform("j", 4, &[1.0, 1.0, 8.0, 1.0], &[1.0, 4.0, 1.0, 1.0]);
-        let run = RunModel::from_events(&job_events(&job, 0)).unwrap();
+        let run = RunModel::from_events(&job_events(&job, 0));
         let s = stragglers(&run, DEFAULT_THRESHOLD);
         assert_eq!(s.len(), 2);
         assert_eq!((s[0].phase, s[0].task), (PhaseKind::Map, 2));
@@ -85,15 +85,15 @@ mod tests {
     #[test]
     fn uniform_phases_produce_no_stragglers() {
         let job = SimJob::uniform("j", 2, &[1.0, 1.0, 1.0], &[2.0, 2.0]);
-        let run = RunModel::from_events(&job_events(&job, 0)).unwrap();
+        let run = RunModel::from_events(&job_events(&job, 0));
         assert!(stragglers(&run, DEFAULT_THRESHOLD).is_empty());
     }
 
     #[test]
     fn steal_on_the_straggler_is_reported_as_rescue() {
         let job = SimJob::uniform("j", 2, &[1.0, 5.0, 1.0], &[1.0]);
-        let mut run = RunModel::from_events(&job_events(&job, 0)).unwrap();
-        run.jobs[0].map.steals.push(StealRec {
+        let mut run = RunModel::from_events(&job_events(&job, 0));
+        run.runs[0].map.steals.push(StealRec {
             task: 1,
             thief: 0,
             victim: 1,

@@ -3,7 +3,7 @@
 //! scheduler that mirrors the runtime's. Shared by this crate's unit tests
 //! and the property tests; public so downstream tests can build fixtures.
 
-use crate::model::TaskRec;
+use mrsky_trace::model::TaskRec;
 use mrsky_trace::{EventKind, PhaseKind, TraceEvent};
 
 /// A declarative job: per-task durations for both phases plus the slot

@@ -3,8 +3,8 @@
 //! (in fact must equal) the job's simulated wall time.
 
 use mrsky_insight::critpath::critical_path;
-use mrsky_insight::model::RunModel;
 use mrsky_insight::testutil::{job_events, SimJob};
+use mrsky_trace::RunModel;
 use proptest::prelude::*;
 
 fn durations() -> impl Strategy<Value = Vec<f64>> {
@@ -25,7 +25,7 @@ proptest! {
         job.overhead = overhead;
         let events = job_events(&job, 0);
         prop_assert!(mrsky_trace::validate_events(&events).is_empty());
-        let run = RunModel::from_events(&events).unwrap();
+        let run = RunModel::from_events(&events);
         let cp = critical_path(&run);
 
         // Lower bound: no single task can be shorter than the whole path.
@@ -70,7 +70,7 @@ proptest! {
         let mut events = job_events(&a, 0);
         let n = events.len() as u64;
         events.extend(job_events(&b, n));
-        let run = RunModel::from_events(&events).unwrap();
+        let run = RunModel::from_events(&events);
         let cp = critical_path(&run);
         let wall = run.total_sim();
         prop_assert!((cp.total - wall).abs() <= 1e-6 * (1.0 + wall));

@@ -6,9 +6,8 @@
 //! summarize and model exactly like the same trace with the retired lines
 //! removed.
 
-use mrsky_insight::RunModel;
 use mrsky_trace::event::RETIRED_EVENT_TYPES;
-use mrsky_trace::{parse_jsonl, validate_events, TraceSummary};
+use mrsky_trace::{parse_jsonl, validate_events, RunModel};
 
 const FIXTURE: &str = include_str!("fixtures/pre_retirement_trace.jsonl");
 
@@ -45,11 +44,9 @@ fn pre_retirement_trace_reads_like_the_trace_without_retired_lines() {
     let problems = validate_events(&old);
     assert!(problems.is_empty(), "{problems:?}");
 
-    assert_eq!(
-        TraceSummary::from_events(&old).render(),
-        TraceSummary::from_events(&new).render()
-    );
-    let model = RunModel::from_events(&old).expect("run model");
-    assert_eq!(model, RunModel::from_events(&new).expect("run model"));
-    assert_eq!(model.jobs.len(), 1);
+    let model = RunModel::from_events(&old);
+    assert_eq!(model.summary(), RunModel::from_events(&new).summary());
+    assert_eq!(model, RunModel::from_events(&new));
+    assert_eq!(model.runs.len(), 1);
+    assert_eq!(mrsky_insight::check(&model), Ok(()));
 }

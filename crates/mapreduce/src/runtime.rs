@@ -535,9 +535,6 @@ where
     );
 
     let map_durations: Vec<f64> = map_results.iter().map(|m| m.duration).collect();
-    for &d in &map_durations {
-        mrsky_trace::metrics().observe_quantile("mapreduce.task_seconds.map", d);
-    }
     let map_schedule = schedule_phase(&map_durations, spec.cluster.map_slots(), 0.0);
     let map_attempts: Vec<u32> = map_results.iter().map(|m| m.attempts).collect();
     emit_phase_trace(
@@ -785,15 +782,6 @@ where
     );
 
     let reduce_durations: Vec<f64> = reduce_results.iter().map(|r| r.duration).collect();
-    for &d in &reduce_durations {
-        mrsky_trace::metrics().observe_quantile("mapreduce.task_seconds.reduce", d);
-    }
-    for meta in &task_meta {
-        mrsky_trace::metrics().observe_quantile(
-            "mapreduce.shuffle_fetch_seconds",
-            spec.cost.shuffle_duration(meta.bytes, meta.segments),
-        );
-    }
     let reduce_schedule = schedule_phase(
         &reduce_durations,
         spec.cluster.reduce_slots(),

@@ -42,7 +42,6 @@ pub mod generator;
 pub mod ingest;
 pub mod registry;
 pub mod rng;
-pub mod stats;
 pub mod synthetic;
 
 pub use attributes::{AttributeSpec, Direction, QWS_ATTRIBUTES};
@@ -51,5 +50,4 @@ pub use drift::{DriftConfig, DriftModel};
 pub use generator::{extend_qws, generate_qws, QwsConfig};
 pub use ingest::{load_qws_file, load_qws_file_chunked, IngestChunk};
 pub use registry::{Category, Registry, ServiceEntry};
-pub use stats::{correlation_matrix, dimension_stats, mean_pairwise_correlation};
 pub use synthetic::{generate_synthetic, Distribution, SyntheticConfig};

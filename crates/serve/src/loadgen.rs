@@ -169,14 +169,24 @@ fn oracle_skyline(live: &BTreeMap<u64, Vec<f64>>) -> Vec<Point> {
     out
 }
 
+/// Whether a response carries exactly the oracle's skyline: the same ids
+/// with bit-identical coordinates (`-0.0` is not the `0.0` that was
+/// inserted), as `core::validate` checks a batch answer.
 fn matches_oracle(resp: &QueryResponse, live: &BTreeMap<u64, Vec<f64>>) -> bool {
     let want = oracle_skyline(live);
+    let same_bits = |a: &Point, b: &Point| {
+        a.dim() == b.dim()
+            && a.coords()
+                .iter()
+                .zip(b.coords())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    };
     resp.skyline.len() == want.len()
         && resp
             .skyline
             .iter()
             .zip(&want)
-            .all(|(a, b)| a.id() == b.id() && a.coords() == b.coords())
+            .all(|(a, b)| a.id() == b.id() && same_bits(a, b))
 }
 
 /// A resumable load run. [`LoadRunner::drive`] advances through the
@@ -334,6 +344,24 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn oracle_compares_coordinate_bits() {
+        let live = BTreeMap::from([(1, vec![0.0, 1.0]), (2, vec![1.0, 0.0])]);
+        let response = |first: f64| QueryResponse {
+            skyline: vec![
+                Point::new(1, vec![first, 1.0]),
+                Point::new(2, vec![1.0, 0.0]),
+            ],
+            stale: false,
+            lag: 0,
+        };
+        assert!(matches_oracle(&response(0.0), &live));
+        assert!(
+            !matches_oracle(&response(-0.0), &live),
+            "-0.0 is not the 0.0 the insert carried"
+        );
     }
 
     #[test]

@@ -3,33 +3,34 @@
 //!
 //! Layout decisions:
 //!
-//! - Each MapReduce **job** becomes a process (`pid` 1, 2, … in
-//!   `job_started` order), named via `process_name` metadata. Jobs inside
-//!   one trace run back-to-back on sim time, but every job's own clock
-//!   starts at 0 — the exporter re-bases job *N* by the summed
-//!   `sim_total` of jobs before it so the processes lay out sequentially.
-//! - Each cluster **slot** becomes a thread (`tid = slot + 1`); tid 0
-//!   carries the phase envelope slices. Tasks are `"X"` complete slices.
+//! - Each **run** of a MapReduce job (one per `job_started`, see
+//!   [`RunModel`]) becomes a process (`pid` 1, 2, … in start order),
+//!   named via `process_name` metadata. Jobs inside one trace run
+//!   back-to-back on sim time, but every job's own clock starts at 0 —
+//!   each run is laid out at its [`JobRun::offset`](crate::model::JobRun::offset)
+//!   so the processes sit sequentially.
+//! - Each cluster **slot** becomes a thread (`tid = slot + 1`, named per
+//!   run); tid 0 carries the phase envelope slices and the run's shuffle
+//!   and peak-memory instants. Tasks are `"X"` complete slices.
 //! - Driver-level spans ([`SpanBegin`](crate::EventKind::SpanBegin)) and
-//!   point records (kernels, shuffle, ingest) live on **pid 0**, which
-//!   runs on the wall clock (`wall_us`), as `"B"`/`"E"` duration events
-//!   and `"i"` instants.
+//!   point records (kernels, partitions, chaos, pruning) live on **pid
+//!   0**, which runs on the wall clock (`wall_us`), as `"B"`/`"E"`
+//!   duration events and `"i"` instants, one per event.
 //! - [`CausalEdge`](crate::EventKind::CausalEdge) events become flow
 //!   arrows (`"s"`/`"f"` pairs): the arrow leaves the source node's slice
 //!   end and lands on the destination's slice start, so Perfetto draws
-//!   shuffle→reduce and merge hand-offs. [`TaskStolen`](crate::EventKind::TaskStolen)
+//!   shuffle→reduce hand-offs. [`TaskStolen`](crate::EventKind::TaskStolen)
 //!   becomes an instant on the stolen task plus a flow arrow from the
-//!   phase lane into its slice. Causal events can be recorded before
-//!   their endpoints' slices (real execution precedes the simulated
-//!   schedule), so flows are resolved in a second pass after every slice
-//!   is known.
+//!   phase lane into its slice. Flows are drawn after every slice is
+//!   anchored.
 //!
 //! Timestamps are microseconds as the format requires; sim seconds are
 //! scaled by 1e6.
 
 use crate::event::{EventKind, TraceEvent};
 use crate::json::{escape, number};
-use std::collections::BTreeMap;
+use crate::model::RunModel;
+use std::collections::{BTreeMap, BTreeSet};
 
 const DRIVER_PID: u64 = 0;
 
@@ -78,115 +79,81 @@ impl Emitter {
     }
 }
 
-#[derive(Default)]
-struct JobState {
-    pid: u64,
-    offset: f64,
-    phase_start: BTreeMap<String, f64>,
-    slots_seen: BTreeMap<u64, ()>,
-}
-
 /// Converts a stream of [`TraceEvent`]s into a Chrome trace-event JSON
-/// document. Accepts any event order that a [`Tracer`](crate::Tracer)
-/// can produce; unknown pairings (e.g. a `phase_finished` without its
-/// start) are skipped rather than erroring.
+/// document. Job slices come from the stream's [`RunModel`]; events
+/// whose job has no open run draw nothing.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
+    let model = RunModel::from_events(events);
     let mut em = Emitter::new();
     em.metadata(DRIVER_PID, None, "process_name", "driver (wall clock)");
 
-    let mut jobs: BTreeMap<String, JobState> = BTreeMap::new();
-    let mut next_pid = 1u64;
-    let mut sim_cursor = 0.0f64;
-
     // Causal-DAG node anchors, keyed by the node-id grammar
     // (`job:`/`phase:`/`task:` — see `EventKind::CausalEdge`):
-    // (pid, tid, start_us, end_us) on the re-based global sim axis.
+    // (pid, tid, start_us, end_us) on the run-global sim axis. A job
+    // name that runs again re-anchors its nodes on the later run.
     let mut nodes: BTreeMap<String, (u64, u64, f64, f64)> = BTreeMap::new();
-    // Flow endpoints can be emitted before their slices exist; buffer and
-    // resolve after the main pass.
-    let mut pending_edges: Vec<(String, String, String)> = Vec::new();
-    let mut pending_steals: Vec<(String, u64, u64)> = Vec::new();
+    for (pid, run) in (1u64..).zip(&model.runs) {
+        let job = &run.name;
+        em.metadata(pid, None, "process_name", &format!("job: {job}"));
+        em.metadata(pid, Some(0), "thread_name", "phases");
+        let mut slots_seen = BTreeSet::new();
+        for phase in [&run.map, &run.reduce] {
+            if phase.announced.is_some() && phase.finished {
+                let ts = sim_us(run.offset, phase.start);
+                let dur = ((phase.end - phase.start) * 1e6).max(0.0);
+                nodes.insert(
+                    format!("phase:{job}/{}", phase.kind),
+                    (pid, 0, ts, ts + dur),
+                );
+                em.push(&format!(
+                    "\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"name\":\"{} phase\",\"cat\":\"phase\",\"ts\":{},\"dur\":{}",
+                    phase.kind,
+                    number(ts),
+                    number(dur)
+                ));
+            }
+            for t in &phase.tasks {
+                let (task, slot) = (t.task, t.slot);
+                let tid = slot + 1;
+                if slots_seen.insert(slot) {
+                    em.metadata(pid, Some(tid), "thread_name", &format!("slot {slot}"));
+                }
+                let ts = sim_us(run.offset, t.start);
+                let dur = ((t.end - t.start) * 1e6).max(0.0);
+                nodes.insert(
+                    format!("task:{job}/{}/{task}", phase.kind),
+                    (pid, tid, ts, ts + dur),
+                );
+                em.push(&format!(
+                    "\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{} {task}\",\"cat\":\"task\",\"ts\":{},\"dur\":{},\"args\":{{\"task\":{task}}}",
+                    phase.kind,
+                    number(ts),
+                    number(dur)
+                ));
+            }
+        }
+        if let Some((sim_total, _)) = run.finished {
+            nodes.insert(
+                format!("job:{job}"),
+                (pid, 0, run.offset * 1e6, (run.offset + sim_total) * 1e6),
+            );
+        }
+        for s in &run.shuffle {
+            em.push(&format!(
+                "\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"s\":\"t\",\"name\":\"shuffle r{}\",\"cat\":\"shuffle\",\"ts\":{},\"args\":{{\"bytes\":{},\"records\":{},\"segments\":{}}}",
+                s.reducer, s.wall_us, s.bytes, s.records, s.segments
+            ));
+        }
+        for m in &run.peak_mem {
+            em.push(&format!(
+                "\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"s\":\"t\",\"name\":\"peak mem {}\",\"cat\":\"memory\",\"ts\":{},\"args\":{{\"peak_bytes\":{}}}",
+                m.phase, m.wall_us, m.peak_bytes
+            ));
+        }
+    }
 
     for ev in events {
         match &ev.kind {
-            EventKind::JobStarted { job } => {
-                let state = jobs.entry(job.clone()).or_default();
-                state.pid = next_pid;
-                state.offset = sim_cursor;
-                next_pid += 1;
-                em.metadata(state.pid, None, "process_name", &format!("job: {job}"));
-                em.metadata(state.pid, Some(0), "thread_name", "phases");
-            }
-            EventKind::JobFinished { job, sim_total, .. } => {
-                if let Some(state) = jobs.get(job) {
-                    nodes.insert(
-                        format!("job:{job}"),
-                        (
-                            state.pid,
-                            0,
-                            state.offset * 1e6,
-                            (state.offset + sim_total) * 1e6,
-                        ),
-                    );
-                    sim_cursor = state.offset + sim_total;
-                }
-            }
-            EventKind::PhaseStarted {
-                job, phase, sim, ..
-            } => {
-                if let Some(state) = jobs.get_mut(job) {
-                    state.phase_start.insert(phase.as_str().into(), *sim);
-                }
-            }
-            EventKind::PhaseFinished {
-                job, phase, sim, ..
-            } => {
-                if let Some(state) = jobs.get_mut(job) {
-                    if let Some(start) = state.phase_start.remove(phase.as_str()) {
-                        let ts = sim_us(state.offset, start);
-                        let dur = ((sim - start) * 1e6).max(0.0);
-                        nodes.insert(
-                            format!("phase:{job}/{}", phase.as_str()),
-                            (state.pid, 0, ts, ts + dur),
-                        );
-                        em.push(&format!(
-                            "\"ph\":\"X\",\"pid\":{},\"tid\":0,\"name\":\"{} phase\",\"cat\":\"phase\",\"ts\":{},\"dur\":{}",
-                            state.pid,
-                            phase.as_str(),
-                            number(ts),
-                            number(dur)
-                        ));
-                    }
-                }
-            }
-            EventKind::TaskFinished {
-                job,
-                phase,
-                task,
-                slot,
-                sim_start,
-                sim_end,
-            } => {
-                if let Some(state) = jobs.get_mut(job) {
-                    let tid = slot + 1;
-                    if state.slots_seen.insert(*slot, ()).is_none() {
-                        em.metadata(state.pid, Some(tid), "thread_name", &format!("slot {slot}"));
-                    }
-                    let ts = sim_us(state.offset, *sim_start);
-                    let dur = ((sim_end - sim_start) * 1e6).max(0.0);
-                    nodes.insert(
-                        format!("task:{job}/{}/{task}", phase.as_str()),
-                        (state.pid, tid, ts, ts + dur),
-                    );
-                    em.push(&format!(
-                        "\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"name\":\"{} {task}\",\"cat\":\"task\",\"ts\":{},\"dur\":{},\"args\":{{\"task\":{task}}}",
-                        state.pid,
-                        phase.as_str(),
-                        number(ts),
-                        number(dur)
-                    ));
-                }
-            }
             EventKind::SpanBegin { name } => {
                 em.push(&format!(
                     "\"ph\":\"B\",\"pid\":{DRIVER_PID},\"tid\":0,\"name\":\"{}\",\"cat\":\"driver\",\"ts\":{}",
@@ -226,31 +193,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":1,\"s\":\"t\",\"name\":\"partition {partition}\",\"cat\":\"partition\",\"ts\":{},\"args\":{{\"input\":{input},\"output\":{output},\"pruned\":{pruned},\"kernel\":\"{}\"}}",
                     ev.wall_us,
                     escape(kernel)
-                ));
-            }
-            EventKind::ShufflePartition {
-                job,
-                reducer,
-                bytes,
-                records,
-                segments,
-            } => {
-                let pid = jobs.get(job).map_or(DRIVER_PID, |s| s.pid);
-                em.push(&format!(
-                    "\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"s\":\"t\",\"name\":\"shuffle r{reducer}\",\"cat\":\"shuffle\",\"ts\":{},\"args\":{{\"bytes\":{bytes},\"records\":{records},\"segments\":{segments}}}",
-                    ev.wall_us
-                ));
-            }
-            EventKind::PhasePeakMemory {
-                job,
-                phase,
-                peak_bytes,
-            } => {
-                let pid = jobs.get(job).map_or(DRIVER_PID, |s| s.pid);
-                em.push(&format!(
-                    "\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"s\":\"t\",\"name\":\"peak mem {}\",\"cat\":\"memory\",\"ts\":{},\"args\":{{\"peak_bytes\":{peak_bytes}}}",
-                    phase.as_str(),
-                    ev.wall_us
                 ));
             }
             EventKind::FaultInjected {
@@ -355,28 +297,22 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     ev.wall_us
                 ));
             }
-            EventKind::CausalEdge { edge, src, dst } => {
-                pending_edges.push((edge.clone(), src.clone(), dst.clone()));
-            }
-            EventKind::TaskStolen {
-                job,
-                phase,
-                task,
-                thief,
-                victim,
-            } => {
-                pending_steals.push((
-                    format!("task:{job}/{}/{task}", phase.as_str()),
-                    *thief,
-                    *victim,
-                ));
-            }
-            // Retry bookkeeping and ingest are
-            // visible in the summary view; the timeline keeps to slices.
+            // Job slices, shuffle and memory instants come from the runs
+            // above; causal flows and steals are drawn below. Retry
+            // bookkeeping and ingest are visible in the summary view.
             // Per-request serve events are too dense for the timeline —
-            // the summary's op/outcome table and latency sketches carry
+            // the summary's op/outcome table and latency quantiles carry
             // them; only breaker/shed/repair markers surface here.
-            EventKind::TaskRetried { .. }
+            EventKind::JobStarted { .. }
+            | EventKind::JobFinished { .. }
+            | EventKind::PhaseStarted { .. }
+            | EventKind::PhaseFinished { .. }
+            | EventKind::TaskFinished { .. }
+            | EventKind::ShufflePartition { .. }
+            | EventKind::PhasePeakMemory { .. }
+            | EventKind::CausalEdge { .. }
+            | EventKind::TaskStolen { .. }
+            | EventKind::TaskRetried { .. }
             | EventKind::IngestStarted { .. }
             | EventKind::IngestFinished { .. }
             | EventKind::Request { .. }
@@ -384,9 +320,10 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         }
     }
 
-    // Second pass: every slice is anchored, so causal flows resolve.
+    // Every slice is anchored, so causal flows resolve.
     let mut flow_id = 0u64;
-    for (edge, src, dst) in &pending_edges {
+    for e in &model.edges {
+        let (edge, src, dst) = (&e.edge, &e.src, &e.dst);
         let (Some(&(spid, stid, _, send)), Some(&(dpid, dtid, dstart, _))) =
             (nodes.get(src), nodes.get(dst))
         else {
@@ -408,23 +345,29 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         ));
         flow_id += 1;
     }
-    for (node, thief, victim) in &pending_steals {
-        let Some(&(pid, tid, start, _)) = nodes.get(node) else {
-            continue;
-        };
-        em.push(&format!(
-            "\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\"name\":\"stolen w{victim}->w{thief}\",\"cat\":\"steal\",\"ts\":{},\"args\":{{\"thief\":{thief},\"victim\":{victim}}}",
-            number(start)
-        ));
-        em.push(&format!(
-            "\"ph\":\"s\",\"pid\":{pid},\"tid\":0,\"id\":{flow_id},\"cat\":\"steal\",\"name\":\"steal\",\"ts\":{}",
-            number(start)
-        ));
-        em.push(&format!(
-            "\"ph\":\"f\",\"bp\":\"e\",\"pid\":{pid},\"tid\":{tid},\"id\":{flow_id},\"cat\":\"steal\",\"name\":\"steal\",\"ts\":{}",
-            number(start)
-        ));
-        flow_id += 1;
+    for run in &model.runs {
+        for phase in [&run.map, &run.reduce] {
+            for steal in &phase.steals {
+                let node = format!("task:{}/{}/{}", run.name, phase.kind, steal.task);
+                let Some(&(pid, tid, start, _)) = nodes.get(&node) else {
+                    continue;
+                };
+                let (thief, victim) = (steal.thief, steal.victim);
+                em.push(&format!(
+                    "\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\"name\":\"stolen w{victim}->w{thief}\",\"cat\":\"steal\",\"ts\":{},\"args\":{{\"thief\":{thief},\"victim\":{victim}}}",
+                    number(start)
+                ));
+                em.push(&format!(
+                    "\"ph\":\"s\",\"pid\":{pid},\"tid\":0,\"id\":{flow_id},\"cat\":\"steal\",\"name\":\"steal\",\"ts\":{}",
+                    number(start)
+                ));
+                em.push(&format!(
+                    "\"ph\":\"f\",\"bp\":\"e\",\"pid\":{pid},\"tid\":{tid},\"id\":{flow_id},\"cat\":\"steal\",\"name\":\"steal\",\"ts\":{}",
+                    number(start)
+                ));
+                flow_id += 1;
+            }
+        }
     }
 
     em.finish()

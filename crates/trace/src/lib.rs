@@ -13,27 +13,28 @@
 //!   counter/gauge/histogram store that kernel hot paths record into
 //!   when enabled ([`metrics`]).
 //!
-//! Recorded streams feed the exporters: Chrome trace-event JSON for
-//! Perfetto ([`to_chrome_trace`]), Prometheus text exposition
-//! ([`MetricsSnapshot::to_prometheus`]), and the human
-//! [`TraceSummary`] table.
+//! A recorded stream is folded once into a [`RunModel`] ([`model`]),
+//! which feeds the human summary table ([`RunModel::summary`]), the
+//! Chrome trace-event JSON for Perfetto ([`to_chrome_trace`]) and `mrsky
+//! insight`. The registry's snapshot renders as Prometheus text
+//! exposition ([`MetricsSnapshot::to_prometheus`]).
 
 #![warn(missing_docs)]
 
 pub mod chrome;
 pub mod event;
 pub mod json;
+pub mod model;
 pub mod registry;
 pub mod sink;
-pub mod sketch;
 pub mod summary;
 
 pub use chrome::to_chrome_trace;
 pub use event::{EventKind, PhaseKind, TraceEvent};
+pub use model::RunModel;
 pub use registry::{escape_label_value, metrics, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EpochClock, JsonlWriter, NullSink, SimClock, TraceSink, Tracer, VecSink};
-pub use sketch::QuantileSketch;
-pub use summary::{validate_events, TraceSummary};
+pub use summary::{nearest_rank, validate_events};
 
 /// Parses a JSONL trace document (one event per line, blank lines
 /// ignored) into events. Lines of a type in

@@ -15,7 +15,6 @@
 //! - **Snapshot-merge.** Readers call [`MetricsRegistry::snapshot`], which
 //!   folds all shards into one [`MetricsSnapshot`] with saturating adds.
 
-use crate::sketch::QuantileSketch;
 use mrsky_model::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -126,7 +125,6 @@ impl Histogram {
 struct Shard {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    sketches: BTreeMap<String, QuantileSketch>,
 }
 
 /// The sharded registry. Use the process-global one via [`metrics`]; tests
@@ -212,22 +210,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one observation into a named quantile sketch (no-op while
-    /// disabled). Sketches complement [`MetricsRegistry::observe`]'s log₂
-    /// histograms with ε-approximate percentiles (p50/p95/p99/p999);
-    /// non-finite values are dropped.
-    pub fn observe_quantile(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut shard = self.shard().lock();
-        shard
-            .sketches
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
-    }
-
     /// Sets a named gauge to a value (last write wins; no-op while
     /// disabled).
     pub fn gauge(&self, name: &str, value: f64) {
@@ -266,12 +248,6 @@ impl MetricsRegistry {
             for (name, hist) in &guard.histograms {
                 snap.histograms.entry(name.clone()).or_default().merge(hist);
             }
-            for (name, sketch) in &guard.sketches {
-                snap.sketches
-                    .entry(name.clone())
-                    .or_default()
-                    .merge_from(sketch);
-            }
         }
         let gauges = self.gauges.lock();
         snap.gauges = gauges.clone();
@@ -284,7 +260,6 @@ impl MetricsRegistry {
             let mut guard = shard.lock();
             guard.counters.clear();
             guard.histograms.clear();
-            guard.sketches.clear();
         }
         let mut gauges = self.gauges.lock();
         gauges.clear();
@@ -306,8 +281,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Quantile sketches by name.
-    pub sketches: BTreeMap<String, QuantileSketch>,
 }
 
 impl MetricsSnapshot {
@@ -324,23 +297,15 @@ impl MetricsSnapshot {
         for (name, hist) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(hist);
         }
-        for (name, sketch) in &other.sketches {
-            self.sketches
-                .entry(name.clone())
-                .or_default()
-                .merge_from(sketch);
-        }
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
     /// (version 0.0.4): every series gets `# HELP` and `# TYPE` comments;
     /// counters and gauges render as single samples, histograms as
-    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`, and
-    /// quantile sketches as `summary` series with
-    /// `{quantile="0.5|0.95|0.99|0.999"}` samples. Label values are
-    /// escaped per the exposition grammar. Series are ordered by family
-    /// (counters, gauges, histograms, summaries), then by name — the
-    /// maps are `BTreeMap`s, so rendering the same snapshot twice is
+    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`. Label
+    /// values are escaped per the exposition grammar. Series are ordered
+    /// by family (counters, gauges, histograms), then by name — the maps
+    /// are `BTreeMap`s, so rendering the same snapshot twice is
     /// byte-identical.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -379,23 +344,6 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{name}_sum {}", hist.sum());
             let _ = writeln!(out, "{name}_count {}", hist.count());
         }
-        for (name, sketch) in &self.sketches {
-            let help = help_text(name);
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (label, q) in QuantileSketch::REPORTED {
-                if let Some(value) = sketch.quantile(q) {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{quantile=\"{}\"}} {value}",
-                        escape_label_value(label)
-                    );
-                }
-            }
-            let _ = writeln!(out, "{name}_sum {}", sketch.sum());
-            let _ = writeln!(out, "{name}_count {}", sketch.count());
-        }
         out
     }
 }
@@ -420,20 +368,8 @@ pub fn escape_label_value(value: &str) -> String {
 fn help_text(name: &str) -> &'static str {
     const HELP: &[(&str, &str)] = &[
         (
-            "mapreduce.task_seconds",
-            "Simulated task durations in seconds, by phase",
-        ),
-        (
-            "mapreduce.shuffle_fetch_seconds",
-            "Simulated per-reduce-task shuffle fetch durations in seconds",
-        ),
-        (
             "mapreduce.peak_mem",
             "Peak resident bytes observed during real execution",
-        ),
-        (
-            "skyline.kernel_comparisons",
-            "Dominance comparisons per skyline kernel invocation",
         ),
         ("dominance", "Pairwise dominance tests"),
         ("kernel", "Skyline kernel instrumentation"),
@@ -610,71 +546,17 @@ mod tests {
     }
 
     #[test]
-    fn sketches_record_and_merge_across_shards() {
-        let reg = std::sync::Arc::new(MetricsRegistry::new());
-        reg.set_enabled(true);
-        // Spread a known uniform stream over 8 threads (hence several
-        // shards); the snapshot folds all shard sketches together.
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let reg = reg.clone();
-                std::thread::spawn(move || {
-                    for i in 0..2000u64 {
-                        reg.observe_quantile("lat", (i * 8 + t) as f64);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = reg.snapshot();
-        let sketch = snap.sketches.get("lat").expect("sketch present");
-        assert_eq!(sketch.count(), 16_000);
-        // Values are exactly 0..16000, so the p99 target rank is 15841;
-        // allow the 0.01 reporting rank-error budget.
-        let p99 = sketch.quantile(0.99).unwrap();
-        assert!(
-            (p99 - 15_840.0).abs() <= 160.0,
-            "p99 = {p99}, expected ~15840 ± 160"
-        );
-    }
-
-    #[test]
-    fn disabled_registry_drops_quantile_observations() {
-        let reg = MetricsRegistry::new();
-        reg.observe_quantile("lat", 1.0);
-        assert!(reg.snapshot().sketches.is_empty());
-    }
-
-    #[test]
-    fn prometheus_summary_series_for_sketches() {
-        let reg = MetricsRegistry::new();
-        reg.set_enabled(true);
-        for i in 0..1000 {
-            reg.observe_quantile("mapreduce.task_seconds.map", f64::from(i));
-        }
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# HELP mapreduce_task_seconds_map Simulated task durations"));
-        assert!(text.contains("# TYPE mapreduce_task_seconds_map summary"));
-        assert!(text.contains("mapreduce_task_seconds_map{quantile=\"0.5\"}"));
-        assert!(text.contains("mapreduce_task_seconds_map{quantile=\"0.999\"}"));
-        assert!(text.contains("mapreduce_task_seconds_map_count 1000"));
-    }
-
-    #[test]
     fn prometheus_every_series_has_help_and_type() {
         let reg = MetricsRegistry::new();
         reg.set_enabled(true);
         reg.incr("c", 1);
         reg.gauge("g", 1.0);
         reg.observe("h", 1);
-        reg.observe_quantile("s", 1.0);
         let text = reg.snapshot().to_prometheus();
         let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
         let types = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
-        assert_eq!(helps, 4, "one HELP per series family:\n{text}");
-        assert_eq!(types, 4, "one TYPE per series family:\n{text}");
+        assert_eq!(helps, 3, "one HELP per series family:\n{text}");
+        assert_eq!(types, 3, "one TYPE per series family:\n{text}");
         // HELP must precede TYPE for each series.
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate() {

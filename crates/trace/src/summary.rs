@@ -1,9 +1,10 @@
-//! Post-hoc trace analysis: schema validation for recorded streams and a
-//! human-readable [`TraceSummary`] table (`mrsky trace --summary`).
+//! Post-hoc trace analysis: schema validation for recorded streams and
+//! the human-readable `mrsky trace --summary` table, rendered from the
+//! [`RunModel`].
 
 use crate::event::{EventKind, PhaseKind, TraceEvent};
+use crate::model::{JobRun, PartitionRec, RunModel, ShuffleRec};
 use crate::registry::Histogram;
-use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -175,320 +176,25 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
     errors
 }
 
-/// Aggregate view of one job's phase, built from task lifecycle events.
-#[derive(Debug, Default, Clone)]
-pub struct PhaseSummary {
-    /// Tasks announced by `phase_started`.
-    pub tasks: u64,
-    /// `task_finished` events observed.
-    pub finished: u64,
-    /// Retry attempts.
-    pub retries: u64,
-    /// Tasks rebalanced by work stealing during real execution.
-    pub steals: u64,
-    /// Simulated phase span in seconds.
-    pub sim_span: f64,
+/// The quantiles each latency row of the summary reports.
+const REPORTED: [f64; 4] = [0.5, 0.95, 0.99, 0.999];
+
+/// The exact nearest-rank `q`-quantile of `values`: the value of rank
+/// `⌈q·n⌉` (clamped to `[1, n]`) in `total_cmp` order. Non-finite values
+/// are skipped; `None` when no finite value is left.
+pub fn nearest_rank(values: &[f64], q: f64) -> Option<f64> {
+    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
 }
 
-/// Aggregate view of one job.
-#[derive(Debug, Default, Clone)]
-pub struct JobSummary {
-    /// Per-phase aggregates.
-    pub phases: BTreeMap<PhaseKind, PhaseSummary>,
-    /// Shuffle totals: bytes, records, segments.
-    pub shuffle: (u64, u64, u64),
-    /// Per-phase peak resident bytes (map = buffered map output, reduce =
-    /// shuffled reduce input), maxed across `phase_peak_memory` events.
-    pub peak_mem: BTreeMap<PhaseKind, u64>,
-    /// Simulated end-to-end seconds.
-    pub sim_total: f64,
-    /// Host wall-clock seconds.
-    pub wall_seconds: f64,
-}
-
-/// Aggregate view of one kernel across all its invocations.
-#[derive(Debug, Default, Clone)]
-pub struct KernelSummary {
-    /// Invocation count.
-    pub calls: u64,
-    /// Total input points.
-    pub input: u64,
-    /// Total output points.
-    pub output: u64,
-    /// Total passes over the input.
-    pub passes: u64,
-    /// Total tracer-clock kernel time in microseconds (0 for traces
-    /// predating the `elapsed_us` field or simulated clocks).
-    pub elapsed_us: u64,
-    /// Dominance comparisons per invocation, log₂-bucketed.
-    pub comparisons: Histogram,
-}
-
-/// Everything `mrsky trace --summary` reports, built from a trace stream.
-#[derive(Debug, Default, Clone)]
-pub struct TraceSummary {
-    /// Per-job aggregates, in first-seen order semantics (BTreeMap by name).
-    pub jobs: BTreeMap<String, JobSummary>,
-    /// Per-kernel aggregates.
-    pub kernels: BTreeMap<String, KernelSummary>,
-    /// Per-partition `(input, local-skyline size, pruned, kernel)` rows.
-    /// `kernel` names the kernel that computed the partition (`pruned`
-    /// when skipped, empty for pre-schema traces).
-    pub partitions: BTreeMap<u64, (u64, u64, bool, String)>,
-    /// Ingest totals: (services, rejected).
-    pub ingest: Option<(u64, u64)>,
-    /// Driver span wall durations in microseconds, by name.
-    pub spans: BTreeMap<String, u64>,
-    /// Injected faults by `site/kind` wire names.
-    pub faults: BTreeMap<String, u64>,
-    /// Operations that ran out of their retry budget.
-    pub retries_exhausted: u64,
-    /// Partition checkpoints written / restored.
-    pub checkpoints: (u64, u64),
-    /// Map-side filter sweep totals: (rows entering, rows dropped).
-    pub filtered: (u64, u64),
-    /// Witness-based sector pruning: (partitions skipped, points skipped).
-    pub sectors_pruned: (u64, u64),
-    /// Records quarantined to the dead-letter report.
-    pub quarantined: u64,
-    /// Crash-recovery resumes observed (`run_resumed` markers).
-    pub resumes: u64,
-    /// Serving layer: completed requests by `op/outcome` wire names.
-    pub requests: BTreeMap<String, u64>,
-    /// Circuit-breaker transitions by `op: from->to`.
-    pub breaker_transitions: BTreeMap<String, u64>,
-    /// Requests shed by admission control, by reason.
-    pub sheds: BTreeMap<String, u64>,
-    /// Skyband deletion repairs: (from-buffer, underflow recomputes,
-    /// candidates promoted).
-    pub skyband_repairs: (u64, u64, u64),
-    /// Stale snapshot serves by reason.
-    pub stale_served: BTreeMap<String, u64>,
-    /// Causal edges by edge kind (`dispatch`, `slot`, `barrier`, ...).
-    pub causal_edges: BTreeMap<String, u64>,
-    /// Latency quantile sketches derived from the stream: simulated task
-    /// durations per phase, kernel comparison counts, and per-reducer
-    /// shuffle bytes, keyed by a stable row label.
-    pub latency: BTreeMap<String, QuantileSketch>,
-    /// Total events consumed.
-    pub events: u64,
-}
-
-/// Rank-error target for the summary's latency sketches: a single
-/// (unmerged) sketch per row, so the reporting budget of 0.01 holds with
-/// headroom.
-const SUMMARY_EPSILON: f64 = 0.005;
-
-impl TraceSummary {
-    /// Folds an event stream into aggregates.
-    pub fn from_events(events: &[TraceEvent]) -> TraceSummary {
-        let mut summary = TraceSummary {
-            events: events.len() as u64,
-            ..TraceSummary::default()
-        };
-        let mut phase_starts: BTreeMap<(String, PhaseKind), f64> = BTreeMap::new();
-        let mut span_opens: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-
-        for ev in events {
-            match &ev.kind {
-                EventKind::JobStarted { job } => {
-                    summary.jobs.entry(job.clone()).or_default();
-                }
-                EventKind::JobFinished {
-                    job,
-                    sim_total,
-                    wall_seconds,
-                } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.sim_total = *sim_total;
-                    entry.wall_seconds = *wall_seconds;
-                }
-                EventKind::PhaseStarted {
-                    job,
-                    phase,
-                    tasks,
-                    sim,
-                } => {
-                    phase_starts.insert((job.clone(), *phase), *sim);
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.phases.entry(*phase).or_default().tasks = *tasks;
-                }
-                EventKind::PhaseFinished { job, phase, sim } => {
-                    let start = phase_starts.remove(&(job.clone(), *phase)).unwrap_or(0.0);
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.phases.entry(*phase).or_default().sim_span = (sim - start).max(0.0);
-                }
-                EventKind::TaskRetried { job, phase, .. } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.phases.entry(*phase).or_default().retries += 1;
-                }
-                EventKind::TaskFinished {
-                    job,
-                    phase,
-                    sim_start,
-                    sim_end,
-                    ..
-                } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.phases.entry(*phase).or_default().finished += 1;
-                    summary
-                        .latency
-                        .entry(format!("task seconds ({phase})"))
-                        .or_insert_with(|| QuantileSketch::new(SUMMARY_EPSILON))
-                        .observe((sim_end - sim_start).max(0.0));
-                }
-                EventKind::TaskStolen { job, phase, .. } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.phases.entry(*phase).or_default().steals += 1;
-                }
-                EventKind::CausalEdge { edge, .. } => {
-                    *summary.causal_edges.entry(edge.clone()).or_insert(0) += 1;
-                }
-                EventKind::ShufflePartition {
-                    job,
-                    bytes,
-                    records,
-                    segments,
-                    ..
-                } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    entry.shuffle.0 += bytes;
-                    entry.shuffle.1 += records;
-                    entry.shuffle.2 += segments;
-                    summary
-                        .latency
-                        .entry("shuffle bytes (per reducer)".into())
-                        .or_insert_with(|| QuantileSketch::new(SUMMARY_EPSILON))
-                        .observe(*bytes as f64);
-                }
-                EventKind::PhasePeakMemory {
-                    job,
-                    phase,
-                    peak_bytes,
-                } => {
-                    let entry = summary.jobs.entry(job.clone()).or_default();
-                    let slot = entry.peak_mem.entry(*phase).or_insert(0);
-                    *slot = (*slot).max(*peak_bytes);
-                }
-                EventKind::KernelRun {
-                    kernel,
-                    input,
-                    output,
-                    comparisons,
-                    passes,
-                    elapsed_us,
-                } => {
-                    let entry = summary.kernels.entry(kernel.clone()).or_default();
-                    entry.calls += 1;
-                    entry.input += input;
-                    entry.output += output;
-                    entry.passes += passes;
-                    entry.elapsed_us += elapsed_us;
-                    entry.comparisons.record(*comparisons);
-                    summary
-                        .latency
-                        .entry("kernel comparisons".into())
-                        .or_insert_with(|| QuantileSketch::new(SUMMARY_EPSILON))
-                        .observe(*comparisons as f64);
-                }
-                EventKind::PartitionLocalSkyline {
-                    partition,
-                    input,
-                    output,
-                    pruned,
-                    kernel,
-                } => {
-                    summary
-                        .partitions
-                        .insert(*partition, (*input, *output, *pruned, kernel.clone()));
-                }
-                EventKind::IngestFinished { services, rejected } => {
-                    summary.ingest = Some((*services, *rejected));
-                }
-                EventKind::SpanBegin { name } => {
-                    span_opens.entry(name.clone()).or_default().push(ev.wall_us);
-                }
-                EventKind::SpanEnd { name } => {
-                    if let Some(begin) = span_opens.get_mut(name).and_then(Vec::pop) {
-                        let dur = ev.wall_us.saturating_sub(begin);
-                        let slot = summary.spans.entry(name.clone()).or_insert(0);
-                        *slot = slot.saturating_add(dur);
-                    }
-                }
-                EventKind::FaultInjected { site, fault, .. } => {
-                    *summary.faults.entry(format!("{site}/{fault}")).or_insert(0) += 1;
-                }
-                EventKind::TaskRetryExhausted { .. } => {
-                    summary.retries_exhausted += 1;
-                }
-                EventKind::CheckpointWritten { .. } => {
-                    summary.checkpoints.0 += 1;
-                }
-                EventKind::CheckpointRestored { .. } => {
-                    summary.checkpoints.1 += 1;
-                }
-                EventKind::RowsFiltered { input, filtered } => {
-                    summary.filtered.0 += input;
-                    summary.filtered.1 += filtered;
-                }
-                EventKind::SectorPruned { points, .. } => {
-                    summary.sectors_pruned.0 += 1;
-                    summary.sectors_pruned.1 += points;
-                }
-                EventKind::RecordQuarantined { .. } => {
-                    summary.quarantined += 1;
-                }
-                EventKind::RunResumed { .. } => {
-                    summary.resumes += 1;
-                }
-                EventKind::Request {
-                    op,
-                    outcome,
-                    sim_latency,
-                    ..
-                } => {
-                    *summary
-                        .requests
-                        .entry(format!("{op}/{outcome}"))
-                        .or_insert(0) += 1;
-                    summary
-                        .latency
-                        .entry(format!("request seconds ({op})"))
-                        .or_insert_with(|| QuantileSketch::new(SUMMARY_EPSILON))
-                        .observe(sim_latency.max(0.0));
-                }
-                EventKind::BreakerTransition { op, from, to, .. } => {
-                    *summary
-                        .breaker_transitions
-                        .entry(format!("{op}: {from}->{to}"))
-                        .or_insert(0) += 1;
-                }
-                EventKind::Shed { reason, .. } => {
-                    *summary.sheds.entry(reason.clone()).or_insert(0) += 1;
-                }
-                EventKind::SkybandRepair {
-                    promoted,
-                    underflow,
-                    ..
-                } => {
-                    if *underflow {
-                        summary.skyband_repairs.1 += 1;
-                    } else {
-                        summary.skyband_repairs.0 += 1;
-                    }
-                    summary.skyband_repairs.2 += promoted;
-                }
-                EventKind::StaleServed { reason, .. } => {
-                    *summary.stale_served.entry(reason.clone()).or_insert(0) += 1;
-                }
-                EventKind::IngestStarted { .. } => {}
-            }
-        }
-        summary
-    }
-
-    /// Renders the fixed-width report table.
-    pub fn render(&self) -> String {
+impl RunModel {
+    /// Renders the `mrsky trace --summary` table. Runs are listed by job
+    /// name; a name that started more than once renders one block per run,
+    /// in start order, and a run a crash cut short is labelled abandoned.
+    pub fn summary(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "trace summary ({} events)", self.events);
 
@@ -496,73 +202,111 @@ impl TraceSummary {
             let _ = writeln!(out, "  ingest: {services} services, {rejected} rejected");
         }
 
-        for (job, js) in &self.jobs {
-            let _ = writeln!(
-                out,
-                "  job {job}: sim {:.2}s, wall {:.3}s",
-                js.sim_total, js.wall_seconds
-            );
-            for (phase, p) in &js.phases {
+        let mut runs: Vec<&JobRun> = self.runs.iter().collect();
+        runs.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut starts: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        for run in &runs {
+            starts.entry(&run.name).or_default().1 += 1;
+        }
+        for run in runs {
+            let (k, n) = starts.entry(&run.name).or_default();
+            *k += 1;
+            let label = if *n > 1 {
+                format!("{} (run {k} of {n})", run.name)
+            } else {
+                run.name.clone()
+            };
+            let (sim, wall) = run.finished.unwrap_or((0.0, 0.0));
+            if run.abandoned {
+                let _ = writeln!(out, "  job {label}: abandoned");
+            } else {
+                let _ = writeln!(out, "  job {label}: sim {sim:.2}s, wall {wall:.3}s");
+            }
+            for p in [&run.map, &run.reduce].into_iter().filter(|p| p.seen()) {
                 let _ = writeln!(
                     out,
-                    "    {phase:<6} tasks={} finished={} retries={} span={:.2}s",
-                    p.tasks, p.finished, p.retries, p.sim_span
+                    "    {:<6} tasks={} finished={} retries={} span={:.2}s",
+                    p.kind,
+                    p.announced.unwrap_or(0),
+                    p.tasks.len(),
+                    p.retries,
+                    p.span()
                 );
             }
-            if js.shuffle != (0, 0, 0) {
+            let sum = |f: fn(&ShuffleRec) -> u64| run.shuffle.iter().map(f).sum::<u64>();
+            let shuffle = (sum(|s| s.bytes), sum(|s| s.records), sum(|s| s.segments));
+            if shuffle != (0, 0, 0) {
                 let _ = writeln!(
                     out,
                     "    shuffle: {} bytes, {} records, {} segments",
-                    js.shuffle.0, js.shuffle.1, js.shuffle.2
+                    shuffle.0, shuffle.1, shuffle.2
                 );
             }
-            if !js.peak_mem.is_empty() {
+            let mut peak: BTreeMap<PhaseKind, u64> = BTreeMap::new();
+            for m in &run.peak_mem {
+                let slot = peak.entry(m.phase).or_insert(0);
+                *slot = (*slot).max(m.peak_bytes);
+            }
+            if !peak.is_empty() {
                 let _ = write!(out, "    peak memory:");
-                for (phase, bytes) in &js.peak_mem {
+                for (phase, bytes) in &peak {
                     let _ = write!(out, " {phase}={bytes}B");
                 }
                 out.push('\n');
             }
-            let steals: u64 = js.phases.values().map(|p| p.steals).sum();
+            let steals = run.map.steals.len() + run.reduce.steals.len();
             if steals > 0 {
                 let _ = writeln!(out, "    work-stealing: {steals} task(s) rebalanced");
             }
         }
+        if let Some(job) = &self.orphan {
+            let _ = writeln!(
+                out,
+                "  unattributed: events for job `{job}` arrived while no run of it was open"
+            );
+        }
 
-        if !self.partitions.is_empty() {
-            let computed: Vec<_> = self
-                .partitions
-                .iter()
-                .filter(|(_, (_, _, pruned, _))| !pruned)
-                .collect();
-            let pruned = self.partitions.len() - computed.len();
+        // one row per partition id: the last report wins
+        let partitions: BTreeMap<u64, &PartitionRec> =
+            self.partitions.iter().map(|p| (p.partition, p)).collect();
+        if !partitions.is_empty() {
+            let computed: Vec<&PartitionRec> =
+                partitions.values().copied().filter(|p| !p.pruned).collect();
+            let pruned = partitions.len() - computed.len();
             let _ = writeln!(
                 out,
                 "  partitions: {} computed, {pruned} pruned",
                 computed.len()
             );
-            for (id, (input, output, _, kernel)) in &computed {
+            for p in &computed {
                 let _ = writeln!(
                     out,
-                    "    p{id:<4} in={input:<8} local_skyline={output:<8} kernel={}",
-                    if kernel.is_empty() { "?" } else { kernel }
+                    "    p{:<4} in={:<8} local_skyline={:<8} kernel={}",
+                    p.partition,
+                    p.input,
+                    p.output,
+                    if p.kernel.is_empty() { "?" } else { &p.kernel }
                 );
             }
         }
 
-        for (kernel, ks) in &self.kernels {
+        for (kernel, k) in &self.kernels {
+            let mut comparisons = Histogram::new();
+            for &c in &k.comparisons {
+                comparisons.record(c);
+            }
             let _ = writeln!(
                 out,
                 "  kernel {kernel}: calls={} in={} out={} passes={} time={}us comparisons(sum={}, mean={:.0})",
-                ks.calls,
-                ks.input,
-                ks.output,
-                ks.passes,
-                ks.elapsed_us,
-                ks.comparisons.sum(),
-                ks.comparisons.mean()
+                comparisons.count(),
+                k.input,
+                k.output,
+                k.passes,
+                k.elapsed_us,
+                comparisons.sum(),
+                comparisons.mean()
             );
-            let buckets = ks.comparisons.nonzero_buckets();
+            let buckets = comparisons.nonzero_buckets();
             if !buckets.is_empty() {
                 let _ = write!(out, "    comparisons histogram:");
                 for (le, count) in buckets {
@@ -648,20 +392,22 @@ impl TraceSummary {
             out.push('\n');
         }
 
-        if !self.causal_edges.is_empty() {
+        let counts = self.edge_counts();
+        if !counts.is_empty() {
             let _ = write!(out, "  causal edges:");
-            for (edge, count) in &self.causal_edges {
+            for (edge, count) in counts {
                 let _ = write!(out, " {edge}={count}");
             }
             out.push('\n');
         }
 
-        if !self.latency.is_empty() {
+        let latency = self.latency_rows();
+        if !latency.is_empty() {
             let _ = writeln!(out, "  latency quantiles (p50 / p95 / p99 / p999):");
-            for (label, sketch) in &self.latency {
-                let qs: Vec<String> = QuantileSketch::REPORTED
+            for (label, values) in &latency {
+                let qs: Vec<String> = REPORTED
                     .iter()
-                    .map(|&(_, q)| fmt_quantile(sketch.quantile(q).unwrap_or(0.0)))
+                    .map(|&q| fmt_quantile(nearest_rank(values, q).unwrap_or(0.0)))
                     .collect();
                 let _ = writeln!(out, "    {label:<28} {}", qs.join(" / "));
             }
@@ -674,6 +420,36 @@ impl TraceSummary {
             }
         }
         out
+    }
+
+    /// The values behind each latency-quantile row, by row label:
+    /// simulated task durations per phase, per-reducer shuffle bytes,
+    /// kernel comparison counts, and simulated request latencies per op.
+    fn latency_rows(&self) -> BTreeMap<String, Vec<f64>> {
+        let mut rows: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        for run in &self.runs {
+            for p in [&run.map, &run.reduce] {
+                for t in &p.tasks {
+                    rows.entry(format!("task seconds ({})", p.kind))
+                        .or_default()
+                        .push(t.duration());
+                }
+            }
+            for s in &run.shuffle {
+                rows.entry("shuffle bytes (per reducer)".into())
+                    .or_default()
+                    .push(s.bytes as f64);
+            }
+        }
+        for k in self.kernels.values() {
+            rows.entry("kernel comparisons".into())
+                .or_default()
+                .extend(k.comparisons.iter().map(|&c| c as f64));
+        }
+        for (op, values) in &self.request_latency {
+            rows.insert(format!("request seconds ({op})"), values.clone());
+        }
+        rows
     }
 }
 
@@ -788,6 +564,23 @@ mod tests {
             ),
             ev(10, 20, SpanEnd { name: "run".into() }),
         ]
+    }
+
+    #[test]
+    fn nearest_rank_is_exact() {
+        // 1..=1000 in a scrambled order, plus values the rule skips
+        let mut values: Vec<f64> = (1..=1000)
+            .map(|i| f64::from((i * 337) % 1000 + 1))
+            .collect();
+        values.extend([f64::NAN, f64::INFINITY]);
+        assert_eq!(nearest_rank(&values, 0.5), Some(500.0));
+        assert_eq!(nearest_rank(&values, 0.99), Some(990.0));
+        assert_eq!(nearest_rank(&values, 0.999), Some(999.0));
+        assert_eq!(nearest_rank(&values, 0.0), Some(1.0), "rank clamps to 1");
+        assert_eq!(nearest_rank(&values, 1.0), Some(1000.0));
+        assert_eq!(nearest_rank(&[7.0], 0.95), Some(7.0));
+        assert_eq!(nearest_rank(&[], 0.5), None);
+        assert_eq!(nearest_rank(&[f64::NAN], 0.5), None);
     }
 
     #[test]
@@ -1023,12 +816,12 @@ mod tests {
                 },
             ),
         ];
-        let summary = TraceSummary::from_events(&stream);
+        let summary = RunModel::from_events(&stream);
         assert_eq!(summary.faults.get("map-task/panic"), Some(&2));
         assert_eq!(summary.retries_exhausted, 1);
         assert_eq!(summary.checkpoints, (1, 1));
         assert_eq!(summary.quarantined, 1);
-        let text = summary.render();
+        let text = summary.summary();
         assert!(text.contains("2 fault(s) injected"));
         assert!(text.contains("1 retry budget(s) exhausted"));
         assert!(text.contains("checkpoints: 1 written, 1 restored"));
@@ -1100,10 +893,10 @@ mod tests {
                 },
             ),
         ];
-        let summary = TraceSummary::from_events(&stream);
+        let summary = RunModel::from_events(&stream);
         assert_eq!(summary.filtered, (1600, 800));
         assert_eq!(summary.sectors_pruned, (1, 120));
-        let text = summary.render();
+        let text = summary.summary();
         assert!(text.contains("filter points: 800 of 1600 rows dropped map-side"));
         assert!(text.contains("sector pruning: 1 partition(s) skipped (120 points)"));
     }
@@ -1152,30 +945,33 @@ mod tests {
             ),
         ];
         assert!(validate_events(&stream).is_empty());
-        let summary = TraceSummary::from_events(&stream);
-        let job = summary.jobs.get("j").unwrap();
-        assert_eq!(job.peak_mem.get(&PhaseKind::Map), Some(&4096));
-        assert_eq!(job.peak_mem.get(&PhaseKind::Reduce), Some(&1024));
-        let text = summary.render();
+        let summary = RunModel::from_events(&stream);
+        assert_eq!(summary.runs[0].peak_mem.len(), 3);
+        let text = summary.summary();
         assert!(text.contains("peak memory: map=4096B reduce=1024B"));
     }
 
     #[test]
     fn summary_aggregates_the_stream() {
-        let summary = TraceSummary::from_events(&valid_stream());
-        let job = summary.jobs.get("j").unwrap();
-        assert_eq!(job.sim_total, 2.5);
-        let map = job.phases.get(&PhaseKind::Map).unwrap();
-        assert_eq!(map.tasks, 2);
-        assert_eq!(map.finished, 2);
+        let summary = RunModel::from_events(&valid_stream());
+        let job = &summary.runs[0];
+        assert_eq!(job.sim_total(), 2.5);
+        let map = &job.map;
+        assert_eq!(map.announced, Some(2));
+        assert_eq!(map.tasks.len(), 2);
         assert_eq!(map.retries, 1);
-        assert_eq!(map.sim_span, 2.0);
+        assert_eq!(map.span(), 2.0);
         let bnl = summary.kernels.get("bnl").unwrap();
-        assert_eq!(bnl.calls, 1);
-        assert_eq!(bnl.comparisons.sum(), 500);
+        assert_eq!(bnl.comparisons, vec![500]);
         assert_eq!(
-            summary.partitions.get(&3),
-            Some(&(100, 10, false, "bnl".to_string()))
+            summary.partitions,
+            vec![PartitionRec {
+                partition: 3,
+                input: 100,
+                output: 10,
+                pruned: false,
+                kernel: "bnl".into(),
+            }]
         );
         assert_eq!(summary.spans.get("run"), Some(&20));
     }
@@ -1252,35 +1048,44 @@ mod tests {
     #[test]
     fn summary_aggregates_causal_events_and_latency() {
         use EventKind::*;
+        // Both arrive while the job runs, before its `job_finished`.
         let mut stream = valid_stream();
-        let next = stream.len() as u64;
-        stream.push(ev(
-            next,
-            100,
-            CausalEdge {
-                edge: "slot".into(),
-                src: "task:j/map/0".into(),
-                dst: "task:j/map/1".into(),
-            },
-        ));
-        stream.push(ev(
-            next + 1,
-            101,
-            TaskStolen {
-                job: "j".into(),
-                phase: PhaseKind::Map,
-                task: 1,
-                thief: 3,
-                victim: 0,
-            },
-        ));
-        let summary = TraceSummary::from_events(&stream);
-        assert_eq!(summary.causal_edges.get("slot"), Some(&1));
-        let map = summary.jobs.get("j").unwrap().phases[&PhaseKind::Map].clone();
-        assert_eq!(map.steals, 1);
-        let tasks = summary.latency.get("task seconds (map)").unwrap();
-        assert_eq!(tasks.count(), 2);
-        let text = summary.render();
+        stream.insert(
+            9,
+            ev(
+                0,
+                0,
+                CausalEdge {
+                    edge: "slot".into(),
+                    src: "task:j/map/0".into(),
+                    dst: "task:j/map/1".into(),
+                },
+            ),
+        );
+        stream.insert(
+            10,
+            ev(
+                0,
+                0,
+                TaskStolen {
+                    job: "j".into(),
+                    phase: PhaseKind::Map,
+                    task: 1,
+                    thief: 3,
+                    victim: 0,
+                },
+            ),
+        );
+        for (i, e) in stream.iter_mut().enumerate() {
+            e.seq = i as u64;
+            e.wall_us = i as u64;
+        }
+        assert!(validate_events(&stream).is_empty());
+        let summary = RunModel::from_events(&stream);
+        assert_eq!(summary.edge_counts().get("slot"), Some(&1));
+        assert_eq!(summary.runs[0].map.steals.len(), 1);
+        assert_eq!(summary.latency_rows()["task seconds (map)"], vec![1.0, 2.0]);
+        let text = summary.summary();
         assert!(text.contains("causal edges: slot=1"));
         assert!(text.contains("work-stealing: 1 task(s) rebalanced"));
         assert!(text.contains("latency quantiles (p50 / p95 / p99 / p999):"));
@@ -1300,7 +1105,7 @@ mod tests {
             .collect();
         let run = |input: &str| {
             let events = crate::parse_jsonl(input).unwrap();
-            TraceSummary::from_events(&events).render()
+            RunModel::from_events(&events).summary()
         };
         let first = run(&text);
         let second = run(&text);
@@ -1341,7 +1146,7 @@ mod tests {
                 },
             ),
         ];
-        let text = TraceSummary::from_events(&stream).render();
+        let text = RunModel::from_events(&stream).summary();
         let alpha = text.find("job alpha").expect("alpha row");
         let zeta = text.find("job zeta").expect("zeta row");
         assert!(alpha < zeta, "rows not sorted by job name:\n{text}");
@@ -1349,7 +1154,7 @@ mod tests {
 
     #[test]
     fn render_mentions_the_headline_numbers() {
-        let text = TraceSummary::from_events(&valid_stream()).render();
+        let text = RunModel::from_events(&valid_stream()).summary();
         assert!(text.contains("job j"));
         assert!(text.contains("tasks=2"));
         assert!(text.contains("retries=1"));
@@ -1434,7 +1239,7 @@ mod tests {
             ),
         ];
         assert!(validate_events(&stream).is_empty());
-        let summary = TraceSummary::from_events(&stream);
+        let summary = RunModel::from_events(&stream);
         assert_eq!(summary.requests.get("insert/ok"), Some(&1));
         assert_eq!(summary.requests.get("query/stale"), Some(&1));
         assert_eq!(
@@ -1444,9 +1249,9 @@ mod tests {
         assert_eq!(summary.sheds.get("queue-depth"), Some(&1));
         assert_eq!(summary.skyband_repairs, (1, 1, 2));
         assert_eq!(summary.stale_served.get("breaker-open"), Some(&1));
-        assert!(summary.latency.contains_key("request seconds (insert)"));
+        assert_eq!(summary.request_latency["insert"], vec![0.2]);
 
-        let text = summary.render();
+        let text = summary.summary();
         assert!(text.contains("serve requests: 2"), "{text}");
         assert!(text.contains("breaker transitions:"), "{text}");
         assert!(text.contains("load shed: 1"), "{text}");

@@ -1,7 +1,7 @@
 //! Golden-file test for the Prometheus text exposition: the full output
 //! for a fixed registry state is pinned byte-for-byte, so `# HELP`/`# TYPE`
-//! comments, label escaping, series ordering, and the summary-quantile
-//! format cannot drift silently. Regenerate with
+//! comments, label escaping and series ordering cannot drift silently.
+//! Regenerate with
 //! `MRSKY_BLESS=1 cargo test -p mrsky-trace --test prometheus_golden`.
 
 use mrsky_trace::MetricsRegistry;
@@ -18,9 +18,6 @@ fn exposition() -> String {
     reg.gauge("mapreduce.peak_mem.reduce_in_bytes", 1500000.0);
     for v in [0u64, 1, 3, 900, 40000] {
         reg.observe("cmp", v);
-    }
-    for i in 0..1000 {
-        reg.observe_quantile("mapreduce.task_seconds.map", f64::from(i) / 100.0);
     }
     reg.snapshot().to_prometheus()
 }

@@ -8,7 +8,11 @@
 //! ```
 //!
 //! Run any subcommand with `--help` for its flags. All randomness is seeded;
-//! identical invocations produce identical output.
+//! identical invocations produce identical output, with two exceptions:
+//! wall-clock fields (a trace's `wall_us` and `wall_seconds` and what is
+//! computed from them), and, at more than one thread
+//! (`MRSKY_THREADS` ≠ 1), the `task_stolen` events a trace records, since
+//! which tasks work stealing moves depends on thread timing.
 
 use mr_skyline_suite::chaos::{FaultPlan, KillSwitch};
 use mr_skyline_suite::mr::checkpoint::CheckpointStore;
@@ -21,7 +25,7 @@ use mr_skyline_suite::serve::{
     load_script, LoadRunner, LoadgenConfig, Mutation, Op, ServeConfig, SkylineService,
 };
 use mr_skyline_suite::skyline::select::BlockKernel;
-use mr_skyline_suite::trace::{self, EpochClock, TraceSummary, Tracer, VecSink};
+use mr_skyline_suite::trace::{self, EpochClock, RunModel, Tracer, VecSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -200,14 +204,21 @@ fn check_flags(args: &[String], known: &[&[&str]]) -> Result<(), String> {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after `name`, or `None` when `name` is absent. A value flag
+/// given last, or followed by another `--` argument, is an error rather
+/// than a silent default or a flag swallowed as the value.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("{name} needs a value")),
+    }
 }
 
 fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    match flag(args, name) {
+    match flag(args, name)? {
         None => Ok(default),
         Some(v) => v
             .replace('_', "")
@@ -229,11 +240,11 @@ fn flag_servers(args: &[String]) -> Result<usize, String> {
 /// Parses `--chaos-profile`, `--chaos-seed`, and `--chaos-kill-after` into
 /// a [`FaultPlan`] (the plan is `off` when no chaos flag is given).
 fn chaos_opts(args: &[String]) -> Result<FaultPlan, String> {
-    let profile = flag(args, "--chaos-profile").unwrap_or_else(|| "off".into());
+    let profile = flag(args, "--chaos-profile")?.unwrap_or_else(|| "off".into());
     let seed = flag_usize(args, "--chaos-seed", 42)? as u64;
     let mut plan = FaultPlan::profile(&profile, seed)
         .ok_or_else(|| format!("unknown chaos profile `{profile}` (expected off|light|heavy)"))?;
-    if let Some(n) = flag(args, "--chaos-kill-after") {
+    if let Some(n) = flag(args, "--chaos-kill-after")? {
         let n: u64 = n
             .parse()
             .map_err(|_| format!("--chaos-kill-after expects an integer, got `{n}`"))?;
@@ -248,7 +259,7 @@ fn chaos_opts(args: &[String]) -> Result<FaultPlan, String> {
 /// disables witness-based partition pruning.
 fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     let mut config = AlgoConfig::default();
-    if let Some(k) = flag(args, "--kernel") {
+    if let Some(k) = flag(args, "--kernel")? {
         config.kernel = match k.as_str() {
             "auto" => None,
             _ => Some(
@@ -257,7 +268,7 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
             ),
         };
     }
-    if let Some(k) = flag(args, "--filter-k") {
+    if let Some(k) = flag(args, "--filter-k")? {
         let k: usize = k
             .parse()
             .map_err(|_| format!("--filter-k expects an integer, got `{k}`"))?;
@@ -272,14 +283,14 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     if args.iter().any(|a| a == "--row-shuffle") {
         config.owned_shuffle = false;
     }
-    if let Some(b) = flag(args, "--spill-budget") {
+    if let Some(b) = flag(args, "--spill-budget")? {
         let b: u64 = b
             .replace('_', "")
             .parse()
             .map_err(|_| format!("--spill-budget expects a byte count, got `{b}`"))?;
         config.spill_budget_bytes = Some(b);
     }
-    if let Some(dir) = flag(args, "--spill-dir") {
+    if let Some(dir) = flag(args, "--spill-dir")? {
         if config.spill_budget_bytes.is_none() {
             return Err("--spill-dir needs --spill-budget BYTES".into());
         }
@@ -302,13 +313,13 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
 }
 
 fn load_data(args: &[String]) -> Result<Dataset, String> {
-    if let Some(path) = flag(args, "--qws-file") {
+    if let Some(path) = flag(args, "--qws-file")? {
         // the real QWS v2 distribution file
         let (data, _names) = mr_skyline_suite::qws::load_qws_file(PathBuf::from(&path).as_path())
             .map_err(|e| format!("cannot load QWS file `{path}`: {e}"))?;
         return Ok(data);
     }
-    let path = flag(args, "--data").ok_or("--data FILE (or --qws-file FILE) is required")?;
+    let path = flag(args, "--data")?.ok_or("--data FILE (or --qws-file FILE) is required")?;
     Dataset::load_csv(path.clone(), PathBuf::from(&path).as_path())
         .map_err(|e| format!("cannot load `{path}`: {e}"))
 }
@@ -328,10 +339,10 @@ fn trace_opts(args: &[String]) -> Result<TraceOpts, String> {
     if metrics {
         trace::metrics().set_enabled(true);
     }
-    let out = match flag(args, "--trace") {
+    let out = match flag(args, "--trace")? {
         None => None,
         Some(path) => {
-            let format = flag(args, "--trace-format").unwrap_or_else(|| "jsonl".into());
+            let format = flag(args, "--trace-format")?.unwrap_or_else(|| "jsonl".into());
             if format != "jsonl" && format != "chrome" {
                 return Err(format!(
                     "--trace-format expects jsonl or chrome, got `{format}`"
@@ -390,11 +401,11 @@ impl TraceOpts {
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     check_flags(args, &[&["--out", "--n", "--dims", "--seed", "--dist"]])?;
-    let out = flag(args, "--out").ok_or("--out FILE is required")?;
+    let out = flag(args, "--out")?.ok_or("--out FILE is required")?;
     let n = flag_usize(args, "--n", 10_000)?;
     let dims = flag_usize(args, "--dims", 6)?;
     let seed = flag_usize(args, "--seed", 42)? as u64;
-    let dist = flag(args, "--dist").unwrap_or_else(|| "qws".to_string());
+    let dist = flag(args, "--dist")?.unwrap_or_else(|| "qws".to_string());
     check_generate_shape(n, dims, &dist)?;
     let data = match dist.as_str() {
         "qws" => generate_qws(&QwsConfig::new(n, dims).with_seed(seed)),
@@ -456,12 +467,12 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let data = load_data(args)?;
-    let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
+    let algorithm = parse_algorithm(&flag(args, "--algorithm")?.unwrap_or_else(|| "angle".into()))?;
     let servers = flag_servers(args)?;
     let force = args.iter().any(|a| a == "--force");
     let topts = trace_opts(args)?;
     let chaos = chaos_opts(args)?;
-    let checkpoint_dir = flag(args, "--checkpoint-dir");
+    let checkpoint_dir = flag(args, "--checkpoint-dir")?;
     let resume = args.iter().any(|a| a == "--resume");
     if chaos.kill_after_checkpoints.is_some() && checkpoint_dir.is_none() {
         return Err("--chaos-kill-after needs --checkpoint-dir DIR to resume from".into());
@@ -547,8 +558,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let data = load_data(args)?;
-    let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
-    let servers: Vec<usize> = flag(args, "--servers")
+    let algorithm = parse_algorithm(&flag(args, "--algorithm")?.unwrap_or_else(|| "angle".into()))?;
+    let servers: Vec<usize> = flag(args, "--servers")?
         .unwrap_or_else(|| "4,8,16,32".into())
         .split(',')
         .map(|s| match s.trim().parse::<usize>() {
@@ -590,7 +601,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// schema validation.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     check_flags(args, &[&["--summary", "--validate", "--chrome"]])?;
-    let chrome_out = flag(args, "--chrome");
+    let chrome_out = flag(args, "--chrome")?;
     let validate = args.iter().any(|a| a == "--validate");
     // the input file is the last operand that is neither a flag nor the
     // --chrome output path
@@ -633,7 +644,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     // default (and --summary): the human-readable report
-    print!("{}", TraceSummary::from_events(&events).render());
+    print!("{}", RunModel::from_events(&events).summary());
     Ok(())
 }
 
@@ -654,7 +665,8 @@ fn cmd_insight(args: &[String]) -> Result<(), String> {
     let text =
         std::fs::read_to_string(input).map_err(|e| format!("cannot read trace `{input}`: {e}"))?;
     let events = trace::parse_jsonl(&text).map_err(|e| format!("`{input}`: {e}"))?;
-    let run = insight::RunModel::from_events(&events).map_err(|e| format!("`{input}`: {e}"))?;
+    let run = RunModel::from_events(&events);
+    insight::check(&run).map_err(|e| format!("`{input}`: {e}"))?;
     if all || want_cp {
         let cp = insight::critical_path(&run);
         print!("{}", insight::report::render_critical_path(&run, &cp));
@@ -683,19 +695,19 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         Some("plan") => {
             let rest = &args[1..];
             check_flags(rest, &[&["--profile", "--seed", "--kill-after", "--out"]])?;
-            let profile = flag(rest, "--profile").unwrap_or_else(|| "light".into());
+            let profile = flag(rest, "--profile")?.unwrap_or_else(|| "light".into());
             let seed = flag_usize(rest, "--seed", 42)? as u64;
             let mut plan = FaultPlan::profile(&profile, seed).ok_or_else(|| {
                 format!("unknown chaos profile `{profile}` (expected off|light|heavy)")
             })?;
-            if let Some(n) = flag(rest, "--kill-after") {
+            if let Some(n) = flag(rest, "--kill-after")? {
                 let n: u64 = n
                     .parse()
                     .map_err(|_| format!("--kill-after expects an integer, got `{n}`"))?;
                 plan.kill_after_checkpoints = Some(n);
             }
             let json = plan.to_json();
-            match flag(rest, "--out") {
+            match flag(rest, "--out")? {
                 Some(out) => {
                     std::fs::write(&out, format!("{json}\n"))
                         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
@@ -714,16 +726,16 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
                     &["--plan", "--algorithm", "--servers", "--checkpoint-dir"],
                 ],
             )?;
-            let plan_path = flag(rest, "--plan").ok_or("--plan FILE is required")?;
+            let plan_path = flag(rest, "--plan")?.ok_or("--plan FILE is required")?;
             let text = std::fs::read_to_string(&plan_path)
                 .map_err(|e| format!("cannot read plan `{plan_path}`: {e}"))?;
             let plan =
                 FaultPlan::from_json(text.trim()).map_err(|e| format!("`{plan_path}`: {e}"))?;
             let data = load_data(rest)?;
             let algorithm =
-                parse_algorithm(&flag(rest, "--algorithm").unwrap_or_else(|| "angle".into()))?;
+                parse_algorithm(&flag(rest, "--algorithm")?.unwrap_or_else(|| "angle".into()))?;
             let servers = flag_servers(rest)?;
-            let checkpoint_dir = flag(rest, "--checkpoint-dir");
+            let checkpoint_dir = flag(rest, "--checkpoint-dir")?;
             if plan.kill_after_checkpoints.is_some() && checkpoint_dir.is_none() {
                 return Err(
                     "the plan kills the run after checkpoints; replay needs --checkpoint-dir DIR"
@@ -794,7 +806,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             } => text.push_str(&format!("delete {tenant} {seq} {id}\n")),
         }
     }
-    match flag(args, "--out") {
+    match flag(args, "--out")? {
         Some(out) => {
             std::fs::write(&out, text).map_err(|e| format!("cannot write `{out}`: {e}"))?;
             eprintln!(
@@ -836,8 +848,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     serve_cfg.max_attempts = flag_usize(args, "--max-attempts", 0)? as u32;
     serve_cfg.breaker.failure_threshold = flag_usize(args, "--breaker-threshold", 3)?.max(1) as u32;
-    let checkpoint_dir = flag(args, "--checkpoint-dir");
-    let kill_after = match flag(args, "--kill-after") {
+    let checkpoint_dir = flag(args, "--checkpoint-dir")?;
+    let kill_after = match flag(args, "--kill-after")? {
         None => None,
         Some(n) => Some(
             n.parse::<u64>()
@@ -847,7 +859,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if kill_after.is_some() && checkpoint_dir.is_none() {
         return Err("--kill-after needs --checkpoint-dir DIR to resume from".into());
     }
-    let trace_out = flag(args, "--trace");
+    let trace_out = flag(args, "--trace")?;
     let json = args.iter().any(|a| a == "--json");
 
     let build = |kill: Option<Arc<KillSwitch>>| -> Result<SkylineService, String> {
@@ -1000,15 +1012,15 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
     )?;
     let data = load_data(args)?;
     let servers = flag_servers(args)?;
-    let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
+    let algorithm = parse_algorithm(&flag(args, "--algorithm")?.unwrap_or_else(|| "angle".into()))?;
     let weights = parse_weights(
-        &flag(args, "--weights").ok_or("--weights W1,W2,... is required")?,
+        &flag(args, "--weights")?.ok_or("--weights W1,W2,... is required")?,
         data.dim(),
     )?;
     let top = flag_usize(args, "--top", 5)?;
-    let summary = if let Some(k) = flag(args, "--diverse") {
+    let summary = if let Some(k) = flag(args, "--diverse")? {
         Summary::Diverse(k.parse().map_err(|_| "--diverse expects an integer")?)
-    } else if let Some(k) = flag(args, "--covering") {
+    } else if let Some(k) = flag(args, "--covering")? {
         Summary::MaxDominance(k.parse().map_err(|_| "--covering expects an integer")?)
     } else {
         Summary::Full
@@ -1100,6 +1112,26 @@ mod tests {
         assert_eq!(
             check_flags(&args(&["--filter_k", "0"]), &[PRUNING_FLAGS]),
             Err("unknown flag --filter_k".to_string())
+        );
+    }
+
+    #[test]
+    fn value_flags_refuse_a_missing_value() {
+        let args = |v: &[&str]| v.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let given = args(&["--trace", "--data", "f.csv", "--servers"]);
+        assert_eq!(flag(&given, "--data"), Ok(Some("f.csv".to_string())));
+        assert_eq!(flag(&given, "--algorithm"), Ok(None));
+        assert_eq!(
+            flag(&given, "--servers"),
+            Err("--servers needs a value".to_string())
+        );
+        assert_eq!(
+            flag(&given, "--trace"),
+            Err("--trace needs a value".to_string())
+        );
+        assert_eq!(
+            flag_servers(&given),
+            Err("--servers needs a value".to_string())
         );
     }
 

@@ -6,7 +6,7 @@
 use mr_skyline_suite::insight;
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_synthetic, Distribution, SyntheticConfig};
-use mr_skyline_suite::trace::{EventKind, Tracer};
+use mr_skyline_suite::trace::{EventKind, RunModel, Tracer};
 
 /// Runs MR-Angle on seeded anti-correlated data (large skylines survive the
 /// map-side filter, and the angular sectors load unevenly) and returns the
@@ -46,7 +46,8 @@ fn analyzer_names_the_hot_partition_and_blame_sums_to_wall_time() {
     truth.sort_by_key(|a| a.1);
     let (true_hot, true_rows) = *truth.last().unwrap();
 
-    let run = insight::RunModel::from_events(&events).unwrap();
+    let run = RunModel::from_events(&events);
+    assert_eq!(insight::check(&run), Ok(()));
     let skew = insight::skew(&run).expect("partition job present");
     assert_eq!(skew.hot_partition, true_hot, "wrong hot partition");
     assert_eq!(skew.hot_rows, true_rows);
@@ -80,7 +81,7 @@ fn analyzer_names_the_hot_partition_and_blame_sums_to_wall_time() {
 #[test]
 fn causal_edges_cover_every_runtime_layer() {
     let (events, _) = skewed_trace();
-    let run = insight::RunModel::from_events(&events).unwrap();
+    let run = RunModel::from_events(&events);
     let counts = run.edge_counts();
     for kind in ["dispatch", "barrier", "shuffle", "chain"] {
         assert!(
@@ -102,7 +103,7 @@ fn causal_edges_cover_every_runtime_layer() {
 #[test]
 fn stragglers_run_on_real_traces() {
     let (events, _) = skewed_trace();
-    let run = insight::RunModel::from_events(&events).unwrap();
+    let run = RunModel::from_events(&events);
     // Flags depend on the data, but each one must be internally consistent.
     for s in insight::stragglers(&run, insight::DEFAULT_THRESHOLD) {
         assert!(s.ratio >= insight::DEFAULT_THRESHOLD);

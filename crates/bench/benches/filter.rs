@@ -7,20 +7,30 @@
 //! broadcast filter + witness pruning on (the defaults) and off, and
 //! compares end-to-end wall time, shuffled rows, and shuffle bytes.
 //!
-//! A second group times filter-point *selection* alone on 500k QWS-like
-//! rows at d=6 (the `qws-500k-d6` workload's shape), the map-side step that
-//! runs before Job 1 on every query.
+//! A second group times the map-side steps that run before Job 1 on every
+//! query, on 500k QWS-like rows at d=6 (the `qws-500k-d6` workload's
+//! shape): filter-point *selection* alone, and MR-Angle's sector lookup,
+//! fit as the pipeline fits it. The lookup runs twice: `partition_of_row`
+//! (tangent brackets, `atan2` only near a boundary) and the `atan2`
+//! definition it must agree with, `sector_index` then row-major
+//! linearisation.
 //!
 //! Outside `--test` smoke runs the guard *asserts* that filtering cuts the
 //! d=4 shuffle-candidate count by at least 2× and writes the numbers to
-//! `BENCH_filter.json` at the workspace root.
+//! `BENCH_filter.json` at the workspace root, with the lookup's
+//! `assign_speedup` over the definition and the partition-profile pass's
+//! wall time per row (the `pipeline.partition_profile` span of a traced
+//! query, which also gathers the filter points).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mr_skyline::algorithms::build_partitioner;
 use mr_skyline::{AlgoConfig, Algorithm, SkylineJob, SkylineRunReport};
+use mrsky_trace::{EpochClock, RunModel, Tracer, VecSink};
 use qws_data::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
 };
 use skyline_algos::filter::select_filter_points;
+use skyline_algos::partition::{AnglePartitioner, SpacePartitioner};
 use std::time::Instant;
 
 const N: usize = 100_000;
@@ -56,6 +66,78 @@ fn run(data: &Dataset, config: AlgoConfig) -> SkylineRunReport {
 /// Rows that actually enter the shuffle: everything the filter let through.
 fn shuffled_rows(report: &SkylineRunReport) -> u64 {
     N as u64 - report.rows_filtered
+}
+
+/// MR-Angle's partitioner for `data`, fit as the pipeline fits it. The
+/// pipeline holds it as a trait object; the bench needs the concrete type
+/// for `sector_index`, so it refits from the pipeline's inputs (the
+/// quantile fit reads every `len / 10_000`-th row) and checks that the
+/// boundaries agree.
+fn angle_partitioner(data: &Dataset) -> AnglePartitioner {
+    let config = AlgoConfig::default();
+    let fitted = build_partitioner(Algorithm::MrAngle, &config, data, SERVERS).expect("fit");
+    let np = config.partitions_for(SERVERS);
+    let part = if config.angle_quantile {
+        let block = data.block();
+        let stride = (block.len() / 10_000).max(1);
+        let sample: Vec<_> = (0..block.len())
+            .step_by(stride)
+            .map(|i| block.point(i))
+            .collect();
+        AnglePartitioner::fit_quantile(&sample, np)
+    } else {
+        AnglePartitioner::fit(data.bounds(), np)
+    }
+    .expect("fit");
+    assert_eq!(part.boundary_profile(), fitted.boundary_profile());
+    part
+}
+
+/// Every row's sector through `partition_of_row`, summed.
+fn assign_rows(part: &AnglePartitioner, data: &Dataset) -> usize {
+    data.block()
+        .iter()
+        .map(|(id, row)| part.partition_of_row(id, row))
+        .sum()
+}
+
+/// Every row's sector through the `atan2` definition, summed.
+fn assign_by_definition(part: &AnglePartitioner, data: &Dataset) -> usize {
+    data.points()
+        .iter()
+        .map(|p| {
+            let index = part.sector_index(p);
+            index
+                .iter()
+                .zip(part.splits())
+                .fold(0, |linear, (&ix, &split)| linear * split + ix)
+        })
+        .sum()
+}
+
+/// Microseconds since the clock was made, so a traced query's span
+/// durations are wall time.
+struct WallClock(Instant);
+
+impl EpochClock for WallClock {
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+}
+
+/// Wall nanoseconds per row of the `pipeline.partition_profile` span of
+/// one traced MR-Angle query over `data`.
+fn profile_ns_per_row(data: &Dataset) -> f64 {
+    let tracer = Tracer::with_clock(
+        Box::new(VecSink::new()),
+        Box::new(WallClock(Instant::now())),
+    );
+    let report = SkylineJob::new(Algorithm::MrAngle, SERVERS)
+        .with_tracer(tracer.clone())
+        .run(data);
+    assert!(!report.global_skyline.is_empty());
+    let model = RunModel::from_events(&tracer.drain());
+    model.spans["pipeline.partition_profile"] as f64 * 1e3 / data.len() as f64
 }
 
 fn median_wall_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
@@ -94,6 +176,26 @@ fn bench_filter(c: &mut Criterion) {
         &qws,
         |b, qws| {
             b.iter(|| select_filter_points(qws.block(), k).len());
+        },
+    );
+    let angle = angle_partitioner(&qws);
+    assert_eq!(
+        assign_rows(&angle, &qws),
+        assign_by_definition(&angle, &qws),
+        "the bracketed lookup left the atan2 definition"
+    );
+    group.bench_with_input(
+        BenchmarkId::new("assign", "partition_of_row"),
+        &qws,
+        |b, qws| {
+            b.iter(|| assign_rows(&angle, qws));
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("assign", "sector_index"),
+        &qws,
+        |b, qws| {
+            b.iter(|| assign_by_definition(&angle, qws));
         },
     );
     group.finish();
@@ -137,11 +239,40 @@ fn bench_filter(c: &mut Criterion) {
         ));
     }
 
+    // Interleaved rounds, so a shared host's drift hits both lookups alike;
+    // the speedup is the median of the per-round ratios.
+    let wall_ns = |f: &dyn Fn() -> usize| {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        t.elapsed().as_nanos() as f64
+    };
+    wall_ns(&|| assign_rows(&angle, &qws) + assign_by_definition(&angle, &qws));
+    let (mut lookup, mut definition, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..11 {
+        let r = wall_ns(&|| assign_rows(&angle, &qws));
+        let a = wall_ns(&|| assign_by_definition(&angle, &qws));
+        lookup.push(r);
+        definition.push(a);
+        ratios.push(a / r);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (rows_ns, definition_ns) = (median(lookup), median(definition));
+    let assign_speedup = median(ratios);
+    let profile_ns = median((0..5).map(|_| profile_ns_per_row(&qws)).collect());
+    let n_qws = qws.len();
+
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_filter.json");
     let json = format!(
         "{{\n  \"bench\": \"filter/mr_angle_broadcast_filter\",\n  \"distribution\": \
          \"anti-correlated\",\n  \"n\": {N},\n  \"servers\": {SERVERS},\n  \
-         \"min_shuffle_reduction_d4\": {MIN_SHUFFLE_REDUCTION},\n  \"dims\": [\n{rows}\n  ]\n}}\n"
+         \"min_shuffle_reduction_d4\": {MIN_SHUFFLE_REDUCTION},\n  \"dims\": [\n{rows}\n  ],\n  \
+         \"assign\": {{\"data\": \"qws\", \"n\": {n_qws}, \"d\": 6, \
+         \"partition_of_row_ns\": {rows_ns:.0}, \"sector_index_ns\": {definition_ns:.0}}},\n  \
+         \"assign_speedup\": {assign_speedup:.2},\n  \
+         \"profile_ns_per_row\": {profile_ns:.1}\n}}\n"
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path} (d=4 shuffle-row reduction {d4_reduction:.2}x)"),

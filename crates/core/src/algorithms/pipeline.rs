@@ -35,7 +35,7 @@ use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
-use skyline_algos::filter::{filtered_out, select_filter_points};
+use skyline_algos::filter::{filtered_out, FilterCandidates};
 use skyline_algos::kernel::{presort_merge_stats, BnlConfig, KernelStats};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
@@ -308,46 +308,68 @@ fn host_threads(threads: usize) -> usize {
 /// they are folded in do not depend on the thread count.
 const PROFILE_ROWS: usize = 16_384;
 
-/// Per-partition row counts and observed coordinate minima (`None` for a
-/// partition no row reaches), computed over fixed row ranges of `block` on
-/// the pool and folded in range order.
+/// What one pass over the input tells the pipeline before Job 1.
+struct Profile {
+    /// Rows per partition.
+    counts: Vec<usize>,
+    /// Observed coordinate minima per partition (`None` for a partition no
+    /// row reaches).
+    observed_min: Vec<Option<Vec<f64>>>,
+    /// The broadcast filter block:
+    /// [`select_filter_points`](skyline_algos::filter::select_filter_points)
+    /// of the input.
+    filter_points: PointBlock,
+}
+
+/// Per-partition row counts and observed minima, and the `filter_k`
+/// filter points, computed over fixed row ranges of `block` on the pool
+/// and folded in range order.
 fn partition_profile(
     partitioner: &dyn SpacePartitioner,
     block: &PointBlock,
     threads: usize,
-) -> (Vec<usize>, Vec<Option<Vec<f64>>>) {
+    filter_k: usize,
+) -> Profile {
     let np = partitioner.num_partitions();
     let d = block.dim();
     let threads = host_threads(threads);
     let ranges = pool::run_indexed(block.len().div_ceil(PROFILE_ROWS), threads, |r| {
         let mut counts = vec![0usize; np];
         let mut mins = vec![f64::INFINITY; np * d];
+        let mut candidates = FilterCandidates::new(filter_k);
         for i in r * PROFILE_ROWS..((r + 1) * PROFILE_ROWS).min(block.len()) {
-            let row = block.row(i);
-            let p = partitioner.partition_of_row(block.id(i), row);
+            let (id, row) = (block.id(i), block.row(i));
+            let p = partitioner.partition_of_row(id, row);
             counts[p] += 1;
             for (m, &v) in mins[p * d..(p + 1) * d].iter_mut().zip(row) {
                 *m = m.min(v);
             }
+            candidates.push(i, id, row);
         }
-        (counts, mins)
+        (counts, mins, candidates)
     });
     let mut counts = vec![0usize; np];
     let mut mins = vec![f64::INFINITY; np * d];
-    for (range_counts, range_mins) in ranges {
+    let mut candidates = FilterCandidates::new(filter_k);
+    for (range_counts, range_mins, range_candidates) in ranges {
         for (c, rc) in counts.iter_mut().zip(range_counts) {
             *c += rc;
         }
         for (m, rm) in mins.iter_mut().zip(range_mins) {
             *m = m.min(rm);
         }
+        candidates.merge(range_candidates);
     }
-    let observed = counts
+    let observed_min = counts
         .iter()
         .zip(mins.chunks_exact(d))
         .map(|(&c, m)| (c > 0).then(|| m.to_vec()))
         .collect();
-    (counts, observed)
+    Profile {
+        counts,
+        observed_min,
+        filter_points: candidates.select(block),
+    }
 }
 
 /// Runs the two-job chain of `partitioner` over `dataset`.
@@ -362,15 +384,7 @@ pub fn run_two_job_pipeline(
     let dim = input_block.dim();
     let sizer: BlockSizer = Arc::new(|_k: &u64, b: &PointBlock| 8 + b.wire_size());
 
-    // Partition profile: per-partition counts and per-partition observed
-    // coordinate minima, computed up front (the Hadoop analogue is a
-    // counter pass / sampling job published via the distributed cache) and
-    // used for grid pruning, witness pruning, and load metrics.
-    let (partition_counts, observed_min) = opts.tracer.span("pipeline.partition_profile", || {
-        partition_profile(partitioner.as_ref(), input_block, opts.threads)
-    });
-
-    // Broadcast filter points (per-dimension minima + max-entropy fillers).
+    // Broadcast filter points (per-dimension minima + smallest-L1 fillers).
     // `filter_k == 0` disables map-side filtering, but the same candidates
     // still serve as pruning witnesses below, so selection falls back to
     // the automatic size in that case.
@@ -380,7 +394,20 @@ pub fn run_two_job_pipeline(
     } else {
         crate::config::auto_filter_points(dim)
     };
-    let filter_points: Arc<PointBlock> = Arc::new(select_filter_points(input_block, witness_k));
+
+    // Partition profile: per-partition counts and per-partition observed
+    // coordinate minima, computed up front (the Hadoop analogue is a
+    // counter pass / sampling job published via the distributed cache) and
+    // used for grid pruning, witness pruning, and load metrics; the same
+    // pass gathers the filter points' candidates.
+    let Profile {
+        counts: partition_counts,
+        observed_min,
+        filter_points,
+    } = opts.tracer.span("pipeline.partition_profile", || {
+        partition_profile(partitioner.as_ref(), input_block, opts.threads, witness_k)
+    });
+    let filter_points = Arc::new(filter_points);
     let map_filter: Option<Arc<PointBlock>> =
         (filter_k > 0 && !filter_points.is_empty()).then(|| Arc::clone(&filter_points));
 
@@ -1198,10 +1225,14 @@ mod tests {
                 *mi = mi.min(v);
             }
         }
+        let k = crate::config::auto_filter_points(4);
+        let filter = skyline_algos::filter::select_filter_points(block, k);
+        assert_eq!(filter.len(), k);
         for threads in [1, 2, 3, 8] {
-            let (c, m) = partition_profile(part.as_ref(), block, threads);
-            assert_eq!(c, counts, "{threads} threads");
-            assert_eq!(m, mins, "{threads} threads");
+            let profile = partition_profile(part.as_ref(), block, threads, k);
+            assert_eq!(profile.counts, counts, "{threads} threads");
+            assert_eq!(profile.observed_min, mins, "{threads} threads");
+            assert_eq!(profile.filter_points, filter, "{threads} threads");
         }
     }
 

@@ -16,72 +16,170 @@
 
 use crate::block::PointBlock;
 use crate::kernel::dominates_row;
+use std::cmp::Ordering;
+
+/// A row's selection key: its L1 norm (`+ 0.0` folds -0.0 into 0.0, so on
+/// finite rows `total_cmp` orders exactly as `<` and `==` do), its id,
+/// then its row index, so two rows that tie on both keep their row order.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    l1: f64,
+    id: u64,
+    row: usize,
+}
+
+fn key_cmp(a: &Key, b: &Key) -> Ordering {
+    a.l1.total_cmp(&b.l1)
+        .then(a.id.cmp(&b.id))
+        .then(a.row.cmp(&b.row))
+}
+
+/// Makes `(v, key)` a dimension's best row if it comes first by value,
+/// then by key.
+#[inline]
+fn keep_min(best: &mut (f64, Key), v: f64, key: Key) {
+    if v < best.0 || (v == best.0 && key_cmp(&key, &best.1).is_lt()) {
+        *best = (v, key);
+    }
+}
+
+/// Filter-point candidates of a range of rows.
+///
+/// It keeps each dimension's best row, ordered by (value, L1, id, row),
+/// and a superset of the `k` smallest (L1, id, row) keys: at `2k` keys it
+/// cuts back to the `k` smallest and from then on skips a row whose L1 is
+/// above the `k`-th. Ranges are folded with [`merge`](Self::merge), and
+/// [`select`](Self::select) reads the filter block off the result. Row
+/// indices make both orders total, so how the rows are split into ranges
+/// never changes the selection.
+#[derive(Debug, Clone)]
+pub struct FilterCandidates {
+    k: usize,
+    /// Per dimension, the best value and its row's key; empty until the
+    /// first row.
+    minima: Vec<(f64, Key)>,
+    /// Fewer than `2k` keys, among them the `k` smallest seen.
+    smallest: Vec<Key>,
+    /// The L1 of the `k`-th smallest key at the last cut.
+    cut: f64,
+}
+
+impl FilterCandidates {
+    /// An empty accumulator for a selection of `k` filter points.
+    pub fn new(k: usize) -> Self {
+        FilterCandidates {
+            k,
+            minima: Vec::new(),
+            smallest: Vec::with_capacity(2 * k),
+            cut: f64::INFINITY,
+        }
+    }
+
+    /// Adds row `row` of the block the selection reads, with its id and
+    /// coordinates.
+    #[inline]
+    pub fn push(&mut self, row: usize, id: u64, coords: &[f64]) {
+        if self.k == 0 {
+            return;
+        }
+        let key = Key {
+            l1: coords.iter().sum::<f64>() + 0.0,
+            id,
+            row,
+        };
+        if self.minima.is_empty() {
+            self.minima = coords.iter().map(|&v| (v, key)).collect();
+        } else {
+            for (best, &v) in self.minima.iter_mut().zip(coords) {
+                keep_min(best, v, key);
+            }
+        }
+        self.offer(key);
+    }
+
+    /// Keeps `key` if it can still be among the `k` smallest.
+    #[inline]
+    fn offer(&mut self, key: Key) {
+        if key.l1 > self.cut {
+            return;
+        }
+        self.smallest.push(key);
+        if self.smallest.len() == 2 * self.k {
+            let k = self.k;
+            self.smallest.select_nth_unstable_by(k - 1, key_cmp);
+            self.smallest.truncate(k);
+            self.cut = self.smallest[k - 1].l1;
+        }
+    }
+
+    /// Folds in the candidates of another range of the same block.
+    pub fn merge(&mut self, later: FilterCandidates) {
+        if self.minima.is_empty() {
+            self.minima = later.minima;
+        } else {
+            for (best, (v, key)) in self.minima.iter_mut().zip(later.minima) {
+                keep_min(best, v, key);
+            }
+        }
+        for key in later.smallest {
+            self.offer(key);
+        }
+    }
+
+    /// The filter block: first the per-dimension minima, then the remaining
+    /// slots filled with the smallest-(L1, id, row) rows not already
+    /// chosen, in ascending-id order. `block` is the block whose row
+    /// indices were pushed.
+    pub fn select(&self, block: &PointBlock) -> PointBlock {
+        let mut out = PointBlock::new(block.dim());
+        let k = self.k;
+        if k == 0 || self.minima.is_empty() {
+            return out;
+        }
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        for (_, key) in &self.minima {
+            if chosen.len() == k {
+                break;
+            }
+            if !chosen.contains(&key.row) {
+                chosen.push(key.row);
+            }
+        }
+        if chosen.len() < k {
+            // The fillers are the first `k - c` keys that are not among
+            // the `c` minima already chosen, so all of them sit in the
+            // order's first `k` entries, which `smallest` holds.
+            let mut by_l1 = self.smallest.clone();
+            by_l1.sort_unstable_by(key_cmp);
+            for key in by_l1 {
+                if chosen.len() == k {
+                    break;
+                }
+                if !chosen.contains(&key.row) {
+                    chosen.push(key.row);
+                }
+            }
+        }
+        chosen.sort_by_key(|&i| block.id(i));
+        for i in chosen {
+            out.push_row_from(block, i);
+        }
+        out
+    }
+}
 
 /// Selects up to `k` filter points from `block`: first the per-dimension
 /// minima (tie-break: smaller L1 norm, then smaller id), then the remaining
 /// slots filled with the smallest-L1 rows not already chosen (same
 /// tie-break). Returns a block in ascending-id order, so the selection is a
 /// pure function of the data. `k = 0` or an empty input yields an empty
-/// block.
+/// block. One [`FilterCandidates`] over every row.
 pub fn select_filter_points(block: &PointBlock, k: usize) -> PointBlock {
-    let mut out = PointBlock::new(block.dim());
-    if k == 0 || block.is_empty() {
-        return out;
+    let mut candidates = FilterCandidates::new(k);
+    for (i, (id, row)) in block.iter().enumerate() {
+        candidates.push(i, id, row);
     }
-    let n = block.len();
-    let d = block.dim();
-    // Each row's L1 norm, once. `+ 0.0` folds -0.0 into 0.0, so on these
-    // finite-data norms `total_cmp` orders exactly as `<` and `==` do.
-    let l1: Vec<f64> = (0..n).map(|i| block.l1_norm(i) + 0.0).collect();
-    let key = |i: usize| (l1[i], block.id(i));
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for dim in 0..d {
-        if chosen.len() == k {
-            break;
-        }
-        let mut best = 0usize;
-        for i in 1..n {
-            let (vb, vi) = (block.row(best)[dim], block.row(i)[dim]);
-            if vi < vb || (vi == vb && key(i) < key(best)) {
-                best = i;
-            }
-        }
-        if !chosen.contains(&best) {
-            chosen.push(best);
-        }
-    }
-    if chosen.len() < k {
-        // The fillers are the first `k - c` rows of the (L1, id, row) order
-        // that are not among the `c` minima already chosen, so all of them
-        // sit in the order's first `k` entries: select those in O(n) and
-        // sort only them. The row tie-break makes this the stable sort's
-        // order, even when ids repeat.
-        let order = |a: &usize, b: &usize| {
-            l1[*a]
-                .total_cmp(&l1[*b])
-                .then(block.id(*a).cmp(&block.id(*b)))
-                .then(a.cmp(b))
-        };
-        let mut by_l1: Vec<usize> = (0..n).collect();
-        if k < n {
-            by_l1.select_nth_unstable_by(k - 1, order);
-            by_l1.truncate(k);
-        }
-        by_l1.sort_unstable_by(order);
-        for i in by_l1 {
-            if chosen.len() == k {
-                break;
-            }
-            if !chosen.contains(&i) {
-                chosen.push(i);
-            }
-        }
-    }
-    chosen.sort_by_key(|&i| block.id(i));
-    for i in chosen {
-        out.push_row_from(block, i);
-    }
-    out
+    candidates.select(block)
 }
 
 /// `true` iff some filter row strictly dominates `coords` — the map-side
@@ -151,6 +249,74 @@ mod tests {
             let f = select_filter_points(&b, 1);
             assert_eq!(f.ids(), &[2]);
         }
+    }
+
+    /// The serial selection the accumulator replaced: `d + 1` passes over
+    /// the block, then a selection of the first `k` (L1, id, row) keys.
+    fn serial_reference(block: &PointBlock, k: usize) -> PointBlock {
+        let mut out = PointBlock::new(block.dim());
+        if k == 0 || block.is_empty() {
+            return out;
+        }
+        let n = block.len();
+        let l1: Vec<f64> = (0..n).map(|i| block.l1_norm(i) + 0.0).collect();
+        let key = |i: usize| (l1[i], block.id(i));
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        for dim in 0..block.dim() {
+            if chosen.len() == k {
+                break;
+            }
+            let mut best = 0usize;
+            for i in 1..n {
+                let (vb, vi) = (block.row(best)[dim], block.row(i)[dim]);
+                if vi < vb || (vi == vb && key(i) < key(best)) {
+                    best = i;
+                }
+            }
+            if !chosen.contains(&best) {
+                chosen.push(best);
+            }
+        }
+        if chosen.len() < k {
+            let order = |a: &usize, b: &usize| {
+                l1[*a]
+                    .total_cmp(&l1[*b])
+                    .then(block.id(*a).cmp(&block.id(*b)))
+                    .then(a.cmp(b))
+            };
+            let mut by_l1: Vec<usize> = (0..n).collect();
+            if k < n {
+                by_l1.select_nth_unstable_by(k - 1, order);
+                by_l1.truncate(k);
+            }
+            by_l1.sort_unstable_by(order);
+            for i in by_l1 {
+                if chosen.len() == k {
+                    break;
+                }
+                if !chosen.contains(&i) {
+                    chosen.push(i);
+                }
+            }
+        }
+        chosen.sort_by_key(|&i| block.id(i));
+        for i in chosen {
+            out.push_row_from(block, i);
+        }
+        out
+    }
+
+    /// The accumulator run over ranges of `range` rows, folded in order.
+    fn folded(block: &PointBlock, k: usize, range: usize) -> PointBlock {
+        let mut all = FilterCandidates::new(k);
+        for start in (0..block.len()).step_by(range) {
+            let mut part = FilterCandidates::new(k);
+            for i in start..(start + range).min(block.len()) {
+                part.push(i, block.id(i), block.row(i));
+            }
+            all.merge(part);
+        }
+        all.select(block)
     }
 
     /// The selection as first written: a stable sort of every row by
@@ -235,17 +401,46 @@ mod tests {
                 b.push(id, &row).unwrap();
             }
             blocks.push(b);
+            // duplicate rows under one id and under several, and rows
+            // whose L1 norms tie with distinct ids
+            let mut b = PointBlock::new(d);
+            for id in 0..90u64 {
+                let row: Vec<f64> = match id % 3 {
+                    0 => vec![0.5; d],
+                    1 => (0..d)
+                        .map(|i| f64::from((id as u32 + i as u32) % 4))
+                        .collect(),
+                    _ => (0..d).map(|_| f64::from(rng.gen_range(0..3u8))).collect(),
+                };
+                b.push(if id % 2 == 0 { 4 } else { id }, &row).unwrap();
+            }
+            blocks.push(b);
         }
+        // more rows than one 16,384-row range, on a handful of values
+        let mut b = PointBlock::new(3);
+        for id in 0..2 * 16_384 + 77u64 {
+            let row: Vec<f64> = (0..3).map(|_| f64::from(rng.gen_range(1..6u8))).collect();
+            b.push(id % 1000, &row).unwrap();
+        }
+        blocks.push(b);
         for b in &blocks {
             let (n, d) = (b.len(), b.dim());
-            for k in [0, 1, d, n - 1, n, n + 5] {
+            // `chosen.contains` makes a `k` near `n` quadratic: the large
+            // block takes the pipeline's sizes only
+            let ks = if n > 1000 {
+                vec![0, 1, d, 8 * d]
+            } else {
+                vec![0, 1, d, 8 * d, n - 1, n, n + 5]
+            };
+            for k in ks {
                 // whole rows, not just ids: ids repeat, so only the
                 // coordinates show which of two tied rows was taken
-                assert_eq!(
-                    select_filter_points(b, k),
-                    full_sort_reference(b, k),
-                    "n={n} d={d} k={k}"
-                );
+                let want = full_sort_reference(b, k);
+                assert_eq!(serial_reference(b, k), want, "n={n} d={d} k={k}");
+                assert_eq!(select_filter_points(b, k), want, "n={n} d={d} k={k}");
+                for range in [1, 2, 63, 64, 16_384, n] {
+                    assert_eq!(folded(b, k, range), want, "n={n} d={d} k={k} range={range}");
+                }
             }
         }
     }

@@ -33,6 +33,58 @@ use crate::hypersphere::to_hyperspherical_into;
 use crate::point::Point;
 use std::f64::consts::FRAC_PI_2;
 
+/// Half-width δ = 2⁻³⁰ of the band around each boundary angle inside which
+/// [`AnglePartitioner::partition_of_row`] calls `atan2`.
+///
+/// Outside the band the lookup compares `y` with `v · tan(b ± δ)` instead,
+/// and the answer is the one `atan2(y, v)` gives:
+///
+/// - `y` and `v` are the doubles `atan2` would get. A double above the
+///   rounded product `v · t` is above the exact product too (rounding to
+///   nearest cannot skip a double), and one below it is below, so the
+///   product's rounding changes nothing, underflow and overflow included.
+/// - `tan` of the rounded `b ± δ` is within an ulp of the exact tangent,
+///   which moves the bracket's angle by ~1e-16 rad, and `atan2` is within
+///   a few ulps of the exact angle. Both are far inside δ ≈ 9.3e-10, so
+///   `y > v · tan(b + δ)` puts `atan2(y, v)` above `b`, and
+///   `y < v · tan(b − δ)` puts it below.
+///
+/// A quantile boundary is a sample row's own `atan2` value, so a row
+/// sitting on a boundary falls in its band and calls `atan2`. So do
+/// `y = v = 0`, a `-0.0` `v` with `y = 0`, and infinite `y` and `v`.
+const BRACKET_DELTA: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The tangents `(tan(b − δ), tan(b + δ))` that bracket boundary `b`.
+/// Past π/2 the tangent turns negative, so `+∞` stands in for `tan(b + δ)`
+/// there: no row is above it. A negative `tan(b − δ)` (below 0 or past
+/// π/2) needs no such guard, as no row is below it.
+fn tangent_bracket(b: f64) -> (f64, f64) {
+    let hi = if b + BRACKET_DELTA < FRAC_PI_2 {
+        (b + BRACKET_DELTA).tan()
+    } else {
+        f64::INFINITY
+    };
+    ((b - BRACKET_DELTA).tan(), hi)
+}
+
+/// How many boundaries lie at or below `atan2(y, v)`, read off their
+/// tangent brackets (ascending, as the boundaries are), or `None` when one
+/// of them cannot tell and the row must call `atan2`.
+#[inline]
+fn bracket_count(brackets: &[(f64, f64)], y: f64, v: f64) -> Option<usize> {
+    let mut below = 0;
+    for &(lo, hi) in brackets {
+        if y > v * hi {
+            below += 1;
+        } else if y < v * lo {
+            return Some(below);
+        } else {
+            return None;
+        }
+    }
+    Some(below)
+}
+
 /// Angular-sector partitioner.
 #[derive(Debug, Clone)]
 pub struct AnglePartitioner {
@@ -42,9 +94,12 @@ pub struct AnglePartitioner {
     /// at the origin).
     origin: Vec<f64>,
     splits: Vec<usize>,
-    /// Interior sector boundaries per angular dimension
-    /// (`boundaries[i].len() == splits[i] - 1`, strictly inside `(0, π/2)`).
+    /// Interior sector boundaries per angular dimension, ascending
+    /// (`boundaries[i].len() == splits[i] - 1`). Equal-width ones lie
+    /// strictly inside `(0, π/2)`; quantile ones can land on 0 or π/2.
     boundaries: Vec<Vec<f64>>,
+    /// [`tangent_bracket`] of every boundary, in the same layout.
+    brackets: Vec<Vec<(f64, f64)>>,
     sectors: usize,
 }
 
@@ -128,6 +183,7 @@ impl AnglePartitioner {
             origin,
             splits: vec![],
             boundaries: vec![],
+            brackets: vec![],
             sectors: 1,
         }
     }
@@ -143,11 +199,16 @@ impl AnglePartitioner {
             debug_assert_eq!(b.len(), s - 1);
         }
         let sectors = splits.iter().product();
+        let brackets = boundaries
+            .iter()
+            .map(|bs| bs.iter().map(|&b| tangent_bracket(b)).collect())
+            .collect();
         Self {
             dim,
             origin,
             splits,
             boundaries,
+            brackets,
             sectors,
         }
     }
@@ -223,15 +284,21 @@ impl SpacePartitioner for AnglePartitioner {
         // the sector lookup: one backward sweep keeps the running suffix
         // sum of squares (`angles_of_row`'s arithmetic, in its order) and
         // linearises the multi-index row-major from its last axis, so no
-        // shifted row, angle buffer or multi-index is allocated.
+        // shifted row, angle buffer or multi-index is allocated. Each axis
+        // compares `y` with its boundaries' tangent brackets and calls
+        // `atan2(y, v)` only when a bracket cannot tell (`BRACKET_DELTA`).
         let mut sumsq = 0.0f64;
         let mut out = 0usize;
         let mut stride = 1usize;
         for i in (0..self.dim).rev() {
             let v = (coords[i] - self.origin[i]).max(0.0);
             if i < self.dim - 1 {
-                let a = sumsq.sqrt().atan2(v);
-                out += stride * self.boundaries[i].partition_point(|&b| b <= a);
+                let y = sumsq.sqrt();
+                let below = bracket_count(&self.brackets[i], y, v).unwrap_or_else(|| {
+                    let a = y.atan2(v);
+                    self.boundaries[i].partition_point(|&b| b <= a)
+                });
+                out += stride * below;
                 stride *= self.splits[i];
             }
             sumsq += v * v;
@@ -396,6 +463,118 @@ mod tests {
                         "d={d} row {:?}",
                         p.coords()
                     );
+                }
+            }
+        }
+    }
+
+    /// Asserts that the bracketed lookup agrees with the `atan2`
+    /// definition (`sector_index`, then `linearize`) on `coords`.
+    fn assert_lookup_exact(part: &AnglePartitioner, coords: Vec<f64>) {
+        use super::super::linearize;
+        let p = Point::new(0, coords);
+        assert_eq!(
+            part.partition_of_row(0, p.coords()),
+            linearize(&part.sector_index(&p), part.splits()),
+            "boundaries {:?} row {:?}",
+            part.boundaries(),
+            p.coords()
+        );
+    }
+
+    #[test]
+    fn bracketed_lookup_matches_atan2_at_the_boundaries() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for d in [2usize, 3, 6, 10] {
+            // every fit has its origin at 0, so a row's shifted
+            // coordinates are its own, bit for bit
+            let uniform: Vec<Point> = (0..300)
+                .map(|i| {
+                    let row = (0..d).map(|_| rng.gen_range(0.0..4.0)).collect::<Vec<_>>();
+                    Point::new(i, row)
+                })
+                .chain([Point::new(300, vec![0.0; d])])
+                .collect();
+            // samples piled on the first axis and on the last: their
+            // quantile boundaries land on 0 and on π/2
+            let mut piled = |axis: usize| -> Vec<Point> {
+                (0..300u64)
+                    .map(|i| {
+                        let mut row = vec![0.0; d];
+                        if i % 5 < 3 {
+                            row[axis] = rng.gen_range(0.5..4.0);
+                        } else {
+                            row.iter_mut().for_each(|v| *v = rng.gen_range(0.5..4.0));
+                        }
+                        Point::new(i, row)
+                    })
+                    .chain([Point::new(300, vec![0.0; d])])
+                    .collect()
+            };
+            let (first, last) = (piled(0), piled(d - 1));
+            let parts = [
+                AnglePartitioner::fit(&Bounds::new(vec![0.0; d], vec![4.0; d]), 16).unwrap(),
+                AnglePartitioner::fit_quantile(&uniform, 16).unwrap(),
+                AnglePartitioner::fit_quantile(&first, 16).unwrap(),
+                AnglePartitioner::fit_quantile(&last, 16).unwrap(),
+            ];
+            let lands_on = |part: &AnglePartitioner, at: f64| {
+                part.boundaries().iter().flatten().any(|&b| b == at)
+            };
+            assert!(
+                lands_on(&parts[2], 0.0),
+                "d={d}: {:?}",
+                parts[2].boundaries()
+            );
+            assert!(
+                lands_on(&parts[3], FRAC_PI_2),
+                "d={d}: {:?}",
+                parts[3].boundaries()
+            );
+            for part in &parts {
+                assert!(part.origin().iter().all(|&o| o == 0.0));
+                // rows 1..4 ulps either side of every boundary's slope:
+                // `v` on axis i, `y` on axis i + 1, zeros elsewhere
+                for (i, bs) in part.boundaries().iter().enumerate() {
+                    for &b in bs {
+                        for v in [1e-300, 0.1, 0.75, 3.0, 1e150, rng.gen_range(0.0..4.0)] {
+                            let y0 = v * b.tan();
+                            if !(y0.is_finite() && y0 >= 0.0) {
+                                continue;
+                            }
+                            let (mut up, mut down) = (y0, y0);
+                            for _ in 0..4 {
+                                up = up.next_up();
+                                down = down.next_down().max(0.0);
+                                for y in [up, down] {
+                                    let mut row = vec![0.0; d];
+                                    row[i] = v;
+                                    row[i + 1] = y;
+                                    assert_lookup_exact(part, row);
+                                }
+                            }
+                        }
+                    }
+                }
+                // signed zeros and the origin
+                for mask in 0..1u32 << d.min(6) {
+                    let row = (0..d)
+                        .map(|k| if mask >> k & 1 == 1 { -0.0 } else { 0.0 })
+                        .collect();
+                    assert_lookup_exact(part, row);
+                }
+                // magnitudes where `v · v` underflows or overflows
+                for scale in [1e-300, 1e300, f64::MAX] {
+                    for _ in 0..50 {
+                        let row = (0..d)
+                            .map(|_| match rng.gen_range(0..4) {
+                                0 => 0.0,
+                                _ => scale * rng.gen_range(0.0..1.0),
+                            })
+                            .collect();
+                        assert_lookup_exact(part, row);
+                    }
                 }
             }
         }

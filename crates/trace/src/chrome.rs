@@ -87,12 +87,11 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     let mut em = Emitter::new();
     em.metadata(DRIVER_PID, None, "process_name", "driver (wall clock)");
 
-    // Causal-DAG node anchors, keyed by the node-id grammar
+    // Causal-DAG node anchors, keyed by run index and the node-id grammar
     // (`job:`/`phase:`/`task:` — see `EventKind::CausalEdge`):
-    // (pid, tid, start_us, end_us) on the run-global sim axis. A job
-    // name that runs again re-anchors its nodes on the later run.
-    let mut nodes: BTreeMap<String, (u64, u64, f64, f64)> = BTreeMap::new();
-    for (pid, run) in (1u64..).zip(&model.runs) {
+    // (pid, tid, start_us, end_us) on the run-global sim axis.
+    let mut nodes: BTreeMap<(usize, String), (u64, u64, f64, f64)> = BTreeMap::new();
+    for (r, (pid, run)) in (1u64..).zip(&model.runs).enumerate() {
         let job = &run.name;
         em.metadata(pid, None, "process_name", &format!("job: {job}"));
         em.metadata(pid, Some(0), "thread_name", "phases");
@@ -102,7 +101,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                 let ts = sim_us(run.offset, phase.start);
                 let dur = ((phase.end - phase.start) * 1e6).max(0.0);
                 nodes.insert(
-                    format!("phase:{job}/{}", phase.kind),
+                    (r, format!("phase:{job}/{}", phase.kind)),
                     (pid, 0, ts, ts + dur),
                 );
                 em.push(&format!(
@@ -121,7 +120,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                 let ts = sim_us(run.offset, t.start);
                 let dur = ((t.end - t.start) * 1e6).max(0.0);
                 nodes.insert(
-                    format!("task:{job}/{}/{task}", phase.kind),
+                    (r, format!("task:{job}/{}/{task}", phase.kind)),
                     (pid, tid, ts, ts + dur),
                 );
                 em.push(&format!(
@@ -134,7 +133,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         }
         if let Some((sim_total, _)) = run.finished {
             nodes.insert(
-                format!("job:{job}"),
+                (r, format!("job:{job}")),
                 (pid, 0, run.offset * 1e6, (run.offset + sim_total) * 1e6),
             );
         }
@@ -320,12 +319,17 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         }
     }
 
-    // Every slice is anchored, so causal flows resolve.
+    // Every slice is anchored, so causal flows resolve, each endpoint on
+    // the run of its job that the edge was emitted in.
+    let anchor = |e, node: &String| {
+        let run = model.run_of(e, node)?;
+        nodes.get(&(run, node.clone())).copied()
+    };
     let mut flow_id = 0u64;
     for e in &model.edges {
         let (edge, src, dst) = (&e.edge, &e.src, &e.dst);
-        let (Some(&(spid, stid, _, send)), Some(&(dpid, dtid, dstart, _))) =
-            (nodes.get(src), nodes.get(dst))
+        let (Some((spid, stid, _, send)), Some((dpid, dtid, dstart, _))) =
+            (anchor(e, src), anchor(e, dst))
         else {
             // An endpoint with no slice (e.g. a pruned task) has nothing
             // to draw to; skip rather than invent anchors.
@@ -345,11 +349,11 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         ));
         flow_id += 1;
     }
-    for run in &model.runs {
+    for (r, run) in model.runs.iter().enumerate() {
         for phase in [&run.map, &run.reduce] {
             for steal in &phase.steals {
                 let node = format!("task:{}/{}/{}", run.name, phase.kind, steal.task);
-                let Some(&(pid, tid, start, _)) = nodes.get(&node) else {
+                let Some(&(pid, tid, start, _)) = nodes.get(&(r, node)) else {
                     continue;
                 };
                 let (thief, victim) = (steal.thief, steal.victim);
@@ -546,11 +550,12 @@ mod tests {
         use EventKind::*;
         let mut stream = sample_run();
         let base = stream.len() as u64;
-        // Emitted before j2's reduce slice exists in the stream order the
-        // runtime produces (real execution precedes the schedule) — the
-        // two-pass export must still resolve both endpoints.
+        // Emitted after j2 starts but before its reduce slice exists in
+        // the stream order the runtime produces (real execution precedes
+        // the schedule) — the two-pass export must still resolve both
+        // endpoints.
         stream.insert(
-            6,
+            7,
             ev(
                 100,
                 CausalEdge {
@@ -604,6 +609,62 @@ mod tests {
         );
         assert!(text.contains("stolen w1->w3"));
         assert!(text.contains("\"cat\":\"steal\""));
+    }
+
+    #[test]
+    fn a_rerun_job_draws_each_runs_flows_on_its_own_process() {
+        use EventKind::*;
+        let mut stream = Vec::new();
+        for _ in 0..2 {
+            let task = |phase, sim_start, sim_end| TaskFinished {
+                job: "j".into(),
+                phase,
+                task: 0,
+                slot: 0,
+                sim_start,
+                sim_end,
+            };
+            stream.extend([
+                JobStarted { job: "j".into() },
+                task(PhaseKind::Map, 0.0, 1.0),
+                CausalEdge {
+                    edge: "shuffle".into(),
+                    src: "task:j/map/0".into(),
+                    dst: "task:j/reduce/0".into(),
+                },
+                task(PhaseKind::Reduce, 1.0, 2.0),
+                JobFinished {
+                    job: "j".into(),
+                    sim_total: 2.0,
+                    wall_seconds: 0.01,
+                },
+            ]);
+        }
+        let stream: Vec<_> = (0u64..).zip(stream).map(|(i, k)| ev(i, k)).collect();
+        let text = to_chrome_trace(&stream);
+        let value = json::parse(&text).unwrap();
+        let json::JsonValue::Arr(items) = value.get("traceEvents").unwrap() else {
+            panic!("traceEvents not an array");
+        };
+        let flows: Vec<(String, u64, f64)> = items
+            .iter()
+            .filter(|e| e.get("cat").and_then(json::JsonValue::as_str) == Some("causal"))
+            .map(|e| {
+                let field = |k| e.get(k).unwrap();
+                (
+                    field("ph").as_str().unwrap().to_string(),
+                    field("pid").as_u64().unwrap(),
+                    field("ts").as_f64().unwrap(),
+                )
+            })
+            .collect();
+        // run 2 sits after run 1's 2 s on the sim axis
+        let want = [("s", 1, 1e6), ("f", 1, 1e6), ("s", 2, 3e6), ("f", 2, 3e6)];
+        let want: Vec<_> = want
+            .iter()
+            .map(|&(ph, pid, ts)| (ph.to_string(), pid, ts))
+            .collect();
+        assert_eq!(flows, want, "{text}");
     }
 
     #[test]

@@ -218,6 +218,23 @@ pub struct EdgeRec {
     pub src: String,
     /// Destination node id.
     pub dst: String,
+    /// Runs started before the edge was emitted: each of its nodes belongs
+    /// to the latest of them that has the node's job name.
+    pub runs_started: usize,
+}
+
+/// The job a causal node id names: `job:{job}`, `phase:{job}/{phase}` or
+/// `task:{job}/{phase}/{index}` (see `EventKind::CausalEdge`).
+fn node_job(node: &str) -> Option<&str> {
+    if let Some(job) = node.strip_prefix("job:") {
+        Some(job)
+    } else if let Some(rest) = node.strip_prefix("phase:") {
+        rest.rsplit_once('/').map(|(job, _)| job)
+    } else {
+        let rest = node.strip_prefix("task:")?;
+        let (job_phase, _) = rest.rsplit_once('/')?;
+        job_phase.rsplit_once('/').map(|(job, _)| job)
+    }
 }
 
 /// One kernel's invocations, summed.
@@ -433,6 +450,7 @@ impl RunModel {
                     edge: edge.clone(),
                     src: src.clone(),
                     dst: dst.clone(),
+                    runs_started: m.runs.len(),
                 }),
                 (
                     EventKind::KernelRun {
@@ -537,6 +555,16 @@ impl RunModel {
         }
         m.partitions.sort_by_key(|p| p.partition);
         m
+    }
+
+    /// The run a node of `edge` belongs to: the latest run of the node's
+    /// job that started before the edge was emitted, so a job name that
+    /// runs again does not take over its earlier runs' edges.
+    pub(crate) fn run_of(&self, edge: &EdgeRec, node: &str) -> Option<usize> {
+        let job = node_job(node)?;
+        self.runs[..edge.runs_started.min(self.runs.len())]
+            .iter()
+            .rposition(|r| r.name == job)
     }
 
     /// The runs that finished, in start order.
@@ -652,6 +680,40 @@ mod tests {
         assert!(text.contains("job j (run 1 of 2): sim 3.50s"), "{text}");
         assert!(text.contains("job j (run 2 of 2): sim 12.50s"), "{text}");
         assert!(!text.contains("finished=2"), "{text}");
+    }
+
+    #[test]
+    fn an_edge_resolves_on_the_run_it_was_emitted_in() {
+        let shuffle = || CausalEdge {
+            edge: "shuffle".into(),
+            src: "task:j/map/0".into(),
+            dst: "task:j/reduce/0".into(),
+        };
+        // each run's edge sits between its map and its reduce phase
+        let mut kinds = job("j", 1.0, 2.0);
+        kinds.insert(4, shuffle());
+        let mut rerun = job("j", 4.0, 8.0);
+        rerun.insert(4, shuffle());
+        kinds.extend(rerun);
+        kinds.push(CausalEdge {
+            edge: "chain".into(),
+            src: "job:j".into(),
+            dst: "job:never".into(),
+        });
+        let m = RunModel::from_events(&stream(kinds));
+        let runs: Vec<_> = m
+            .edges
+            .iter()
+            .map(|e| (m.run_of(e, &e.src), m.run_of(e, &e.dst)))
+            .collect();
+        assert_eq!(
+            runs,
+            [(Some(0), Some(0)), (Some(1), Some(1)), (Some(1), None)]
+        );
+        assert_eq!(node_job("phase:a/b/map"), Some("a/b"));
+        assert_eq!(node_job("task:a/b/reduce/3"), Some("a/b"));
+        assert_eq!(node_job("task:j"), None);
+        assert_eq!(node_job("slot:j"), None);
     }
 
     #[test]

@@ -1,19 +1,10 @@
-//! Ingest throughput: what the buffer-reusing line reader and the chunked
-//! streaming loader cost per row on a realistic QWS-shaped CSV.
+//! Ingest throughput: what each loader costs per row.
 //!
-//! The seed reader allocated a fresh `String` for every line of the file;
-//! this PR's `ingest_rows` pump reuses one line buffer for the whole file
-//! and backs both the whole-file and the chunked loaders. The bench
-//! generates a synthetic QWS catalogue CSV (9 QoS fields + a service
-//! name, the WSDL column shape `load_qws_file` parses) in the temp dir
-//! once, then measures:
-//!
-//! * `whole_file` — `load_qws_file`, one `Dataset` for the whole file;
-//! * `chunked_4k` — `load_qws_file_chunked` with 4096-row chunks, the
-//!   bounded-memory streaming path a 10M-row ingest rides.
-//!
-//! Both must agree on the row count; the chunked path holds at most one
-//! chunk of rows resident.
+//! The first group generates a synthetic QWS catalogue CSV (9 QoS fields
+//! and a service name, the layout `load_qws_file` parses) in the temp dir
+//! once, then measures `load_qws_file`, the strict line-by-line loader
+//! behind `mrsky --qws-file`, which reuses one line buffer for the whole
+//! file and builds one `Dataset`.
 //!
 //! A second group measures `Dataset::load_csv` on a generic
 //! `id,coord0,…` file written by `save_csv` (QWS-like rows, d = 6, about
@@ -24,16 +15,13 @@
 //! asserted across split seams.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrsky_trace::Tracer;
-use qws_data::ingest::IngestOptions;
-use qws_data::{generate_qws, load_qws_file, load_qws_file_chunked, Dataset, QwsConfig};
+use qws_data::{generate_qws, load_qws_file, Dataset, QwsConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Rows in the generated catalogue — large enough that per-line
 /// allocation shows up, small enough for criterion's sample loop.
 const ROWS: usize = 50_000;
-const CHUNK_ROWS: usize = 4_096;
 
 /// Writes a deterministic QWS-shaped CSV: 9 in-range QoS fields plus a
 /// service name per line, with the comment/blank noise real files carry.
@@ -76,38 +64,13 @@ fn write_catalogue() -> PathBuf {
 
 fn bench_ingest(c: &mut Criterion) {
     let path = write_catalogue();
-    let tracer = Tracer::disabled();
-    let opts = IngestOptions::default();
-
-    let whole = load_qws_file(&path).expect("whole-file load").0;
-    let mut chunked_rows = 0usize;
-    let mut max_resident = 0usize;
-    load_qws_file_chunked(&path, &tracer, &opts, CHUNK_ROWS, &mut |chunk| {
-        chunked_rows += chunk.block.len();
-        max_resident = max_resident.max(chunk.block.len());
-    })
-    .expect("chunked load");
+    let whole = load_qws_file(&path).expect("whole-file load");
     assert_eq!(whole.len(), ROWS, "generator row count");
-    assert_eq!(chunked_rows, ROWS, "chunked loader dropped rows");
-    assert!(
-        max_resident <= CHUNK_ROWS,
-        "a chunk exceeded its row bound: {max_resident}"
-    );
 
     let mut group = c.benchmark_group(format!("ingest/qws_n{ROWS}"));
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("whole_file", ROWS), &path, |b, path| {
-        b.iter(|| load_qws_file(path).expect("load").0.len());
-    });
-    group.bench_with_input(BenchmarkId::new("chunked_4k", ROWS), &path, |b, path| {
-        b.iter(|| {
-            let mut rows = 0usize;
-            load_qws_file_chunked(path, &tracer, &opts, CHUNK_ROWS, &mut |chunk| {
-                rows += chunk.block.len();
-            })
-            .expect("load");
-            rows
-        });
+        b.iter(|| load_qws_file(path).expect("load").len());
     });
     group.finish();
 

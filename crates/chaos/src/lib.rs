@@ -14,8 +14,8 @@
 //! - [`BackoffPolicy`] / [`with_retries`] — bounded retries with
 //!   deterministic exponential backoff, charged to the *simulated* clock
 //!   so recovery cost shows up in run metrics without slowing tests.
-//! - [`DeadLetter`] — a bounded quarantine for corrupt input records,
-//!   backing `--max-bad-records` at ingest.
+//! - [`DeadLetter`] — a bounded quarantine for poisoned records, backing
+//!   the serving layer's dead-letter queue of rejected mutations.
 //! - [`KillSwitch`] — a crash simulator that kills the run after N
 //!   checkpoint writes, for exercising checkpoint/resume paths.
 //!

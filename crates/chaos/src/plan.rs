@@ -27,8 +27,6 @@ pub enum FaultSite {
     MapTask,
     /// A reduce-side shuffle fetch of one map-output segment.
     ShuffleFetch,
-    /// One row of dataset ingest (poisoned to a non-finite value).
-    IngestRow,
     /// One skyline-service mutation (insert/delete) on the request path.
     ServeMutation,
     /// One skyline-service snapshot query on the request path.
@@ -37,11 +35,10 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for profile construction and property generators.
-    pub const ALL: [FaultSite; 6] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::DfsRead,
         FaultSite::MapTask,
         FaultSite::ShuffleFetch,
-        FaultSite::IngestRow,
         FaultSite::ServeMutation,
         FaultSite::ServeQuery,
     ];
@@ -52,7 +49,6 @@ impl FaultSite {
             FaultSite::DfsRead => "dfs-read",
             FaultSite::MapTask => "map-task",
             FaultSite::ShuffleFetch => "shuffle-fetch",
-            FaultSite::IngestRow => "ingest-row",
             FaultSite::ServeMutation => "serve-mutation",
             FaultSite::ServeQuery => "serve-query",
         }
@@ -68,12 +64,17 @@ impl FaultSite {
             FaultSite::DfsRead => 0x6466_7372,
             FaultSite::MapTask => 0x6d61_7074,
             FaultSite::ShuffleFetch => 0x7368_6666,
-            FaultSite::IngestRow => 0x696e_6772,
             FaultSite::ServeMutation => 0x7376_6d75,
             FaultSite::ServeQuery => 0x7376_7175,
         }
     }
 }
+
+/// Wire names of sites no code consults any more. A saved plan may still
+/// name one: [`FaultPlan::from_json`] drops its rules, which changes no
+/// decision, since `decide` only reads the rules of the site it is asked
+/// about.
+const RETIRED_SITES: &[&str] = &["ingest-row"];
 
 impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -92,7 +93,8 @@ pub enum FaultKind {
     DropRecord,
     /// A record/segment arrives corrupted and must be re-fetched.
     CorruptRecord,
-    /// An input row is poisoned (non-finite value) and must be quarantined.
+    /// A serve mutation's row is poisoned (non-finite value) and must be
+    /// diverted to the dead-letter queue.
     PoisonRow,
 }
 
@@ -212,7 +214,7 @@ impl FaultPlan {
     }
 
     /// A heavy chaos profile: roughly a third of attempts fault, every
-    /// site active including row poisoning at ingest.
+    /// site active, serve mutations also poisoned.
     pub fn heavy(seed: u64) -> Self {
         let mut rules = Vec::new();
         for site in FaultSite::ALL {
@@ -220,7 +222,6 @@ impl FaultPlan {
                 FaultSite::DfsRead => &[FaultKind::TransientError],
                 FaultSite::MapTask => &[FaultKind::Panic, FaultKind::TransientError],
                 FaultSite::ShuffleFetch => &[FaultKind::DropRecord, FaultKind::CorruptRecord],
-                FaultSite::IngestRow => &[FaultKind::PoisonRow],
                 FaultSite::ServeMutation => &[FaultKind::TransientError, FaultKind::PoisonRow],
                 FaultSite::ServeQuery => &[FaultKind::TransientError],
             };
@@ -327,7 +328,8 @@ impl FaultPlan {
         out
     }
 
-    /// Parses a plan produced by [`FaultPlan::to_json`].
+    /// Parses a plan produced by [`FaultPlan::to_json`]. Rules naming a
+    /// retired site are dropped.
     ///
     /// # Errors
     ///
@@ -380,6 +382,9 @@ impl FaultPlan {
                 .get("site")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("rule {i}: missing `site`"))?;
+            if RETIRED_SITES.contains(&site_name) {
+                continue;
+            }
             let site = FaultSite::parse(site_name)
                 .ok_or_else(|| format!("rule {i}: unknown site `{site_name}`"))?;
             let kind_name = item
@@ -557,6 +562,40 @@ mod tests {
             .map(|i| plan.decide(FaultSite::MapTask, "s", i, 0).is_some())
             .collect();
         assert!(map.iter().any(|&b| b));
+    }
+
+    /// `mrsky chaos plan --profile heavy --seed 7` as written while the
+    /// `ingest-row` site existed.
+    const HEAVY_7_WITH_INGEST_ROW: &str = r#"{"seed":7,"max_attempts":6,"backoff_base":0.05,"backoff_factor":2,"backoff_jitter":0,"kill_after_checkpoints":null,"rules":[{"site":"dfs-read","kind":"transient-error","permille":350},{"site":"map-task","kind":"panic","permille":175},{"site":"map-task","kind":"transient-error","permille":175},{"site":"shuffle-fetch","kind":"drop-record","permille":175},{"site":"shuffle-fetch","kind":"corrupt-record","permille":175},{"site":"ingest-row","kind":"poison-row","permille":350},{"site":"serve-mutation","kind":"transient-error","permille":175},{"site":"serve-mutation","kind":"poison-row","permille":175},{"site":"serve-query","kind":"transient-error","permille":350}]}"#;
+
+    #[test]
+    fn plans_naming_a_retired_site_parse_without_its_rules() {
+        let old = FaultPlan::from_json(HEAVY_7_WITH_INGEST_ROW).unwrap();
+        assert_eq!(old, FaultPlan::heavy(7));
+        assert_eq!(old.rules.len(), 8);
+        // every remaining site decides as the plan did with the rule: a
+        // digest of 9000 decisions, taken while `ingest-row` still parsed
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for site in FaultSite::ALL {
+            for i in 0..300 {
+                for a in 0..old.max_attempts {
+                    let kind = old.decide(site, "MR-Angle-partition", i, a);
+                    let byte = kind.map_or(0, |k| u64::from(k.as_str().as_bytes()[0]));
+                    digest = (digest ^ byte).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0x33a9_7ca7_f2e5_7ab0);
+        // and the plan round-trips without the retired rule
+        let text = old.to_json();
+        assert_eq!(
+            text,
+            HEAVY_7_WITH_INGEST_ROW.replace(
+                r#"{"site":"ingest-row","kind":"poison-row","permille":350},"#,
+                ""
+            )
+        );
+        assert_eq!(FaultPlan::from_json(&text).unwrap(), old);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Quarantine / dead-letter collection for corrupt input records.
+//! Quarantine / dead-letter collection for poisoned records.
 
 /// One quarantined record with enough context to find it in the source.
 #[derive(Debug, Clone, PartialEq, Eq)]

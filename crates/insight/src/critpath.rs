@@ -40,8 +40,8 @@ pub enum SegmentKind {
 /// One tile of the critical path, in run-global sim seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
-    /// Job the segment belongs to.
-    pub job: String,
+    /// The job run the segment belongs to (index into [`RunModel::runs`]).
+    pub run: usize,
     /// What the time was spent on.
     pub kind: SegmentKind,
     /// Run-global start.
@@ -64,7 +64,9 @@ pub struct CriticalPath {
     pub segments: Vec<Segment>,
     /// Sum of segment durations — equals the chained simulated wall time.
     pub total: f64,
-    /// Blame per `{job}/{map|reduce|overhead}`, summing to `total`.
+    /// Blame per `{run}/{map|reduce|overhead}`, summing to `total`; a run
+    /// is named by [`RunModel::run_label`], so a rerun job name gets a key
+    /// per run.
     pub phase_blame: BTreeMap<String, f64>,
 }
 
@@ -117,14 +119,14 @@ fn phase_chain(phase: &PhaseRec) -> Vec<usize> {
 
 /// Tiles `[phase.start, phase.end]` with the phase's critical chain,
 /// inserting explicit wait segments for any gaps.
-fn phase_segments(job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
+fn phase_segments(run: usize, job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
     let scale = phase.end;
     let mut t0 = phase.start;
     for i in phase_chain(phase) {
         let t = &phase.tasks[i];
         if t.start > t0 + 1e-9 * (1.0 + scale.abs()) {
             out.push(Segment {
-                job: job.name.clone(),
+                run,
                 kind: SegmentKind::Wait { phase: phase.kind },
                 start: job.offset + t0,
                 end: job.offset + t.start,
@@ -132,7 +134,7 @@ fn phase_segments(job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
             t0 = t.start;
         }
         out.push(Segment {
-            job: job.name.clone(),
+            run,
             kind: SegmentKind::Task {
                 phase: phase.kind,
                 task: t.task,
@@ -145,7 +147,7 @@ fn phase_segments(job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
     }
     if phase.end > t0 + 1e-9 * (1.0 + scale.abs()) {
         out.push(Segment {
-            job: job.name.clone(),
+            run,
             kind: SegmentKind::Wait { phase: phase.kind },
             start: job.offset + t0,
             end: job.offset + phase.end,
@@ -158,13 +160,16 @@ fn phase_segments(job: &JobRun, phase: &PhaseRec, out: &mut Vec<Segment>) {
 /// into the map chain, and the fixed job overhead gets its own segment.
 pub fn critical_path(run: &RunModel) -> CriticalPath {
     let mut segments = Vec::new();
-    for job in run.finished_runs() {
-        phase_segments(job, &job.map, &mut segments);
-        phase_segments(job, &job.reduce, &mut segments);
+    for (i, job) in run.runs.iter().enumerate() {
+        if job.finished.is_none() {
+            continue;
+        }
+        phase_segments(i, job, &job.map, &mut segments);
+        phase_segments(i, job, &job.reduce, &mut segments);
         let overhead = job.overhead();
         if overhead > 0.0 {
             segments.push(Segment {
-                job: job.name.clone(),
+                run: i,
                 kind: SegmentKind::Overhead,
                 start: job.offset + job.reduce.end,
                 end: job.offset + job.reduce.end + overhead,
@@ -174,10 +179,11 @@ pub fn critical_path(run: &RunModel) -> CriticalPath {
     let mut phase_blame: BTreeMap<String, f64> = BTreeMap::new();
     let mut total = 0.0;
     for s in &segments {
+        let label = run.run_label(s.run);
         let key = match &s.kind {
-            SegmentKind::Overhead => format!("{}/overhead", s.job),
+            SegmentKind::Overhead => format!("{label}/overhead"),
             SegmentKind::Wait { phase } | SegmentKind::Task { phase, .. } => {
-                format!("{}/{}", s.job, phase.as_str())
+                format!("{label}/{}", phase.as_str())
             }
         };
         *phase_blame.entry(key).or_insert(0.0) += s.duration();
@@ -233,7 +239,7 @@ mod tests {
         let job = SimJob::uniform("j", 2, &[1.0, 2.0, 3.0, 0.5], &[1.0, 2.5]);
         let cp = critical_path(&run(&job));
         for w in cp.segments.windows(2) {
-            if w[0].job == w[1].job && !matches!(w[1].kind, SegmentKind::Overhead) {
+            if w[0].run == w[1].run && !matches!(w[1].kind, SegmentKind::Overhead) {
                 assert!((w[0].end - w[1].start).abs() < 1e-9, "gap between {w:?}");
             }
         }

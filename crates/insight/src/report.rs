@@ -34,8 +34,8 @@ pub fn render_critical_path(run: &RunModel, cp: &CriticalPath) -> String {
         let SegmentKind::Task { phase, task, slot } = &s.kind else {
             continue;
         };
-        let partition = if s.job.ends_with("-partition") && *phase == mrsky_trace::PhaseKind::Reduce
-        {
+        let job = &run.runs[s.run].name;
+        let partition = if job.ends_with("-partition") && *phase == mrsky_trace::PhaseKind::Reduce {
             format!("  (partition {task})")
         } else {
             String::new()
@@ -43,7 +43,7 @@ pub fn render_critical_path(run: &RunModel, cp: &CriticalPath) -> String {
         let _ = writeln!(
             out,
             "    {:<28} {:>10}  slot {slot}{partition}",
-            format!("{}/{}/{task}", s.job, phase.as_str()),
+            format!("{}/{}/{task}", run.run_label(s.run), phase.as_str()),
             secs(s.duration()),
         );
     }
@@ -86,10 +86,29 @@ pub fn render_stragglers(list: &[Straggler]) -> String {
     out
 }
 
-/// Renders the skew report.
-pub fn render_skew(report: &SkewReport) -> String {
+/// Renders the skew reports, one block per partition-job run; a block
+/// names its run only when there is more than one.
+pub fn render_skew(reports: &[SkewReport]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "partition skew ({} partitions):", report.rows.len());
+    if reports.is_empty() {
+        let _ = writeln!(out, "partition skew: no partition accounting in this trace");
+    }
+    for report in reports {
+        render_run_skew(report, reports.len() > 1, &mut out);
+    }
+    out
+}
+
+fn render_run_skew(report: &SkewReport, named: bool, out: &mut String) {
+    let of = match &report.run {
+        Some(label) if named => format!(" of {label}"),
+        _ => String::new(),
+    };
+    let _ = writeln!(
+        out,
+        "partition skew{of} ({} partitions):",
+        report.rows.len()
+    );
     let _ = writeln!(
         out,
         "  rows:   gini {:.3}  mean {:.1} rows/partition",
@@ -119,7 +138,6 @@ pub fn render_skew(report: &SkewReport) -> String {
     if report.pruned > 0 {
         let _ = writeln!(out, "  pruned partitions: {}", report.pruned);
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Partitioner skew scoring: row-count and kernel-time Gini coefficients
-//! per sector, plus hot-partition identification.
+//! per sector, plus hot-partition identification, for each run of a
+//! partition job (a `sweep` or a rerun runs one job name more than once).
 //!
 //! The partition job routes key `k` to reduce task `k % reducers` with
 //! `reducers == num_partitions`, so *reduce task index equals partition
@@ -9,15 +10,18 @@
 use mrsky_trace::model::TaskRec;
 use mrsky_trace::RunModel;
 
-/// Skew report over the partition job.
+/// Skew report over one run of a partition job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkewReport {
+    /// The run's label (see [`RunModel::run_label`]); `None` for records
+    /// emitted outside any partition-job run.
+    pub run: Option<String>,
     /// `(partition, input rows)` sorted by partition id.
     pub rows: Vec<(u64, u64)>,
     /// Gini coefficient of the per-partition input row counts (0 =
     /// perfectly even, →1 = one partition holds everything).
     pub row_gini: f64,
-    /// Gini coefficient of the partition job's reduce-task durations.
+    /// Gini coefficient of the run's reduce-task durations.
     pub time_gini: f64,
     /// The partition with the most input rows.
     pub hot_partition: u64,
@@ -52,41 +56,45 @@ pub fn gini(values: &[f64]) -> f64 {
     (2.0 * weighted / (n as f64 * sum)) - (n as f64 + 1.0) / n as f64
 }
 
-/// Builds the skew report. `None` when the trace has no partition job or no
-/// per-partition accounting (e.g. a plain word-count trace).
-pub fn skew(run: &RunModel) -> Option<SkewReport> {
-    if run.partitions.is_empty() {
-        return None;
-    }
-    let rows: Vec<(u64, u64)> = run
-        .partitions
-        .iter()
-        .map(|p| (p.partition, p.input))
-        .collect();
+/// Builds one skew report per partition-job run with per-partition
+/// accounting, in start order (records outside any run first). Empty when
+/// the trace has none (e.g. a plain word-count trace).
+pub fn skew(model: &RunModel) -> Vec<SkewReport> {
+    let mut owners: Vec<Option<usize>> = model.partitions.iter().map(|p| p.run).collect();
+    owners.sort_unstable();
+    owners.dedup();
+    owners
+        .into_iter()
+        .filter_map(|owner| run_skew(model, owner))
+        .collect()
+}
+
+/// The skew report over the partition records `owner` emitted, with the
+/// kernel-time Gini from that run's reduce tasks.
+fn run_skew(model: &RunModel, owner: Option<usize>) -> Option<SkewReport> {
+    let partitions: Vec<_> = model.partitions.iter().filter(|p| p.run == owner).collect();
+    let rows: Vec<(u64, u64)> = partitions.iter().map(|p| (p.partition, p.input)).collect();
     let row_values: Vec<f64> = rows.iter().map(|&(_, r)| r as f64).collect();
-    let time_values: Vec<f64> = run
-        .finished_runs()
-        .find(|j| j.name.ends_with("-partition"))
-        .map(|j| j.reduce.tasks.iter().map(TaskRec::duration).collect())
-        .unwrap_or_default();
+    let tasks = owner.map_or(&[][..], |i| &model.runs[i].reduce.tasks[..]);
+    let time_values: Vec<f64> = tasks.iter().map(TaskRec::duration).collect();
     let (hot_partition, hot_rows) = rows
         .iter()
         .copied()
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?;
-    let hot_kernel = run
-        .partitions
+    let hot_kernel = partitions
         .iter()
         .find(|p| p.partition == hot_partition)
         .map(|p| p.kernel.clone())
         .unwrap_or_default();
     Some(SkewReport {
+        run: owner.map(|i| model.run_label(i)),
         row_gini: gini(&row_values),
         time_gini: gini(&time_values),
         hot_partition,
         hot_rows,
         hot_kernel,
         mean_rows: row_values.iter().sum::<f64>() / row_values.len() as f64,
-        pruned: run.partitions.iter().filter(|p| p.pruned).count() as u64,
+        pruned: partitions.iter().filter(|p| p.pruned).count() as u64,
         rows,
     })
 }
@@ -110,6 +118,7 @@ mod tests {
         let mut run = RunModel::default();
         for (p, input, kernel) in [(0u64, 100u64, "bnl"), (1, 900, "salsa"), (2, 50, "bnl")] {
             run.partitions.push(PartitionRec {
+                run: None,
                 partition: p,
                 input,
                 output: input / 10,
@@ -117,7 +126,10 @@ mod tests {
                 kernel: kernel.to_string(),
             });
         }
-        let report = skew(&run).unwrap();
+        let reports = skew(&run);
+        assert_eq!(reports.len(), 1);
+        let report = &reports[0];
+        assert_eq!(report.run, None);
         assert_eq!(report.hot_partition, 1);
         assert_eq!(report.hot_rows, 900);
         assert_eq!(report.hot_kernel, "salsa", "blame names the kernel");
@@ -127,6 +139,6 @@ mod tests {
 
     #[test]
     fn no_partition_events_means_no_report() {
-        assert!(skew(&RunModel::default()).is_none());
+        assert!(skew(&RunModel::default()).is_empty());
     }
 }

@@ -1,10 +1,11 @@
 //! Compatibility rule for retired trace events: a trace written before
 //! `task_scheduled`, `task_launched`, `task_speculated` and `dfs_block_read`
 //! were retired (and while `task_finished` / `phase_finished` still carried
-//! `speculative` / `speculative_wins`), or by a run with the deleted
-//! streaming merge (its `merge_overlap` credit), must load, validate,
-//! summarize and model exactly like the same trace with the retired lines
-//! removed.
+//! `speculative` / `speculative_wins`), by a run with the deleted
+//! streaming merge (its `merge_overlap` credit), or by the deleted traced
+//! and quarantining QWS loaders (`ingest_started`, `record_quarantined`,
+//! `ingest_finished`), must load, validate, summarize and model exactly
+//! like the same trace with the retired lines removed.
 
 use mrsky_trace::event::RETIRED_EVENT_TYPES;
 use mrsky_trace::{parse_jsonl, validate_events, RunModel};

@@ -25,8 +25,8 @@
 //!   generators.
 //! * [`dataset`] — the [`Dataset`] container, CSV persistence, and an update
 //!   stream for incremental experiments.
-//! * [`registry`] — a UDDI-style service registry (names, providers,
-//!   functional categories) feeding the skyline pipeline per category.
+//! * [`ingest`] — the strict loader for the real QWS v2 file
+//!   ([`load_qws_file`]).
 //! * [`rng`] — small self-contained normal/log-normal samplers (the `rand`
 //!   crate's distributions live in `rand_distr`, which is outside this
 //!   workspace's dependency budget).
@@ -40,7 +40,6 @@ pub mod dataset;
 pub mod drift;
 pub mod generator;
 pub mod ingest;
-pub mod registry;
 pub mod rng;
 pub mod synthetic;
 
@@ -48,6 +47,5 @@ pub use attributes::{AttributeSpec, Direction, QWS_ATTRIBUTES};
 pub use dataset::Dataset;
 pub use drift::{DriftConfig, DriftModel};
 pub use generator::{extend_qws, generate_qws, QwsConfig};
-pub use ingest::{load_qws_file, load_qws_file_chunked, IngestChunk};
-pub use registry::{Category, Registry, ServiceEntry};
+pub use ingest::load_qws_file;
 pub use synthetic::{generate_synthetic, Distribution, SyntheticConfig};

@@ -234,13 +234,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     ev.wall_us
                 ));
             }
-            EventKind::RecordQuarantined { source, line, .. } => {
-                em.push(&format!(
-                    "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":2,\"s\":\"t\",\"name\":\"quarantine {}:{line}\",\"cat\":\"chaos\",\"ts\":{}",
-                    escape(source),
-                    ev.wall_us
-                ));
-            }
             EventKind::RowsFiltered { input, filtered } => {
                 em.push(&format!(
                     "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":1,\"s\":\"t\",\"name\":\"filter sweep\",\"cat\":\"pruning\",\"ts\":{},\"args\":{{\"input\":{input},\"filtered\":{filtered}}}",
@@ -298,7 +291,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
             }
             // Job slices, shuffle and memory instants come from the runs
             // above; causal flows and steals are drawn below. Retry
-            // bookkeeping and ingest are visible in the summary view.
+            // bookkeeping is visible in the summary view.
             // Per-request serve events are too dense for the timeline —
             // the summary's op/outcome table and latency quantiles carry
             // them; only breaker/shed/repair markers surface here.
@@ -312,8 +305,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
             | EventKind::CausalEdge { .. }
             | EventKind::TaskStolen { .. }
             | EventKind::TaskRetried { .. }
-            | EventKind::IngestStarted { .. }
-            | EventKind::IngestFinished { .. }
             | EventKind::Request { .. }
             | EventKind::StaleServed { .. } => {}
         }
@@ -525,15 +516,7 @@ mod tests {
                     points: 12,
                 },
             ),
-            ev(
-                4,
-                RecordQuarantined {
-                    source: "qws.txt".into(),
-                    line: 44,
-                    reason: "bad".into(),
-                },
-            ),
-            ev(5, RunResumed { run: 2 }),
+            ev(4, RunResumed { run: 2 }),
         ];
         let text = to_chrome_trace(&stream);
         json::parse(&text).unwrap();
@@ -541,7 +524,6 @@ mod tests {
         assert!(text.contains("retry exhausted map-task"));
         assert!(text.contains("checkpoint write p7"));
         assert!(text.contains("checkpoint restore p7"));
-        assert!(text.contains("quarantine qws.txt:44"));
         assert!(text.contains("run resumed (attempt 2)"));
     }
 

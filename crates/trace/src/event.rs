@@ -15,8 +15,7 @@
 //! | causality | `causal_edge` |
 //! | skyline | `kernel_run`, `partition_local_skyline` |
 //! | early pruning | `rows_filtered`, `sector_pruned` |
-//! | ingest | `ingest_started`, `ingest_finished` |
-//! | chaos / recovery | `fault_injected`, `task_retry_exhausted`, `checkpoint_written`, `checkpoint_restored`, `record_quarantined`, `run_resumed` |
+//! | chaos / recovery | `fault_injected`, `task_retry_exhausted`, `checkpoint_written`, `checkpoint_restored`, `run_resumed` |
 //! | generic spans | `span_begin`, `span_end` |
 //!
 //! Types the schema no longer emits are listed in [`RETIRED_EVENT_TYPES`];
@@ -243,18 +242,6 @@ pub enum EventKind {
         /// Points routed into the pruned partition.
         points: u64,
     },
-    /// Dataset ingestion began.
-    IngestStarted {
-        /// Source path or generator description.
-        source: String,
-    },
-    /// Dataset ingestion completed.
-    IngestFinished {
-        /// Services loaded.
-        services: u64,
-        /// Malformed/non-finite rows rejected.
-        rejected: u64,
-    },
     /// A chaos fault fired at a named injection site.
     FaultInjected {
         /// Injection site wire name (`map-task`, `dfs-read`, ...).
@@ -293,15 +280,6 @@ pub enum EventKind {
         partition: u64,
         /// Local skyline cardinality restored.
         points: u64,
-    },
-    /// A corrupt input record was diverted to the dead-letter report.
-    RecordQuarantined {
-        /// Source name (file path, job name, ...).
-        source: String,
-        /// 1-based line number within the source.
-        line: u64,
-        /// Why the record was rejected.
-        reason: String,
     },
     /// One serving-layer request (mutation or query) completed with a
     /// definite outcome — every request emits exactly one of these, so
@@ -400,13 +378,10 @@ impl EventKind {
             EventKind::PartitionLocalSkyline { .. } => "partition_local_skyline",
             EventKind::RowsFiltered { .. } => "rows_filtered",
             EventKind::SectorPruned { .. } => "sector_pruned",
-            EventKind::IngestStarted { .. } => "ingest_started",
-            EventKind::IngestFinished { .. } => "ingest_finished",
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::TaskRetryExhausted { .. } => "task_retry_exhausted",
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
             EventKind::CheckpointRestored { .. } => "checkpoint_restored",
-            EventKind::RecordQuarantined { .. } => "record_quarantined",
             EventKind::Request { .. } => "request",
             EventKind::BreakerTransition { .. } => "breaker_transition",
             EventKind::Shed { .. } => "shed",
@@ -422,7 +397,8 @@ impl EventKind {
 /// Wire names of event types the schema no longer emits: the FIFO
 /// scheduler's queue and launch markers (`task_finished` carries the slot
 /// and start), the speculation and data-locality simulator modes' events,
-/// and the deleted streaming merge's overlap credit. Traces written before
+/// the deleted streaming merge's overlap credit, and the traced and
+/// quarantining QWS loaders' ingest markers. Traces written before
 /// their retirement still load because [`parse_jsonl`](crate::parse_jsonl)
 /// skips these lines.
 pub const RETIRED_EVENT_TYPES: &[&str] = &[
@@ -431,6 +407,9 @@ pub const RETIRED_EVENT_TYPES: &[&str] = &[
     "task_speculated",
     "dfs_block_read",
     "merge_overlap",
+    "ingest_started",
+    "ingest_finished",
+    "record_quarantined",
 ];
 
 /// One serialized field value.
@@ -582,10 +561,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
         SectorPruned { partition, points } => {
             vec![("partition", U(*partition)), ("points", U(*points))]
         }
-        IngestStarted { source } => vec![("source", S(source.clone()))],
-        IngestFinished { services, rejected } => {
-            vec![("services", U(*services)), ("rejected", U(*rejected))]
-        }
         FaultInjected {
             site,
             fault,
@@ -616,15 +591,6 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
         CheckpointRestored { partition, points } => {
             vec![("partition", U(*partition)), ("points", U(*points))]
         }
-        RecordQuarantined {
-            source,
-            line,
-            reason,
-        } => vec![
-            ("source", S(source.clone())),
-            ("line", U(*line)),
-            ("reason", S(reason.clone())),
-        ],
         Request {
             tenant,
             op,
@@ -859,13 +825,6 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             partition: req_u64(v, "partition")?,
             points: req_u64(v, "points")?,
         },
-        "ingest_started" => IngestStarted {
-            source: req_str(v, "source")?,
-        },
-        "ingest_finished" => IngestFinished {
-            services: req_u64(v, "services")?,
-            rejected: req_u64(v, "rejected")?,
-        },
         "fault_injected" => FaultInjected {
             site: req_str(v, "site")?,
             fault: req_str(v, "fault")?,
@@ -886,11 +845,6 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
         "checkpoint_restored" => CheckpointRestored {
             partition: req_u64(v, "partition")?,
             points: req_u64(v, "points")?,
-        },
-        "record_quarantined" => RecordQuarantined {
-            source: req_str(v, "source")?,
-            line: req_u64(v, "line")?,
-            reason: req_str(v, "reason")?,
         },
         "request" => Request {
             tenant: req_str(v, "tenant")?,
@@ -1019,13 +973,6 @@ mod tests {
                 partition: 5,
                 points: 120,
             },
-            IngestStarted {
-                source: "data.csv".into(),
-            },
-            IngestFinished {
-                services: 1000,
-                rejected: 3,
-            },
             FaultInjected {
                 site: "map-task".into(),
                 fault: "panic".into(),
@@ -1046,11 +993,6 @@ mod tests {
             CheckpointRestored {
                 partition: 11,
                 points: 42,
-            },
-            RecordQuarantined {
-                source: "qws.txt".into(),
-                line: 118,
-                reason: "non-finite value in column 4".into(),
             },
             Request {
                 tenant: "t0".into(),

@@ -196,6 +196,9 @@ impl JobRun {
 /// reducers; the reduce task index equals the partition id).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionRec {
+    /// The partition-job run (index into [`RunModel::runs`]) the record
+    /// was emitted in: the latest `-partition` run started before it.
+    pub run: Option<usize>,
     /// Partition id.
     pub partition: u64,
     /// Input rows routed to the partition.
@@ -264,8 +267,6 @@ pub struct RunModel {
     pub partitions: Vec<PartitionRec>,
     /// Per-kernel aggregates.
     pub kernels: BTreeMap<String, KernelAgg>,
-    /// Ingest totals: (services, rejected).
-    pub ingest: Option<(u64, u64)>,
     /// Driver span wall durations in microseconds, by name.
     pub spans: BTreeMap<String, u64>,
     /// Injected faults by `site/kind` wire names.
@@ -278,8 +279,6 @@ pub struct RunModel {
     pub filtered: (u64, u64),
     /// Witness-based sector pruning: (partitions skipped, points skipped).
     pub sectors_pruned: (u64, u64),
-    /// Records quarantined to the dead-letter report.
-    pub quarantined: u64,
     /// Crash-recovery resumes observed (`run_resumed` markers).
     pub resumes: u64,
     /// Serving layer: completed requests by `op/outcome` wire names.
@@ -480,15 +479,13 @@ impl RunModel {
                     },
                     _,
                 ) => m.partitions.push(PartitionRec {
+                    run: m.latest_run(m.runs.len(), |job| job.ends_with("-partition")),
                     partition: *partition,
                     input: *input,
                     output: *output,
                     pruned: *pruned,
                     kernel: kernel.clone(),
                 }),
-                (EventKind::IngestFinished { services, rejected }, _) => {
-                    m.ingest = Some((*services, *rejected));
-                }
                 (EventKind::SpanBegin { name }, _) => {
                     span_opens.entry(name.clone()).or_default().push(ev.wall_us);
                 }
@@ -512,7 +509,6 @@ impl RunModel {
                     m.sectors_pruned.0 += 1;
                     m.sectors_pruned.1 += points;
                 }
-                (EventKind::RecordQuarantined { .. }, _) => m.quarantined += 1,
                 (
                     EventKind::Request {
                         op,
@@ -562,9 +558,27 @@ impl RunModel {
     /// runs again does not take over its earlier runs' edges.
     pub(crate) fn run_of(&self, edge: &EdgeRec, node: &str) -> Option<usize> {
         let job = node_job(node)?;
-        self.runs[..edge.runs_started.min(self.runs.len())]
+        self.latest_run(edge.runs_started, |name| name == job)
+    }
+
+    /// The latest of the first `started` runs whose job name `job` accepts.
+    fn latest_run(&self, started: usize, job: impl Fn(&str) -> bool) -> Option<usize> {
+        self.runs[..started.min(self.runs.len())]
             .iter()
-            .rposition(|r| r.name == job)
+            .rposition(|r| job(&r.name))
+    }
+
+    /// How reports name run `i`: its job name, followed by `(run k of n)`
+    /// when the name started more than once.
+    pub fn run_label(&self, i: usize) -> String {
+        let name = &self.runs[i].name;
+        let n = self.runs.iter().filter(|r| &r.name == name).count();
+        if n > 1 {
+            let k = self.runs[..=i].iter().filter(|r| &r.name == name).count();
+            format!("{name} (run {k} of {n})")
+        } else {
+            name.clone()
+        }
     }
 
     /// The runs that finished, in start order.
@@ -680,6 +694,35 @@ mod tests {
         assert!(text.contains("job j (run 1 of 2): sim 3.50s"), "{text}");
         assert!(text.contains("job j (run 2 of 2): sim 12.50s"), "{text}");
         assert!(!text.contains("finished=2"), "{text}");
+    }
+
+    #[test]
+    fn a_partition_record_belongs_to_the_partition_run_it_was_emitted_in() {
+        let local = |partition| PartitionLocalSkyline {
+            partition,
+            input: 10,
+            output: 2,
+            pruned: false,
+            kernel: "bnl".into(),
+        };
+        // one record before any partition run, one inside each run (the
+        // second after an unrelated job started)
+        let mut kinds = vec![local(9)];
+        let mut first = job("x-partition", 1.0, 2.0);
+        first.insert(5, local(0));
+        kinds.extend(first);
+        kinds.extend(job("x-merge", 1.0, 1.0));
+        let mut second = job("x-partition", 1.0, 2.0);
+        second.insert(5, local(1));
+        kinds.extend(second);
+        kinds.extend(job("x-merge", 1.0, 1.0));
+        let m = RunModel::from_events(&stream(kinds));
+        let runs: Vec<_> = m.partitions.iter().map(|p| (p.partition, p.run)).collect();
+        assert_eq!(runs, [(0, Some(0)), (1, Some(2)), (9, None)]);
+        assert_eq!(m.run_label(0), "x-partition (run 1 of 2)");
+        assert_eq!(m.run_label(2), "x-partition (run 2 of 2)");
+        let single = RunModel::from_events(&stream(job("y", 1.0, 1.0)));
+        assert_eq!(single.run_label(0), "y");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`RunModel`].
 
 use crate::event::{EventKind, PhaseKind, TraceEvent};
-use crate::model::{JobRun, PartitionRec, RunModel, ShuffleRec};
+use crate::model::{PartitionRec, RunModel, ShuffleRec};
 use crate::registry::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -198,24 +198,11 @@ impl RunModel {
         let mut out = String::new();
         let _ = writeln!(out, "trace summary ({} events)", self.events);
 
-        if let Some((services, rejected)) = self.ingest {
-            let _ = writeln!(out, "  ingest: {services} services, {rejected} rejected");
-        }
-
-        let mut runs: Vec<&JobRun> = self.runs.iter().collect();
-        runs.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut starts: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-        for run in &runs {
-            starts.entry(&run.name).or_default().1 += 1;
-        }
-        for run in runs {
-            let (k, n) = starts.entry(&run.name).or_default();
-            *k += 1;
-            let label = if *n > 1 {
-                format!("{} (run {k} of {n})", run.name)
-            } else {
-                run.name.clone()
-            };
+        let mut order: Vec<usize> = (0..self.runs.len()).collect();
+        order.sort_by(|&a, &b| self.runs[a].name.cmp(&self.runs[b].name));
+        for i in order {
+            let run = &self.runs[i];
+            let label = self.run_label(i);
             let (sim, wall) = run.finished.unwrap_or((0.0, 0.0));
             if run.abandoned {
                 let _ = writeln!(out, "  job {label}: abandoned");
@@ -347,9 +334,6 @@ impl RunModel {
                 "  checkpoints: {} written, {} restored",
                 self.checkpoints.0, self.checkpoints.1
             );
-        }
-        if self.quarantined > 0 {
-            let _ = writeln!(out, "  quarantined records: {}", self.quarantined);
         }
         if self.resumes > 0 {
             let _ = writeln!(out, "  crash recoveries: {} resume(s)", self.resumes);
@@ -806,26 +790,15 @@ mod tests {
                     points: 9,
                 },
             ),
-            ev(
-                5,
-                5,
-                RecordQuarantined {
-                    source: "qws.txt".into(),
-                    line: 8,
-                    reason: "bad".into(),
-                },
-            ),
         ];
         let summary = RunModel::from_events(&stream);
         assert_eq!(summary.faults.get("map-task/panic"), Some(&2));
         assert_eq!(summary.retries_exhausted, 1);
         assert_eq!(summary.checkpoints, (1, 1));
-        assert_eq!(summary.quarantined, 1);
         let text = summary.summary();
         assert!(text.contains("2 fault(s) injected"));
         assert!(text.contains("1 retry budget(s) exhausted"));
         assert!(text.contains("checkpoints: 1 written, 1 restored"));
-        assert!(text.contains("quarantined records: 1"));
     }
 
     #[test]
@@ -966,6 +939,7 @@ mod tests {
         assert_eq!(
             summary.partitions,
             vec![PartitionRec {
+                run: None,
                 partition: 3,
                 input: 100,
                 output: 10,

@@ -315,9 +315,8 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
 fn load_data(args: &[String]) -> Result<Dataset, String> {
     if let Some(path) = flag(args, "--qws-file")? {
         // the real QWS v2 distribution file
-        let (data, _names) = mr_skyline_suite::qws::load_qws_file(PathBuf::from(&path).as_path())
-            .map_err(|e| format!("cannot load QWS file `{path}`: {e}"))?;
-        return Ok(data);
+        return mr_skyline_suite::qws::load_qws_file(PathBuf::from(&path).as_path())
+            .map_err(|e| format!("cannot load QWS file `{path}`: {e}"));
     }
     let path = flag(args, "--data")?.ok_or("--data FILE (or --qws-file FILE) is required")?;
     Dataset::load_csv(path.clone(), PathBuf::from(&path).as_path())
@@ -676,10 +675,7 @@ fn cmd_insight(args: &[String]) -> Result<(), String> {
         print!("{}", insight::report::render_stragglers(&list));
     }
     if all || want_skew {
-        match insight::skew(&run) {
-            Some(report) => print!("{}", insight::report::render_skew(&report)),
-            None => println!("partition skew: no partition accounting in this trace"),
-        }
+        print!("{}", insight::report::render_skew(&insight::skew(&run)));
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! Integration + property tests of the representative operators and the
-//! service registry, exercised together across crates.
+//! maintained skyline, exercised together across crates.
 
 use mr_skyline_suite::mr::prelude::*;
-use mr_skyline_suite::qws::{generate_qws, Category, QwsConfig, Registry};
+use mr_skyline_suite::qws::dataset::Update;
+use mr_skyline_suite::qws::{generate_qws, QwsConfig};
 use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
@@ -52,44 +53,20 @@ proptest! {
 }
 
 #[test]
-fn registry_category_skylines_partition_the_work() {
-    let registry = Registry::synthetic(3000, 4, 11);
-    let mut per_category_total = 0usize;
-    for category in Category::ALL {
-        let data = registry.category_dataset(category).expect("populated");
-        per_category_total += data.len();
-        let report = SkylineJob::new(Algorithm::MrGrid, 4).run(&data);
-        validate_report(&report, &data).expect("category skyline valid");
-        // every winner belongs to the right category
-        for p in &report.global_skyline {
-            assert_eq!(registry.get(p.id()).expect("resolves").category, category);
-        }
-    }
-    assert_eq!(per_category_total, registry.len());
-}
-
-#[test]
 fn registry_churn_flows_into_maintained_skyline() {
-    let mut registry = Registry::synthetic(400, 3, 5);
-    let data = registry.full_dataset();
+    let data = generate_qws(&QwsConfig::new(400, 3).with_seed(5));
     let mut maintained =
         MaintainedRegistry::bootstrap(Algorithm::MrAngle, 4, &data).expect("partitioner fit");
 
     // register a dominator of everything
-    let id = registry.register("flawless", "acme", Category::Sms, vec![0.0, 0.0, 0.0]);
-    maintained.apply(&mr_skyline_suite::qws::dataset::Update::Add(
-        registry.get(id).unwrap().qos.clone(),
-    ));
+    let id = data.len() as u64;
+    maintained.apply(&Update::Add(Point::new(id, vec![0.0, 0.0, 0.0])));
     assert_eq!(maintained.skyline().len(), 1);
     assert_eq!(maintained.skyline()[0].id(), id);
 
     // deregister it again: the old skyline must come back
-    registry.deregister(id);
-    maintained.apply(&mr_skyline_suite::qws::dataset::Update::Remove(id));
-    assert_eq!(
-        ids(maintained.skyline()),
-        naive_skyline_ids(registry.full_dataset().points())
-    );
+    maintained.apply(&Update::Remove(id));
+    assert_eq!(ids(maintained.skyline()), naive_skyline_ids(data.points()));
 }
 
 #[test]

@@ -48,7 +48,9 @@ fn analyzer_names_the_hot_partition_and_blame_sums_to_wall_time() {
 
     let run = RunModel::from_events(&events);
     assert_eq!(insight::check(&run), Ok(()));
-    let skew = insight::skew(&run).expect("partition job present");
+    let reports = insight::skew(&run);
+    assert_eq!(reports.len(), 1, "one partition-job run");
+    let skew = &reports[0];
     assert_eq!(skew.hot_partition, true_hot, "wrong hot partition");
     assert_eq!(skew.hot_rows, true_rows);
     assert!(skew.row_gini > 0.0, "skewed data must show row skew");
@@ -71,7 +73,7 @@ fn analyzer_names_the_hot_partition_and_blame_sums_to_wall_time() {
     // The rendered reports name the hot partition for the operator.
     let cp_text = insight::report::render_critical_path(&run, &cp);
     assert!(cp_text.contains("phase blame"), "{cp_text}");
-    let skew_text = insight::report::render_skew(&skew);
+    let skew_text = insight::report::render_skew(&reports);
     assert!(
         skew_text.contains(&format!("hot partition: {true_hot} ")),
         "{skew_text}"
@@ -109,4 +111,92 @@ fn stragglers_run_on_real_traces() {
         assert!(s.ratio >= insight::DEFAULT_THRESHOLD);
         assert!(s.duration > s.median);
     }
+}
+
+/// A job name that runs twice (`mrsky sweep --servers 4,8`) gets a skew
+/// report and a blame key per run, each read from that run's events only.
+#[test]
+fn rerun_traces_are_analyzed_per_run() {
+    let data = generate_synthetic(&SyntheticConfig::new(4000, 4, Distribution::AntiCorrelated));
+    let tracer = Tracer::in_memory();
+    let mut sims = Vec::new();
+    for servers in [4, 8] {
+        let report = SkylineJob::new(Algorithm::MrAngle, servers)
+            .with_tracer(tracer.clone())
+            .run(&data);
+        sims.push(report.metrics.sim_total);
+    }
+    let events = tracer.drain();
+
+    // Ground truth per run, cut at each start of the partition job.
+    let mut rows: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut reduce_durations: Vec<Vec<f64>> = Vec::new();
+    for e in &events {
+        match &e.kind {
+            EventKind::JobStarted { job } if job == "MR-Angle-partition" => {
+                rows.push(Vec::new());
+                reduce_durations.push(Vec::new());
+            }
+            EventKind::PartitionLocalSkyline {
+                partition, input, ..
+            } => rows.last_mut().unwrap().push((*partition, *input)),
+            EventKind::TaskFinished {
+                job,
+                phase: mr_skyline_suite::trace::PhaseKind::Reduce,
+                sim_start,
+                sim_end,
+                ..
+            } if job == "MR-Angle-partition" => {
+                reduce_durations
+                    .last_mut()
+                    .unwrap()
+                    .push(sim_end - sim_start);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(rows.len(), 2);
+
+    let run = RunModel::from_events(&events);
+    let reports = insight::skew(&run);
+    assert_eq!(reports.len(), 2, "one skew report per partition-job run");
+    for (k, report) in reports.iter().enumerate() {
+        let mut want = rows[k].clone();
+        want.sort_unstable();
+        assert_eq!(report.rows, want, "run {k}");
+        let label = format!("MR-Angle-partition (run {} of 2)", k + 1);
+        assert_eq!(report.run.as_deref(), Some(label.as_str()));
+        let want_gini = insight::gini(&reduce_durations[k]);
+        assert!((report.time_gini - want_gini).abs() < 1e-12, "run {k}");
+    }
+    assert_ne!(reports[0].rows.len(), reports[1].rows.len());
+    let text = insight::report::render_skew(&reports);
+    assert!(
+        text.contains(&format!(
+            "partition skew of MR-Angle-partition (run 2 of 2) ({} partitions):",
+            rows[1].len()
+        )),
+        "{text}"
+    );
+
+    // Blame: each run of each job has its own keys, and each run's keys
+    // sum to that run's share of the simulated wall time.
+    let cp = insight::critical_path(&run);
+    for (k, sim) in sims.iter().enumerate() {
+        let blamed: f64 = cp
+            .phase_blame
+            .iter()
+            .filter(|(key, _)| key.contains(&format!("(run {} of 2)/", k + 1)))
+            .map(|(_, v)| v)
+            .sum();
+        assert!(
+            (blamed - sim).abs() <= 1e-9 * (1.0 + sim),
+            "run {k}: {blamed} vs {sim}"
+        );
+    }
+    assert!(
+        cp.phase_blame.keys().all(|key| key.contains(" of 2)/")),
+        "{:?}",
+        cp.phase_blame.keys()
+    );
 }

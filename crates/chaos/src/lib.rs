@@ -15,7 +15,8 @@
 //!   deterministic exponential backoff, charged to the *simulated* clock
 //!   so recovery cost shows up in run metrics without slowing tests.
 //! - [`DeadLetter`] — a bounded quarantine for poisoned records, backing
-//!   the serving layer's dead-letter queue of rejected mutations.
+//!   the serving layer's dead-letter queue of rejected mutations: it keeps
+//!   the latest records up to its budget and counts the rest.
 //! - [`KillSwitch`] — a crash simulator that kills the run after N
 //!   checkpoint writes, for exercising checkpoint/resume paths.
 //!
@@ -32,5 +33,5 @@ mod retry;
 
 pub use kill::{KillSwitch, KILL_PAYLOAD};
 pub use plan::{FaultKind, FaultPlan, FaultSite, SiteRule};
-pub use quarantine::{DeadLetter, QuarantinedRecord};
+pub use quarantine::DeadLetter;
 pub use retry::{with_retries, with_retries_seeded, BackoffPolicy, RetryStats};

@@ -19,9 +19,10 @@
 //! needs at least ten fields: the nine QoS values and the service name (the
 //! name, the WSDL address and any later field are not read). A malformed
 //! line is an error naming its 1-based line number, since silently dropping
-//! services would bias every measurement. Values outside the catalogue
-//! range are clamped into it, so `inf` and `1e400` load as a range bound;
-//! `NaN` is an error.
+//! services would bias every measurement. Finite values outside the
+//! catalogue range are clamped into it; `NaN`, `inf` and a literal that
+//! overflows `f64` (`1e400`) are errors, as in `Dataset::load_csv`, and so
+//! is a line that is not UTF-8.
 
 use crate::attributes::{AttributeSpec, QWS_ATTRIBUTES};
 use crate::dataset::Dataset;
@@ -61,8 +62,8 @@ pub const LOADED_ATTRIBUTE_ORDER: [&str; 9] = [
 ///
 /// # Errors
 ///
-/// I/O errors (a line that is not UTF-8 among them), the first malformed
-/// or `NaN` line, and a file with no services are errors.
+/// I/O errors, the first line that is not UTF-8, malformed or not finite,
+/// and a file with no services are errors.
 pub fn load_qws_file(path: &Path) -> std::io::Result<Dataset> {
     // for each output column: where it sits in the file, and its spec
     let columns: Vec<(usize, &AttributeSpec)> = LOADED_ATTRIBUTE_ORDER
@@ -83,33 +84,29 @@ pub fn load_qws_file(path: &Path) -> std::io::Result<Dataset> {
     // reuses one line buffer for the whole file.
     let mut block = PointBlock::new(LOADED_ATTRIBUTE_ORDER.len());
     let mut reader = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut buf = String::with_capacity(256);
+    let mut buf = Vec::with_capacity(256);
     let mut lineno = 0usize;
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     loop {
         buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
+        if reader.read_until(b'\n', &mut buf)? == 0 {
             break;
         }
         lineno += 1;
-        let trimmed = buf.trim();
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| invalid(format!("QWS line {lineno} is not valid UTF-8")))?;
+        let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let coords = parse_row(trimmed, &columns).map_err(|what| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed QWS line {lineno}: {what}"),
-            )
-        })?;
+        let coords = parse_row(trimmed, &columns)
+            .map_err(|what| invalid(format!("malformed QWS line {lineno}: {what}")))?;
         block
             .push(block.len() as u64, &coords)
             .expect("parse_row validated dimension and finiteness");
     }
     if block.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "QWS file contains no services",
-        ));
+        return Err(invalid("QWS file contains no services".to_string()));
     }
     let n = block.len();
     Ok(Dataset::from_block(format!("qws-file(n={n})"), block))
@@ -125,16 +122,17 @@ fn parse_row(trimmed: &str, columns: &[(usize, &AttributeSpec)]) -> Result<[f64;
     let mut raw = [0.0f64; 9];
     for (slot, field) in raw.iter_mut().zip(&fields) {
         *slot = field.parse::<f64>().map_err(|_| "non-numeric QoS field")?;
+        // "NaN", "inf" and "1e400" parse as legal f64s; checked before
+        // the clamp, which would turn an infinity into a range bound
+        if !slot.is_finite() {
+            return Err("non-finite QoS field");
+        }
     }
     let mut coords = [0.0f64; 9];
     for (slot, &(file_col, spec)) in coords.iter_mut().zip(columns) {
-        // clamp into the catalogue range first: the real file has a
-        // handful of out-of-range artefacts
+        // clamp into the catalogue range: the real file has a handful of
+        // out-of-range artefacts
         *slot = spec.orient(raw[file_col].clamp(spec.range.0, spec.range.1));
-    }
-    // "NaN" parses as a perfectly legal f64 and survives the clamp
-    if coords.iter().any(|c| !c.is_finite()) {
-        return Err("non-finite QoS field");
     }
     Ok(coords)
 }
@@ -257,8 +255,10 @@ mod tests {
         assert!(!sky.is_empty() && sky.len() < data.len());
     }
 
-    /// Hostile QWS inputs and the exact result the loader with the lenient,
-    /// chunked and traced entry points beside it gave for each.
+    /// Hostile QWS inputs and the exact result of each: what the loader
+    /// with the lenient, chunked and traced entry points beside it gave,
+    /// except that an infinity, an overflowing literal and a line that is
+    /// not UTF-8 are now errors that name their line.
     const HOSTILE_QWS: &[(&str, &[u8], &str)] = &[
         (
             "comments-blanks-and-whitespace",
@@ -323,12 +323,22 @@ mod tests {
         (
             "inf",
             b"inf,95,10.2,96,73,80,60,-inf,50,A,http://x/a?wsdl\n",
-            "ok qws-file(n=1) 0:[4952.0, 0.0, 5.0, 32.900000000000006, 4.0, 16.0, 20.0, 35.0, 46.0]",
+            "err InvalidData: malformed QWS line 1: non-finite QoS field",
         ),
         (
             "overflow-literal",
             b"1e400,95,10.2,96,73,80,60,30.5,-1e400,A,http://x/a?wsdl\n",
-            "ok qws-file(n=1) 0:[4952.0, 30.24, 5.0, 32.900000000000006, 4.0, 16.0, 20.0, 35.0, 95.0]",
+            "err InvalidData: malformed QWS line 1: non-finite QoS field",
+        ),
+        (
+            "minus-inf-only",
+            b"120.5,95,10.2,96,73,80,60,-inf,50,A,http://x/a?wsdl\n",
+            "err InvalidData: malformed QWS line 1: non-finite QoS field",
+        ),
+        (
+            "negative-overflow-only",
+            b"120.5,95,10.2,96,73,80,60,30.5,50,A,http://x/a?wsdl\n120.5,95,10.2,96,73,80,60,30.5,-1e400,B,http://x/b?wsdl\n",
+            "err InvalidData: malformed QWS line 2: non-finite QoS field",
         ),
         (
             "out-of-range-clamps",
@@ -343,7 +353,7 @@ mod tests {
         (
             "invalid-utf8-before-malformed",
             b"120.5,95,10.2,96,73,80,60,30.5,50,A,http://x/a?wsdl\n120.5,95,10.2,96,73,80,60,30.5,50,\xff,http://x/b?wsdl\n1,2,3\n",
-            "err InvalidData: stream did not contain valid UTF-8",
+            "err InvalidData: QWS line 2 is not valid UTF-8",
         ),
         (
             "invalid-utf8-after-malformed",

@@ -63,7 +63,10 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Admission limits for the mutation path.
     pub admission: AdmissionConfig,
-    /// Dead-letter budget before `over_budget()` trips.
+    /// Most dead-lettered mutations the queue keeps: past it the oldest
+    /// are dropped and counted in its report
+    /// ([`SkylineService::dead_letter_report`]);
+    /// [`ServeStats::dead_lettered`] counts every one.
     pub max_dead_letters: usize,
     /// Applied mutations between checkpoints (0 disables checkpointing
     /// even when a store is attached).
@@ -318,7 +321,8 @@ impl SkylineService {
         self.dlq.lock().render()
     }
 
-    /// Number of dead-lettered mutations.
+    /// Number of dead-lettered mutations the queue keeps (at most
+    /// [`ServeConfig::max_dead_letters`]).
     pub fn dead_letter_len(&self) -> usize {
         self.dlq.lock().len()
     }
@@ -964,6 +968,33 @@ mod tests {
         assert_eq!(s.stats().dead_lettered, 1);
         // the tenant's live set is untouched
         assert!(s.query("t").expect("query").skyline.is_empty());
+    }
+
+    #[test]
+    fn dead_letter_queue_keeps_at_most_its_budget() {
+        let cfg = ServeConfig {
+            max_dead_letters: 3,
+            ..ServeConfig::default()
+        };
+        let s = SkylineService::new(cfg, FaultPlan::off(), Tracer::in_memory());
+        for seq in 1..=9 {
+            let err = s
+                .apply("t", seq, &insert(seq, &[f64::NAN, 1.0]))
+                .expect_err("NaN payload must dead-letter");
+            assert!(matches!(err, ServeError::PoisonMutation { .. }));
+            assert!(s.dead_letter_len() <= 3, "seq {seq}");
+        }
+        assert_eq!(s.dead_letter_len(), 3);
+        assert_eq!(s.stats().dead_lettered, 9);
+        let report = s.dead_letter_report();
+        assert!(
+            report.starts_with(
+                "dead-letter report: 9 record(s) quarantined (budget 3), 6 oldest dropped\n"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("  t:9: "), "{report}");
+        assert!(!report.contains("  t:6: "), "{report}");
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //!   candidates is first scanned against the accepted rows frozen at its
 //!   start on the task pool, then its survivors are tested against each
 //!   other on the calling thread (see `filter_pass`). On x86-64 hosts
-//!   with AVX-512 the pass runs as a first-dominator lane scan over a
-//!   column-major copy of the accepted rows, dispatched once per call;
-//!   every other host runs the row-wise scan. Every body and every thread
-//!   count returns the same rows in the same order and counts exactly the
-//!   same comparisons.
+//!   with AVX-512 the pass runs as a first-dominator lane scan over
+//!   column-major copies of the accepted rows, split by pivot mask so a
+//!   candidate skips the rows that cannot dominate it (see `LaneBody`),
+//!   dispatched once per call; every other host runs the row-wise scan.
+//!   Every body and every thread count returns the same rows in the same
+//!   order and counts exactly the same comparisons.
 //! * [`dominated_count`] — the bulk dominance sweep used by benchmarks and
 //!   pruning heuristics: how many candidate rows are dominated by at least
 //!   one window row. Same dispatch and the same two bodies as the pass.
@@ -234,7 +235,7 @@ fn lane_sweep(candidates: &PointBlock, window: &PointBlock) -> usize {
     candidates
         .coords()
         .chunks_exact(window.dim())
-        .filter(|cand| cols.first_dominator(cand, 0).is_some())
+        .filter(|cand| cols.first_dominator(cand, 0, cols.len).is_some())
         .count()
 }
 
@@ -367,22 +368,55 @@ impl LaneColumns {
         (le_mask, lt_mask)
     }
 
-    /// Index of the first row at or after `start` that dominates `cand`,
-    /// or `None`.
+    /// The rows among the 64 from `j0` on that dominate `cand`, as a mask:
+    /// `le & lt` of [`LaneColumns::lane_masks`]. A row that dominates is
+    /// `<=` everywhere, so the `<=` masks come first, dimension by
+    /// dimension, and the scan stops once none is left; the `<` masks are
+    /// only taken for the rows still `<=` everywhere, which are rare when
+    /// `cand` is not dominated.
+    #[inline(always)]
+    fn dominators(&self, cand: &[f64], j0: usize) -> u64 {
+        let mut le_mask = !0u64;
+        for (k, &ck) in cand.iter().enumerate() {
+            le_mask &= self.column_mask(k, j0, |w| w <= ck);
+            if le_mask == 0 {
+                return 0;
+            }
+        }
+        let mut lt_mask = 0u64;
+        for (k, &ck) in cand.iter().enumerate() {
+            lt_mask |= self.column_mask(k, j0, |w| w < ck);
+        }
+        le_mask & lt_mask
+    }
+
+    /// Bit `j` set iff `test` holds for coordinate `k` of row `j0 + j`.
+    #[inline(always)]
+    fn column_mask(&self, k: usize, j0: usize, test: impl Fn(f64) -> bool) -> u64 {
+        let start = k * self.stride + j0;
+        let mut mask = 0u64;
+        for (j, &w) in self.cols[start..start + LANES].iter().enumerate() {
+            mask |= u64::from(test(w)) << j;
+        }
+        mask
+    }
+
+    /// Index of the first row of `[start, stop)` that dominates `cand`, or
+    /// `None`.
     ///
-    /// The lowest set bit of `le & lt` (see [`LaneColumns::lane_masks`])
-    /// is the first dominator in a lane block, so the scan stops exactly
+    /// The lowest set bit of [`LaneColumns::dominators`] is the first
+    /// dominator in a lane block, so the scan stops exactly
     /// where a row-by-row scan would. The scan begins at the lane block
     /// holding `start`, with the bits of the rows below `start` masked out.
     #[inline(always)]
-    fn first_dominator(&self, cand: &[f64], start: usize) -> Option<usize> {
+    fn first_dominator(&self, cand: &[f64], start: usize, stop: usize) -> Option<usize> {
         let mut j0 = start - start % LANES;
         let mut from = !0u64 << (start % LANES);
-        while j0 < self.len {
-            let (le_mask, lt_mask) = self.lane_masks(cand, j0);
-            let hits = le_mask & lt_mask & from;
+        while j0 < stop.min(self.len) {
+            let hits = self.dominators(cand, j0) & from;
             if hits != 0 {
-                return Some(j0 + hits.trailing_zeros() as usize);
+                let j = j0 + hits.trailing_zeros() as usize;
+                return (j < stop).then_some(j);
             }
             from = !0;
             j0 += LANES;
@@ -449,7 +483,7 @@ mod simd {
         scan: Scan,
         stats: &mut KernelStats,
     ) -> PointBlock {
-        let mut body = Avx512Lanes(LaneBody::new(block.dim()));
+        let mut body = Avx512Lanes(LaneBody::new(block));
         super::filter_pass(block, order, watermark_keys, scan, stats, &mut body)
     }
 
@@ -464,7 +498,7 @@ mod simd {
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
     fn prefix_task_avx512(
-        body: &LaneBody,
+        body: &LaneBody<'_>,
         accepted: &PointBlock,
         block: &PointBlock,
         rows: &[usize],
@@ -477,9 +511,9 @@ mod simd {
     /// [`lane_scan_avx512`]; the parallel phase's tasks run on pool
     /// workers, outside that function, so they enter AVX-512 codegen
     /// through [`prefix_task_avx512`].
-    struct Avx512Lanes(LaneBody);
+    struct Avx512Lanes<'a>(LaneBody<'a>);
 
-    impl ScanBody for Avx512Lanes {
+    impl ScanBody for Avx512Lanes<'_> {
         #[inline(always)]
         fn catch_up(&mut self, accepted: &PointBlock) {
             self.0.catch_up(accepted);
@@ -1094,9 +1128,11 @@ trait ScanBody: Sync {
         block: &PointBlock,
         rows: &[usize],
     ) -> Vec<Option<usize>> {
-        rows.iter()
-            .map(|&i| self.first_dominator(accepted, block.row(i), 0))
-            .collect()
+        let mut hits = Vec::with_capacity(rows.len());
+        for &i in rows {
+            hits.push(self.first_dominator(accepted, block.row(i), 0));
+        }
+        hits
     }
 }
 
@@ -1156,10 +1192,13 @@ fn filter_pass<B: ScanBody>(
                 break 'blocks;
             }
             let cand = block.row(i);
-            let first = prefix_hits.get(k).copied().flatten().or_else(|| {
-                body.catch_up(&skyline);
-                body.first_dominator(&skyline, cand, prefix)
-            });
+            let first = match prefix_hits.get(k).copied().flatten() {
+                Some(j) => Some(j),
+                None => {
+                    body.catch_up(&skyline);
+                    body.first_dominator(&skyline, cand, prefix)
+                }
+            };
             if let Some(j) = first {
                 comparisons += j as u64 + 1;
                 continue;
@@ -1211,23 +1250,289 @@ impl ScanBody for RowBody {
 const ROW_PREFIX: usize = 1;
 
 /// Lane body: the first [`ROW_PREFIX`] accepted rows are tested row by
-/// row, the rest through a [`LaneColumns`] copy of the accepted rows.
+/// row, the rest through [`LaneColumns`] copies of the accepted rows: a
+/// flat one, and, once the accepted set is large, one per pivot-mask
+/// bucket for the rows past a flat prefix.
+///
+/// The pivot `v` is the per-dimension median of the pass's candidates
+/// ([`median_pivot`]) on the first `bits` dimensions ([`mask_bits`]), and
+/// a row's mask has bit `k` set iff `r[k] >= v[k]`. If `p` dominates `q`
+/// then `p[k] <= q[k]` everywhere, so every bit of `mask(p)` is also set
+/// in `mask(q)`: a candidate only scans the buckets whose mask is a
+/// submask of its own (BSkyTree's pivot-region lattice, Lee & Hwang, EDBT
+/// 2010).
+/// Each bucket holds its rows in accepted order with their accepted
+/// indices, so its first hit is its earliest dominator, and the earliest
+/// over all scanned buckets is the row scan's first dominator.
+///
+/// A bucketed scan tests at least one lane block per bucket it visits,
+/// `(3/2)^bits` of them for a random mask, where the flat scan tests one
+/// block per 64 rows, and a bucket's lane block spans far more accepted
+/// indices than a flat one. So the first [`flat_prefix`] accepted rows,
+/// where most dominated candidates meet their first dominator (every
+/// kernel sorts by a key monotone under dominance), are always scanned
+/// flat, and the buckets, and the pivot, are only built once as many rows
+/// lie past that prefix; correlated data, whose accepted sets stay small,
+/// never builds them. A scan from a later start (the serial phase of a
+/// block-synchronous pass, which only tests the rows accepted since the
+/// block began) goes through the flat copy alone, from the start row on.
 ///
 /// Only profitable compiled with wide vector ISAs, hence the
 /// `#[inline(always)]` methods: like [`lane_sweep`], the serial phase must
 /// inline into a `#[target_feature]` wrapper in [`simd`].
-struct LaneBody(LaneColumns);
+struct LaneBody<'a> {
+    /// The pass's candidates, whose median is the pivot.
+    candidates: &'a PointBlock,
+    /// Masked dimensions: the first `bits`.
+    bits: usize,
+    /// Accepted rows scanned flat before the buckets; the buckets are
+    /// built once as many accepted rows lie past them.
+    flat_rows: usize,
+    /// Every accepted row, in accepted order.
+    flat: LaneColumns,
+    /// Pivot coordinates of the masked dimensions, once found.
+    pivot: Vec<f64>,
+    /// One bucket per mask, indexed by the mask, holding the accepted rows
+    /// past the flat prefix; none until the body builds them.
+    buckets: Vec<Bucket>,
+    /// Masks of the non-empty buckets, in the order they filled.
+    occupied: Vec<usize>,
+}
 
-impl LaneBody {
-    fn new(dim: usize) -> Self {
-        Self(LaneColumns::new(dim))
+/// The accepted rows of one pivot mask, in accepted order.
+struct Bucket {
+    cols: LaneColumns,
+    /// Accepted index of each row, ascending.
+    rows: Vec<usize>,
+}
+
+/// Accepted-index span of the first round of a bucketed scan; each later
+/// round doubles it.
+const ROUND_ROWS: usize = 1024;
+
+/// Buckets one bucketed scan walks side by side.
+const SCAN_BUCKETS: usize = 64;
+
+/// Mask bits of a pass over `n` candidates of dimension `d`: `log2(n / 64)`
+/// rounded down, so that the `2^bits` buckets hold about a lane block of
+/// rows each or more, and at most `d`.
+fn mask_bits(n: usize, d: usize) -> usize {
+    (n / LANES).checked_ilog2().map_or(0, |b| d.min(b as usize))
+}
+
+/// Accepted rows a body with `bits` mask bits scans flat before its
+/// buckets: a lane block per submask of a random mask, `64 * (3/2)^bits`.
+fn flat_prefix(bits: usize) -> usize {
+    let submasks = 3usize.saturating_pow(bits as u32) >> bits;
+    LANES.saturating_mul(submasks.max(1))
+}
+
+/// Candidates the pivot is taken from, at most: an evenly spaced sample.
+const PIVOT_SAMPLE: usize = 1024;
+
+/// The per-dimension median, under [`num_cmp`], of `block`'s first `bits`
+/// columns over an evenly spaced sample of at most [`PIVOT_SAMPLE`] rows
+/// (every row of a smaller block). Any pivot keeps the scan exact; the
+/// sample keeps the select's cost off small passes.
+fn median_pivot(block: &PointBlock, bits: usize) -> Vec<f64> {
+    let d = block.dim();
+    let step = block.len().div_ceil(PIVOT_SAMPLE).max(1);
+    let mut column = Vec::with_capacity(PIVOT_SAMPLE.min(block.len()));
+    (0..bits)
+        .map(|k| {
+            column.clear();
+            column.extend(block.coords().iter().skip(k).step_by(d * step));
+            let mid = column.len() / 2;
+            *column.select_nth_unstable_by(mid, |a, b| num_cmp(*a, *b)).1
+        })
+        .collect()
+}
+
+impl<'a> LaneBody<'a> {
+    /// The body of a pass over `candidates`, with [`mask_bits`] masked
+    /// dimensions.
+    fn new(candidates: &'a PointBlock) -> Self {
+        let bits = mask_bits(candidates.len(), candidates.dim());
+        Self {
+            candidates,
+            bits,
+            flat_rows: flat_prefix(bits),
+            flat: LaneColumns::new(candidates.dim()),
+            pivot: Vec::new(),
+            buckets: Vec::new(),
+            occupied: Vec::new(),
+        }
+    }
+
+    /// A body masking `pivot.len()` dimensions against `pivot` that scans
+    /// only the row prefix flat, so it builds its buckets at the second
+    /// accepted row.
+    #[cfg(test)]
+    fn with_pivot(candidates: &'a PointBlock, pivot: Vec<f64>) -> Self {
+        Self {
+            bits: pivot.len(),
+            flat_rows: ROW_PREFIX,
+            pivot,
+            ..Self::new(candidates)
+        }
+    }
+
+    /// Finds the pivot, unless given, makes the buckets and fills them with
+    /// the accepted rows past the flat prefix.
+    #[cold]
+    fn build_buckets(&mut self, accepted: &PointBlock) {
+        if self.pivot.is_empty() {
+            self.pivot = median_pivot(self.candidates, self.bits);
+        }
+        let dim = self.candidates.dim();
+        self.buckets = (0..1usize << self.bits)
+            .map(|_| Bucket {
+                cols: LaneColumns::new(dim),
+                rows: Vec::new(),
+            })
+            .collect();
+        for j in self.flat_rows..self.flat.len {
+            self.bucket(j, accepted.row(j));
+        }
+    }
+
+    /// Appends accepted row `j` to its bucket.
+    #[inline(always)]
+    fn bucket(&mut self, j: usize, row: &[f64]) {
+        let mask = self.mask(row);
+        let bucket = &mut self.buckets[mask];
+        if bucket.rows.is_empty() {
+            self.occupied.push(mask);
+        }
+        bucket.cols.push(row);
+        bucket.rows.push(j);
+    }
+
+    /// The pivot mask of `row`: bit `k` set iff `row[k] >= pivot[k]`.
+    #[inline(always)]
+    fn mask(&self, row: &[f64]) -> usize {
+        self.pivot
+            .iter()
+            .zip(row)
+            .enumerate()
+            .fold(0, |m, (k, (&v, &r))| m | (usize::from(r >= v) << k))
+    }
+
+    /// The earliest accepted row past the flat prefix that dominates
+    /// `cand`, through the buckets whose mask is a submask of `cand`'s.
+    /// They are found by enumerating the submasks or by filtering the
+    /// non-empty buckets, whichever is fewer, and walked side by side, up
+    /// to [`SCAN_BUCKETS`] at a time (see [`LaneBody::scan_side_by_side`]).
+    ///
+    /// No closure here or in the scan: the body must inline whole into the
+    /// `#[target_feature]` wrappers in [`simd`].
+    #[inline(always)]
+    fn bucketed_first_dominator(&self, cand: &[f64]) -> Option<usize> {
+        let mask = self.mask(cand);
+        let filter = self.occupied.len() < 1 << mask.count_ones();
+        // the next filled bucket to test, or the next submask
+        let (mut next, mut sub, mut submasks_left) = (0, mask, true);
+        let mut best = usize::MAX;
+        // (bucket mask, next position) of the buckets walked side by side
+        let mut group = [(0usize, 0usize); SCAN_BUCKETS];
+        let mut len = 0;
+        loop {
+            let b = if filter {
+                let Some(&b) = self.occupied.get(next) else {
+                    break;
+                };
+                next += 1;
+                if b & !mask != 0 {
+                    continue;
+                }
+                b
+            } else {
+                if !submasks_left {
+                    break;
+                }
+                let b = sub;
+                submasks_left = sub != 0;
+                sub = sub.wrapping_sub(1) & mask;
+                b
+            };
+            if self.buckets[b].rows.is_empty() {
+                continue;
+            }
+            group[len] = (b, 0);
+            len += 1;
+            if len == SCAN_BUCKETS {
+                best = self.scan_side_by_side(cand, &mut group, best);
+                len = 0;
+            }
+        }
+        best = self.scan_side_by_side(cand, &mut group[..len], best);
+        (best < usize::MAX).then_some(best)
+    }
+
+    /// Scans the buckets of `group`, each from its position, and returns
+    /// the smaller of `best` and the earliest accepted index among them
+    /// that dominates `cand`; `usize::MAX` is none.
+    ///
+    /// The buckets advance side by side in rounds over a growing span of
+    /// accepted indices: round `r` scans each bucket's lane blocks whose
+    /// first row lies below `ROUND_ROWS * (2^(r+1) - 1)` and below `best`,
+    /// so a dominated candidate stops near its first dominator as the
+    /// flat scan does. A bucket leaves the group at its first hit, which
+    /// is its earliest dominator, or at its end.
+    #[inline(always)]
+    fn scan_side_by_side(
+        &self,
+        cand: &[f64],
+        group: &mut [(usize, usize)],
+        mut best: usize,
+    ) -> usize {
+        let mut live = group.len();
+        let mut end = 0usize;
+        let mut span = ROUND_ROWS;
+        while live > 0 && end < best {
+            end = end.saturating_add(span);
+            span = span.saturating_mul(2);
+            let mut i = 0;
+            while i < live {
+                let (b, mut pos) = group[i];
+                let Bucket { cols, rows } = &self.buckets[b];
+                let mut hit = false;
+                while pos < rows.len() && rows[pos] < end.min(best) {
+                    let hits = cols.dominators(cand, pos);
+                    if hits != 0 {
+                        let first = pos + hits.trailing_zeros() as usize;
+                        best = best.min(rows[first]);
+                        hit = true;
+                        break;
+                    }
+                    pos += LANES;
+                }
+                if hit || pos >= rows.len() {
+                    live -= 1;
+                    group.swap(i, live);
+                } else {
+                    group[i].1 = pos;
+                    i += 1;
+                }
+            }
+        }
+        best
     }
 }
 
-impl ScanBody for LaneBody {
+impl ScanBody for LaneBody<'_> {
     #[inline(always)]
     fn catch_up(&mut self, accepted: &PointBlock) {
-        self.0.catch_up(accepted);
+        while self.flat.len < accepted.len() {
+            let (j, row) = (self.flat.len, accepted.row(self.flat.len));
+            self.flat.push(row);
+            if !self.buckets.is_empty() {
+                self.bucket(j, row);
+            }
+        }
+        if self.buckets.is_empty() && self.bits > 0 && self.flat.len >= 2 * self.flat_rows {
+            self.build_buckets(accepted);
+        }
     }
 
     #[inline(always)]
@@ -1238,7 +1543,13 @@ impl ScanBody for LaneBody {
                 return Some(j);
             }
         }
-        self.0.first_dominator(cand, start.max(head))
+        if start > head || self.buckets.is_empty() {
+            return self.flat.first_dominator(cand, start.max(head), usize::MAX);
+        }
+        if let Some(j) = self.flat.first_dominator(cand, head, self.flat_rows) {
+            return Some(j);
+        }
+        self.bucketed_first_dominator(cand)
     }
 }
 
@@ -1650,12 +1961,25 @@ mod tests {
         fingerprint(&sky, &stats)
     }
 
+    /// A lane body masking every dimension of `block` (up to 16) against
+    /// its median, the most buckets any input can get,
+    /// and no flat prefix past the row prefix.
+    fn all_bits_body(block: &PointBlock) -> LaneBody<'_> {
+        let bits = if block.is_empty() {
+            0
+        } else {
+            block.dim().min(16)
+        };
+        LaneBody::with_pivot(block, median_pivot(block, bits))
+    }
+
     /// Runs the block-synchronous pass with the row body, the lane body
-    /// compiled for the baseline ISA and (where the host has AVX-512) the
-    /// dispatched lane body on `block` in `order`, at one row per block,
-    /// either side of a lane block and the whole input per block, each on
-    /// 1, 2 and 3 threads; all must match [`reference_pass`], which is
-    /// returned.
+    /// compiled for the baseline ISA (with the production mask bits and
+    /// with every dimension masked) and (where the host has AVX-512) the
+    /// dispatched lane body on `block` in `order`, at one and two rows per
+    /// block, either side of a lane block, 1024 rows and the whole input
+    /// per block, each on 1, 2 and 3 threads; all must match
+    /// [`reference_pass`], which is returned.
     fn assert_scans_agree(
         block: &PointBlock,
         order: &[usize],
@@ -1663,15 +1987,23 @@ mod tests {
         what: &str,
     ) -> Fingerprint {
         let want = reference_pass(block, order, watermark_keys);
-        for block_rows in [1, 63, 64, 65, block.len().max(1)] {
+        for block_rows in [1, 2, 63, 64, 65, 1024, block.len().max(1)] {
             for threads in 1..=3 {
                 let scan = Scan::blocked(block_rows, threads);
                 let what = format!("{what} B={block_rows} threads={threads}");
                 let row = pass(block, order, watermark_keys, scan, &mut RowBody);
                 assert_eq!(row, want, "{what}: row body");
-                let mut lanes = LaneBody::new(block.dim());
+                let mut lanes = LaneBody::new(block);
                 let lane = pass(block, order, watermark_keys, scan, &mut lanes);
                 assert_eq!(lane, want, "{what}: lane body");
+                let lane = pass(
+                    block,
+                    order,
+                    watermark_keys,
+                    scan,
+                    &mut all_bits_body(block),
+                );
+                assert_eq!(lane, want, "{what}: lane body, every dimension masked");
                 #[cfg(target_arch = "x86_64")]
                 {
                     let mut stats = KernelStats::default();
@@ -1771,16 +2103,168 @@ mod tests {
             }
             let mut cand = vec![1.0; d];
             cand[0] = m as f64;
-            let mut body = LaneBody::new(d);
-            body.catch_up(&accepted);
+            let mut bodies = [LaneBody::new(&accepted), all_bits_body(&accepted)];
+            for body in &mut bodies {
+                body.catch_up(&accepted);
+            }
             for start in 0..=m {
                 let want = row_first_dominator(&accepted, &cand, start, m);
                 assert_eq!(want.map(|j| j % 3), want.map(|_| 1), "m={m} start={start}");
                 let row = RowBody.first_dominator(&accepted, &cand, start);
                 assert_eq!(row, want, "m={m} d={d} start={start}: row body");
-                let lane = body.first_dominator(&accepted, &cand, start);
-                assert_eq!(lane, want, "m={m} d={d} start={start}: lane body");
+                for (b, body) in bodies.iter().enumerate() {
+                    let lane = body.first_dominator(&accepted, &cand, start);
+                    assert_eq!(lane, want, "m={m} d={d} start={start}: lane body {b}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn mask_bits_and_flat_prefix_follow_the_lane_block() {
+        for (n, d, bits) in [
+            (0usize, 6usize, 0usize),
+            (127, 6, 0),
+            (128, 6, 1),
+            (255, 6, 1),
+            (256, 6, 2),
+            (4_111, 10, 6),
+            (18_912, 6, 6),
+            (76_000, 10, 10),
+            (1 << 20, 3, 3),
+            (1 << 20, 1, 1),
+        ] {
+            assert_eq!(mask_bits(n, d), bits, "n={n} d={d}");
+        }
+        for (bits, rows) in [(0, 64), (1, 64), (2, 128), (4, 320), (6, 704), (10, 3648)] {
+            assert_eq!(flat_prefix(bits), rows, "bits={bits}");
+        }
+    }
+
+    /// Rows per bucket of `body`, indexed by mask.
+    fn bucket_sizes(body: &LaneBody<'_>) -> Vec<usize> {
+        body.buckets.iter().map(|b| b.rows.len()).collect()
+    }
+
+    #[test]
+    fn rows_on_the_pivot_set_their_mask_bit() {
+        // every row on the pivot: all land in the all-ones bucket
+        let on: Vec<&[f64]> = vec![&[2.0, -0.0, 5.0]; 300];
+        let block = block_of(&on);
+        let mut body = all_bits_body(&block);
+        assert_eq!(body.pivot.len(), 3);
+        body.catch_up(&block);
+        let mut want = vec![0; 8];
+        want[7] = 299; // row 0 is the row prefix
+        assert_eq!(bucket_sizes(&body), want);
+        // ±0.0 on a zero pivot: both signs are >= the pivot
+        let mut signed = PointBlock::new(2);
+        for i in 0..400u64 {
+            let z = if i % 2 == 0 { 0.0 } else { -0.0 };
+            let v = [[z, 1.0], [-1.0, z], [z, z], [1.0, -1.0]][(i % 4) as usize];
+            signed.push(i, &v).unwrap();
+        }
+        let mut body = all_bits_body(&signed);
+        assert_eq!(body.pivot, [0.0, 0.0]);
+        body.catch_up(&signed);
+        // masks: [z, 1] -> 0b11, [-1, z] -> 0b10, [z, z] -> 0b11,
+        // [1, -1] -> 0b01; row 0 is the row prefix
+        assert_eq!(bucket_sizes(&body), [0, 100, 100, 199]);
+        assert_specs_agree(&signed, "signed zeros on the pivot");
+        // a constant column is on the pivot everywhere
+        let mut constant = PointBlock::new(3);
+        for i in 0..200u32 {
+            let row = [f64::from(i), 4.0, f64::from(200 - i)];
+            constant.push(u64::from(i), &row).unwrap();
+        }
+        let mut body = all_bits_body(&constant);
+        assert_eq!(body.pivot, [100.0, 4.0, 101.0]);
+        body.catch_up(&constant);
+        // i >= 100 -> 0b011, i <= 99 -> 0b110; row 0 is the row prefix
+        assert_eq!(bucket_sizes(&body), [0, 0, 0, 100, 0, 0, 99, 0]);
+        assert_specs_agree(&constant, "constant column");
+    }
+
+    /// `2k + 1` rows on an anti-diagonal (incomparable), then `shadows`
+    /// dominated rows placed in mirrored pairs so that the median of either
+    /// coordinate stays on the middle row: with both dimensions masked, the
+    /// rows below the middle fill one bucket and those above another, `k`
+    /// accepted rows each (less the row prefix in the first).
+    fn mirrored_buckets(k: usize, shadows: &[usize]) -> PointBlock {
+        let top = 2 * k as u32;
+        let mut b = PointBlock::new(2);
+        for i in 0..=top {
+            b.push(u64::from(i), &[f64::from(i), f64::from(top - i)])
+                .unwrap();
+        }
+        let mut id = u64::from(top) + 1;
+        for &j in shadows {
+            let j = j as u32;
+            b.push(id, &[f64::from(j) + 0.5, f64::from(top - j)])
+                .unwrap();
+            let m = top - j;
+            b.push(id + 1, &[f64::from(m), f64::from(j) + 0.5]).unwrap();
+            id += 2;
+        }
+        b
+    }
+
+    #[test]
+    fn presort_scans_agree_on_buckets_either_side_of_a_lane_block() {
+        for k in [63usize, 64, 65] {
+            let block = mirrored_buckets(k, &[0, 1, 31, 62, k - 1]);
+            let mut body = all_bits_body(&block);
+            assert_eq!(body.pivot, [k as f64, k as f64], "k={k}");
+            body.catch_up(&reference_skyline(&block));
+            // below the middle row 0b10 (less the row prefix), above it 0b01
+            assert_eq!(bucket_sizes(&body), [0, k, k - 1, 1], "k={k}");
+            assert_specs_agree(&block, &format!("buckets of {k} rows"));
+        }
+    }
+
+    /// The presort merge's skyline of `block`, in accepted order.
+    fn reference_skyline(block: &PointBlock) -> PointBlock {
+        let l1: Vec<f64> = (0..block.len()).map(|i| block.l1_norm(i)).collect();
+        let order = presort_order(block, |a, b| num_cmp(l1[a], l1[b]));
+        let mut stats = KernelStats::default();
+        filter_pass(block, &order, None, Scan::on(1), &mut stats, &mut RowBody)
+    }
+
+    #[test]
+    fn first_dominator_is_the_earliest_over_all_buckets() {
+        // the later dominator's bucket is walked first, by the submask
+        // enumeration (every bucket filled) and by the filled-bucket list
+        // (fewer filled buckets than submasks)
+        let submasks: &[&[f64]] = &[
+            &[100.0, 0.0],
+            &[0.0, 100.0],
+            &[1.0, 1.0],
+            &[100.0, 100.0],
+            &[5.5, 5.5],
+            &[100.0, 0.0],
+        ];
+        let filled: &[&[f64]] = &[
+            &[100.0, 0.0, 0.0],
+            &[100.0, 100.0, 100.0],
+            &[1.0, 1.0, 1.0],
+            &[5.5, 5.5, 5.5],
+        ];
+        for (rows, occupied, later) in [
+            (submasks, &[0b10, 0b00, 0b11, 0b01][..], 4),
+            (filled, &[0b111, 0b000][..], 3),
+        ] {
+            let d = rows[0].len();
+            let accepted = block_of(rows);
+            let cand = vec![6.0; d];
+            let mut body = LaneBody::with_pivot(&accepted, vec![5.0; d]);
+            body.catch_up(&accepted);
+            assert_eq!(body.occupied, occupied, "d={d}");
+            for start in 0..3 {
+                let got = body.first_dominator(&accepted, &cand, start);
+                assert_eq!(got, Some(2), "d={d} start={start}");
+            }
+            let got = body.first_dominator(&accepted, &cand, 3);
+            assert_eq!(got, Some(later), "d={d}");
         }
     }
 
@@ -2110,9 +2594,13 @@ mod tests {
             cols.push(&[f64::from(i), f64::from(100 - i)]);
         }
         let cand = [69.5, 31.0];
-        assert_eq!(cols.first_dominator(&cand, 0), Some(69));
+        assert_eq!(cols.first_dominator(&cand, 0, cols.len), Some(69));
         cols.swap_remove(69);
-        assert_eq!(cols.first_dominator(&cand, 0), None, "freed last lane");
+        assert_eq!(
+            cols.first_dominator(&cand, 0, cols.len),
+            None,
+            "freed last lane"
+        );
         // remove row 3: row 68 moves into its place and its lane is freed
         cols.swap_remove(3);
         let mut row = [0.0; 2];

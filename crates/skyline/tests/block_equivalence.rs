@@ -14,6 +14,7 @@
 //! row-wise one — must reproduce it.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use skyline_algos::block::PointBlock;
 use skyline_algos::kernel::{
     block_bnl, block_sfs_stats, dominates_row, presort_merge, presort_merge_stats,
@@ -240,6 +241,72 @@ proptest! {
     fn block_round_trip_is_lossless(pts in arb_points()) {
         let block = PointBlock::from_points(&pts).unwrap();
         prop_assert_eq!(block.to_points(), pts);
+    }
+}
+
+/// `n` merge-shaped rows drawn like [`arb_merge_block`]'s anti blocks:
+/// a 5-value grid with signed zeros, most rows on one L1 level set.
+fn anti_grid_block(n: usize, d: usize, seed: u64) -> PointBlock {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut block = PointBlock::new(d);
+    for i in 0..n {
+        let mut coords: Vec<f64> = (0..d)
+            .map(|_| match rng.gen_range(0..6u32) {
+                5 => -0.0,
+                v => f64::from(v),
+            })
+            .collect();
+        if d > 1 {
+            let level = 4.0 * (d - 1) as f64 + f64::from(u8::from(i % 3 == 0));
+            coords[d - 1] = level - coords[..d - 1].iter().sum::<f64>();
+        }
+        block.push(i as u64, &coords).unwrap();
+    }
+    block
+}
+
+/// Inputs large enough for the lane scan to split the accepted rows into
+/// pivot-mask buckets (`log2(n / 64)` masked dimensions, at most `d`, once
+/// the accepted set is large): from none (n = 127) to every dimension
+/// (n = 900, d = 3; n = 2100, d = 4), against each kernel's row-wise
+/// reference; the merge also at 1, 2, 64 and 1024 rows per block on 1 to 3
+/// threads.
+#[test]
+fn presort_kernels_match_their_reference_over_mask_buckets() {
+    for (n, d, seed) in [
+        (127usize, 3usize, 1u64),
+        (128, 2, 2),
+        (900, 3, 3),
+        (1100, 2, 4),
+        (1100, 6, 5),
+        (2100, 4, 6),
+        (600, 16, 7),
+        (300, 1, 8),
+    ] {
+        let block = anti_grid_block(n, d, seed);
+        let mut runs: Vec<(String, &Spec, (PointBlock, KernelStats))> = SPECS
+            .iter()
+            .map(|(name, spec)| (name.to_string(), spec, (spec.kernel)(&block)))
+            .collect();
+        for block_rows in [1, 2, 64, 1024] {
+            for threads in 1..=3 {
+                runs.push((
+                    format!("merge B={block_rows} threads={threads}"),
+                    &SPECS[0].1,
+                    presort_merge_stats_in_blocks(&block, threads, block_rows),
+                ));
+            }
+        }
+        for (name, spec, (sky, stats)) in runs {
+            let what = format!("n={n} d={d} {name}");
+            let (ids, bits, comparisons, skipped) = reference_scan(&block, spec);
+            assert_eq!(sky.ids(), &ids[..], "{what}");
+            let sky_bits: Vec<u64> = sky.coords().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(sky_bits, bits, "{what}");
+            assert_eq!(stats.comparisons, comparisons, "{what}");
+            assert_eq!(stats.dim_weighted, comparisons * d as u64, "{what}");
+            assert_eq!(stats.skipped, skipped, "{what}");
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The [`Dataset`] container, CSV persistence and an update stream for the
 //! incremental-maintenance experiments.
 
+use crate::decimal;
 use mini_mapreduce::pool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use skyline_algos::block::PointBlock;
@@ -223,7 +224,11 @@ fn read_split(path: &Path, len: u64, split_bytes: u64, k: usize) -> io::Result<(
 ///
 /// This is the loader's one line parser. UTF-8 is validated once per split:
 /// the lines before the first invalid byte's line are parsed, so an earlier
-/// error wins, and that line is the error.
+/// error wins, and that line is the error. Each line goes first to the
+/// exact number scanner (`decimal::scan_line`), which reads the shape
+/// `save_csv` writes in one pass; a line it refuses, blank or hostile, goes
+/// to [`parse_fields`], so errors and the values of what it accepts are
+/// unchanged.
 fn parse_split(
     bytes: &[u8],
     first_line: usize,
@@ -250,20 +255,15 @@ fn parse_split(
     for line in text.split_terminator('\n') {
         let at = first_line + lines;
         lines += 1;
-        // Every field is trimmed, so a `\r` needs no stripping.
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.split(',');
-        let id: u64 = fields
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| bad_line(at))?;
-        check_id(id, at)?;
         row.clear();
-        for field in fields {
-            row.push(field.trim().parse::<f64>().map_err(|_| bad_line(at))?);
-        }
+        let id = match decimal::scan_line(line.as_bytes(), &mut row) {
+            Some(id) => {
+                check_id(id, at)?;
+                id
+            }
+            None if line.trim().is_empty() => continue,
+            None => parse_fields(line, at, &mut row, check_id)?,
+        };
         // An id-only first row is malformed; a later one is ragged.
         if width.is_none() && row.is_empty() {
             return Err(bad_line(at));
@@ -289,6 +289,29 @@ fn parse_split(
         )));
     }
     Ok((block, lines))
+}
+
+/// Parses a line the number scanner refused: `id` and coordinates by
+/// `split(',')`, `trim` and `str::parse`, so a `\r`, spaces, a `+` or an
+/// exponent are read and any other field is named malformed. `check_id`
+/// sees the id before the coordinates are parsed into `row`.
+fn parse_fields(
+    line: &str,
+    at: usize,
+    row: &mut Vec<f64>,
+    check_id: &mut dyn FnMut(u64, usize) -> io::Result<()>,
+) -> io::Result<u64> {
+    let mut fields = line.split(',');
+    let id: u64 = fields
+        .next()
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or_else(|| bad_line(at))?;
+    check_id(id, at)?;
+    row.clear();
+    for field in fields {
+        row.push(field.trim().parse::<f64>().map_err(|_| bad_line(at))?);
+    }
+    Ok(id)
 }
 
 /// Parses the splits in file order on one thread, carrying the line number,
@@ -724,6 +747,81 @@ mod tests {
             b"0,1,2\n1,x,1\n2,\xff,1\n",
             "err InvalidData: malformed CSV line 2",
         ),
+        // The rows below were recorded with the line parser alone, before
+        // the number scanner took the lines of `save_csv`'s shape.
+        (
+            "id-19-digits",
+            b"9999999999999999999,1,2\n",
+            "ok 9999999999999999999:[1.0, 2.0] min=[1.0, 2.0] max=[1.0, 2.0]",
+        ),
+        (
+            "id-u64-max",
+            b"18446744073709551615,1,2\n",
+            "ok 18446744073709551615:[1.0, 2.0] min=[1.0, 2.0] max=[1.0, 2.0]",
+        ),
+        (
+            "id-u64-max-plus-one",
+            b"18446744073709551616,1,2\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        (
+            "id-leading-zeros",
+            b"007,1,2\n",
+            "ok 7:[1.0, 2.0] min=[1.0, 2.0] max=[1.0, 2.0]",
+        ),
+        (
+            "mantissa-20-digits",
+            b"0,12345678901234567890,1\n1,1.2345678901234567891,2\n",
+            "ok 0:[1.2345678901234567e19, 1.0] 1:[1.2345678901234567, 2.0] \
+             min=[1.2345678901234567, 1.0] max=[1.2345678901234567e19, 2.0]",
+        ),
+        (
+            "space-before-comma",
+            b"0,1 ,2\n",
+            "ok 0:[1.0, 2.0] min=[1.0, 2.0] max=[1.0, 2.0]",
+        ),
+        (
+            "exponent",
+            b"0,1.5e3,2\n",
+            "ok 0:[1500.0, 2.0] min=[1500.0, 2.0] max=[1500.0, 2.0]",
+        ),
+        (
+            "minus-zero-field",
+            b"0,-0,1\n1,1,-0\n",
+            "ok 0:[-0.0, 1.0] 1:[1.0, -0.0] min=[-0.0, -0.0] max=[1.0, 1.0]",
+        ),
+        (
+            "crlf-between-fast-lines",
+            b"0,1,2\n1,2.5,1\r\n2,3,0.5\n",
+            "ok 0:[1.0, 2.0] 1:[2.5, 1.0] 2:[3.0, 0.5] min=[1.0, 0.5] max=[3.0, 2.0]",
+        ),
+        (
+            "bare-minus",
+            b"0,-,1\n",
+            "err InvalidData: malformed CSV line 1",
+        ),
+        (
+            "minus-dot",
+            b"0,-.5,1\n",
+            "ok 0:[-0.5, 1.0] min=[-0.5, 1.0] max=[-0.5, 1.0]",
+        ),
+        (
+            "halfway-ties-to-even",
+            b"0,9007199254740993,1\n1,4503599627370497.5,2\n",
+            "ok 0:[9007199254740992.0, 1.0] 1:[4503599627370498.0, 2.0] \
+             min=[4503599627370498.0, 1.0] max=[9007199254740992.0, 2.0]",
+        ),
+        (
+            "long-fraction",
+            b"0,0.1234567890123456789012345678,1\n1,0.000000000000000000000000001,2\n",
+            "ok 0:[0.12345678901234568, 1.0] 1:[1e-27, 2.0] \
+             min=[1e-27, 1.0] max=[0.12345678901234568, 2.0]",
+        ),
+        (
+            "leading-zero-value",
+            b"0,007.50,1\n",
+            "ok 0:[7.5, 1.0] min=[7.5, 1.0] max=[7.5, 1.0]",
+        ),
     ];
 
     #[test]
@@ -888,13 +986,22 @@ mod tests {
 
     /// At the benchmark's sizes a load spans dozens of splits; it must
     /// give the generator's block back bit for bit at 1 and 2 threads.
+    /// The files are the three batch workloads': QWS-like 500k×6 and
+    /// 100k×10, and anti-correlated 100k×6.
     #[test]
     fn generated_files_load_bit_identically_across_many_splits() {
-        for (n, d) in [(500_000, 6), (100_000, 10)] {
-            let data = crate::generate_qws(&crate::QwsConfig::new(n, d));
+        use crate::{generate_qws, generate_synthetic, Distribution, QwsConfig, SyntheticConfig};
+        let anti = SyntheticConfig::new(100_000, 6, Distribution::AntiCorrelated);
+        let files = [
+            ("qws", generate_qws(&QwsConfig::new(500_000, 6))),
+            ("qws", generate_qws(&QwsConfig::new(100_000, 10))),
+            ("anti", generate_synthetic(&anti)),
+        ];
+        for (kind, data) in files {
+            let (n, d) = (data.len(), data.dim());
             let dir = std::env::temp_dir().join("qws-data-test");
             std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(format!("generated-{n}-{d}.csv"));
+            let path = dir.join(format!("generated-{kind}-{n}-{d}.csv"));
             data.save_csv(&path).unwrap();
             assert!(std::fs::metadata(&path).unwrap().len() > 8 * SPLIT_BYTES);
             for threads in [1, 2] {

@@ -37,6 +37,7 @@
 
 pub mod attributes;
 pub mod dataset;
+mod decimal;
 pub mod drift;
 pub mod generator;
 pub mod ingest;

@@ -1,141 +1,21 @@
-//! Cross-checking MR results against the dominance definition.
-//!
-//! Used by integration tests and available to users who want belt-and-braces
-//! verification of a production run. The check runs no skyline kernel at
-//! all — only the pairwise [`dominates`] primitive — so a defect in any
-//! production kernel cannot hide behind a shared code path.
+//! Cross-checking MR results against the dominance definition: adapters
+//! from a [`Dataset`] and a [`SkylineRunReport`] to the one skyline
+//! checker, [`skyline_algos::verify::verify_skyline`], which runs no
+//! skyline kernel, so a kernel defect cannot hide behind a shared path.
 
 use crate::report::SkylineRunReport;
 use qws_data::Dataset;
-use skyline_algos::dominance::dominates;
 use skyline_algos::point::Point;
-use std::collections::{BTreeMap, HashSet};
-use std::fmt;
+use skyline_algos::verify::verify_skyline;
+pub use skyline_algos::verify::ValidationError;
 
-/// Ways a report can fail validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
-    /// The reported skyline misses a true skyline point.
-    MissingPoint {
-        /// Id of the missing service.
-        id: u64,
-    },
-    /// The reported skyline contains a dominated point.
-    DominatedPoint {
-        /// Id of the dominated service.
-        id: u64,
-        /// Id of a dominating service.
-        dominated_by: u64,
-    },
-    /// A reported skyline id does not exist in the dataset.
-    UnknownPoint {
-        /// The foreign id.
-        id: u64,
-    },
-    /// A reported skyline point's coordinates are not its dataset row's,
-    /// bit for bit.
-    ForgedCoordinates {
-        /// Id of the forged member.
-        id: u64,
-    },
-    /// A reported skyline id appears more than once.
-    DuplicatePoint {
-        /// The repeated id.
-        id: u64,
-    },
-}
-
-impl fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidationError::MissingPoint { id } => {
-                write!(f, "true skyline point {id} missing from result")
-            }
-            ValidationError::DominatedPoint { id, dominated_by } => {
-                write!(f, "result point {id} is dominated by {dominated_by}")
-            }
-            ValidationError::UnknownPoint { id } => {
-                write!(f, "result point {id} does not exist in the dataset")
-            }
-            ValidationError::ForgedCoordinates { id } => {
-                write!(
-                    f,
-                    "result point {id} does not carry its dataset coordinates"
-                )
-            }
-            ValidationError::DuplicatePoint { id } => {
-                write!(f, "result point {id} is reported more than once")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
-
-/// Checks `skyline` against the dataset from first principles. Each
-/// member must be a dataset row, reported once and with that row's exact
-/// coordinate bits; then soundness (no member dominated by any dataset
-/// point) and completeness (every non-member dominated by some member).
-/// O(n·|skyline|).
+/// Checks that `skyline` is exactly the dataset's skyline, ids and
+/// coordinate bits ([`verify_skyline`]).
 pub fn validate_against_oracle(
     skyline: &[Point],
     dataset: &Dataset,
 ) -> Result<(), ValidationError> {
-    let rows: BTreeMap<u64, &[f64]> = dataset
-        .points()
-        .iter()
-        .map(|q| (q.id(), q.coords()))
-        .collect();
-    let mut ids = HashSet::with_capacity(skyline.len());
-    for p in skyline {
-        let Some(row) = rows.get(&p.id()) else {
-            return Err(ValidationError::UnknownPoint { id: p.id() });
-        };
-        if !ids.insert(p.id()) {
-            return Err(ValidationError::DuplicatePoint { id: p.id() });
-        }
-        let same_bits = row.len() == p.dim()
-            && row
-                .iter()
-                .zip(p.coords())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_bits {
-            return Err(ValidationError::ForgedCoordinates { id: p.id() });
-        }
-    }
-    // soundness
-    for p in skyline {
-        for q in dataset.points() {
-            if dominates(q, p) {
-                return Err(ValidationError::DominatedPoint {
-                    id: p.id(),
-                    dominated_by: q.id(),
-                });
-            }
-        }
-    }
-    // completeness: with every member undominated, a non-member that no
-    // member dominates is either a missed skyline point itself or is
-    // dominated only by missed ones
-    for q in dataset.points() {
-        if ids.contains(&q.id()) || skyline.iter().any(|s| dominates(s, q)) {
-            continue;
-        }
-        return Err(ValidationError::MissingPoint {
-            id: undominated_dominator(q, dataset.points()).id(),
-        });
-    }
-    Ok(())
-}
-
-/// Climbs from `q` to a dominator of it that no point of `points`
-/// dominates — a true skyline member — or returns `q` itself if nothing
-/// dominates it. Terminates because dominance is a strict partial order.
-fn undominated_dominator<'a>(mut q: &'a Point, points: &'a [Point]) -> &'a Point {
-    while let Some(p) = points.iter().find(|p| dominates(p, q)) {
-        q = p;
-    }
-    q
+    verify_skyline(dataset.block(), skyline)
 }
 
 /// Validates a full run report against its dataset.
@@ -143,7 +23,7 @@ pub fn validate_report(
     report: &SkylineRunReport,
     dataset: &Dataset,
 ) -> Result<(), ValidationError> {
-    validate_against_oracle(&report.global_skyline, dataset)
+    verify_skyline(dataset.block(), &report.global_skyline)
 }
 
 #[cfg(test)]
@@ -152,6 +32,7 @@ mod tests {
     use crate::config::Algorithm;
     use crate::driver::SkylineJob;
     use qws_data::{generate_qws, QwsConfig};
+    use std::collections::HashSet;
 
     #[test]
     fn valid_report_passes() {

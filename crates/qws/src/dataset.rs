@@ -18,8 +18,8 @@ use std::sync::OnceLock;
 /// A named collection of points with cached bounds.
 ///
 /// The rows live in one columnar [`PointBlock`], the layout the pipeline
-/// maps over. [`Dataset::points`] is an AoS view for API callers (oracles,
-/// examples, tests), built on its first call and kept.
+/// maps over. [`Dataset::points`] is an AoS view for API callers (examples,
+/// tests), built on its first call and kept.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Human-readable provenance, e.g. `"qws(n=100000,d=10,seed=42)"`.

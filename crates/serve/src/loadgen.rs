@@ -3,15 +3,15 @@
 //! [`script`] expands a [`LoadgenConfig`] into a deterministic sequence
 //! of tenant mutations and queries (the same seed always yields the
 //! same workload, including which inserts carry poisoned payloads).
-//! [`run`] drives a [`SkylineService`] through a script while keeping a
-//! brute-force oracle of every *acknowledged* mutation per tenant, and
-//! checks each fresh (non-stale) query response against it — a service
-//! under chaos may reject or degrade, but it must never serve a fresh
-//! answer that disagrees with the mutations it acknowledged.
+//! [`run`] drives a [`SkylineService`] through a script while keeping the
+//! live set of every *acknowledged* mutation per tenant, and checks each
+//! fresh (non-stale) query response against it with the skyline verifier
+//! — a service under chaos may reject or degrade, but it must never serve
+//! a fresh answer that disagrees with the mutations it acknowledged.
 
 use crate::service::{Mutation, QueryResponse, SkylineService};
-use skyline_algos::dominance::dominates;
-use skyline_algos::point::Point;
+use skyline_algos::block::PointBlock;
+use skyline_algos::verify::verify_skyline;
 use std::collections::BTreeMap;
 
 /// Workload shape knobs.
@@ -154,39 +154,17 @@ pub struct LoadReport {
     pub final_mismatches: u64,
 }
 
-/// Brute-force skyline of a live set (the oracle).
-fn oracle_skyline(live: &BTreeMap<u64, Vec<f64>>) -> Vec<Point> {
-    let pts: Vec<Point> = live
-        .iter()
-        .map(|(id, c)| Point::new(*id, c.clone()))
-        .collect();
-    let mut out: Vec<Point> = pts
-        .iter()
-        .filter(|p| !pts.iter().any(|q| dominates(q, p)))
-        .cloned()
-        .collect();
-    out.sort_unstable_by_key(Point::id);
-    out
-}
-
-/// Whether a response carries exactly the oracle's skyline: the same ids
-/// with bit-identical coordinates (`-0.0` is not the `0.0` that was
-/// inserted), as `core::validate` checks a batch answer.
+/// Whether a response carries exactly the skyline of the live set: ids
+/// strictly ascending, and [`verify_skyline`]'s exact check, which compares
+/// coordinate bits (`-0.0` is not the `0.0` that was inserted) as
+/// `core::validate` checks a batch answer.
 fn matches_oracle(resp: &QueryResponse, live: &BTreeMap<u64, Vec<f64>>) -> bool {
-    let want = oracle_skyline(live);
-    let same_bits = |a: &Point, b: &Point| {
-        a.dim() == b.dim()
-            && a.coords()
-                .iter()
-                .zip(b.coords())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    };
-    resp.skyline.len() == want.len()
-        && resp
-            .skyline
-            .iter()
-            .zip(&want)
-            .all(|(a, b)| a.id() == b.id() && same_bits(a, b))
+    let mut block = PointBlock::new(live.values().next().map_or(1, Vec::len));
+    live.iter()
+        .try_for_each(|(&id, c)| block.push(id, c))
+        .is_ok()
+        && resp.skyline.windows(2).all(|w| w[0].id() < w[1].id())
+        && verify_skyline(&block, &resp.skyline).is_ok()
 }
 
 /// A resumable load run. [`LoadRunner::drive`] advances through the
@@ -322,6 +300,7 @@ mod tests {
     use crate::service::ServeConfig;
     use mrsky_chaos::FaultPlan;
     use mrsky_trace::Tracer;
+    use skyline_algos::point::Point;
 
     #[test]
     fn script_is_deterministic_and_seeded() {

@@ -36,7 +36,13 @@ pub enum DomRelation {
 #[inline]
 pub fn dominates(p: &Point, q: &Point) -> bool {
     debug_assert_eq!(p.dim(), q.dim(), "dominance requires equal dimensionality");
-    let (a, b) = (p.coords(), q.coords());
+    dominates_coords(p.coords(), q.coords())
+}
+
+/// [`dominates`] over two coordinate rows of equal length.
+#[inline]
+pub fn dominates_coords(a: &[f64], b: &[f64]) -> bool {
+    debug_assert_eq!(a.len(), b.len(), "dominance requires equal dimensionality");
     let mut strictly_less = false;
     for i in 0..a.len() {
         if a[i] > b[i] {

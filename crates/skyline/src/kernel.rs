@@ -905,7 +905,7 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
     let window_cap = cfg.window_size.unwrap_or(usize::MAX);
     assert!(window_cap > 0, "BNL window must hold at least one point");
     let skyline = bnl_scan(block, window_cap, &mut stats);
-    crate::invariants::check_skyline_block("block-bnl", block, &skyline);
+    crate::invariants::check_skyline("block-bnl", block, &skyline);
     stats.output_len = skyline.len() as u64;
     record_kernel_metrics(&BNL_METRICS, &stats);
     (skyline, stats)
@@ -1050,7 +1050,7 @@ pub(crate) fn presort_kernel(
     stats.passes = 1;
     let order = presort_order(block, key);
     let skyline = presort_scan(block, &order, watermark_keys, scan, &mut stats);
-    crate::invariants::check_skyline_block(metrics.name, block, &skyline);
+    crate::invariants::check_skyline(metrics.name, block, &skyline);
     stats.output_len = skyline.len() as u64;
     record_kernel_metrics(metrics, &stats);
     (skyline, stats)

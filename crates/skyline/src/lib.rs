@@ -27,8 +27,9 @@
 //!   estimate.
 //! * [`filter`] — deterministic filter-point selection for shuffle-side early
 //!   pruning (drop dominated rows before they are shuffled).
-//! * [`seq`] — a trivial quadratic reference implementation, the oracle in
-//!   tests.
+//! * [`seq`] — a trivial quadratic reference implementation that tests
+//!   compare kernels against.
+//! * [`verify`] — the one skyline checker, an exact certificate.
 //! * [`hypersphere`] — the Cartesian → hyperspherical transform of the paper's
 //!   Eq. (1)/(2), which underlies angular partitioning.
 //! * [`partition`] — the [`SpacePartitioner`] trait and the three partitioners
@@ -75,6 +76,7 @@ pub mod salsa;
 pub mod select;
 pub mod seq;
 pub mod skyband;
+pub mod verify;
 
 pub use block::PointBlock;
 pub use dominance::{dominates, strictly_dominates, DomRelation};

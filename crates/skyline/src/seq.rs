@@ -1,9 +1,11 @@
-//! Naive O(n²) reference skyline, used as the oracle in tests.
+//! Naive O(n²) reference skyline, the reference tests compare kernels
+//! against.
 //!
 //! Deliberately the most literal transcription of the definition in the
 //! paper's Section II: a point is in the skyline iff no other point dominates
 //! it. Kept separate from the production kernels so that a bug in BNL/SFS
-//! cannot hide behind a shared helper.
+//! cannot hide behind a shared helper. It computes a skyline; checking a
+//! claimed one is [`crate::verify`]'s job.
 
 use crate::dominance::dominates;
 use crate::point::Point;

@@ -16,6 +16,7 @@
 
 use mr_skyline_suite::chaos::{FaultPlan, KillSwitch};
 use mr_skyline_suite::mr::checkpoint::CheckpointStore;
+use mr_skyline_suite::mr::dataset_fingerprint;
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
@@ -522,7 +523,11 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
         report.peak_map_out_bytes(),
         report.peak_reduce_in_bytes()
     );
-    validate_report(&report, &data).map_err(|e| format!("result failed validation: {e}"))?;
+    println!("input fingerprint: {:016x}", dataset_fingerprint(&data));
+    topts
+        .tracer
+        .span("validate", || validate_report(&report, &data))
+        .map_err(|e| format!("result failed validation: {e}"))?;
     println!("validated against the independent oracle.");
     topts.finish()
 }

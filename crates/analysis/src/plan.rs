@@ -28,10 +28,11 @@
 
 use crate::diag::{AuditReport, Code, Diagnostic, Severity};
 use mini_mapreduce::{ClusterConfig, CostModel};
-use skyline_algos::hypersphere::{to_cartesian, HyperPoint};
+use skyline_algos::hypersphere::{angles_of_row, to_cartesian, HyperPoint};
 use skyline_algos::partition::{AxisProfile, BoundaryProfile, Bounds, PartitionSpace};
 use skyline_algos::point::Point;
 use skyline_algos::SpacePartitioner;
+use std::borrow::Cow;
 
 /// Everything the validator needs to know about a planned run.
 pub struct PlanSpec<'a> {
@@ -797,6 +798,7 @@ fn probe_lattice(
         combo: &[ProbeValue],
         label: &str,
         seen: &mut [bool],
+        scale: &mut ProbeScale,
         emitter: &mut Emitter2<'_>,
     ) {
         let angular = profile.space == PartitionSpace::Angular;
@@ -805,7 +807,7 @@ fn probe_lattice(
             .zip(&profile.axes)
             .map(|(pv, axis)| predicted_interval(axis, pv.v))
             .collect();
-        let point = build_probe_point(spec, profile, combo, 1.0);
+        let point = build_probe_point(spec, profile, combo, scale.radius);
         let id = spec.partitioner.partition_of(&point);
         if id >= np {
             emitter.emit(Diagnostic::new(
@@ -827,25 +829,33 @@ fn probe_lattice(
             // probe sitting exactly on a boundary may legitimately land on
             // either side — and with *coincident* boundaries, several cells
             // away. Accept any cell adjacent to a boundary value within
-            // tolerance of the probed angle, *at boundary values only*.
+            // tolerance of the probed angle: `BOUNDARY_TOL` at boundary
+            // values, and at every probe twice the distance its point
+            // really lies from the angles it was built for.
             let actual = delinearize(id, splits);
-            actual
-                .iter()
-                .zip(&per_axis)
-                .zip(combo.iter().zip(&profile.axes))
-                .all(|((&a, &p), (pv, axis))| {
-                    if a == p {
-                        return true;
-                    }
-                    if !pv.on_boundary {
-                        return false;
-                    }
-                    let tol = 2e-6;
-                    let below = a.checked_sub(1).and_then(|j| axis.boundaries.get(j));
-                    let above = axis.boundaries.get(a);
-                    below.is_some_and(|b| (b - pv.v).abs() <= tol)
-                        || above.is_some_and(|b| (b - pv.v).abs() <= tol)
-                })
+            // `drift` is empty before it is measured.
+            let within = |drift: &[f64]| {
+                actual
+                    .iter()
+                    .zip(&per_axis)
+                    .zip(combo.iter().zip(&profile.axes))
+                    .enumerate()
+                    .all(|(i, ((&a, &p), (pv, axis)))| {
+                        let drift = drift.get(i).copied().unwrap_or(0.0);
+                        let tol = if pv.on_boundary { BOUNDARY_TOL } else { 0.0 } + 2.0 * drift;
+                        let below = a.checked_sub(1).and_then(|j| axis.boundaries.get(j));
+                        let above = axis.boundaries.get(a);
+                        a == p
+                            || below.is_some_and(|b| (b - pv.v).abs() <= tol)
+                            || above.is_some_and(|b| (b - pv.v).abs() <= tol)
+                    })
+            };
+            // The drift is measured only when the exact check fails, so a
+            // clean plan pays nothing for it.
+            within(&[]) || {
+                let drift = angular_drift(spec, profile, combo, &point);
+                within(&drift) && scale.accept(&drift)
+            }
         } else {
             id == predicted
         };
@@ -872,18 +882,39 @@ fn probe_lattice(
             ));
         }
         // Angular partitioning must be radius-invariant: re-probe the same
-        // angles at a different radius.
+        // angles at a different radius. A boundary between the angles the
+        // two points really carry explains a split.
         if angular && !on_boundary {
-            let far = build_probe_point(spec, profile, combo, 37.5);
+            let far_radius = FAR_RADIUS * scale.radius;
+            let far = build_probe_point(spec, profile, combo, far_radius);
             let far_id = spec.partitioner.partition_of(&far);
-            if far_id != id {
+            let mut split_by_drift = || {
+                let drift: Vec<f64> = angular_drift(spec, profile, combo, &point)
+                    .iter()
+                    .zip(angular_drift(spec, profile, combo, &far))
+                    .map(|(&near, far)| near.max(far))
+                    .collect();
+                let straddled =
+                    combo
+                        .iter()
+                        .zip(&profile.axes)
+                        .zip(&drift)
+                        .any(|((pv, axis), &drift)| {
+                            axis.boundaries
+                                .iter()
+                                .any(|b| (b - pv.v).abs() <= 2.0 * drift)
+                        });
+                straddled && scale.accept(&drift)
+            };
+            if far_id != id && !split_by_drift() {
                 emitter.emit(Diagnostic::new(
                     Code::DisjointnessViolation,
                     Severity::Error,
                     format!("probe {label}"),
                     format!(
-                        "sector assignment is not radius-invariant: r=1 maps to {id}, \
-                         r=37.5 maps to {far_id}"
+                        "sector assignment is not radius-invariant: r={:.6e} maps to {id}, \
+                         r={far_radius:.6e} maps to {far_id}",
+                        scale.radius
                     ),
                 ));
             }
@@ -891,6 +922,7 @@ fn probe_lattice(
     }
 
     let mut probes = 0usize;
+    let mut scale = ProbeScale::new(spec, profile);
 
     // Phase 1: the boundary-lattice product (capped, deterministic).
     if !values.is_empty() {
@@ -924,6 +956,7 @@ fn probe_lattice(
                 &combo,
                 &format!("lattice#{k}"),
                 seen,
+                &mut scale,
                 emitter,
             );
             probes += 1;
@@ -984,13 +1017,130 @@ fn probe_lattice(
                 &combo,
                 &format!("cell#{cell}"),
                 seen,
+                &mut scale,
                 emitter,
             );
             probes += 1;
         }
     }
 
+    scale.report(profile, emitter);
     probes
+}
+
+/// Acceptance tolerance, in radians, for an angular probe built on or
+/// next to a boundary.
+const BOUNDARY_TOL: f64 = 2e-6;
+/// Radius of the radius-invariance re-probe, in units of the probe radius.
+const FAR_RADIUS: f64 = 37.5;
+
+/// The scale angular probes are built at, and what they could not
+/// resolve there.
+///
+/// A probe at radius `r` around an origin `o` lands on a data-space grid
+/// of spacing `ulp(|o| + r)`, so its angles can move by about that over
+/// `r`. Built at radius 1, a probe around an origin at 1e16 collapses onto
+/// the origin; so the radius is the profiled data's own extent. What is
+/// still left unresolved (a boundary closer to a probe than the probe's
+/// rounding) is accepted and reported once per axis as a warning.
+struct ProbeScale {
+    /// Probe radius: the data's largest extent from the fitted origin.
+    radius: f64,
+    /// Per angular axis, the largest drift a probe was accepted at.
+    drift: Vec<f64>,
+    /// Probes accepted only at their measured drift.
+    rescued: usize,
+}
+
+impl ProbeScale {
+    fn new(spec: &PlanSpec<'_>, profile: &BoundaryProfile) -> Self {
+        let origin = probe_origin(spec, profile);
+        let radius = origin
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| spec.bounds.max(i) - o)
+            .fold(0.0, f64::max);
+        Self {
+            radius: if radius.is_finite() && radius > 0.0 {
+                radius
+            } else {
+                1.0
+            },
+            drift: vec![0.0; profile.axes.len()],
+            rescued: 0,
+        }
+    }
+
+    /// Records a probe accepted at `drift`; always `true`.
+    fn accept(&mut self, drift: &[f64]) -> bool {
+        for (max, &d) in self.drift.iter_mut().zip(drift) {
+            *max = max.max(d);
+        }
+        self.rescued += 1;
+        true
+    }
+
+    fn report(&self, profile: &BoundaryProfile, emitter: &mut Emitter2<'_>) {
+        for (axis, &drift) in profile.axes.iter().zip(&self.drift) {
+            if drift == 0.0 {
+                continue;
+            }
+            let narrow = axis
+                .boundaries
+                .windows(2)
+                .filter(|w| w[1] > w[0] && w[1] - w[0] <= 2.0 * drift)
+                .count();
+            emitter.emit(Diagnostic::new(
+                Code::DegenerateAxis,
+                Severity::Warning,
+                format!("axis {} (angle)", axis.coord),
+                format!(
+                    "at this data's scale (probe radius {:.3e}) a probe's angles move by up \
+                     to {drift:.1e} rad: {} probe(s) straddled a boundary that close and \
+                     were accepted, and {narrow} boundary gap(s) are narrower than a probe \
+                     resolves",
+                    self.radius, self.rescued
+                ),
+            ));
+        }
+    }
+}
+
+/// The origin angular probes are translated by: the profile's fitted
+/// origin, else the bounds' minimum corner.
+fn probe_origin<'p>(spec: &PlanSpec<'_>, profile: &'p BoundaryProfile) -> Cow<'p, [f64]> {
+    match &profile.origin {
+        Some(origin) => Cow::Borrowed(origin),
+        None => Cow::Owned(
+            (0..spec.partitioner.dim())
+                .map(|i| spec.bounds.min(i))
+                .collect(),
+        ),
+    }
+}
+
+/// Per angular axis, how far the angles `point` really carries (Eq. 1
+/// over the point translated to the probe origin) lie from the angles
+/// `combo` built it for.
+fn angular_drift(
+    spec: &PlanSpec<'_>,
+    profile: &BoundaryProfile,
+    combo: &[ProbeValue],
+    point: &Point,
+) -> Vec<f64> {
+    let shifted: Vec<f64> = point
+        .coords()
+        .iter()
+        .zip(probe_origin(spec, profile).iter())
+        .map(|(&c, &o)| c - o)
+        .collect();
+    let mut angles = vec![0.0; combo.len()];
+    angles_of_row(&shifted, &mut angles);
+    angles
+        .iter()
+        .zip(combo)
+        .map(|(&a, pv)| (a - pv.v).abs())
+        .collect()
 }
 
 /// Materialises a probe from per-axis values: directly as coordinates for
@@ -1016,12 +1166,10 @@ fn build_probe_point(
                 angles: angles.into_boxed_slice(),
             };
             let cart = to_cartesian(&h);
-            let fallback: Vec<f64> = (0..d).map(|i| spec.bounds.min(i)).collect();
-            let origin = profile.origin.as_deref().unwrap_or(&fallback);
             let coords: Vec<f64> = cart
                 .coords()
                 .iter()
-                .zip(origin)
+                .zip(probe_origin(spec, profile).iter())
                 .map(|(&c, &o)| c + o)
                 .collect();
             Point::new(0, coords)
@@ -1178,6 +1326,95 @@ mod tests {
         let report = audit_plan(&spec);
         assert!(!report.with_code(Code::PruningUnavailable).is_empty());
         assert!(!report.has_errors());
+    }
+
+    /// The score-tie family: 200 L1 pairs on an anti-diagonal at 1e16,
+    /// where one data-space ulp is 2.
+    fn score_tie_points() -> Vec<Point> {
+        (0..400u64)
+            .map(|i| {
+                let k = (i % 200) as f64;
+                let lift = if i < 200 { 2.0 } else { 0.0 };
+                Point::new(i, vec![1e16 + 4.0 * k, 1e16 - 4.0 * k + lift])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn angle_fits_at_1e16_scale_audit_clean() {
+        // Probes built at radius 1 collapsed onto the origin here and
+        // refused every one of these exact plans.
+        let pts = score_tie_points();
+        let bounds = Bounds::from_points(&pts).unwrap();
+        for partitions in [2, 8, 16, 64] {
+            for angle in [
+                AnglePartitioner::fit_quantile(&pts, partitions).unwrap(),
+                AnglePartitioner::fit(&bounds, partitions).unwrap(),
+            ] {
+                let report = audit_default(&angle, &bounds);
+                assert!(
+                    !report.has_errors(),
+                    "{partitions} sectors:\n{}",
+                    report.render_text()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn boundaries_closer_than_a_probe_resolves_only_warn() {
+        // Two boundaries 1e-4 rad apart around an origin at 1e16 with a
+        // data extent of 800: a probe's angles round by about 2/800 rad,
+        // so the cell between them cannot be hit on purpose.
+        struct TwoDSectors {
+            origin: Vec<f64>,
+            boundaries: Vec<f64>,
+        }
+        impl SpacePartitioner for TwoDSectors {
+            fn name(&self) -> &'static str {
+                "two-d-sectors"
+            }
+            fn dim(&self) -> usize {
+                2
+            }
+            fn num_partitions(&self) -> usize {
+                self.boundaries.len() + 1
+            }
+            fn partition_of(&self, p: &Point) -> usize {
+                let x = (p.coord(0) - self.origin[0]).max(0.0);
+                let y = (p.coord(1) - self.origin[1]).max(0.0);
+                let a = y.atan2(x);
+                self.boundaries.partition_point(|&b| b <= a)
+            }
+            fn boundary_profile(&self) -> BoundaryProfile {
+                BoundaryProfile {
+                    scheme: self.name(),
+                    space: PartitionSpace::Angular,
+                    axes: vec![AxisProfile {
+                        coord: 0,
+                        domain: (0.0, std::f64::consts::FRAC_PI_2),
+                        boundaries: self.boundaries.clone(),
+                    }],
+                    origin: Some(self.origin.clone()),
+                }
+            }
+        }
+        let pts = score_tie_points();
+        let bounds = Bounds::from_points(&pts).unwrap();
+        let sectors = TwoDSectors {
+            origin: vec![bounds.min(0), bounds.min(1)],
+            boundaries: vec![0.4, 0.8, 0.8 + 1e-4],
+        };
+        let report = audit_default(&sectors, &bounds);
+        assert!(!report.has_errors(), "{}", report.render_text());
+        let warned = report.with_code(Code::DegenerateAxis);
+        assert!(
+            warned
+                .iter()
+                .any(|d| d.message.contains("narrower than a probe")),
+            "{}",
+            report.render_text()
+        );
     }
 
     #[test]

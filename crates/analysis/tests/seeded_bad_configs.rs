@@ -5,7 +5,8 @@ use mini_mapreduce::{ClusterConfig, CostModel};
 use mrsky_audit::plan::{audit_plan, PlanSpec};
 use mrsky_audit::{Code, Severity};
 use skyline_algos::partition::{
-    AxisProfile, BoundaryProfile, Bounds, GridPartitioner, PartitionSpace, SpacePartitioner,
+    AnglePartitioner, AxisProfile, BoundaryProfile, Bounds, GridPartitioner, PartitionSpace,
+    SpacePartitioner,
 };
 use skyline_algos::point::Point;
 
@@ -94,6 +95,31 @@ impl SpacePartitioner for OverzealousPruner {
     }
 }
 
+/// Delegates to a sound angular fit but sends sector 3's points to
+/// sector 4.
+struct StraySector(AnglePartitioner);
+
+impl SpacePartitioner for StraySector {
+    fn name(&self) -> &'static str {
+        "bad-sector"
+    }
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn num_partitions(&self) -> usize {
+        self.0.num_partitions()
+    }
+    fn partition_of(&self, p: &Point) -> usize {
+        match self.0.partition_of(p) {
+            3 => 4,
+            id => id,
+        }
+    }
+    fn boundary_profile(&self) -> BoundaryProfile {
+        self.0.boundary_profile()
+    }
+}
+
 fn spec_for<'a>(
     part: &'a dyn SpacePartitioner,
     bounds: &'a Bounds,
@@ -150,6 +176,21 @@ fn non_total_partitioner_triggers_mra001() {
     let part = NotTotal;
     let report = audit_plan(&spec_for(&part, &f.bounds, &f.cluster, &f.cost));
     assert_error_code(&report, Code::PartitionNotTotal);
+}
+
+#[test]
+fn stray_sector_at_1e16_scale_triggers_mra001() {
+    // The angular probes are built at the data's own scale, so a plan
+    // whose coordinates sit at 1e16 (one ulp is 2) is still checked, not
+    // waved through as unresolvable.
+    let f = Fixture::new();
+    let bounds = Bounds::new(vec![1e16, 1e16 - 800.0], vec![1e16 + 800.0, 1e16]);
+    let part = StraySector(AnglePartitioner::fit(&bounds, 8).expect("angle fit"));
+    let report = audit_plan(&spec_for(&part, &bounds, &f.cluster, &f.cost));
+    assert_error_code(&report, Code::PartitionNotTotal);
+    let sound = AnglePartitioner::fit(&bounds, 8).expect("angle fit");
+    let report = audit_plan(&spec_for(&sound, &bounds, &f.cluster, &f.cost));
+    assert!(!report.has_errors(), "{}", report.render_text());
 }
 
 #[test]

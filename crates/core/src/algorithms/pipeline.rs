@@ -76,11 +76,12 @@ pub struct PipelineOptions {
     /// Per-partition local-skyline checkpoint store. When set, Job 1
     /// durably records each finished partition.
     pub checkpoints: Option<Arc<CheckpointStore>>,
-    /// Resume from `checkpoints`: restore finished partitions, drop their
-    /// points from Job 1's input, recompute only what never completed.
-    /// Without a store this is a no-op. The caller is responsible for
-    /// manifest validation (see `SkylineJob::run_resilient`).
-    pub resume: bool,
+    /// Finished partitions' local skylines, read back from `checkpoints`
+    /// by a resumed run (empty for a fresh one): they are restored
+    /// verbatim, their points dropped from Job 1's input, and only what
+    /// never completed is recomputed. The caller reads them and validates
+    /// the manifest (see `SkylineJob::run_resilient`).
+    pub restored: BTreeMap<u64, Vec<Point>>,
     /// Crash simulator: when armed, Job 1 dies ([`KILL_PAYLOAD`]) after
     /// the switch's checkpoint-write budget (see [`KillSwitch`]).
     pub kill: Option<Arc<KillSwitch>>,
@@ -446,21 +447,13 @@ pub fn run_two_job_pipeline(
     // A resumed run trusts every completed checkpoint: those partitions'
     // local skylines are restored verbatim and their points never enter
     // Job 1 (no recomputation — the trace validator enforces it).
-    let restored: BTreeMap<u64, Vec<Point>> = match (&opts.checkpoints, opts.resume) {
-        (Some(store), true) => {
-            let map = store
-                .restore()
-                .unwrap_or_else(|e| panic!("cannot resume from checkpoints: {e}"));
-            for (p, sky) in &map {
-                opts.tracer.emit(|| EventKind::CheckpointRestored {
-                    partition: *p,
-                    points: sky.len() as u64,
-                });
-            }
-            map
-        }
-        _ => BTreeMap::new(),
-    };
+    let restored = &opts.restored;
+    for (p, sky) in restored {
+        opts.tracer.emit(|| EventKind::CheckpointRestored {
+            partition: *p,
+            points: sky.len() as u64,
+        });
+    }
     // Rows of restored partitions skip Job 1, so the broadcast filter
     // never meets them there; they are counted here instead, which keeps
     // `rows_filtered` equal to a fresh run's whatever the kill point.
@@ -642,7 +635,7 @@ pub fn run_two_job_pipeline(
     // Restored partitions join the computed ones here — downstream merge
     // stages cannot tell a restored local skyline from a fresh one.
     let mut flat: Vec<(u64, PointBlock)> = job1.into_outputs();
-    for (p, sky) in &restored {
+    for (p, sky) in restored {
         if !sky.is_empty() {
             flat.push((*p, repack(dim, sky)));
         }
@@ -742,7 +735,7 @@ mod tests {
             tracer: Tracer::disabled(),
             chaos: FaultPlan::off(),
             checkpoints: None,
-            resume: false,
+            restored: BTreeMap::new(),
             kill: None,
         }
     }
@@ -1256,7 +1249,7 @@ mod tests {
             let mut opts = options("MR-Angle", 4);
             opts.map_work_per_point = map_work_per_point(Algorithm::MrAngle, data.dim());
             opts.checkpoints = Some(Arc::clone(&store));
-            opts.resume = true;
+            opts.restored = store.restore().unwrap();
             opts.tracer = Tracer::in_memory();
             let resumed = run_two_job_pipeline(part, &data, &opts);
             assert_eq!(resumed.global_skyline, fresh.global_skyline);

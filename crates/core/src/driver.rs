@@ -14,9 +14,44 @@ use mrsky_chaos::{FaultPlan, KillSwitch};
 use mrsky_trace::Tracer;
 use qws_data::Dataset;
 use skyline_algos::metrics::{load_balance, local_skyline_optimality};
+use skyline_algos::point::Point;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Why a checked run did not run: the plan failed its audit, or the
+/// checkpoint directory cannot serve the run.
+#[derive(Debug)]
+pub enum RunError {
+    /// The plan audit found error-level diagnostics (and
+    /// [`SkylineJob::force`] is off), or the partitioner could not be
+    /// fitted.
+    Audit(AuditReport),
+    /// The checkpoint directory cannot be opened, read or written, or it
+    /// was written by a different run.
+    Checkpoint {
+        /// The directory.
+        dir: PathBuf,
+        /// What went wrong, naming the directory.
+        message: String,
+    },
+}
+
+impl RunError {
+    /// Multi-line human rendering: the audit report's own text, or one
+    /// line naming the checkpoint directory and its fault.
+    pub fn render_text(&self) -> String {
+        match self {
+            RunError::Audit(report) => report.render_text(),
+            RunError::Checkpoint { message, .. } => message.clone(),
+        }
+    }
+}
+
+/// Finished partitions' local skylines read back from checkpoints, by
+/// partition id.
+type Restored = BTreeMap<u64, Vec<Point>>;
 
 /// A configured skyline-selection job, reusable across datasets.
 #[derive(Clone)]
@@ -164,8 +199,9 @@ impl SkylineJob {
 
     /// Audits the plan first and only runs it when no error-level
     /// diagnostics were found (or [`SkylineJob::force`] is set). The failed
-    /// audit comes back in `Err` for inspection/rendering.
-    pub fn run_checked(&self, dataset: &Dataset) -> Result<SkylineRunReport, Box<AuditReport>> {
+    /// audit, or a checkpoint directory that cannot serve the run, comes
+    /// back in `Err` for inspection/rendering.
+    pub fn run_checked(&self, dataset: &Dataset) -> Result<SkylineRunReport, Box<RunError>> {
         let kill = self
             .chaos
             .kill_after_checkpoints
@@ -177,18 +213,18 @@ impl SkylineJob {
         &self,
         dataset: &Dataset,
         kill: Option<Arc<KillSwitch>>,
-    ) -> Result<SkylineRunReport, Box<AuditReport>> {
+    ) -> Result<SkylineRunReport, Box<RunError>> {
         let partitioner =
             match build_partitioner(self.algorithm, &self.config, dataset, self.cluster.servers) {
                 Ok(p) => p,
                 // A failed fit cannot be forced past: there is nothing to run.
-                Err(e) => return Err(Box::new(self.fit_failure_report(&e))),
+                Err(e) => return Err(Box::new(RunError::Audit(self.fit_failure_report(&e)))),
             };
         let report = self.audit_with(&partitioner, dataset);
         if report.has_errors() && !self.force {
-            return Err(Box::new(report));
+            return Err(Box::new(RunError::Audit(report)));
         }
-        Ok(self.run_with(partitioner, dataset, kill))
+        self.run_with(partitioner, dataset, kill)
     }
 
     /// Runs the job surviving the chaos plan's simulated driver crash:
@@ -197,7 +233,7 @@ impl SkylineJob {
     /// every checkpointed partition instead of recomputing it. Panics that
     /// are *not* the simulated crash propagate unchanged — a real bug still
     /// crashes loudly.
-    pub fn run_resilient(&self, dataset: &Dataset) -> Result<SkylineRunReport, Box<AuditReport>> {
+    pub fn run_resilient(&self, dataset: &Dataset) -> Result<SkylineRunReport, Box<RunError>> {
         let kill = self
             .chaos
             .kill_after_checkpoints
@@ -233,45 +269,62 @@ impl SkylineJob {
     /// # Panics
     ///
     /// Panics when the plan audit finds error-level diagnostics and
-    /// [`SkylineJob::force`] is not set; use [`SkylineJob::run_checked`] to
-    /// handle that case without unwinding.
+    /// [`SkylineJob::force`] is not set, or when the checkpoint directory
+    /// cannot serve the run; use [`SkylineJob::run_checked`] to handle
+    /// those cases without unwinding.
     pub fn run(&self, dataset: &Dataset) -> SkylineRunReport {
         match self.run_checked(dataset) {
             Ok(report) => report,
-            Err(audit) => panic!(
-                "refusing to run an unsound plan (set force to override):\n{}",
-                audit.render_text()
+            Err(e) => panic!(
+                "refusing to run (set force to override an unsound plan):\n{}",
+                e.render_text()
             ),
         }
     }
 
-    /// Opens, validates, and (for fresh runs) resets the checkpoint store.
-    /// Checkpoints from a different algorithm/dataset/partitioning are
-    /// refused on resume — restoring them would corrupt the result.
+    /// Opens, validates, and (for fresh runs) resets the checkpoint store,
+    /// and reads back a resumed run's finished partitions. Checkpoints
+    /// from a different algorithm/dataset/partitioning are refused on
+    /// resume — restoring them would corrupt the result.
     fn open_checkpoints(
         &self,
         partitioner: &std::sync::Arc<dyn skyline_algos::SpacePartitioner>,
         dataset: &Dataset,
-    ) -> Option<Arc<CheckpointStore>> {
-        let dir = self.checkpoint_dir.as_ref()?;
-        let store = CheckpointStore::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint dir {}: {e}", dir.display()));
+    ) -> Result<(Option<Arc<CheckpointStore>>, Restored), Box<RunError>> {
+        let Some(dir) = self.checkpoint_dir.as_ref() else {
+            return Ok((None, BTreeMap::new()));
+        };
+        let fault = |what: &str, e: std::io::Error| {
+            Box::new(RunError::Checkpoint {
+                dir: dir.clone(),
+                message: format!("checkpoint directory {}: {what}{e}", dir.display()),
+            })
+        };
+        let store = CheckpointStore::open(dir).map_err(|e| fault("cannot open: ", e))?;
         let manifest = Manifest {
             algorithm: self.algorithm.name().to_string(),
             fingerprint: dataset_fingerprint(dataset),
             partitions: partitioner.num_partitions() as u64,
         };
-        if self.resume {
-            store.validate(&manifest).unwrap_or_else(|e| panic!("{e}"));
-        } else {
+        let restored = if self.resume {
+            // the mismatch message names the directory itself
+            store.validate(&manifest).map_err(|e| {
+                Box::new(RunError::Checkpoint {
+                    dir: dir.clone(),
+                    message: e.to_string(),
+                })
+            })?;
             store
-                .clear()
-                .unwrap_or_else(|e| panic!("cannot clear checkpoint dir: {e}"));
-        }
+                .restore()
+                .map_err(|e| fault("cannot resume from it: ", e))?
+        } else {
+            store.clear().map_err(|e| fault("cannot clear: ", e))?;
+            BTreeMap::new()
+        };
         store
             .write_manifest(&manifest)
-            .unwrap_or_else(|e| panic!("cannot write checkpoint manifest: {e}"));
-        Some(Arc::new(store))
+            .map_err(|e| fault("cannot write the manifest: ", e))?;
+        Ok((Some(Arc::new(store)), restored))
     }
 
     fn run_with(
@@ -279,7 +332,8 @@ impl SkylineJob {
         partitioner: std::sync::Arc<dyn skyline_algos::SpacePartitioner>,
         dataset: &Dataset,
         kill: Option<Arc<KillSwitch>>,
-    ) -> SkylineRunReport {
+    ) -> Result<SkylineRunReport, Box<RunError>> {
+        let (checkpoints, restored) = self.open_checkpoints(&partitioner, dataset)?;
         let opts = PipelineOptions {
             name: self.algorithm.name().to_string(),
             cluster: self.cluster.clone(),
@@ -289,8 +343,8 @@ impl SkylineJob {
             map_work_per_point: map_work_per_point(self.algorithm, dataset.dim()),
             tracer: self.tracer.clone(),
             chaos: self.chaos.clone(),
-            checkpoints: self.open_checkpoints(&partitioner, dataset),
-            resume: self.resume,
+            checkpoints,
+            restored,
             kill,
         };
         let out = self.tracer.span("driver.run", || {
@@ -301,7 +355,7 @@ impl SkylineJob {
             out.local_skylines.iter().map(|(_, v)| v.clone()).collect();
         let optimality = local_skyline_optimality(&locals, &out.global_skyline);
 
-        SkylineRunReport {
+        Ok(SkylineRunReport {
             algorithm: self.algorithm,
             dataset: dataset.name.clone(),
             cardinality: dataset.len(),
@@ -317,7 +371,7 @@ impl SkylineJob {
             sector_pruned_partitions: out.sector_pruned_partitions,
             optimality,
             metrics: out.metrics,
-        }
+        })
     }
 }
 
@@ -372,6 +426,9 @@ mod tests {
         let err = job
             .run_checked(&data)
             .expect_err("zero reduce slots must be refused");
+        let RunError::Audit(err) = *err else {
+            panic!("the audit refuses it")
+        };
         assert!(err.has_errors());
         assert!(!err
             .with_code(mrsky_audit::Code::ZeroCapacityCluster)
@@ -386,6 +443,9 @@ mod tests {
         let err = job
             .run_checked(&data)
             .expect_err("a zero BNL window must be refused");
+        let RunError::Audit(err) = *err else {
+            panic!("the audit refuses it")
+        };
         assert!(!err
             .with_code(mrsky_audit::Code::ZeroCapacityCluster)
             .is_empty());
@@ -402,6 +462,9 @@ mod tests {
         let err = job
             .run_checked(&data)
             .expect_err("a negative cost must be refused");
+        let RunError::Audit(err) = *err else {
+            panic!("the audit refuses it")
+        };
         assert!(!err
             .with_code(mrsky_audit::Code::ZeroCapacityCluster)
             .is_empty());
@@ -613,17 +676,38 @@ mod tests {
         SkylineJob::new(Algorithm::MrAngle, 4)
             .with_checkpoints(&dir)
             .run(&data);
-        let resume_other = std::panic::catch_unwind(|| {
-            SkylineJob::new(Algorithm::MrAngle, 4)
-                .with_checkpoints(&dir)
-                .with_resume(true)
-                .run(&other)
-        });
-        assert!(
-            resume_other.is_err(),
-            "resuming against a different dataset must be refused"
-        );
+        let resume_other = SkylineJob::new(Algorithm::MrAngle, 4)
+            .with_checkpoints(&dir)
+            .with_resume(true)
+            .run_resilient(&other)
+            .expect_err("resuming against a different dataset must be refused");
+        assert!(matches!(*resume_other, RunError::Checkpoint { .. }));
+        let text = resume_other.render_text();
+        assert!(text.contains("written by a different run"), "{text}");
+        // the refused resume leaves the other run's checkpoints in place
+        assert!(SkylineJob::new(Algorithm::MrAngle, 4)
+            .with_checkpoints(&dir)
+            .with_resume(true)
+            .run_checked(&data)
+            .is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unopenable_checkpoint_directory_is_a_typed_error() {
+        let data = generate_qws(&QwsConfig::new(100, 3));
+        let file = std::env::temp_dir().join(format!("mrsky-drv-notadir-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let err = SkylineJob::new(Algorithm::MrDim, 2)
+            .with_checkpoints(&file)
+            .run_checked(&data)
+            .expect_err("a plain file cannot hold checkpoints");
+        assert!(
+            matches!(&*err, RunError::Checkpoint { dir, .. } if *dir == file),
+            "{}",
+            err.render_text()
+        );
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

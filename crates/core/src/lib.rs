@@ -50,23 +50,20 @@ pub mod driver;
 pub mod maintain;
 pub mod report;
 pub mod selection;
-pub mod validate;
 
 pub use checkpoint::{dataset_fingerprint, CheckpointStore, Manifest};
 pub use config::{AlgoConfig, Algorithm};
-pub use driver::SkylineJob;
+pub use driver::{RunError, SkylineJob};
 pub use maintain::MaintainedRegistry;
 pub use report::SkylineRunReport;
 pub use selection::{SelectionRequest, SelectionResult, ServiceSelector, Summary};
-pub use validate::{validate_against_oracle, validate_report, ValidationError};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::config::{AlgoConfig, Algorithm};
-    pub use crate::driver::SkylineJob;
+    pub use crate::driver::{RunError, SkylineJob};
     pub use crate::maintain::MaintainedRegistry;
     pub use crate::report::SkylineRunReport;
     pub use crate::selection::{SelectionRequest, SelectionResult, ServiceSelector, Summary};
-    pub use crate::validate::{validate_against_oracle, validate_report};
     pub use mini_mapreduce::runtime::ClusterConfig;
 }

@@ -157,7 +157,7 @@ pub struct LoadReport {
 /// Whether a response carries exactly the skyline of the live set: ids
 /// strictly ascending, and [`verify_skyline`]'s exact check, which compares
 /// coordinate bits (`-0.0` is not the `0.0` that was inserted) as
-/// `core::validate` checks a batch answer.
+/// `mrsky skyline` checks a batch answer.
 fn matches_oracle(resp: &QueryResponse, live: &BTreeMap<u64, Vec<f64>>) -> bool {
     let mut block = PointBlock::new(live.values().next().map_or(1, Vec::len));
     live.iter()

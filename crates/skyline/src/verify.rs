@@ -318,6 +318,32 @@ mod tests {
         );
     }
 
+    /// The missing skyline point 1 dominates point 0, which comes first
+    /// and which no claimed point dominates: the fault must still name
+    /// the true skyline member, not its dominated neighbour.
+    #[test]
+    fn a_missing_member_is_named_not_its_dominated_neighbour() {
+        let data = pts(&[&[2.0, 2.0], &[1.0, 1.0], &[0.0, 5.0]]);
+        assert_eq!(
+            verify(&data, &data[2..]),
+            Err(ValidationError::MissingPoint { id: 1 })
+        );
+    }
+
+    #[test]
+    fn error_messages_are_descriptive() {
+        let text = |e: ValidationError| e.to_string();
+        assert!(text(ValidationError::MissingPoint { id: 3 }).contains("missing"));
+        assert!(text(ValidationError::DominatedPoint {
+            id: 1,
+            dominated_by: 2
+        })
+        .contains("dominated by 2"));
+        assert!(text(ValidationError::UnknownPoint { id: 7 }).contains("not exist"));
+        assert!(text(ValidationError::ForgedCoordinates { id: 7 }).contains("coordinates"));
+        assert!(text(ValidationError::DuplicatePoint { id: 7 }).contains("more than once"));
+    }
+
     #[test]
     fn sign_of_zero_counts_as_a_perturbation() {
         let data = pts(&[&[0.0, 1.0], &[1.0, 0.0]]);

@@ -1,9 +1,9 @@
 //! Property-based equivalence of the columnar kernels against the naive
-//! oracle: `block_bnl` (any window size) and `presort_merge` must return
-//! exactly the skyline id-set of `naive_skyline_ids` over `&[Point]` for
-//! arbitrary datasets — including duplicated coordinates, fully equal
-//! rows and `-0.0`/`0.0` pairs, which small integer grids force
-//! constantly. CI runs this file with `--features strict-invariants` so
+//! oracle: `block_bnl` (any window size), every configurable kernel and
+//! auto's pick, and `presort_merge` must return exactly the skyline id-set
+//! of `naive_skyline_ids` over `&[Point]` for arbitrary datasets —
+//! including duplicated coordinates, fully equal rows and `-0.0`/`0.0`
+//! pairs, which small integer grids force constantly. CI runs this file with `--features strict-invariants` so
 //! every kernel call additionally self-checks minimality and completeness.
 //!
 //! The three presort kernels (`presort_merge_stats`, `block_sfs_stats`,
@@ -22,6 +22,7 @@ use skyline_algos::kernel::{
 };
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
+use skyline_algos::select::{select_for_block, BlockKernel};
 use skyline_algos::seq::naive_skyline_ids;
 use std::cmp::Ordering;
 
@@ -185,6 +186,9 @@ fn block_ids(b: &PointBlock) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `block_bnl` at any window, and every kernel a job can configure
+    /// (and the one auto selects) through `BlockKernel::run` at that
+    /// window, return the naive oracle's skyline.
     #[test]
     fn block_bnl_matches_naive_oracle(pts in arb_points(), window in 0usize..20) {
         let block = PointBlock::from_points(&pts).unwrap();
@@ -199,6 +203,10 @@ proptest! {
             };
             let sky = block_bnl(&block, &cfg);
             prop_assert_eq!(block_ids(&sky), oracle.clone());
+            for kernel in BlockKernel::ALL.into_iter().chain([select_for_block(&block)]) {
+                let (sky, _) = kernel.run(&block, &cfg);
+                prop_assert_eq!(block_ids(&sky), oracle.clone(), "{}", kernel.name());
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
+use mr_skyline_suite::skyline::verify::verify_skyline;
 
 fn main() {
     // 5,000 web services with 6 QoS attributes (response time, price,
@@ -29,7 +30,8 @@ fn main() {
 
         // Every algorithm must produce the same skyline — only the cost of
         // getting there differs. Verify against an independent oracle.
-        validate_report(&report, &registry).expect("skyline must match the oracle");
+        verify_skyline(registry.block(), &report.global_skyline)
+            .expect("skyline must match the oracle");
     }
 
     println!("\nAll three algorithms agree with the sequential oracle.");

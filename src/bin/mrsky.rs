@@ -26,6 +26,7 @@ use mr_skyline_suite::serve::{
     load_script, LoadRunner, LoadgenConfig, Mutation, Op, ServeConfig, SkylineService,
 };
 use mr_skyline_suite::skyline::select::BlockKernel;
+use mr_skyline_suite::skyline::verify::verify_skyline;
 use mr_skyline_suite::trace::{self, EpochClock, RunModel, Tracer, VecSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -320,8 +321,25 @@ fn load_data(args: &[String]) -> Result<Dataset, String> {
             .map_err(|e| format!("cannot load QWS file `{path}`: {e}"));
     }
     let path = flag(args, "--data")?.ok_or("--data FILE (or --qws-file FILE) is required")?;
-    Dataset::load_csv(path.clone(), PathBuf::from(&path).as_path())
-        .map_err(|e| format!("cannot load `{path}`: {e}"))
+    let path_buf = PathBuf::from(&path);
+    // Named by its file name, so the checkpoint fingerprint (which hashes
+    // the name) does not depend on how the path was typed.
+    let name = path_buf
+        .file_name()
+        .map_or_else(|| path.clone(), |n| n.to_string_lossy().into_owned());
+    Dataset::load_csv(name, path_buf.as_path()).map_err(|e| format!("cannot load `{path}`: {e}"))
+}
+
+/// The message for a run that did not run: the audit's findings with the
+/// `--force` hint, or the checkpoint directory's fault.
+fn run_error_text(e: &RunError) -> String {
+    match e {
+        RunError::Audit(audit) => format!(
+            "plan audit found error-level diagnostics (re-run with --force to override):\n{}",
+            audit.render_text()
+        ),
+        RunError::Checkpoint { .. } => e.render_text(),
+    }
 }
 
 /// Observability flags shared by `skyline`, `compare`, and `sweep`.
@@ -503,12 +521,7 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
     }
     // resilient run: identical to run_checked without chaos, and
     // kill/resume-aware with it
-    let report = job.run_resilient(&data).map_err(|audit| {
-        format!(
-            "plan audit found error-level diagnostics (re-run with --force to override):\n{}",
-            audit.render_text()
-        )
-    })?;
+    let report = job.run_resilient(&data).map_err(|e| run_error_text(&e))?;
     println!("{}", report.summary());
     println!(
         "partitions: {} (load CV {:.2}, largest {}), pruned: {}, rows filtered: {}",
@@ -526,7 +539,9 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
     println!("input fingerprint: {:016x}", dataset_fingerprint(&data));
     topts
         .tracer
-        .span("validate", || validate_report(&report, &data))
+        .span("validate", || {
+            verify_skyline(data.block(), &report.global_skyline)
+        })
         .map_err(|e| format!("result failed validation: {e}"))?;
     println!("validated against the independent oracle.");
     topts.finish()
@@ -753,14 +768,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             if let Some(dir) = checkpoint_dir {
                 job = job.with_checkpoints(dir);
             }
-            let report = job.run_resilient(&data).map_err(|audit| {
-                format!(
-                    "plan audit found error-level diagnostics:\n{}",
-                    audit.render_text()
-                )
-            })?;
+            let report = job.run_resilient(&data).map_err(|e| run_error_text(&e))?;
             println!("{}", report.summary());
-            validate_report(&report, &data)
+            verify_skyline(data.block(), &report.global_skyline)
                 .map_err(|e| format!("chaos run diverged from the fault-free oracle: {e}"))?;
             println!("chaos run matches the fault-free oracle exactly.");
             Ok(())
@@ -1099,6 +1109,25 @@ mod tests {
         let err = check_generate_shape(100, max + 1, "qws").unwrap_err();
         assert!(err.contains(&format!("at most {max}")), "{err}");
         assert!(check_generate_shape(100, max + 1, "indep").is_ok());
+    }
+
+    #[test]
+    fn data_is_named_by_its_file_name_however_the_path_is_typed() {
+        let dir = std::env::temp_dir().join(format!("mrsky-cli-name-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        generate_qws(&QwsConfig::new(50, 3))
+            .save_csv(&dir.join("small.csv"))
+            .unwrap();
+        let load = |path: PathBuf| {
+            let args = vec!["--data".to_string(), path.to_string_lossy().into_owned()];
+            load_data(&args).unwrap()
+        };
+        let plain = load(dir.join("small.csv"));
+        let dotted = load(dir.join(".").join("small.csv"));
+        assert_eq!(plain.name, "small.csv");
+        assert_eq!(dotted.name, "small.csv");
+        assert_eq!(dataset_fingerprint(&plain), dataset_fingerprint(&dotted));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl MaintainedRegistry {
     ) -> Result<Self, skyline_algos::SkylineError> {
         let partitioner = build_partitioner(algorithm, &AlgoConfig::default(), dataset, servers)?;
         Ok(Self {
-            inner: IncrementalSkyline::from_points(partitioner, dataset.points()),
+            inner: IncrementalSkyline::from_points(partitioner, dataset.points())?,
             adds: 0,
             removals: 0,
             global_changes: 0,
@@ -50,38 +50,31 @@ impl MaintainedRegistry {
     }
 
     /// Applies one churn event. Returns `true` iff the global skyline
-    /// changed.
+    /// changed. An add of another dimensionality, or of a live id, is
+    /// ignored.
     pub fn apply(&mut self, update: &Update) -> bool {
         match update {
             Update::Add(p) => {
                 self.adds += 1;
-                let changed = self.inner.insert(p.clone());
+                let changed = self.inner.insert(p.clone()).unwrap_or(false);
                 self.global_changes += u64::from(changed);
                 changed
             }
             Update::Remove(id) => {
                 self.removals += 1;
-                let before: Vec<u64> = self.skyline_ids();
-                let removed = self.inner.remove(*id);
-                if !removed {
-                    return false;
-                }
-                let changed = before != self.skyline_ids();
+                // the skyline is sorted by id, and it changes exactly when
+                // one of its members leaves
+                let changed = self.skyline().binary_search_by_key(id, Point::id).is_ok();
+                self.inner.remove(*id);
                 self.global_changes += u64::from(changed);
                 changed
             }
         }
     }
 
-    /// The current global skyline.
+    /// The current global skyline, sorted by id.
     pub fn skyline(&self) -> &[Point] {
         self.inner.global_skyline()
-    }
-
-    fn skyline_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.skyline().iter().map(Point::id).collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Number of live services.

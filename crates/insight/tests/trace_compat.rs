@@ -4,7 +4,8 @@
 //! `speculative` / `speculative_wins`), by a run with the deleted
 //! streaming merge (its `merge_overlap` credit), or by the deleted traced
 //! and quarantining QWS loaders (`ingest_started`, `record_quarantined`,
-//! `ingest_finished`), must load, validate, summarize and model exactly
+//! `ingest_finished`), or by a service on the k-skyband buffer
+//! (`skyband_repair`), must load, validate, summarize and model exactly
 //! like the same trace with the retired lines removed.
 
 use mrsky_trace::event::RETIRED_EVENT_TYPES;

@@ -441,9 +441,20 @@ impl MemTracker {
 enum ReduceSource<K, V> {
     Mem(Vec<(K, Vec<V>)>),
     Spilled {
-        path: PathBuf,
+        file: SpillFile,
         keys: Vec<(K, usize)>,
     },
+}
+
+/// Owns a spill file and removes it on drop, so a spilled input leaves no
+/// file behind whether its task consumed it or a kill or panic unwound the
+/// reduce phase first.
+struct SpillFile(PathBuf);
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 /// Runs a complete MapReduce job. See the module docs for the phase
@@ -641,7 +652,10 @@ where
                     match store.write_frames(&spec.name, r, frames) {
                         Ok(path) => {
                             reduce_mem.release(rin.bytes);
-                            ReduceSource::Spilled { path, keys }
+                            ReduceSource::Spilled {
+                                file: SpillFile(path),
+                                keys,
+                            }
                         }
                         // A failed spill falls back to memory: correctness
                         // over the budget, with the failure counted.
@@ -726,14 +740,15 @@ where
                 .expect("each reduce input is consumed exactly once");
             let owned_groups: Vec<(K, Vec<V>)> = match source {
                 ReduceSource::Mem(groups) => groups,
-                ReduceSource::Spilled { path, keys } => {
+                ReduceSource::Spilled { file, keys } => {
+                    let path = &file.0;
                     ctx.incr("spilled_inputs", 1);
                     reduce_mem.acquire(meta.bytes);
                     let cfg = spec
                         .spill
                         .as_ref()
                         .expect("spilled input implies a spill config");
-                    let mut reader = SpillReader::open(&path)
+                    let mut reader = SpillReader::open(path)
                         .unwrap_or_else(|e| panic!("open spill {}: {e}", path.display()));
                     let mut groups: Vec<(K, Vec<V>)> = Vec::with_capacity(keys.len());
                     for (k, n) in keys {
@@ -747,7 +762,6 @@ where
                         }
                         groups.push((k, vs));
                     }
-                    let _ = reader.remove();
                     groups
                 }
             };

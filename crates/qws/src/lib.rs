@@ -38,7 +38,6 @@
 pub mod attributes;
 pub mod dataset;
 mod decimal;
-pub mod drift;
 pub mod generator;
 pub mod ingest;
 pub mod rng;
@@ -46,7 +45,6 @@ pub mod synthetic;
 
 pub use attributes::{AttributeSpec, Direction, QWS_ATTRIBUTES};
 pub use dataset::Dataset;
-pub use drift::{DriftConfig, DriftModel};
 pub use generator::{extend_qws, generate_qws, QwsConfig};
 pub use ingest::load_qws_file;
 pub use synthetic::{generate_synthetic, Distribution, SyntheticConfig};

@@ -2,9 +2,11 @@
 //!
 //! The serving layer for the reproduction suite: long-running,
 //! multi-tenant, and hardened end to end on the request path. Each
-//! tenant's live skyline sits on a k-skyband retention buffer
-//! (`skyline_algos::skyband`) so deletions repair from retained
-//! dominated candidates instead of recomputing; around it, this crate
+//! tenant's live skyline is the paper's partitioned incremental
+//! maintenance (`skyline_algos::incremental`): an insert meets only its
+//! partition's local skyline and the global one, and a deletion
+//! recomputes one partition only when it removes a local-skyline member.
+//! Around it, this crate
 //! layers admission control, seeded-jitter retries with deadline
 //! budgets, per-tenant/operation circuit breakers, dead-lettering for
 //! poison mutations, graceful degradation to stale snapshots, and

@@ -1,7 +1,9 @@
 //! The fault-hardened multi-tenant skyline service.
 //!
-//! One [`SkylineService`] owns a [`SkybandBuffer`] per tenant plus the
-//! hardening layers around the request path:
+//! One [`SkylineService`] owns an [`IncrementalSkyline`] per tenant, built
+//! at the tenant's first insert over one [`RandomPartitioner`] partition (a
+//! live stream has no bounds to fit), plus the hardening layers around the
+//! request path:
 //!
 //! - **admission control** — a bounded [`AdmissionGate`] sheds mutations
 //!   with a typed [`ServeError::Overloaded`] instead of queueing;
@@ -24,8 +26,7 @@
 //! requests advance (service ticks + backoff charges), so latencies,
 //! breaker windows, and deadline enforcement are deterministic for a
 //! given plan/seed. Every decision on the path emits a trace event
-//! (`request`, `shed`, `breaker_transition`, `skyband_repair`,
-//! `stale_served`).
+//! (`request`, `shed`, `breaker_transition`, `repair`, `stale_served`).
 
 use crate::admission::{AdmissionConfig, AdmissionGate, ShedReason};
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
@@ -34,8 +35,11 @@ use mr_skyline::checkpoint::CheckpointStore;
 use mrsky_chaos::{DeadLetter, FaultKind, FaultPlan, FaultSite, KillSwitch, KILL_PAYLOAD};
 use mrsky_model::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use mrsky_trace::{EventKind, Tracer};
+use skyline_algos::incremental::IncrementalSkyline;
+use skyline_algos::partition::RandomPartitioner;
 use skyline_algos::point::Point;
-use skyline_algos::skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
+use skyline_algos::skyband::SkybandStats;
+use skyline_algos::SkylineError;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -44,12 +48,21 @@ use std::sync::Arc;
 /// path, before any backoff charges.
 const SERVICE_TICK_US: u64 = 100;
 
+/// A tenant's live-skyline engine.
+type Engine = IncrementalSkyline<RandomPartitioner>;
+
+/// An engine for `dim`-dimensional points on one partition, loaded with
+/// `points`.
+fn engine(dim: usize, points: &[Point]) -> Result<Engine, SkylineError> {
+    RandomPartitioner::new(dim, 1).and_then(|part| IncrementalSkyline::from_points(part, points))
+}
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// `k` for each tenant's k-skyband retention buffer: deletions repair
-    /// from retained candidates until the `k`-th deletion since the last
-    /// rebuild forces a recompute.
+    /// Read only by the benchmark, which replays a k-skyband buffer at
+    /// this depth beside the service; the service itself ignores it. Goes
+    /// with the next benchmark change.
     pub skyband_k: usize,
     /// Per-request deadline in simulated seconds; backoff charges count
     /// against it.
@@ -164,7 +177,12 @@ pub struct ServeStats {
     pub deadline_exceeded: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
-    /// Per-tenant skyband repair stats, summed.
+    /// Deletions of a local-skyline member, each repaired by recomputing
+    /// its partition.
+    pub repairs: u64,
+    /// For the benchmark only: `repairs_from_buffer` is
+    /// [`ServeStats::repairs`], the other counters are 0. Goes with the
+    /// next benchmark change.
     pub skyband: SkybandStats,
 }
 
@@ -185,7 +203,8 @@ struct ReqCtx<'a> {
 
 struct TenantCell {
     index: u64,
-    band: Mutex<SkybandBuffer>,
+    /// `None` until the tenant's first insert fixes its dimensionality.
+    engine: Mutex<Option<Engine>>,
     snapshot: Mutex<Snapshot>,
     repairing: AtomicBool,
     mutation_breaker: CircuitBreaker,
@@ -219,6 +238,7 @@ pub struct SkylineService {
     retries_exhausted: AtomicU64,
     deadline_exceeded: AtomicU64,
     checkpoints: AtomicU64,
+    repairs: AtomicU64,
 }
 
 impl SkylineService {
@@ -246,6 +266,7 @@ impl SkylineService {
             retries_exhausted: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            repairs: AtomicU64::new(0),
         }
     }
 
@@ -256,7 +277,8 @@ impl SkylineService {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the store.
+    /// Propagates I/O errors from the store; a tenant whose checkpointed
+    /// points disagree on dimensionality is `InvalidData`.
     pub fn with_store(mut self, store: CheckpointStore) -> std::io::Result<Self> {
         let restored = store.restore()?;
         let marks = read_tenant_marks(store.dir());
@@ -267,18 +289,25 @@ impl SkylineService {
                 continue;
             };
             max_index = max_index.max(index + 1);
-            let mut band = SkybandBuffer::new(self.cfg.skyband_k);
-            for p in points {
-                // restored points were validated on the way in
-                let _ = band.insert(p);
-            }
+            let engine = points
+                .first()
+                .map(|p| engine(p.dim(), &points))
+                .transpose()
+                .map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("tenant `{name}`: {e}"),
+                    )
+                })?;
             let snapshot = Snapshot {
-                points: band.skyline(),
+                points: engine
+                    .as_ref()
+                    .map_or_else(Vec::new, |e| e.global_skyline().to_vec()),
                 version: applied_count,
             };
             let cell = Arc::new(TenantCell {
                 index,
-                band: Mutex::new(band),
+                engine: Mutex::new(engine),
                 snapshot: Mutex::new(snapshot),
                 repairing: AtomicBool::new(false),
                 mutation_breaker: CircuitBreaker::new(self.cfg.breaker),
@@ -329,14 +358,7 @@ impl SkylineService {
 
     /// Aggregate counters (see [`ServeStats`]).
     pub fn stats(&self) -> ServeStats {
-        let mut skyband = SkybandStats::default();
-        for cell in self.tenants.lock().values() {
-            let s = cell.band.lock().stats();
-            skyband.repairs_from_buffer += s.repairs_from_buffer;
-            skyband.underflow_rebuilds += s.underflow_rebuilds;
-            skyband.discarded_inserts += s.discarded_inserts;
-            skyband.evictions += s.evictions;
-        }
+        let repairs = self.repairs.load(Ordering::Acquire);
         ServeStats {
             mutations_ok: self.mutations_ok.load(Ordering::Acquire),
             queries_fresh: self.queries_fresh.load(Ordering::Acquire),
@@ -348,7 +370,11 @@ impl SkylineService {
             retries_exhausted: self.retries_exhausted.load(Ordering::Acquire),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Acquire),
             checkpoints: self.checkpoints.load(Ordering::Acquire),
-            skyband,
+            repairs,
+            skyband: SkybandStats {
+                repairs_from_buffer: repairs,
+                ..SkybandStats::default()
+            },
         }
     }
 
@@ -377,7 +403,7 @@ impl SkylineService {
         let index = self.next_index.fetch_add(1, Ordering::AcqRel);
         let cell = Arc::new(TenantCell {
             index,
-            band: Mutex::new(SkybandBuffer::new(self.cfg.skyband_k)),
+            engine: Mutex::new(None),
             snapshot: Mutex::new(Snapshot {
                 points: Vec::new(),
                 version: 0,
@@ -559,20 +585,25 @@ impl SkylineService {
             }
         }
 
-        // Execute against the band. Deletions flip the repairing flag so
-        // concurrent queries degrade to the snapshot instead of blocking
-        // on (or observing) a half-repaired skyline.
-        let promoted;
-        {
-            let result: Result<u64, ServeError> = match (mutation, point) {
+        // Execute against the engine. Deletions flip the repairing flag so
+        // concurrent queries degrade to the snapshot instead of blocking on
+        // a repair. The snapshot is refreshed under the engine lock, so
+        // snapshots follow the engine's order of mutations.
+        let promoted = {
+            let mut slot = cell.engine.lock();
+            let result = match (mutation, point) {
                 (Mutation::Insert { .. }, Some(p)) => {
-                    let mut band = cell.band.lock();
-                    band.insert(p).map(|_| 0).map_err(ServeError::from)
+                    let inserted = match slot.as_mut() {
+                        Some(engine) => engine.insert(p),
+                        None => engine(p.dim(), &[]).and_then(|e| slot.insert(e).insert(p)),
+                    };
+                    inserted.map(|changed| (0, changed))
                 }
                 // Inserts always carry a point past validation; reaching
                 // here without one is a payload defect, not a reason to
                 // abort the service — divert it like any poison row.
                 (Mutation::Insert { .. }, None) => {
+                    drop(slot);
                     return self.dead_letter(
                         &cell,
                         &ctx,
@@ -581,38 +612,33 @@ impl SkylineService {
                 }
                 (Mutation::Delete { id }, _) => {
                     cell.repairing.store(true, Ordering::Release);
-                    let mut band = cell.band.lock();
-                    let outcome = band.delete(*id);
-                    drop(band);
+                    let removal = slot.as_mut().and_then(|engine| engine.remove(*id));
                     cell.repairing.store(false, Ordering::Release);
-                    match outcome {
-                        DeleteOutcome::NotLive | DeleteOutcome::Discarded => Ok(0),
-                        DeleteOutcome::FromBuffer { promoted } => {
-                            let n = promoted.len() as u64;
-                            let t = tenant.to_string();
-                            self.tracer.emit(move || EventKind::SkybandRepair {
-                                tenant: t,
-                                promoted: n,
-                                underflow: false,
-                            });
-                            Ok(n)
-                        }
-                        DeleteOutcome::UnderflowRebuild { promoted } => {
-                            let n = promoted.len() as u64;
-                            let t = tenant.to_string();
-                            self.tracer.emit(move || EventKind::SkybandRepair {
-                                tenant: t,
-                                promoted: n,
-                                underflow: true,
-                            });
-                            Ok(n)
-                        }
+                    let repaired = removal.filter(|r| r.repaired);
+                    if let Some(r) = &repaired {
+                        self.repairs.fetch_add(1, Ordering::Relaxed);
+                        let (t, n) = (tenant.to_string(), r.promoted.len() as u64);
+                        self.tracer.emit(move || EventKind::Repair {
+                            tenant: t,
+                            promoted: n,
+                        });
                     }
+                    Ok(repaired.map_or((0, false), |r| (r.promoted.len() as u64, true)))
                 }
             };
             match result {
-                Ok(n) => promoted = n,
+                Ok((promoted, changed)) => {
+                    let applied = cell.applied_count.fetch_add(1, Ordering::AcqRel) + 1;
+                    cell.applied_seq.store(seq, Ordering::Release);
+                    let mut snap = cell.snapshot.lock();
+                    if let (true, Some(engine)) = (changed, slot.as_ref()) {
+                        snap.points = engine.global_skyline().to_vec();
+                    }
+                    snap.version = applied;
+                    promoted
+                }
                 Err(e) => {
+                    drop(slot);
                     // Invalid payload (e.g. dimension mismatch): typed
                     // rejection; the service itself worked, so the
                     // breaker records a success.
@@ -620,19 +646,10 @@ impl SkylineService {
                         self.trace_transition(tenant, "mutation", t);
                     }
                     self.trace_request(tenant, op, "rejected-invalid", start_us, attempts);
-                    return Err(e);
+                    return Err(e.into());
                 }
             }
-        }
-
-        let applied = cell.applied_count.fetch_add(1, Ordering::AcqRel) + 1;
-        cell.applied_seq.store(seq, Ordering::Release);
-        {
-            let band = cell.band.lock();
-            let mut snap = cell.snapshot.lock();
-            snap.points = band.skyline();
-            snap.version = applied;
-        }
+        };
         if let Some(t) = cell.mutation_breaker.on_success(probe) {
             self.trace_transition(tenant, "mutation", t);
         }
@@ -681,7 +698,11 @@ impl SkylineService {
         let cells: Vec<Arc<TenantCell>> = self.tenants.lock().values().cloned().collect();
         for c in &cells {
             c.since_checkpoint.store(0, Ordering::Release);
-            let live = c.band.lock().live_points();
+            let live = c
+                .engine
+                .lock()
+                .as_ref()
+                .map_or_else(Vec::new, Engine::live_points);
             if store.write_partition(c.index, &live).is_err() {
                 return;
             }
@@ -846,8 +867,10 @@ impl SkylineService {
 
         let applied = cell.applied_count.load(Ordering::Acquire);
         let skyline = {
-            let band = cell.band.lock();
-            let sky = band.skyline();
+            let engine = cell.engine.lock();
+            let sky = engine
+                .as_ref()
+                .map_or_else(Vec::new, |e| e.global_skyline().to_vec());
             let mut snap = cell.snapshot.lock();
             snap.points = sky.clone();
             snap.version = applied;
@@ -926,11 +949,11 @@ mod tests {
         assert!(!q.stale);
         let ids: Vec<u64> = q.skyline.iter().map(Point::id).collect();
         assert_eq!(ids, vec![1, 2]);
-        // deleting a skyline point repairs from the retained band
+        // deleting a skyline point recomputes its partition
         let r = s
             .apply("acme", 4, &Mutation::Delete { id: 1 })
             .expect("delete");
-        assert_eq!(r.promoted, 1, "point 3 promoted from the band");
+        assert_eq!(r.promoted, 1, "point 3 promoted by the repair");
         let ids: Vec<u64> = s
             .query("acme")
             .expect("query")
@@ -941,6 +964,7 @@ mod tests {
         assert_eq!(ids, vec![2, 3]);
         let stats = s.stats();
         assert_eq!(stats.mutations_ok, 4);
+        assert_eq!(stats.repairs, 1);
         assert_eq!(stats.skyband.repairs_from_buffer, 1);
     }
 
@@ -1130,6 +1154,24 @@ mod tests {
         assert_eq!(replays, 6, "every checkpointed mutation skips on replay");
         let after = s2.query("t").expect("query").skyline;
         assert_eq!(before, after, "restored skyline is bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ragged_tenant_checkpoint_is_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("mrsky-serve-ragged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open store");
+        let ragged = [Point::new(1, vec![1.0, 2.0]), Point::new(2, vec![1.0])];
+        store.write_partition(0, &ragged).expect("write");
+        std::fs::write(dir.join("tenants.tsv"), "0\tt\t2\t2\n").expect("marks");
+        let restored = SkylineService::new(
+            ServeConfig::default(),
+            FaultPlan::off(),
+            Tracer::in_memory(),
+        )
+        .with_store(store);
+        assert!(matches!(restored, Err(e) if e.kind() == std::io::ErrorKind::InvalidData));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

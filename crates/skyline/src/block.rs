@@ -153,6 +153,22 @@ impl PointBlock {
         self.coords.extend_from_slice(other.row(i));
     }
 
+    /// Removes row `i` in `O(d)` by moving the last row into its place,
+    /// like [`Vec::swap_remove`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn swap_remove(&mut self, i: usize) {
+        let last = self.len() - 1;
+        self.ids.swap_remove(i);
+        if i != last {
+            self.coords
+                .copy_within(last * self.dim..(last + 1) * self.dim, i * self.dim);
+        }
+        self.coords.truncate(last * self.dim);
+    }
+
     /// Appends every row of `other` — the infallible sibling of
     /// [`PointBlock::append`] for call sites that already know both blocks
     /// share a dimensionality (e.g. shuffle values of one reduce key).
@@ -371,6 +387,21 @@ mod tests {
         assert_eq!(block.row(1), &[3.0, 4.0]);
         assert_eq!(block.id(2), 2);
         assert_eq!(block.to_points(), points);
+    }
+
+    #[test]
+    fn swap_remove_moves_the_last_row_into_the_hole() {
+        let points = pts(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let mut block = PointBlock::from_points(&points).unwrap();
+        block.swap_remove(0);
+        assert_eq!(
+            block.to_points(),
+            vec![points[2].clone(), points[1].clone()]
+        );
+        block.swap_remove(1);
+        assert_eq!(block.to_points(), vec![points[2].clone()]);
+        block.swap_remove(0);
+        assert!(block.is_empty() && block.coords().is_empty());
     }
 
     #[test]

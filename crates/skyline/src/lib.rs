@@ -37,7 +37,8 @@
 //! * [`metrics`] — local-skyline optimality (paper Eq. 5), dominance-ability
 //!   formulas (Theorems 1 and 2), and load-balance statistics.
 //! * [`incremental`] — incremental skyline maintenance when services are added
-//!   or removed (the paper's Section II motivation).
+//!   or removed (the paper's Section II motivation); the one live-skyline
+//!   engine.
 //!
 //! ## Quick example
 //!
@@ -97,7 +98,6 @@ pub use representative::{distance_based_representatives, max_dominance_represent
 pub use salsa::{block_salsa, block_salsa_stats};
 pub use select::{correlation_estimate, select_for_block, BlockKernel};
 pub use seq::naive_skyline;
-pub use skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
@@ -118,5 +118,4 @@ pub mod prelude {
     pub use crate::salsa::block_salsa;
     pub use crate::select::BlockKernel;
     pub use crate::seq::naive_skyline;
-    pub use crate::skyband::{DeleteOutcome, SkybandBuffer};
 }

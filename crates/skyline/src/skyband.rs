@@ -1,12 +1,15 @@
-//! The k-skyband retention buffer that makes deletions repairable.
+//! The k-skyband retention buffer, kept only for the benchmark.
 //!
-//! A skyline maintained incrementally (e.g. by
-//! [`IncrementalSkyline`](crate::incremental::IncrementalSkyline))
-//! handles inserts cheaply but pays a recompute on every deletion of a
-//! skyline member, because the points the deletion would promote were
-//! thrown away. The classical fix is to retain the **k-skyband** — the
-//! points dominated by fewer than `k` others — so a deletion promotes
-//! candidates straight out of the buffer.
+//! The product's one live-skyline engine is
+//! [`IncrementalSkyline`](crate::incremental::IncrementalSkyline). This
+//! buffer stays because `mrsky-bench`'s serve workload replays its
+//! acknowledged mutations on it for the `skyband.*` metrics and checks that
+//! the service ends with the same skylines. It, [`DeleteOutcome`] and
+//! [`SkybandStats`] go with the next benchmark change.
+//!
+//! A deletion is repaired from the **k-skyband** — the points dominated by
+//! fewer than `k` others — so it promotes candidates straight out of the
+//! buffer.
 //!
 //! [`SkybandBuffer`] keeps three things: the full live store (needed
 //! anyway for the underflow rebuild), the band itself, and a per-entry
@@ -66,8 +69,9 @@ pub enum DeleteOutcome {
     },
 }
 
-/// Lifetime counters for observability; mirrored into trace events by
-/// the serving layer.
+/// Lifetime counters of a [`SkybandBuffer`]. The serving layer reports
+/// its engine's repairs in `repairs_from_buffer` and 0 in the rest, for the
+/// benchmark only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkybandStats {
     /// Deletions repaired from the retention buffer.

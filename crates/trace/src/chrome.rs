@@ -270,13 +270,9 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     escape(tenant)
                 ));
             }
-            EventKind::SkybandRepair {
-                tenant,
-                promoted,
-                underflow,
-            } => {
+            EventKind::Repair { tenant, promoted } => {
                 em.push(&format!(
-                    "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":2,\"s\":\"t\",\"name\":\"skyband repair\",\"cat\":\"serve\",\"ts\":{},\"args\":{{\"tenant\":\"{}\",\"promoted\":{promoted},\"underflow\":{underflow}}}",
+                    "\"ph\":\"i\",\"pid\":{DRIVER_PID},\"tid\":2,\"s\":\"t\",\"name\":\"repair\",\"cat\":\"serve\",\"ts\":{},\"args\":{{\"tenant\":\"{}\",\"promoted\":{promoted}}}",
                     ev.wall_us,
                     escape(tenant)
                 ));

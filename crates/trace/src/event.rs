@@ -318,16 +318,13 @@ pub enum EventKind {
         /// Queue depth observed at the shed decision.
         depth: u64,
     },
-    /// A deletion repaired the live skyline from the k-skyband retention
-    /// buffer (or fell back to a full recompute on underflow).
-    SkybandRepair {
+    /// A deletion of a local-skyline member recomputed its partition and
+    /// re-merged the tenant's live skyline.
+    Repair {
         /// Tenant whose skyline was repaired.
         tenant: String,
-        /// Band candidates promoted into the skyline by this repair.
+        /// Points promoted into the skyline by this repair.
         promoted: u64,
-        /// True when the buffer underflowed and the repair had to
-        /// recompute from the full retained store.
-        underflow: bool,
     },
     /// A snapshot query was answered from the last consistent skyline
     /// while the breaker was open or a repair was in flight.
@@ -385,7 +382,7 @@ impl EventKind {
             EventKind::Request { .. } => "request",
             EventKind::BreakerTransition { .. } => "breaker_transition",
             EventKind::Shed { .. } => "shed",
-            EventKind::SkybandRepair { .. } => "skyband_repair",
+            EventKind::Repair { .. } => "repair",
             EventKind::StaleServed { .. } => "stale_served",
             EventKind::RunResumed { .. } => "run_resumed",
             EventKind::SpanBegin { .. } => "span_begin",
@@ -397,8 +394,9 @@ impl EventKind {
 /// Wire names of event types the schema no longer emits: the FIFO
 /// scheduler's queue and launch markers (`task_finished` carries the slot
 /// and start), the speculation and data-locality simulator modes' events,
-/// the deleted streaming merge's overlap credit, and the traced and
-/// quarantining QWS loaders' ingest markers. Traces written before
+/// the deleted streaming merge's overlap credit, the traced and
+/// quarantining QWS loaders' ingest markers, and the k-skyband buffer's
+/// repair marker (`repair` replaced it). Traces written before
 /// their retirement still load because [`parse_jsonl`](crate::parse_jsonl)
 /// skips these lines.
 pub const RETIRED_EVENT_TYPES: &[&str] = &[
@@ -410,6 +408,7 @@ pub const RETIRED_EVENT_TYPES: &[&str] = &[
     "ingest_started",
     "ingest_finished",
     "record_quarantined",
+    "skyband_repair",
 ];
 
 /// One serialized field value.
@@ -626,15 +625,9 @@ fn fields_of(kind: &EventKind) -> Vec<(&'static str, Field)> {
             ("reason", S(reason.clone())),
             ("depth", U(*depth)),
         ],
-        SkybandRepair {
-            tenant,
-            promoted,
-            underflow,
-        } => vec![
-            ("tenant", S(tenant.clone())),
-            ("promoted", U(*promoted)),
-            ("underflow", B(*underflow)),
-        ],
+        Repair { tenant, promoted } => {
+            vec![("tenant", S(tenant.clone())), ("promoted", U(*promoted))]
+        }
         StaleServed {
             tenant,
             reason,
@@ -865,10 +858,9 @@ fn kind_from(v: &JsonValue, ty: &str) -> Result<EventKind, String> {
             reason: req_str(v, "reason")?,
             depth: req_u64(v, "depth")?,
         },
-        "skyband_repair" => SkybandRepair {
+        "repair" => Repair {
             tenant: req_str(v, "tenant")?,
             promoted: req_u64(v, "promoted")?,
-            underflow: req_bool(v, "underflow")?,
         },
         "stale_served" => StaleServed {
             tenant: req_str(v, "tenant")?,
@@ -1013,10 +1005,9 @@ mod tests {
                 reason: "queue-depth".into(),
                 depth: 64,
             },
-            SkybandRepair {
+            Repair {
                 tenant: "t0".into(),
                 promoted: 3,
-                underflow: false,
             },
             StaleServed {
                 tenant: "t0".into(),

@@ -289,9 +289,8 @@ pub struct RunModel {
     pub breaker_transitions: BTreeMap<String, u64>,
     /// Requests shed by admission control, by reason.
     pub sheds: BTreeMap<String, u64>,
-    /// Skyband deletion repairs: (from-buffer, underflow recomputes,
-    /// candidates promoted).
-    pub skyband_repairs: (u64, u64, u64),
+    /// Deletion repairs: (repairs, points promoted).
+    pub repairs: (u64, u64),
     /// Stale snapshot serves by reason.
     pub stale_served: BTreeMap<String, u64>,
     /// Total events consumed.
@@ -528,20 +527,9 @@ impl RunModel {
                     bump(&mut m.breaker_transitions, format!("{op}: {from}->{to}"));
                 }
                 (EventKind::Shed { reason, .. }, _) => bump(&mut m.sheds, reason.clone()),
-                (
-                    EventKind::SkybandRepair {
-                        promoted,
-                        underflow,
-                        ..
-                    },
-                    _,
-                ) => {
-                    if *underflow {
-                        m.skyband_repairs.1 += 1;
-                    } else {
-                        m.skyband_repairs.0 += 1;
-                    }
-                    m.skyband_repairs.2 += promoted;
+                (EventKind::Repair { promoted, .. }, _) => {
+                    m.repairs.0 += 1;
+                    m.repairs.1 += promoted;
                 }
                 (EventKind::StaleServed { reason, .. }, _) => {
                     bump(&mut m.stale_served, reason.clone());

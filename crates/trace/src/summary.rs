@@ -360,11 +360,11 @@ impl RunModel {
             }
             out.push('\n');
         }
-        if self.skyband_repairs != (0, 0, 0) {
+        if self.repairs != (0, 0) {
             let _ = writeln!(
                 out,
-                "  skyband repairs: {} from buffer, {} underflow recompute(s), {} promoted",
-                self.skyband_repairs.0, self.skyband_repairs.1, self.skyband_repairs.2
+                "  repairs: {}, {} promoted",
+                self.repairs.0, self.repairs.1
             );
         }
         if !self.stale_served.is_empty() {
@@ -1187,19 +1187,17 @@ mod tests {
             ev(
                 4,
                 4,
-                SkybandRepair {
+                Repair {
                     tenant: "t0".into(),
                     promoted: 2,
-                    underflow: false,
                 },
             ),
             ev(
                 5,
                 5,
-                SkybandRepair {
+                Repair {
                     tenant: "t0".into(),
                     promoted: 0,
-                    underflow: true,
                 },
             ),
             ev(
@@ -1221,7 +1219,7 @@ mod tests {
             Some(&1)
         );
         assert_eq!(summary.sheds.get("queue-depth"), Some(&1));
-        assert_eq!(summary.skyband_repairs, (1, 1, 2));
+        assert_eq!(summary.repairs, (2, 2));
         assert_eq!(summary.stale_served.get("breaker-open"), Some(&1));
         assert_eq!(summary.request_latency["insert"], vec![0.2]);
 
@@ -1229,10 +1227,7 @@ mod tests {
         assert!(text.contains("serve requests: 2"), "{text}");
         assert!(text.contains("breaker transitions:"), "{text}");
         assert!(text.contains("load shed: 1"), "{text}");
-        assert!(
-            text.contains("skyband repairs: 1 from buffer, 1 underflow"),
-            "{text}"
-        );
+        assert!(text.contains("repairs: 2, 2 promoted"), "{text}");
         assert!(text.contains("stale serves: 1"), "{text}");
     }
 }

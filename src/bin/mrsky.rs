@@ -109,7 +109,7 @@ USAGE:
   mrsky chaos    plan --profile light|heavy [--seed 42] [--kill-after N] [--out FILE]
   mrsky chaos    replay --plan FILE --data FILE [--algorithm angle] [--servers 8]
   mrsky loadgen  [--seed 7] [--tenants 3] [--ops 400] [--dim 3] [--out FILE]
-  mrsky serve    [--ops 400] [--seed 7] [--tenants 3] [--dim 3] [--skyband-k 4]
+  mrsky serve    [--ops 400] [--seed 7] [--tenants 3] [--dim 3]
                  [--max-attempts N] [--breaker-threshold 3]
                  [--chaos-profile off|light|heavy] [--chaos-seed 42]
                  [--checkpoint-dir DIR] [--kill-after N] [--trace FILE] [--json]
@@ -841,7 +841,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             LOADGEN_FLAGS,
             CHAOS_FLAGS,
             &[
-                "--skyband-k",
                 "--max-attempts",
                 "--breaker-threshold",
                 "--checkpoint-dir",
@@ -854,10 +853,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let load_cfg = loadgen_opts(args)?;
     let plan = chaos_opts(args)?;
     let mut serve_cfg = ServeConfig {
-        skyband_k: flag_usize(args, "--skyband-k", 4)?.max(1),
+        max_attempts: flag_usize(args, "--max-attempts", 0)? as u32,
         ..ServeConfig::default()
     };
-    serve_cfg.max_attempts = flag_usize(args, "--max-attempts", 0)? as u32;
     serve_cfg.breaker.failure_threshold = flag_usize(args, "--breaker-threshold", 3)?.max(1) as u32;
     let checkpoint_dir = flag(args, "--checkpoint-dir")?;
     let kill_after = match flag(args, "--kill-after")? {
@@ -951,8 +949,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "{{\"ops\":{},\"mutations_ok\":{},\"queries_fresh\":{},\"queries_stale\":{},\
              \"incorrect\":{},\"final_mismatches\":{},\"rejections\":{{{rej}}},\
              \"shed\":{},\"breaker_opens\":{},\"dead_lettered\":{},\"retries_exhausted\":{},\
-             \"deadline_exceeded\":{},\"checkpoints\":{},\"repairs_from_buffer\":{},\
-             \"underflow_rebuilds\":{},\"crashes\":{crashes}}}",
+             \"deadline_exceeded\":{},\"checkpoints\":{},\"repairs\":{},\"crashes\":{crashes}}}",
             report.ops,
             report.mutations_ok,
             report.queries_fresh,
@@ -965,8 +962,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             stats.retries_exhausted,
             stats.deadline_exceeded,
             stats.checkpoints,
-            stats.skyband.repairs_from_buffer,
-            stats.skyband.underflow_rebuilds,
+            stats.repairs,
         );
     } else {
         println!(
@@ -990,8 +986,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             crashes
         );
         println!(
-            "skyband: {} repair(s) from buffer, {} underflow rebuild(s)",
-            stats.skyband.repairs_from_buffer, stats.skyband.underflow_rebuilds
+            "repairs: {} deletion(s) recomputed a local skyline",
+            stats.repairs
         );
     }
     if report.incorrect > 0 || report.final_mismatches > 0 {

@@ -21,7 +21,7 @@
 //! * [`insight`] ([`mrsky_insight`]) — causal critical-path analysis,
 //!   straggler/skew attribution, and the bench regression gate;
 //! * [`serve`] ([`mrsky_serve`]) — the fault-hardened online incremental
-//!   skyline service: k-skyband deletion repair, circuit breakers,
+//!   skyline service: partitioned incremental maintenance, circuit breakers,
 //!   admission control, and dead-lettering on the request path.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.

@@ -28,6 +28,7 @@ use mr_skyline_suite::skyline::block::PointBlock;
 use mr_skyline_suite::skyline::point::Point;
 use mr_skyline_suite::skyline::select::{select_for_block, BlockKernel};
 use mr_skyline_suite::skyline::verify::verify_skyline;
+use mr_skyline_suite::trace::{EventKind, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -374,9 +375,8 @@ fn check(case: &Case) -> Result<(), String> {
     if fingerprint(&report) != fingerprint(&reference) {
         return Err("the skyline differs from the default-config run's".into());
     }
-    // A kill leaves the spill files of the reduce inputs it never consumed
-    // (a known fault of the reduce phase); every other run must leave none.
-    if case.kill_after.is_none() && files_in(&spill) != 0 {
+    // Killed or not, a run must leave no spill file behind.
+    if files_in(&spill) != 0 {
         return Err(format!("{} spill file(s) left behind", files_in(&spill)));
     }
     let mut twin = case.job(&spill, &ckpt);
@@ -491,6 +491,42 @@ fn spill_really_fires_and_stays_exact() {
     );
     assert_eq!(files_in(&dir), 0, "spill files left behind");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill that unwinds the reduce phase must not leave the spill files of
+/// the inputs it never consumed. The filter and sector pruning are off so
+/// that every partition checkpoints and the fourth checkpoint's kill fires
+/// with spilled inputs still unread.
+#[test]
+fn killed_spilling_run_leaves_no_spill_file() {
+    quiet_chaos_panics();
+    let data = generate_qws(&QwsConfig::new(125, 6));
+    let (spill, ckpt) = (unique_dir("kill-spill"), unique_dir("kill-ckpt"));
+    let mut plan = FaultPlan::off();
+    plan.kill_after_checkpoints = Some(4);
+    let tracer = Tracer::in_memory();
+    let mut job = SkylineJob::new(Algorithm::MrGrid, 6)
+        .with_config(AlgoConfig {
+            spill_budget_bytes: Some(921),
+            spill_dir: Some(spill.clone()),
+            filter_k: Some(0),
+            sector_prune: false,
+            ..AlgoConfig::default()
+        })
+        .with_chaos(plan)
+        .with_checkpoints(&ckpt)
+        .with_tracer(tracer.clone());
+    job.threads = 1;
+    let report = job.run_resilient(&data).expect("the plan passes the audit");
+    verify_skyline(data.block(), &report.global_skyline).expect("exact after the kill");
+    let resumed = tracer
+        .drain()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::RunResumed { .. }));
+    assert!(resumed, "the kill never fired");
+    assert_eq!(files_in(&spill), 0, "spill files left behind by the kill");
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
 
 /// MR-Grid's dominated-cell pruning must actually skip cells, and so

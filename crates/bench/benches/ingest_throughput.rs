@@ -9,11 +9,14 @@
 //! A second group measures `Dataset::load_csv` on a generic
 //! `id,coord0,…` file written by `save_csv` (QWS-like rows, d = 6, about
 //! 5.6 MB): the loader every batch query of `mrsky` starts with. It cuts
-//! the file into 1 MiB byte-range splits, parses them on the task pool
-//! (`MRSKY_THREADS` pins the thread count) each into its own columnar
-//! block, and appends the blocks in file order, so the round trip is
-//! asserted across split seams. Beside it, [`reference_load`] reads the
-//! same file with the loader's line loop from before its number scanner.
+//! the file into 1 MiB byte-range splits and parses them on the task pool
+//! (`MRSKY_THREADS` pins the thread count). One scanner walks each split's
+//! buffer a word at a time and reads every field at its digit runs'
+//! lengths; each split task returns its columnar block with the block's
+//! per-column bounds and whether its ids ascend, and the blocks, bounds
+//! and id seams are folded in file order, so the round trip is asserted
+//! across split seams. Beside it, [`reference_load`] reads the same file
+//! with the loader's line loop from before its number scanner.
 //!
 //! The recording (skipped in `--test` smoke runs so the committed baseline
 //! survives) writes `BENCH_ingest.json` at the workspace root: on the
@@ -21,6 +24,8 @@
 //! about 56 MB), `load_csv` at one thread (`MRSKY_THREADS=1`) and the
 //! reference alternate over [`RECORD_ROUNDS`] rounds. `parse_speedup` is
 //! the median per-round ratio of the reference's time to `load_csv`'s.
+//! `load_csv_ns_2_threads` is the median of as many `load_csv` rounds at
+//! `MRSKY_THREADS=2`, the benchmark's thread count.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qws_data::{generate_qws, load_qws_file, Dataset, QwsConfig};
@@ -181,14 +186,16 @@ fn record_parse_speedup(_c: &mut Criterion) {
     let rounds: Vec<(f64, f64)> = (0..RECORD_ROUNDS)
         .map(|_| (wall_ns(reference), wall_ns(load)))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     let reference_ns = median(rounds.iter().map(|r| r.0).collect());
     let load_ns = median(rounds.iter().map(|r| r.1).collect());
     let parse_speedup = median(rounds.iter().map(|r| r.0 / r.1).collect());
+    std::env::set_var("MRSKY_THREADS", "2");
+    let load_2_ns = median((0..RECORD_ROUNDS).map(|_| wall_ns(load)).collect());
+    let _ = std::fs::remove_dir_all(&dir);
     let fields = (RECORD_ROWS * RECORD_DIMS) as f64;
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     let json = format!(
-        "{{\n  \"bench\": \"ingest/load_csv_qws_n{RECORD_ROWS}_d{RECORD_DIMS}\",\n  \"n\": {RECORD_ROWS},\n  \"d\": {RECORD_DIMS},\n  \"bytes\": {bytes},\n  \"threads\": 1,\n  \"rounds\": {RECORD_ROUNDS},\n  \"load_csv_ns\": {load_ns:.0},\n  \"reference_loop_ns\": {reference_ns:.0},\n  \"parse_speedup\": {parse_speedup:.2},\n  \"load_csv_ns_per_field\": {:.1},\n  \"reference_loop_ns_per_field\": {:.1}\n}}\n",
+        "{{\n  \"bench\": \"ingest/load_csv_qws_n{RECORD_ROWS}_d{RECORD_DIMS}\",\n  \"n\": {RECORD_ROWS},\n  \"d\": {RECORD_DIMS},\n  \"bytes\": {bytes},\n  \"threads\": 1,\n  \"rounds\": {RECORD_ROUNDS},\n  \"load_csv_ns\": {load_ns:.0},\n  \"load_csv_ns_2_threads\": {load_2_ns:.0},\n  \"reference_loop_ns\": {reference_ns:.0},\n  \"parse_speedup\": {parse_speedup:.2},\n  \"load_csv_ns_per_field\": {:.1},\n  \"reference_loop_ns_per_field\": {:.1}\n}}\n",
         load_ns / fields,
         reference_ns / fields,
     );

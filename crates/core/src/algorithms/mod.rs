@@ -173,7 +173,7 @@ mod tests {
                 )
             })
             .collect();
-        let sample = stride_sample(&Dataset::new("scrambled", points));
+        let sample = stride_sample(&Dataset::new("scrambled", points).unwrap());
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for p in &sample {
             for word in std::iter::once(p.id()).chain(p.coords().iter().map(|c| c.to_bits())) {

@@ -374,7 +374,8 @@ mod tests {
                 Point::new(2, vec![0.0, -0.0, 1e300]),
                 Point::new(5, vec![3.0, 3.0, -2.5]),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(dataset_fingerprint(&qws), 0xceff_4c6c_e567_0402);
         assert_eq!(dataset_fingerprint(&hostile), 0x6e63_7df1_462e_9a40);
     }

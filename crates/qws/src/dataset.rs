@@ -32,31 +32,34 @@ pub struct Dataset {
 impl Dataset {
     /// Wraps points into a dataset, computing bounds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `points` is empty or mixes dimensionalities.
-    pub fn new(name: impl Into<String>, points: Vec<Point>) -> Self {
-        let mut block =
-            PointBlock::with_capacity(points.first().map_or(1, Point::dim), points.len());
-        for p in &points {
-            block.push_point(p);
-        }
-        Self::from_block(name, block)
+    /// [`SkylineError::EmptyDataset`] if `points` is empty and
+    /// [`SkylineError::DimensionMismatch`] if it mixes dimensionalities.
+    pub fn new(name: impl Into<String>, points: Vec<Point>) -> Result<Self, SkylineError> {
+        Self::from_block(name, PointBlock::from_points(&points)?)
     }
 
     /// Wraps a block into a dataset, computing bounds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `block` is empty.
-    pub fn from_block(name: impl Into<String>, block: PointBlock) -> Self {
-        let bounds = Bounds::from_block(&block).expect("dataset must be non-empty");
-        Self {
+    /// [`SkylineError::EmptyDataset`] if `block` is empty.
+    pub fn from_block(name: impl Into<String>, block: PointBlock) -> Result<Self, SkylineError> {
+        let bounds = Bounds::from_block(&block)?;
+        Ok(Self {
             name: name.into(),
             block,
             bounds,
             points: OnceLock::new(),
-        }
+        })
+    }
+
+    /// [`Dataset::from_block`] for a block this crate built with at least
+    /// one row: a generator's, whose cardinality is asserted positive, or
+    /// the prefix [`Dataset::take`] cuts.
+    pub(crate) fn from_built(name: impl Into<String>, block: PointBlock) -> Self {
+        Self::from_block(name, block).expect("a built block has at least one row")
     }
 
     /// The rows, columnar.
@@ -105,7 +108,7 @@ impl Dataset {
     /// so a prefix is an unbiased subsample).
     pub fn take(&self, n: usize) -> Dataset {
         assert!(n >= 1 && n <= self.len(), "invalid subsample size {n}");
-        Dataset::from_block(format!("{}|n={n}", self.name), self.block.slice(0, n))
+        Dataset::from_built(format!("{}|n={n}", self.name), self.block.slice(0, n))
     }
 
     /// Writes `id,coord0,coord1,…` rows.
@@ -143,6 +146,10 @@ impl Dataset {
 /// The byte length of one [`Dataset::load_csv`] input split.
 const SPLIT_BYTES: u64 = 1 << 20;
 
+/// Bytes a split buffer keeps free past its range, for the rest of the
+/// line that crosses the range's end and the scanner's padding.
+const TAIL_ROOM: usize = 4096;
+
 /// [`Dataset::load_csv`] with `split_bytes`-long splits on `threads` threads.
 ///
 /// A clean file is parsed once, in parallel. A split that fails, rows of
@@ -165,15 +172,23 @@ fn load_csv_split(
     let len = meta.len();
     let splits = usize::try_from(len.div_ceil(split_bytes)).map_err(|_| too_large(len))?;
     let clean = parse_parallel(path, len, split_bytes, splits, threads)
-        .filter(|block| block.as_ref().is_none_or(unique_ids));
-    let block = match clean {
-        Some(block) => block,
+        .filter(|rows| rows.as_ref().is_none_or(Rows::unique_ids));
+    let rows = match clean {
+        Some(rows) => rows,
         None => walk_splits(path, len, split_bytes, splits)?,
     };
-    let Some(block) = block else {
+    let Some(Rows {
+        block, min, max, ..
+    }) = rows
+    else {
         return Err(invalid_data("CSV contains no points".to_string()));
     };
-    let dataset = Dataset::from_block(name, block);
+    let dataset = Dataset {
+        name: name.into(),
+        block,
+        bounds: Bounds::new(min, max),
+        points: OnceLock::new(),
+    };
     let bounds = dataset.bounds();
     if let Some(i) = (0..bounds.dim()).find(|&i| !bounds.width(i).is_finite()) {
         return Err(invalid_data(format!(
@@ -185,6 +200,72 @@ fn load_csv_split(
     Ok(dataset)
 }
 
+/// Rows parsed from consecutive splits, with the bounds and the id order
+/// the loader folds across split seams instead of rescanning the block.
+struct Rows {
+    block: PointBlock,
+    /// Per-column minima and maxima, folded in row order with `f64::min`
+    /// and `f64::max` as [`Bounds::from_block`] folds them, so they have
+    /// its bits (signed zeros included).
+    min: Vec<f64>,
+    max: Vec<f64>,
+    /// Whether the ids strictly ascend.
+    ascending: bool,
+}
+
+impl Rows {
+    fn with_capacity(dim: usize, rows: usize) -> Self {
+        Self {
+            block: PointBlock::with_capacity(dim, rows),
+            min: vec![f64::INFINITY; dim],
+            max: vec![f64::NEG_INFINITY; dim],
+            ascending: true,
+        }
+    }
+
+    /// Appends one row, checked by [`PointBlock::push`].
+    fn push(&mut self, id: u64, row: &[f64]) -> Result<(), SkylineError> {
+        let last = self.block.ids().last().copied();
+        self.block.push(id, row)?;
+        self.ascending &= last.is_none_or(|last| last < id);
+        self.fold(row, row);
+        Ok(())
+    }
+
+    /// Appends the rows that follow these in the file.
+    fn append(&mut self, next: &Rows) -> Result<(), SkylineError> {
+        let seam = match (self.block.ids().last(), next.block.ids().first()) {
+            (Some(last), Some(first)) => last < first,
+            _ => true,
+        };
+        self.block.append(&next.block)?;
+        self.ascending &= seam && next.ascending;
+        self.fold(&next.min, &next.max);
+        Ok(())
+    }
+
+    fn fold(&mut self, min: &[f64], max: &[f64]) {
+        for (lo, &v) in self.min.iter_mut().zip(min) {
+            *lo = lo.min(v);
+        }
+        for (hi, &v) in self.max.iter_mut().zip(max) {
+            *hi = hi.max(v);
+        }
+    }
+
+    /// Whether the ids are distinct. The skyline validator matches rows by
+    /// id, so a repeated id could hide a dropped row. Ascending ids (every
+    /// `save_csv` file) were checked row by row as they were parsed;
+    /// others take a set.
+    fn unique_ids(&self) -> bool {
+        self.ascending || {
+            let ids = self.block.ids();
+            let mut seen = HashSet::with_capacity(ids.len());
+            ids.iter().all(|&id| seen.insert(id))
+        }
+    }
+}
+
 /// Reads split `k` of a `len`-byte file cut into `split_bytes`-long byte
 /// ranges, returning its bytes and the offset of its first owned line.
 ///
@@ -193,14 +274,18 @@ fn load_csv_split(
 /// the byte before its start is `\n`, and reads past its end only to
 /// finish a line that started inside it. The range and the byte before it
 /// take one `read_exact`. Owned bytes start at the offset and run to the
-/// end; a split holding no line start owns none.
+/// end; a split holding no line start owns none. The buffer has room for
+/// the tail of a line shorter than [`TAIL_ROOM`] and the scanner's
+/// [`decimal::PADDING`] after it, so neither reallocates it.
 fn read_split(path: &Path, len: u64, split_bytes: u64, k: usize) -> io::Result<(Vec<u8>, usize)> {
     let start = u64::try_from(k).map_err(|_| too_large(len))? * split_bytes;
     let end = start.saturating_add(split_bytes).min(len);
     let from = start.saturating_sub(1);
     let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(from))?;
-    let mut bytes = vec![0; usize::try_from(end - from).map_err(|_| too_large(len))?];
+    let n = usize::try_from(end - from).map_err(|_| too_large(len))?;
+    let mut bytes = Vec::with_capacity(n + TAIL_ROOM);
+    bytes.resize(n, 0);
     file.read_exact(&mut bytes)?;
     let head = if start == 0 {
         0
@@ -216,79 +301,89 @@ fn read_split(path: &Path, len: u64, split_bytes: u64, k: usize) -> io::Result<(
     Ok((bytes, head))
 }
 
-/// Parses the lines of one split into a block. `first_line` is the 0-based
-/// file line number of its first line; `width` is the row width, or `None`
-/// to take it from the split's first row; `check_id(id, line)` sees each id
-/// before its coordinates are parsed. Returns the block (`None` when the
-/// split holds no row) and the number of lines, blank ones included.
+/// Reads split `k` (see [`read_split`]) and parses the lines it owns with
+/// [`parse_split`].
+fn load_split(
+    path: &Path,
+    len: u64,
+    split_bytes: u64,
+    k: usize,
+    first_line: usize,
+    width: Option<usize>,
+    check_id: &mut impl FnMut(u64, usize) -> io::Result<()>,
+) -> io::Result<(Option<Rows>, usize)> {
+    let (mut bytes, head) = read_split(path, len, split_bytes, k)?;
+    bytes.resize(bytes.len() + decimal::PADDING, 0);
+    parse_split(&bytes[head..], first_line, width, check_id)
+}
+
+/// Parses the lines of one split, `split` being its owned bytes and then
+/// [`decimal::PADDING`] zero bytes. `first_line` is the 0-based file line
+/// number of its first line; `width` is the row width, or `None` to take
+/// it from the split's first row; `check_id(id, line)` sees each id before
+/// the row is kept. Returns the rows (`None` when the split holds none)
+/// and the number of lines, blank ones included.
 ///
-/// This is the loader's one line parser. UTF-8 is validated once per split:
-/// the lines before the first invalid byte's line are parsed, so an earlier
-/// error wins, and that line is the error. Each line goes first to the
-/// exact number scanner (`decimal::scan_line`), which reads the shape
-/// `save_csv` writes in one pass; a line it refuses, blank or hostile, goes
-/// to [`parse_fields`], so errors and the values of what it accepts are
-/// unchanged.
+/// This is the loader's one line parser. The exact number scanner
+/// (`decimal::scan_row`) walks the buffer and reads each line of the shape
+/// `save_csv` writes, which is ASCII. A line it refuses, blank or hostile,
+/// is cut at its `\n`, checked for UTF-8 (a line that is not is the error)
+/// and goes to [`parse_fields`], so errors and the values of what it
+/// accepts are unchanged. Lines are taken in order, so an earlier error
+/// wins.
 fn parse_split(
-    bytes: &[u8],
+    split: &[u8],
     first_line: usize,
     mut width: Option<usize>,
-    check_id: &mut dyn FnMut(u64, usize) -> io::Result<()>,
-) -> io::Result<(Option<PointBlock>, usize)> {
-    let (text, utf8) = match std::str::from_utf8(bytes) {
-        Ok(text) => (text, true),
-        Err(e) => {
-            let valid = &bytes[..e.valid_up_to()];
-            let whole = valid
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |nl| nl + 1);
-            (
-                std::str::from_utf8(&valid[..whole]).unwrap_or_default(),
-                false,
-            )
-        }
-    };
-    let mut block: Option<PointBlock> = None;
+    check_id: &mut impl FnMut(u64, usize) -> io::Result<()>,
+) -> io::Result<(Option<Rows>, usize)> {
+    let end = split.len() - decimal::PADDING;
+    let mut rows: Option<Rows> = None;
     let mut row: Vec<f64> = Vec::new();
-    let mut lines = 0;
-    for line in text.split_terminator('\n') {
-        let at = first_line + lines;
+    let (mut at, mut lines) = (0, 0);
+    while at < end {
+        let (start, line_no) = (at, first_line + lines);
         lines += 1;
         row.clear();
-        let id = match decimal::scan_line(line.as_bytes(), &mut row) {
-            Some(id) => {
-                check_id(id, at)?;
+        let id = match decimal::scan_row(split, at, end, &mut row) {
+            Some((id, next)) => {
+                at = next;
+                check_id(id, line_no)?;
                 id
             }
-            None if line.trim().is_empty() => continue,
-            None => parse_fields(line, at, &mut row, check_id)?,
+            None => {
+                let line_end = split[at..end]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(end, |nl| at + nl);
+                at = end.min(line_end + 1);
+                let line = std::str::from_utf8(&split[start..line_end]).map_err(|_| {
+                    invalid_data(format!("CSV line {} is not valid UTF-8", line_no + 1))
+                })?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                parse_fields(line, line_no, &mut row, check_id)?
+            }
         };
         // An id-only first row is malformed; a later one is ragged.
         if width.is_none() && row.is_empty() {
-            return Err(bad_line(at));
+            return Err(bad_line(line_no));
         }
         let dim = *width.get_or_insert(row.len());
         // Room for the split's rows if they are no shorter than its first,
         // and an eighth more; capacity no row touches is never resident.
-        let b = block.get_or_insert_with(|| {
-            PointBlock::with_capacity(dim, bytes.len() * 9 / (8 * (line.len() + 1)) + 1)
-        });
-        b.push(id, &row).map_err(|e| match e {
+        let r =
+            rows.get_or_insert_with(|| Rows::with_capacity(dim, end * 9 / (8 * (at - start)) + 1));
+        r.push(id, &row).map_err(|e| match e {
             SkylineError::DimensionMismatch { expected, actual } => invalid_data(format!(
                 "ragged CSV line {}: {actual} coordinates where the first row has {expected}",
-                at + 1
+                line_no + 1
             )),
-            _ => bad_line(at),
+            _ => bad_line(line_no),
         })?;
     }
-    if !utf8 {
-        return Err(invalid_data(format!(
-            "CSV line {} is not valid UTF-8",
-            first_line + lines + 1
-        )));
-    }
-    Ok((block, lines))
+    Ok((rows, lines))
 }
 
 /// Parses a line the number scanner refused: `id` and coordinates by
@@ -299,7 +394,7 @@ fn parse_fields(
     line: &str,
     at: usize,
     row: &mut Vec<f64>,
-    check_id: &mut dyn FnMut(u64, usize) -> io::Result<()>,
+    check_id: &mut impl FnMut(u64, usize) -> io::Result<()>,
 ) -> io::Result<u64> {
     let mut fields = line.split(',');
     let id: u64 = fields
@@ -318,12 +413,7 @@ fn parse_fields(
 /// the row width and the first line of every id across each seam, so the
 /// error it returns is the first in the file, named by its line. It holds
 /// one split's bytes at a time.
-fn walk_splits(
-    path: &Path,
-    len: u64,
-    split_bytes: u64,
-    splits: usize,
-) -> io::Result<Option<PointBlock>> {
+fn walk_splits(path: &Path, len: u64, split_bytes: u64, splits: usize) -> io::Result<Option<Rows>> {
     let mut first_lines: HashMap<u64, usize> = HashMap::new();
     let mut check_id = |id: u64, at: usize| match first_lines.entry(id) {
         Entry::Occupied(first) => Err(invalid_data(format!(
@@ -340,19 +430,18 @@ fn walk_splits(
     let mut width = None;
     let mut out = None;
     for k in 0..splits {
-        let (bytes, head) = read_split(path, len, split_bytes, k)?;
-        let (block, lines) = parse_split(&bytes[head..], line, width, &mut check_id)?;
+        let (rows, lines) = load_split(path, len, split_bytes, k, line, width, &mut check_id)?;
         line += lines;
-        if let Some(block) = block {
-            width = Some(block.dim());
-            append(&mut out, &block, splits).map_err(|e| invalid_data(e.to_string()))?;
+        if let Some(rows) = rows {
+            width = Some(rows.block.dim());
+            append(&mut out, &rows, splits).map_err(|e| invalid_data(e.to_string()))?;
         }
     }
     Ok(out)
 }
 
 /// Parses the splits on `threads` threads, a wave of `8 * threads` at a
-/// time, and appends each wave's blocks to the result in file order, so at
+/// time, and appends each wave's rows to the result in file order, so at
 /// most one wave of split blocks is alive beside it. `None` when a split
 /// fails or two splits disagree on the row width; `Some(None)` when the
 /// file holds no row.
@@ -362,44 +451,31 @@ fn parse_parallel(
     split_bytes: u64,
     splits: usize,
     threads: usize,
-) -> Option<Option<PointBlock>> {
+) -> Option<Option<Rows>> {
     let wave = threads.saturating_mul(8);
     let mut out = None;
     for first in (0..splits).step_by(wave) {
         let parsed = pool::run_indexed(wave.min(splits - first), threads, |i| {
-            let (bytes, head) = read_split(path, len, split_bytes, first + i)?;
-            parse_split(&bytes[head..], 0, None, &mut |_, _| Ok(())).map(|(block, _)| block)
+            load_split(path, len, split_bytes, first + i, 0, None, &mut |_, _| {
+                Ok(())
+            })
+            .map(|(rows, _)| rows)
         });
-        for block in parsed {
-            if let Some(block) = block.ok()? {
-                append(&mut out, &block, splits).ok()?;
+        for rows in parsed {
+            if let Some(rows) = rows.ok()? {
+                append(&mut out, &rows, splits).ok()?;
             }
         }
     }
     Some(out)
 }
 
-/// Appends `block`, one of `splits`, to `out`. The first block starts
-/// `out` with room for as many rows in every split, so a file of even
-/// lines is assembled without a reallocation.
-fn append(
-    out: &mut Option<PointBlock>,
-    block: &PointBlock,
-    splits: usize,
-) -> Result<(), SkylineError> {
-    out.get_or_insert_with(|| PointBlock::with_capacity(block.dim(), block.len() * splits))
-        .append(block)
-}
-
-/// Whether the ids of `block` are distinct. The skyline validator matches
-/// rows by id, so a repeated id could hide a dropped row. Ascending ids
-/// (every `save_csv` file) cost one comparison per row; others, a set.
-fn unique_ids(block: &PointBlock) -> bool {
-    let ids = block.ids();
-    ids.windows(2).all(|w| w[0] < w[1]) || {
-        let mut seen = HashSet::with_capacity(ids.len());
-        ids.iter().all(|&id| seen.insert(id))
-    }
+/// Appends `rows`, one split's of `splits`, to `out`. The first split
+/// starts `out` with room for as many rows in every split, so a file of
+/// even lines is assembled without a reallocation.
+fn append(out: &mut Option<Rows>, rows: &Rows, splits: usize) -> Result<(), SkylineError> {
+    out.get_or_insert_with(|| Rows::with_capacity(rows.block.dim(), rows.block.len() * splits))
+        .append(rows)
 }
 
 fn invalid_data(msg: String) -> io::Error {
@@ -479,6 +555,7 @@ mod tests {
                 Point::new(2, vec![0.5, 9.0, 1.0]),
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -874,6 +951,30 @@ mod tests {
                 "{file}"
             );
         }
+    }
+
+    /// Signed zeros tie under `f64::min` and `f64::max`, so which one a
+    /// bound holds depends on the order rows are folded in. Each split's
+    /// fold, folded in file order, must give `Bounds::from_block`'s bits
+    /// wherever the seams fall. In every column the first tying zero and
+    /// the last differ in sign, so a fold that keeps the later one shows.
+    #[test]
+    fn signed_zero_bounds_fold_across_split_seams_like_from_block() {
+        let body: &[u8] = b"0,0.0,-0.0,1\n1,-0.0,0.0,-0\n2,-0,0,0.0\n3,0,-0.0,2\n4,-0.0,0.0,0\n";
+        with_csv("signed-zeros.csv", body, |path| {
+            for split_bytes in 1..=body.len() as u64 {
+                for threads in 1..=3 {
+                    let loaded = load_csv_split("z", path, split_bytes, threads).unwrap();
+                    let want = Bounds::from_block(loaded.block()).unwrap();
+                    let got = loaded.bounds();
+                    for i in 0..got.dim() {
+                        let at = format!("column {i} @ {split_bytes} bytes, {threads} threads");
+                        assert_eq!(got.min(i).to_bits(), want.min(i).to_bits(), "{at}");
+                        assert_eq!(got.max(i).to_bits(), want.max(i).to_bits(), "{at}");
+                    }
+                }
+            }
+        });
     }
 
     /// Boundaries on the spots a byte-range reader gets wrong. Each case is

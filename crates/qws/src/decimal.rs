@@ -1,35 +1,46 @@
-//! The exact number scan behind [`Dataset::load_csv`](crate::Dataset::load_csv).
+//! The exact number scanner behind [`Dataset::load_csv`](crate::Dataset::load_csv).
 //!
-//! [`scan_line`] reads a line of the shape `save_csv` writes,
-//! `[0-9]{1,19}(,-?[0-9]+(\.[0-9]+)?)+` (Rust's `{}` never writes an
-//! exponent), in one pass, eight digits at a time. Each coordinate comes
+//! [`scan_row`] reads one line of a split buffer in the shape `save_csv`
+//! writes, `[0-9]{1,19}(,-?[0-9]+(\.[0-9]+)?)+` ended by `\n` or by the
+//! end of the split (Rust's `{}` never writes an exponent). It walks the
+//! buffer itself, one 8-byte word at a time, with no loop over bytes:
+//!
+//! - A SWAR non-digit mask and `trailing_zeros` give the length of each
+//!   digit run. The run is read at that length by [`eight_digits`], one
+//!   word per eight digits and one shift for the partial last word.
+//! - The byte after a run is the field's terminator: `.`, `,`, `\n` or the
+//!   split's end. The line ends at its last field's terminator.
+//! - The split carries [`PADDING`] zero bytes after its end, so every word
+//!   load is in bounds, and a zero byte ends every run.
+//!
+//! It accepts only the bytes `[0-9,.\-\n]`, so every line it accepts is
+//! ASCII. Each coordinate, a mantissa `w` with `k` fraction digits, comes
 //! out with the bits `str::parse::<f64>` gives it:
 //!
-//! - **Clinger's fast path.** A mantissa `w ≤ 2⁵³` of at most 19
-//!   significant digits with `k ≤ 22` fraction digits is `w / 10^k`. Both
-//!   operands are exact doubles, so the one correctly rounded IEEE
-//!   division is the correctly rounded value.
 //! - **Eisel–Lemire** (Lemire, "Number Parsing at a Gigabyte per Second",
-//!   arXiv:2101.11408) for any other nonzero mantissa of at most 19 digits
+//!   arXiv:2101.11408) for a nonzero `w` of at most 19 significant digits
 //!   with `k ≤ 27`. Every `5^-k` it needs is inside the algorithm's
 //!   safe-exponent range `[-27, 55]`, so it always decides; the values lie
-//!   in `[10⁻²⁷, 10¹⁹)`, so no subnormal or infinite case arises.
+//!   in `[10⁻²⁷, 10¹⁹)`, so no subnormal or infinite case arises. It also
+//!   takes the mantissas Clinger's `w / 10^k` would: it gives the same
+//!   bits, and one path has no data-dependent branch between two.
+//! - **Zero** for `w = 0` (with its sign).
 //! - **`str::parse`** on the field's own bytes for anything else.
 //!
 //! A line outside the grammar (spaces, `\r`, `+`, an exponent, a missing
 //! digit, a 20-digit id, non-ASCII) is refused whole, and the loader parses
 //! it with `split(',')`, `trim` and `str::parse` as before.
 
+/// Zero bytes a split buffer carries after its end. A run starts at most
+/// one byte past the end, and its first word load reads 8 bytes.
+pub(crate) const PADDING: usize = 32;
+
 /// Digits a `u64` accumulator holds without overflow.
 const MAX_DIGITS: usize = 19;
-/// The largest mantissa Clinger's path takes: every integer up to it is a
-/// double.
-const CLINGER_MAX_MANTISSA: u64 = 1 << 53;
-/// The powers of ten that are doubles: `5^22 < 2⁵³`.
-const POW10: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
+/// Eight ASCII `'0'`s, as one word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+/// `10^n` for the digits of a partial word.
+const POW10: [u64; 8] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 /// The longest fraction Eisel–Lemire is run on: `5^27 < 2⁶⁴`.
 const LEMIRE_MAX_FRACTION: usize = 27;
 /// `POW5[27 - k]` is `5^-k` as fast_float's 128-bit table holds it, as
@@ -65,83 +76,87 @@ const fn pow5_table() -> [(u64, u64); LEMIRE_MAX_FRACTION + 1] {
     table
 }
 
-/// Scans `line` as `id,coord,…`, pushing the coordinates onto `row` and
-/// returning the id, or `None` if the line is outside the grammar (`row`
-/// then holds a prefix of them).
-pub(crate) fn scan_line(line: &[u8], row: &mut Vec<f64>) -> Option<u64> {
-    let mut id = 0;
-    let rest = digits(line, &mut id);
-    if !(1..=MAX_DIGITS).contains(&(line.len() - rest.len())) {
+/// Scans the line at `buf[at..]` as `id,coord,…`, ended by `\n` or by
+/// `end`, pushing the coordinates onto `row`. Returns the id and the
+/// offset after the line, or `None` if the line is outside the grammar
+/// (`row` then holds a prefix of them).
+///
+/// `buf[end..]` must be at least [`PADDING`] zero bytes.
+pub(crate) fn scan_row(
+    buf: &[u8],
+    at: usize,
+    end: usize,
+    row: &mut Vec<f64>,
+) -> Option<(u64, usize)> {
+    let (n, id) = digit_run(buf, at, 0);
+    if !(1..=MAX_DIGITS).contains(&n) {
         return None;
     }
-    let mut rest = rest.strip_prefix(b",")?;
+    let mut at = at + n;
     loop {
-        let (v, tail) = scan_number(rest)?;
+        if buf[at] != b',' {
+            return None;
+        }
+        let (v, after) = scan_number(buf, at + 1)?;
         row.push(v);
-        match tail.split_first() {
-            None => return Some(id),
-            Some((b',', next)) => rest = next,
-            Some(_) => return None,
+        at = after;
+        match buf[at] {
+            b'\n' => return Some((id, at + 1)),
+            _ if at == end => return Some((id, at)),
+            // a `,` goes on to the next field; any other byte is refused
+            _ => {}
         }
     }
 }
 
-/// Scans `-?[0-9]+(\.[0-9]+)?` from the front of `s`: the value and the
-/// bytes after it.
-fn scan_number(s: &[u8]) -> Option<(f64, &[u8])> {
-    let (negative, body) = match s.split_first() {
-        Some((b'-', body)) => (true, body),
-        _ => (false, s),
-    };
-    let int = skip_zeros(body);
-    let mut w = 0;
-    let rest = digits(int, &mut w);
-    if rest.len() == body.len() {
+/// Scans `-?[0-9]+(\.[0-9]+)?` at `buf[at..]`: the value and the offset
+/// after it. `buf` ends in a zero byte, which no run reads past.
+fn scan_number(buf: &[u8], at: usize) -> Option<(f64, usize)> {
+    let negative = buf[at] == b'-';
+    let int_at = at + usize::from(negative);
+    let (int_digits, w) = digit_run(buf, int_at, 0);
+    if int_digits == 0 {
         return None;
     }
-    let int_digits = int.len() - rest.len();
-    // `sig` counts the digits from the first nonzero one, `k` the fraction's
-    let (sig, k, rest) = match rest.strip_prefix(b".") {
-        None => (int_digits, 0, rest),
-        Some(frac) => {
-            let from = if int_digits == 0 {
-                skip_zeros(frac)
-            } else {
-                frac
-            };
-            let after = digits(from, &mut w);
-            if after.len() == frac.len() {
-                return None;
-            }
-            (
-                int_digits + from.len() - after.len(),
-                frac.len() - after.len(),
-                after,
-            )
+    let mut after = int_at + int_digits;
+    // `k` counts the fraction's digits
+    let (k, w) = if buf[after] == b'.' {
+        let (k, w) = digit_run(buf, after + 1, w);
+        if k == 0 {
+            return None;
         }
+        after += 1 + k;
+        (k, w)
+    } else {
+        (0, w)
     };
+    // the significant digits start at the first nonzero one; leading
+    // zeros matter only where they could bring the count under the limit
+    let mut sig = int_digits + k;
+    if sig > MAX_DIGITS {
+        let mut zeros = leading_zeros(buf, int_at, int_digits);
+        if zeros == int_digits {
+            zeros += leading_zeros(buf, int_at + int_digits + 1, k);
+        }
+        sig -= zeros;
+    }
     let v = match exact(w, sig, k) {
         Some(v) if negative => -v,
         Some(v) => v,
-        None => std::str::from_utf8(&s[..s.len() - rest.len()])
-            .ok()?
-            .parse()
-            .ok()?,
+        None => std::str::from_utf8(&buf[at..after]).ok()?.parse().ok()?,
     };
-    Some((v, rest))
+    Some((v, after))
 }
 
 /// `w · 10^-k` correctly rounded, for a mantissa of `sig` significant
-/// digits, or `None` where neither fast path applies.
+/// digits, or `None` outside Eisel–Lemire's range.
 fn exact(w: u64, sig: usize, k: usize) -> Option<f64> {
-    if sig > MAX_DIGITS {
+    if sig > MAX_DIGITS || k > LEMIRE_MAX_FRACTION {
         None
-    } else if w <= CLINGER_MAX_MANTISSA && k < POW10.len() {
-        Some(w as f64 / POW10[k])
-    } else if w != 0 && k <= LEMIRE_MAX_FRACTION {
-        Some(eisel_lemire(w, k))
+    } else if w == 0 {
+        Some(0.0)
     } else {
-        None
+        Some(eisel_lemire(w, k))
     }
 }
 
@@ -192,38 +207,53 @@ fn mul(a: u64, b: u64) -> (u64, u64) {
     (r as u64, (r >> 64) as u64)
 }
 
-/// `s` after its leading `'0'`s.
-fn skip_zeros(s: &[u8]) -> &[u8] {
-    let n = s.iter().take_while(|&&b| b == b'0').count();
-    &s[n..]
+/// The eight bytes at `buf[at..]`, the first in the low byte.
+#[inline]
+fn word(buf: &[u8], at: usize) -> u64 {
+    let mut bytes = [0; 8];
+    bytes.copy_from_slice(&buf[at..at + 8]);
+    u64::from_le_bytes(bytes)
 }
 
-/// Reads the decimal digits at the front of `s` into `w` (`w·10 + d`,
-/// wrapping), eight at a time while eight are left, and returns the bytes
-/// after them.
-fn digits<'a>(mut s: &'a [u8], w: &mut u64) -> &'a [u8] {
-    while let Some(chunk) = s.first_chunk::<8>() {
-        let v = u64::from_le_bytes(*chunk);
-        // every byte in b'0'..=b'9': neither `b - '0'` nor `b + 0x46`
-        // reaches the byte's top bit
-        if (v.wrapping_sub(0x3030_3030_3030_3030) | v.wrapping_add(0x4646_4646_4646_4646))
-            & 0x8080_8080_8080_8080
-            != 0
-        {
+/// The run of decimal digits at `buf[at..]`: its length, and `w` with the
+/// run's digits appended (`w·10ⁿ + run`, wrapping).
+#[inline]
+fn digit_run(buf: &[u8], mut at: usize, mut w: u64) -> (usize, u64) {
+    let start = at;
+    loop {
+        let v = word(buf, at);
+        // a byte outside b'0'..=b'9' sets its top bit in `b - '0'` or in
+        // `b + 0x46`; the digits below the first such byte carry nothing
+        // into it
+        let non_digits =
+            (v.wrapping_sub(ZEROS) | v.wrapping_add(0x4646_4646_4646_4646)) & 0x8080_8080_8080_8080;
+        if non_digits == 0 {
+            w = w.wrapping_mul(100_000_000).wrapping_add(eight_digits(v));
+            at += 8;
+            continue;
+        }
+        // the partial word: its `n` digits shifted to the top and `'0'`s
+        // shifted in below them, with no branch on `n`
+        let n = (non_digits.trailing_zeros() / 8) as usize;
+        let v = v.checked_shl(64 - 8 * n as u32).unwrap_or(0) | ZEROS >> (8 * n);
+        w = w.wrapping_mul(POW10[n]).wrapping_add(eight_digits(v));
+        return (at + n - start, w);
+    }
+}
+
+/// How many of the `len` digits at `buf[at..]` lead with `'0'`. The byte
+/// after them is not a digit, so the count stops there at the latest.
+fn leading_zeros(buf: &[u8], mut at: usize, len: usize) -> usize {
+    let mut zeros = 0;
+    while zeros < len {
+        let z = ((word(buf, at) ^ ZEROS).trailing_zeros() / 8) as usize;
+        zeros += z;
+        if z < 8 {
             break;
         }
-        *w = w.wrapping_mul(100_000_000).wrapping_add(eight_digits(v));
-        s = &s[8..];
+        at += 8;
     }
-    while let Some((&b, rest)) = s.split_first() {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            break;
-        }
-        *w = w.wrapping_mul(10).wrapping_add(u64::from(d));
-        s = rest;
-    }
-    s
+    zeros
 }
 
 /// The value of eight ASCII digits loaded little-endian, the first digit
@@ -232,7 +262,7 @@ fn eight_digits(v: u64) -> u64 {
     const MASK: u64 = 0x0000_00ff_0000_00ff;
     const MUL1: u64 = 100 + (1_000_000 << 32);
     const MUL2: u64 = 1 + (10_000 << 32);
-    let v = v - 0x3030_3030_3030_3030;
+    let v = v - ZEROS;
     let v = v * 10 + (v >> 8);
     let v1 = (v & MASK).wrapping_mul(MUL1);
     let v2 = ((v >> 16) & MASK).wrapping_mul(MUL2);
@@ -243,10 +273,24 @@ fn eight_digits(v: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// `bytes` followed by the zero padding a split carries.
+    fn padded(bytes: &[u8]) -> Vec<u8> {
+        [bytes, &[0; PADDING]].concat()
+    }
+
     /// The whole of `s` as one number, or `None` outside the grammar.
     fn scan_f64(s: &str) -> Option<f64> {
-        match scan_number(s.as_bytes())? {
-            (v, []) => Some(v),
+        match scan_number(&padded(s.as_bytes()), 0)? {
+            (v, after) if after == s.len() => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The whole of `line`, the last of its split, as one row: its id,
+    /// or `None` if the scanner refused it.
+    fn scan_whole_line(line: &[u8], row: &mut Vec<f64>) -> Option<u64> {
+        match scan_row(&padded(line), 0, line.len(), row)? {
+            (id, after) if after == line.len() => Some(id),
             _ => None,
         }
     }
@@ -347,7 +391,7 @@ mod tests {
         for s in cases {
             assert_matches_std(s);
         }
-        // every fraction length through the Clinger and Eisel–Lemire limits
+        // every fraction length through Eisel–Lemire's limit and past it
         for k in 0..32 {
             assert_matches_std(&format!("1.{}", "3".repeat(k)));
             assert_matches_std(&format!("0.{}7", "0".repeat(k)));
@@ -410,10 +454,10 @@ mod tests {
     #[test]
     fn lines_outside_the_grammar_are_refused() {
         let mut row = Vec::new();
-        assert_eq!(scan_line(b"7,2.5,-3", &mut row), Some(7));
+        assert_eq!(scan_whole_line(b"7,2.5,-3", &mut row), Some(7));
         assert_eq!(row, [2.5, -3.0]);
         assert_eq!(
-            scan_line(b"9999999999999999999,0", &mut Vec::new()),
+            scan_whole_line(b"9999999999999999999,0", &mut Vec::new()),
             Some(9_999_999_999_999_999_999)
         );
         for line in [
@@ -437,7 +481,161 @@ mod tests {
             b"18446744073709551615,1",
             b"1,2\xc3\xa9",
         ] {
-            assert_eq!(scan_line(line, &mut Vec::new()), None, "{line:?}");
+            assert_eq!(scan_whole_line(line, &mut Vec::new()), None, "{line:?}");
+        }
+    }
+
+    /// One line's scan: the id and every coordinate's bits, or `None`.
+    type Scanned = Option<(u64, Vec<u64>)>;
+
+    /// What the loader must make of one line: `None` outside the grammar,
+    /// where the scanner is to refuse it, else the id and `str::parse`'s
+    /// bits of every coordinate.
+    fn reference_row(line: &[u8]) -> Scanned {
+        let line = std::str::from_utf8(line).ok()?;
+        let mut fields = line.split(',');
+        let id = fields.next()?;
+        let coords: Vec<&str> = fields.collect();
+        let id_ok = (1..=MAX_DIGITS).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_digit());
+        if !id_ok || coords.is_empty() || !coords.iter().all(|f| in_grammar(f)) {
+            return None;
+        }
+        let bits = coords.iter().map(|f| f.parse::<f64>().unwrap().to_bits());
+        Some((id.parse().unwrap(), bits.collect()))
+    }
+
+    /// `reference_row` of every line `split_terminator('\n')` cuts.
+    fn reference_split(text: &[u8]) -> Vec<Scanned> {
+        let mut lines: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+        if text.is_empty() || text.ends_with(b"\n") {
+            lines.pop();
+        }
+        lines.into_iter().map(reference_row).collect()
+    }
+
+    /// Walks `text` as the loader walks a split: each line's scan, and a
+    /// refused line skipped to its `\n`.
+    fn scan_split(text: &[u8]) -> Vec<Scanned> {
+        let buf = padded(text);
+        let (mut at, mut out) = (0, Vec::new());
+        while at < text.len() {
+            let mut row = Vec::new();
+            out.push(match scan_row(&buf, at, text.len(), &mut row) {
+                Some((id, next)) => {
+                    at = next;
+                    Some((id, row.iter().map(|v| v.to_bits()).collect()))
+                }
+                None => {
+                    at = text[at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(text.len(), |nl| at + nl + 1);
+                    None
+                }
+            });
+        }
+        out
+    }
+
+    /// Random decimal digits, as many as drawn from `len`, the first of
+    /// them nonzero if `lead`.
+    fn random_digits(
+        rng: &mut rand::rngs::StdRng,
+        len: std::ops::RangeInclusive<usize>,
+        lead: bool,
+    ) -> String {
+        use rand::Rng;
+        (0..rng.gen_range(len))
+            .map(|i| char::from(b'0' + rng.gen_range(u8::from(lead && i == 0)..10)))
+            .collect()
+    }
+
+    /// A random line of the grammar: an id of 1–19 digits (8–19 half the
+    /// time) and 1–6 coordinates of the shapes the scanner must read
+    /// exactly.
+    fn random_line(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let id_digits = if rng.gen_bool(0.5) { 8..=19 } else { 1..=19 };
+        let mut line = random_digits(rng, id_digits, false);
+        for _ in 0..rng.gen_range(1..=6) {
+            let minus = if rng.gen_bool(0.3) { "-" } else { "" };
+            let field = match rng.gen_range(0..5) {
+                // `{}` of a double over the batch workloads' ranges
+                0 => {
+                    let hi = [1.0, 100.0, 5000.0][rng.gen_range(0..3usize)];
+                    format!("{}", rng.gen_range(0.0..hi))
+                }
+                // a leading-zero fraction of 17–21 significant digits
+                1 => format!(
+                    "0.{}{}",
+                    "0".repeat(rng.gen_range(0..6)),
+                    random_digits(rng, 17..=21, true)
+                ),
+                // an 8–19-digit integer part, with or without a fraction
+                2 => {
+                    let int = random_digits(rng, 8..=19, false);
+                    match rng.gen_range(0..13) {
+                        0 => int,
+                        k => format!("{int}.{}", random_digits(rng, k..=k, false)),
+                    }
+                }
+                // zeros, which `-` makes negative
+                3 => ["0", "0.0", "00.000", "0.0000000000000000000000000000"]
+                    [rng.gen_range(0..4usize)]
+                .to_string(),
+                // 1–24 digits with the point anywhere inside them
+                _ => {
+                    let digits = random_digits(rng, 1..=24, false);
+                    match rng.gen_range(0..digits.len()) {
+                        0 => digits,
+                        at => format!("{}.{}", &digits[..at], &digits[at..]),
+                    }
+                }
+            };
+            line.push_str(&format!(",{minus}{field}"));
+        }
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The scanner walking a split buffer agrees with `str::parse`,
+        /// bit for bit on every line of the grammar and refusal for
+        /// refusal on every other, with the line ends where `\n` puts them.
+        #[test]
+        fn split_scanner_matches_str_parse_line_for_line(seed in 0u64..u64::MAX) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lines: Vec<String> = (0..rng.gen_range(1..=3)).map(|_| random_line(&mut rng)).collect();
+            let mut text = lines.join("\n").into_bytes();
+            // without a final `\n` the last field ends at the split's end,
+            // and its word loads reach into the padding
+            if rng.gen_bool(0.5) {
+                text.push(b'\n');
+            }
+            let scanned = scan_split(&text);
+            assert!(scanned.iter().all(Option::is_some), "{lines:?}");
+            assert_eq!(scanned, reference_split(&text));
+            // a stray byte put before, or in place of, each byte of the
+            // first line, and after its last
+            let strays: [&[u8]; 11] = [
+                b"\r", b" ", b"+", b"e", "\u{e9}".as_bytes(), b"\xff", b"\0", b",", b".", b"-", b"\n",
+            ];
+            for stray in strays {
+                for i in 0..=lines[0].len() {
+                    for cut in [i..i, i..(i + 1).min(lines[0].len())] {
+                        let mut hostile = text.clone();
+                        hostile.splice(cut, stray.iter().copied());
+                        assert_eq!(
+                            scan_split(&hostile),
+                            reference_split(&hostile),
+                            "{:?}",
+                            String::from_utf8_lossy(&hostile)
+                        );
+                    }
+                }
+            }
         }
     }
 }

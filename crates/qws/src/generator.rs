@@ -17,6 +17,7 @@ use crate::attributes::{AttributeSpec, Marginal, QWS_ATTRIBUTES};
 use crate::dataset::Dataset;
 use crate::rng::{correlate, standard_normal};
 use rand::{rngs::StdRng, SeedableRng};
+use skyline_algos::block::PointBlock;
 use skyline_algos::point::Point;
 
 /// Configuration of a QWS-like dataset.
@@ -104,7 +105,7 @@ pub fn generate_qws(cfg: &QwsConfig) -> Dataset {
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let specs = &QWS_ATTRIBUTES[..cfg.dimensions];
-    let mut points = Vec::with_capacity(cfg.cardinality);
+    let mut block = PointBlock::with_capacity(cfg.dimensions, cfg.cardinality);
     for id in 0..cfg.cardinality {
         let q = standard_normal(&mut rng);
         let coords: Vec<f64> = specs
@@ -123,14 +124,14 @@ pub fn generate_qws(cfg: &QwsConfig) -> Dataset {
                 spec.orient(sample_raw(spec, zc))
             })
             .collect();
-        points.push(Point::new(id as u64, coords));
+        block.push_point(&Point::new(id as u64, coords));
     }
-    Dataset::new(
+    Dataset::from_built(
         format!(
             "qws(n={},d={},seed={})",
             cfg.cardinality, cfg.dimensions, cfg.seed
         ),
-        points,
+        block,
     )
 }
 
@@ -156,10 +157,9 @@ pub fn extend_qws(base: &Dataset, cardinality: usize, jitter: f64, seed: u64) ->
     assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut points: Vec<Point> = base.points().to_vec();
-    points.reserve(cardinality - points.len());
+    let mut block = base.block().clone();
     let mut next_id = base.points().iter().map(Point::id).max().unwrap_or(0) + 1;
-    while points.len() < cardinality {
+    while block.len() < cardinality {
         let template = &base.points()[rng.gen_range(0..base.len())];
         let coords: Vec<f64> = template
             .coords()
@@ -169,12 +169,12 @@ pub fn extend_qws(base: &Dataset, cardinality: usize, jitter: f64, seed: u64) ->
                 (v * f).max(0.0)
             })
             .collect();
-        points.push(Point::new(next_id, coords));
+        block.push_point(&Point::new(next_id, coords));
         next_id += 1;
     }
-    Dataset::new(
+    Dataset::from_built(
         format!("{}+ext(n={cardinality},j={jitter},seed={seed})", base.name),
-        points,
+        block,
     )
 }
 

@@ -105,11 +105,10 @@ pub fn load_qws_file(path: &Path) -> std::io::Result<Dataset> {
             .push(block.len() as u64, &coords)
             .expect("parse_row validated dimension and finiteness");
     }
-    if block.is_empty() {
-        return Err(invalid("QWS file contains no services".to_string()));
-    }
     let n = block.len();
-    Ok(Dataset::from_block(format!("qws-file(n={n})"), block))
+    // an empty block is the one error
+    Dataset::from_block(format!("qws-file(n={n})"), block)
+        .map_err(|_| invalid("QWS file contains no services".to_string()))
 }
 
 /// Parses, clamps, orients and reorders one CSV row; `Err` is why the row

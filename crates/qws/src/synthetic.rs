@@ -11,6 +11,7 @@
 use crate::dataset::Dataset;
 use crate::rng::standard_normal;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use skyline_algos::block::PointBlock;
 use skyline_algos::point::Point;
 
 /// The benchmark distribution families.
@@ -76,7 +77,7 @@ pub fn generate_synthetic(cfg: &SyntheticConfig) -> Dataset {
     assert!(cfg.dimensions >= 1, "dimensions must be positive");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let d = cfg.dimensions;
-    let mut points = Vec::with_capacity(cfg.cardinality);
+    let mut block = PointBlock::with_capacity(d, cfg.cardinality);
     for id in 0..cfg.cardinality {
         let coords: Vec<f64> = match cfg.distribution {
             Distribution::Independent => (0..d).map(|_| rng.gen_range(0.0..1.0)).collect(),
@@ -99,9 +100,9 @@ pub fn generate_synthetic(cfg: &SyntheticConfig) -> Dataset {
                     .collect()
             }
         };
-        points.push(Point::new(id as u64, coords));
+        block.push_point(&Point::new(id as u64, coords));
     }
-    Dataset::new(
+    Dataset::from_built(
         format!(
             "{}(n={},d={},seed={})",
             cfg.distribution.name(),
@@ -109,7 +110,7 @@ pub fn generate_synthetic(cfg: &SyntheticConfig) -> Dataset {
             d,
             cfg.seed
         ),
-        points,
+        block,
     )
 }
 

@@ -325,6 +325,13 @@ impl SkylineService {
         Ok(self)
     }
 
+    /// Whether `dir` holds the tenant marks a serving run writes beside its
+    /// checkpoints, so that [`SkylineService::with_store`] would restore
+    /// tenants from it.
+    pub fn holds_tenant_marks(dir: &std::path::Path) -> bool {
+        !read_tenant_marks(dir).is_empty()
+    }
+
     /// Arms a crash simulator: the service panics with
     /// [`KILL_PAYLOAD`] after the switch's checkpoint-write budget.
     #[must_use]

@@ -168,7 +168,8 @@ fault-free oracle — the exactness-under-failure contract, on demand.
 deletes, poison payloads, queries) for the serving layer. `mrsky serve`
 boots the fault-hardened incremental skyline service, drives that same
 seeded workload through it (optionally under a chaos profile, optionally
-crashing and resuming from --checkpoint-dir when --kill-after is set),
+crashing and resuming from --checkpoint-dir when --kill-after is set;
+a directory another serve run left its tenants in is refused),
 verifies every fresh response and the final quiesced skylines against a
 recompute oracle, and reports request-path stats; --json emits the report
 as one machine-readable JSON object for CI.
@@ -870,6 +871,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let trace_out = flag(args, "--trace")?;
     let json = args.iter().any(|a| a == "--json");
+    // Restoring is for the crashed boot below. A directory a finished run
+    // left its marks in would restore every tenant's final live set, while
+    // the oracle starts the script from an empty one.
+    if let Some(dir) = &checkpoint_dir {
+        if SkylineService::holds_tenant_marks(std::path::Path::new(dir)) {
+            return Err(format!(
+                "checkpoint directory `{dir}` holds another serve run's tenants; \
+                 use a fresh directory"
+            ));
+        }
+    }
 
     let build = |kill: Option<Arc<KillSwitch>>| -> Result<SkylineService, String> {
         let tracer = if trace_out.is_some() {
@@ -1124,6 +1136,28 @@ mod tests {
         assert_eq!(dotted.name, "small.csv");
         assert_eq!(dataset_fingerprint(&plain), dataset_fingerprint(&dotted));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_refuses_a_checkpoint_dir_another_run_left_tenants_in() {
+        let dir = std::env::temp_dir().join(format!("mrsky-cli-serve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_string_lossy().into_owned();
+        let args = |extra: &[&str]| {
+            ["--ops", "300", "--seed", "11", "--dim", "4", "--json"]
+                .iter()
+                .chain(extra)
+                .map(ToString::to_string)
+                .chain(["--checkpoint-dir".to_string(), dir_arg.clone()])
+                .collect::<Vec<_>>()
+        };
+        // the crashed boot's restart restores from the marks it wrote
+        cmd_serve(&args(&["--kill-after", "2"])).unwrap();
+        let err = cmd_serve(&args(&[])).unwrap_err();
+        assert!(err.contains("holds another serve run's tenants"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        cmd_serve(&args(&[])).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                         row.iter().map(|&v| f64::from(v) * 0.5).collect::<Vec<_>>(),
                     )
                 });
-                Dataset::new("prop", points.collect())
+                Dataset::new("prop", points.collect()).unwrap()
             },
         )
     })

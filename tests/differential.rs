@@ -244,7 +244,7 @@ impl Case {
             .into_iter()
             .enumerate()
             .map(|(i, r)| Point::new(i as u64, r));
-        Dataset::new(format!("{:?}", self.family), points.collect())
+        Dataset::new(format!("{:?}", self.family), points.collect()).unwrap()
     }
 
     /// The drawn job, spilling to `spill` and checkpointing to `ckpt`.

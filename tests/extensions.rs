@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn representatives_are_always_skyline_members(pts in arb_points(), k in 1usize..6) {
         let report = SkylineJob::new(Algorithm::MrAngle, 2).run(
-            &mr_skyline_suite::qws::Dataset::new("prop", pts.clone()),
+            &mr_skyline_suite::qws::Dataset::new("prop", pts.clone()).unwrap(),
         );
         let sky = &report.global_skyline;
         let sky_ids: std::collections::HashSet<u64> = sky.iter().map(Point::id).collect();

@@ -10,14 +10,17 @@
 //! A second group times the map-side steps that run before Job 1 on every
 //! query, on 500k QWS-like rows at d=6 (the `qws-500k-d6` workload's
 //! shape): filter-point *selection* alone, and MR-Angle's sector lookup,
-//! fit as the pipeline fits it. The lookup runs twice: `partition_of_row`
-//! (tangent brackets, `atan2` only near a boundary) and the `atan2`
-//! definition it must agree with, `sector_index` then row-major
+//! fit as the pipeline fits it. The lookup runs three ways: `assign_rows`
+//! (the production path: a branch-free sweep over 8-row lane batches,
+//! `partition_of_row` only for rows a bracket cannot tell) over the
+//! partition profile's 16,384-row ranges, `partition_of_row` row by row
+//! (tangent brackets, `atan2` only near a boundary), and the `atan2`
+//! definition both must agree with, `sector_index` then row-major
 //! linearisation.
 //!
 //! Outside `--test` smoke runs the guard *asserts* that filtering cuts the
 //! d=4 shuffle-candidate count by at least 2× and writes the numbers to
-//! `BENCH_filter.json` at the workspace root, with the lookup's
+//! `BENCH_filter.json` at the workspace root, with `assign_rows`'s
 //! `assign_speedup` over the definition and the partition-profile pass's
 //! wall time per row (the `pipeline.partition_profile` span of a traced
 //! query, which also gathers the filter points).
@@ -93,8 +96,27 @@ fn angle_partitioner(data: &Dataset) -> AnglePartitioner {
     part
 }
 
+/// Rows per `assign_rows` batch: the partition profile's range size.
+const ASSIGN_ROWS: usize = 16_384;
+
+/// Every row's sector through `assign_rows` over [`ASSIGN_ROWS`]-row
+/// ranges, summed.
+fn assign_batched(part: &AnglePartitioner, data: &Dataset) -> usize {
+    let block = data.block();
+    let d = block.dim();
+    let mut out = vec![0usize; ASSIGN_ROWS];
+    let mut sum = 0;
+    for lo in (0..block.len()).step_by(ASSIGN_ROWS) {
+        let hi = (lo + ASSIGN_ROWS).min(block.len());
+        let out = &mut out[..hi - lo];
+        part.assign_rows(&block.ids()[lo..hi], &block.coords()[lo * d..hi * d], out);
+        sum += out.iter().sum::<usize>();
+    }
+    sum
+}
+
 /// Every row's sector through `partition_of_row`, summed.
-fn assign_rows(part: &AnglePartitioner, data: &Dataset) -> usize {
+fn assign_row_by_row(part: &AnglePartitioner, data: &Dataset) -> usize {
     data.block()
         .iter()
         .map(|(id, row)| part.partition_of_row(id, row))
@@ -179,16 +201,25 @@ fn bench_filter(c: &mut Criterion) {
         },
     );
     let angle = angle_partitioner(&qws);
+    let definition = assign_by_definition(&angle, &qws);
     assert_eq!(
-        assign_rows(&angle, &qws),
-        assign_by_definition(&angle, &qws),
+        assign_row_by_row(&angle, &qws),
+        definition,
         "the bracketed lookup left the atan2 definition"
     );
+    assert_eq!(
+        assign_batched(&angle, &qws),
+        definition,
+        "the batched lookup left the atan2 definition"
+    );
+    group.bench_with_input(BenchmarkId::new("assign", "assign_rows"), &qws, |b, qws| {
+        b.iter(|| assign_batched(&angle, qws));
+    });
     group.bench_with_input(
         BenchmarkId::new("assign", "partition_of_row"),
         &qws,
         |b, qws| {
-            b.iter(|| assign_rows(&angle, qws));
+            b.iter(|| assign_row_by_row(&angle, qws));
         },
     );
     group.bench_with_input(
@@ -239,27 +270,35 @@ fn bench_filter(c: &mut Criterion) {
         ));
     }
 
-    // Interleaved rounds, so a shared host's drift hits both lookups alike;
+    // Interleaved rounds, so a shared host's drift hits every lookup alike;
     // the speedup is the median of the per-round ratios.
     let wall_ns = |f: &dyn Fn() -> usize| {
         let t = Instant::now();
         std::hint::black_box(f());
         t.elapsed().as_nanos() as f64
     };
-    wall_ns(&|| assign_rows(&angle, &qws) + assign_by_definition(&angle, &qws));
-    let (mut lookup, mut definition, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    wall_ns(&|| {
+        assign_batched(&angle, &qws)
+            + assign_row_by_row(&angle, &qws)
+            + assign_by_definition(&angle, &qws)
+    });
+    let (mut batched, mut lookup, mut definition, mut ratios) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for _ in 0..11 {
-        let r = wall_ns(&|| assign_rows(&angle, &qws));
+        let b = wall_ns(&|| assign_batched(&angle, &qws));
+        let r = wall_ns(&|| assign_row_by_row(&angle, &qws));
         let a = wall_ns(&|| assign_by_definition(&angle, &qws));
+        batched.push(b);
         lookup.push(r);
         definition.push(a);
-        ratios.push(a / r);
+        ratios.push(a / b);
     }
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    let (rows_ns, definition_ns) = (median(lookup), median(definition));
+    let (batched_ns, rows_ns, definition_ns) =
+        (median(batched), median(lookup), median(definition));
     let assign_speedup = median(ratios);
     let profile_ns = median((0..5).map(|_| profile_ns_per_row(&qws)).collect());
     let n_qws = qws.len();
@@ -270,7 +309,8 @@ fn bench_filter(c: &mut Criterion) {
          \"anti-correlated\",\n  \"n\": {N},\n  \"servers\": {SERVERS},\n  \
          \"min_shuffle_reduction_d4\": {MIN_SHUFFLE_REDUCTION},\n  \"dims\": [\n{rows}\n  ],\n  \
          \"assign\": {{\"data\": \"qws\", \"n\": {n_qws}, \"d\": 6, \
-         \"partition_of_row_ns\": {rows_ns:.0}, \"sector_index_ns\": {definition_ns:.0}}},\n  \
+         \"assign_rows_ns\": {batched_ns:.0}, \"partition_of_row_ns\": {rows_ns:.0}, \
+         \"sector_index_ns\": {definition_ns:.0}}},\n  \
          \"assign_speedup\": {assign_speedup:.2},\n  \
          \"profile_ns_per_row\": {profile_ns:.1}\n}}\n"
     );

@@ -48,7 +48,9 @@ fn merge_candidates(n: usize, d: usize, chunks: usize) -> PointBlock {
         .to_vec();
     let block = PointBlock::from_points(&pts).expect("uniform dims");
     let mut out = PointBlock::new(d);
-    for chunk in block.chunks(n.div_ceil(chunks)) {
+    let rows = n.div_ceil(chunks);
+    for lo in (0..block.len()).step_by(rows) {
+        let chunk = block.slice(lo, (lo + rows).min(block.len()));
         out.extend_from_block(&block_bnl(&chunk, &BnlConfig::default()));
     }
     out

@@ -14,8 +14,9 @@
 //! # Record layout
 //!
 //! Both jobs move columnar [`PointBlock`] batches instead of one `Point`
-//! per record: map splits are blocks of [`BLOCK_ROWS`] services, the mapper
-//! shards each block by partition id with zero per-point allocations, and
+//! per record: a map record is a `(lo, hi)` range of at most
+//! [`BLOCK_ROWS`] rows of the block the job borrows, the mapper shards the
+//! range's rows by partition id with zero per-point allocations, and
 //! reducers concatenate their value blocks into one flat buffer before
 //! running a kernel from `skyline_algos::kernel`. Metric semantics:
 //! `records_in` stays *point-weighted* (every task tops the counter up to
@@ -44,8 +45,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Rows per shuffled block: map splits and shuffle values carry at most
-/// this many services per [`PointBlock`] record.
+/// Rows per map record: a map record's row range, and so each block a
+/// mapper emits, holds at most this many services.
 const BLOCK_ROWS: usize = 256;
 
 /// Shared wire-size estimator for `(partition id, service block)` pairs.
@@ -110,9 +111,9 @@ pub struct PipelineOutput {
 }
 
 /// Map-task count preserving the runtime's "one split per
-/// [`RECORDS_PER_SPLIT`] records" rule in *services*, not blocks (block
-/// records are ~256× denser, so auto-splitting on them would collapse the
-/// map wave structure the paper's figures depend on).
+/// [`RECORDS_PER_SPLIT`] records" rule in *services*, not row ranges
+/// (range records are ~256× denser, so auto-splitting on them would
+/// collapse the map wave structure the paper's figures depend on).
 fn point_splits(points: usize) -> usize {
     points.div_ceil(RECORDS_PER_SPLIT).max(1)
 }
@@ -305,6 +306,33 @@ fn host_threads(threads: usize) -> usize {
     }
 }
 
+/// The `(lo, hi)` row ranges of at most [`BLOCK_ROWS`] rows that both jobs
+/// take as map records. The mappers read a range's rows from the block the
+/// job borrows, so no split is copied out of it before the job starts.
+fn row_ranges(rows: usize) -> Vec<(usize, usize)> {
+    (0..rows)
+        .step_by(BLOCK_ROWS)
+        .map(|lo| (lo, (lo + BLOCK_ROWS).min(rows)))
+        .collect()
+}
+
+/// The partition of every row in `range` of `block`, in row order, through
+/// the batched [`SpacePartitioner::assign_rows`].
+fn assign_range(
+    partitioner: &dyn SpacePartitioner,
+    block: &PointBlock,
+    range: std::ops::Range<usize>,
+) -> Vec<usize> {
+    let d = block.dim();
+    let mut pids = vec![0usize; range.len()];
+    partitioner.assign_rows(
+        &block.ids()[range.clone()],
+        &block.coords()[range.start * d..range.end * d],
+        &mut pids,
+    );
+    pids
+}
+
 /// Rows per partition-profile task. Fixed, so the ranges and the order
 /// they are folded in do not depend on the thread count.
 const PROFILE_ROWS: usize = 16_384;
@@ -338,9 +366,9 @@ fn partition_profile(
         let mut counts = vec![0usize; np];
         let mut mins = vec![f64::INFINITY; np * d];
         let mut candidates = FilterCandidates::new(filter_k);
-        for i in r * PROFILE_ROWS..((r + 1) * PROFILE_ROWS).min(block.len()) {
+        let (lo, hi) = (r * PROFILE_ROWS, ((r + 1) * PROFILE_ROWS).min(block.len()));
+        for (i, p) in (lo..hi).zip(assign_range(partitioner, block, lo..hi)) {
             let (id, row) = (block.id(i), block.row(i));
-            let p = partitioner.partition_of_row(id, row);
             counts[p] += 1;
             for (m, &v) in mins[p * d..(p + 1) * d].iter_mut().zip(row) {
                 *m = m.min(v);
@@ -462,9 +490,10 @@ pub fn run_two_job_pipeline(
         Cow::Borrowed(input_block)
     } else {
         let mut b = PointBlock::with_capacity(dim, input_block.len());
-        for (i, (id, row)) in input_block.iter().enumerate() {
-            let pid = partitioner.partition_of_row(id, row) as u64;
-            if !restored.contains_key(&pid) {
+        let pids = assign_range(partitioner.as_ref(), input_block, 0..input_block.len());
+        for (i, pid) in pids.into_iter().enumerate() {
+            let row = input_block.row(i);
+            if !restored.contains_key(&(pid as u64)) {
                 b.push_row_from(input_block, i);
             } else if map_filter.as_ref().is_some_and(|f| filtered_out(f, row)) {
                 restored_rows_filtered += 1;
@@ -497,40 +526,57 @@ pub fn run_two_job_pipeline(
 
     let part = Arc::clone(&partitioner);
     let map_work = opts.map_work_per_point;
-    let mapper1 =
-        move |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
-            // The runtime charges one record per block; top up so records
-            // stay point-weighted. The top-up uses the *unfiltered* block
-            // length and filtered rows are never charged again downstream,
-            // so `records_in` counts every input service exactly once no
-            // matter how many the broadcast filter drops.
-            ctx.add_records_in(b.len().saturating_sub(1) as u64);
-            ctx.add_work(map_work * b.len() as u64);
-            let mut shards: Vec<PointBlock> = vec![PointBlock::new(b.dim()); num_partitions.max(1)];
-            let mut dropped = 0u64;
-            for i in 0..b.len() {
-                if let Some(f) = &map_filter {
-                    if filtered_out(f, b.row(i)) {
-                        dropped += 1;
-                        continue;
-                    }
-                }
-                shards[part.partition_of_row(b.id(i), b.row(i))].push_row_from(b, i);
+    let block1: &PointBlock = &job1_input;
+    let mapper1 = move |&(lo, hi): &(usize, usize),
+                        ctx: &mut TaskContext,
+                        out: &mut Emitter<u64, PointBlock>| {
+        // The runtime charges one record per range; top up so records
+        // stay point-weighted. The top-up uses the *unfiltered* range
+        // length and filtered rows are never charged again downstream,
+        // so `records_in` counts every input service exactly once no
+        // matter how many the broadcast filter drops.
+        let rows = hi - lo;
+        ctx.add_records_in(rows.saturating_sub(1) as u64);
+        ctx.add_work(map_work * rows as u64);
+        let survivors: Vec<usize> = (lo..hi)
+            .filter(|&i| {
+                !map_filter
+                    .as_ref()
+                    .is_some_and(|f| filtered_out(f, block1.row(i)))
+            })
+            .collect();
+        let dropped = (rows - survivors.len()) as u64;
+        // The survivors' sectors in one batch: the range itself when the
+        // filter dropped nothing, else a copy of the rows it kept.
+        let kept;
+        let (src, range) = if dropped == 0 {
+            (block1, lo..hi)
+        } else {
+            let mut b = PointBlock::with_capacity(dim, survivors.len());
+            for &i in &survivors {
+                b.push_row_from(block1, i);
             }
-            if let Some(f) = &map_filter {
-                // the broadcast sweep costs at most one dominance test per
-                // (row, filter point) pair
-                ctx.add_work((f.len() * b.len()) as u64);
-                if dropped > 0 {
-                    ctx.incr("rows_filtered", dropped);
-                }
-            }
-            for (pid, shard) in shards.into_iter().enumerate() {
-                if !shard.is_empty() {
-                    out.emit(pid as u64, shard);
-                }
-            }
+            kept = b;
+            (&kept, 0..kept.len())
         };
+        let mut shards: Vec<PointBlock> = vec![PointBlock::new(dim); num_partitions.max(1)];
+        for (i, pid) in range.clone().zip(assign_range(part.as_ref(), src, range)) {
+            shards[pid].push_row_from(src, i);
+        }
+        if let Some(f) = &map_filter {
+            // the broadcast sweep costs at most one dominance test per
+            // (row, filter point) pair
+            ctx.add_work((f.len() * rows) as u64);
+            if dropped > 0 {
+                ctx.incr("rows_filtered", dropped);
+            }
+        }
+        for (pid, shard) in shards.into_iter().enumerate() {
+            if !shard.is_empty() {
+                out.emit(pid as u64, shard);
+            }
+        }
+    };
     let kernel = opts.config.kernel;
     let window = opts.config.bnl_window;
     let prune_mask = Arc::clone(&prunable);
@@ -609,9 +655,8 @@ pub fn run_two_job_pipeline(
         out.push((*key, outcome.sky));
     };
 
-    let input_splits = job1_input.chunks(BLOCK_ROWS);
     let job1: JobResult<u64, (u64, PointBlock)> =
-        run_job(&spec1, &input_splits, &mapper1, &reducer1);
+        run_job(&spec1, &row_ranges(job1_input.len()), &mapper1, &reducer1);
     let metrics1 = job1.metrics.clone();
 
     // The per-task counter sums to the exact map-side drop count (counters
@@ -673,10 +718,11 @@ pub fn run_two_job_pipeline(
     spec2.tracer = opts.tracer.clone();
     spec2.chaos = opts.chaos.clone();
 
-    let mapper2 = |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
-        ctx.add_records_in(b.len().saturating_sub(1) as u64);
-        out.emit(0u64, b.clone());
-    };
+    let mapper2 =
+        |&(lo, hi): &(usize, usize), ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
+            ctx.add_records_in((hi - lo).saturating_sub(1) as u64);
+            out.emit(0u64, merge_block.slice(lo, hi));
+        };
     let tracer2 = opts.tracer.clone();
     let merge_threads = opts.threads;
     let reducer2 = move |_key: &u64,
@@ -693,8 +739,8 @@ pub fn run_two_job_pipeline(
         out.push(outcome.sky);
     };
 
-    let merge_splits = merge_block.chunks(BLOCK_ROWS);
-    let job2: JobResult<u64, PointBlock> = run_job(&spec2, &merge_splits, &mapper2, &reducer2);
+    let job2: JobResult<u64, PointBlock> =
+        run_job(&spec2, &row_ranges(merge_block.len()), &mapper2, &reducer2);
     let metrics2 = job2.metrics.clone();
     opts.tracer.emit(|| EventKind::CausalEdge {
         edge: "chain".into(),
@@ -721,6 +767,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{build_partitioner, map_work_per_point};
     use crate::config::Algorithm;
+    use mrsky_trace::PhaseKind;
     use qws_data::{generate_qws, QwsConfig};
     use skyline_algos::seq::naive_skyline_ids;
 
@@ -1283,5 +1330,86 @@ mod tests {
         } else {
             assert!(filtered.is_none());
         }
+    }
+
+    /// Per-job map tasks and shuffle bytes (from the trace), then the
+    /// chained map and reduce `records_in`, the map's `records_out`,
+    /// `rows_filtered`, the total shuffle bytes and the simulated total's
+    /// bits, of one `algorithm` run over `n` QWS rows at d=6. `resume`
+    /// restores every other non-empty partition of a fresh run first, so
+    /// Job 1's input is the owned copy without their rows.
+    fn map_side_figures(algorithm: Algorithm, n: usize, resume: bool) -> Vec<u64> {
+        let data = generate_qws(&QwsConfig::new(n, 6));
+        let cfg = AlgoConfig::default();
+        let part = build_partitioner(algorithm, &cfg, &data, 4).expect("fit");
+        let mut opts = options(algorithm.name(), 4);
+        opts.map_work_per_point = map_work_per_point(algorithm, data.dim());
+        if resume {
+            let fresh = run_two_job_pipeline(Arc::clone(&part), &data, &opts);
+            opts.restored = fresh.local_skylines.into_iter().step_by(2).collect();
+            assert!(!opts.restored.is_empty());
+        }
+        opts.tracer = Tracer::in_memory();
+        let out = run_two_job_pipeline(part, &data, &opts);
+        let (mut tasks, mut bytes) = ([0u64; 2], [0u64; 2]);
+        let slot = |job: &str| usize::from(job.ends_with("-merge"));
+        for e in opts.tracer.drain() {
+            match e.kind {
+                EventKind::TaskFinished {
+                    job,
+                    phase: PhaseKind::Map,
+                    ..
+                } => tasks[slot(&job)] += 1,
+                EventKind::ShufflePartition { job, bytes: b, .. } => bytes[slot(&job)] += b,
+                _ => {}
+            }
+        }
+        let m = &out.metrics;
+        vec![
+            tasks[0],
+            tasks[1],
+            bytes[0],
+            bytes[1],
+            m.map.records_in,
+            m.reduce.records_in,
+            m.map.records_out,
+            out.rows_filtered,
+            m.shuffle_bytes,
+            m.sim_total.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn row_range_map_records_keep_every_map_side_figure() {
+        // the figures of the build whose map records were 256-row blocks
+        // copied out of the input before Job 1, and cloned by Job 2's mapper
+        let pinned = "\
+MrAngle 1 fresh: 1 1 64 64 2 2 2 0 128 4630829136066116998
+MrAngle 255 fresh: 1 1 1680 1520 282 56 8 226 3200 4630830547637792454
+MrAngle 257 fresh: 1 1 1680 1520 284 56 8 228 3200 4630830557207941662
+MrAngle 100001 fresh: 63 1 266434 10592 100190 4731 1510 95459 277026 4635551048468628402
+MrGrid 257 fresh: 1 1 1640 1296 280 52 3 228 2936 4630830521257957637
+MrAngle 257 resumed: 1 1 471 1520 155 35 4 228 1991 4630829918846619856
+MrAngle 100001 resumed: 32 1 124937 10592 50271 2363 400 95459 135529 4633444435696211886
+";
+        let mut got = String::new();
+        for (algorithm, n, resume) in [
+            (Algorithm::MrAngle, 1, false),
+            (Algorithm::MrAngle, 255, false),
+            (Algorithm::MrAngle, 257, false),
+            (Algorithm::MrAngle, 100_001, false),
+            (Algorithm::MrGrid, 257, false),
+            (Algorithm::MrAngle, 257, true),
+            (Algorithm::MrAngle, 100_001, true),
+        ] {
+            let figures = map_side_figures(algorithm, n, resume);
+            let mode = if resume { "resumed" } else { "fresh" };
+            let figures: Vec<String> = figures.iter().map(u64::to_string).collect();
+            got.push_str(&format!(
+                "{algorithm:?} {n} {mode}: {}\n",
+                figures.join(" ")
+            ));
+        }
+        assert_eq!(got, pinned);
     }
 }

@@ -296,19 +296,6 @@ impl PointBlock {
         }
     }
 
-    /// Splits the block into chunks of at most `rows` points each (the last
-    /// chunk may be shorter). `rows == 0` yields a single chunk.
-    pub fn chunks(&self, rows: usize) -> Vec<PointBlock> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let rows = if rows == 0 { self.len() } else { rows };
-        (0..self.len())
-            .step_by(rows)
-            .map(|lo| self.slice(lo, (lo + rows).min(self.len())))
-            .collect()
-    }
-
     /// L1 norm (coordinate sum) of row `i` — the presort score of the
     /// merge kernel. Monotone under dominance, but only weakly: if `p`
     /// dominates `q` then `l1(p) <= l1(q)`, and f64 rounding can make the
@@ -477,21 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_chunks_cover_all_rows() {
+    fn slice_copies_a_row_range() {
         let points = pts(&[&[0.0], &[1.0], &[2.0], &[3.0], &[4.0]]);
         let block = PointBlock::from_points(&points).unwrap();
         let s = block.slice(1, 4);
         assert_eq!(s.ids(), &[1, 2, 3]);
-        let chunks = block.chunks(2);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(
-            chunks.iter().map(PointBlock::len).sum::<usize>(),
-            block.len()
-        );
-        assert_eq!(chunks[2].ids(), &[4]);
-        // rows == 0 means one chunk
-        assert_eq!(block.chunks(0).len(), 1);
-        assert!(PointBlock::new(2).chunks(4).is_empty());
+        assert_eq!(s.coords(), &[1.0, 2.0, 3.0]);
+        assert!(block.slice(5, 5).is_empty());
     }
 
     #[test]

@@ -85,6 +85,11 @@ fn bracket_count(brackets: &[(f64, f64)], y: f64, v: f64) -> Option<usize> {
     Some(below)
 }
 
+/// Rows per batch of [`AnglePartitioner::assign_rows`]'s lane sweep: the
+/// rows of a batch are swept together, one array lane each, so the
+/// compiler can keep them in vector registers.
+const LANES: usize = 8;
+
 /// Angular-sector partitioner.
 #[derive(Debug, Clone)]
 pub struct AnglePartitioner {
@@ -244,6 +249,40 @@ impl AnglePartitioner {
             .map(|(&a, bs)| bs.partition_point(|&b| b <= a))
             .collect()
     }
+
+    /// Sweeps the [`LANES`] rows of `rows` (row-major) backward like
+    /// `partition_of_row`, with the same `v`, `y` and `sumsq` arithmetic
+    /// in the same order, writing each row's bracket count to `out` and
+    /// returning which rows some bracket could not tell.
+    #[inline]
+    fn sweep_lanes(&self, rows: &[f64], out: &mut [usize]) -> [bool; LANES] {
+        let d = self.dim;
+        let mut sumsq = [0.0f64; LANES];
+        let mut index = [0usize; LANES];
+        let mut ambiguous = [false; LANES];
+        let mut stride = 1usize;
+        for i in (0..d).rev() {
+            let origin = self.origin[i];
+            let v: [f64; LANES] = std::array::from_fn(|l| (rows[l * d + i] - origin).max(0.0));
+            if i < d - 1 {
+                let y: [f64; LANES] = std::array::from_fn(|l| sumsq[l].sqrt());
+                for &(lo, hi) in &self.brackets[i] {
+                    for l in 0..LANES {
+                        let above = y[l] > v[l] * hi;
+                        let below = y[l] < v[l] * lo;
+                        index[l] += if above { stride } else { 0 };
+                        ambiguous[l] |= !above & !below;
+                    }
+                }
+                stride *= self.splits[i];
+            }
+            for l in 0..LANES {
+                sumsq[l] += v[l] * v[l];
+            }
+        }
+        out.copy_from_slice(&index);
+        ambiguous
+    }
 }
 
 fn shift_to_origin(p: &Point, origin: &[f64]) -> Point {
@@ -304,6 +343,43 @@ impl SpacePartitioner for AnglePartitioner {
             sumsq += v * v;
         }
         out
+    }
+
+    /// `partition_of_row`'s sweep over [`LANES`] rows at a time, with no
+    /// data-dependent branch: per boundary each row adds
+    /// `y > v · tan(b + δ)` to its count. A row for which some bracket
+    /// cannot tell (`!(y > v · hi) && !(y < v · lo)`) is ambiguous and
+    /// takes `partition_of_row`, which stays the one exact definition; so
+    /// do the rows after the last whole batch. On every other row the
+    /// count is `bracket_count`'s: a row below bracket `j` (`y < v · lo_j`,
+    /// so `v > 0`) is below every later one too, since the brackets ascend
+    /// and multiplying by `v > 0` keeps their order.
+    fn assign_rows(&self, ids: &[u64], coords: &[f64], out: &mut [usize]) {
+        let d = self.dim;
+        assert_eq!(coords.len(), ids.len() * d, "row batch shape mismatch");
+        assert_eq!(out.len(), ids.len(), "output length mismatch");
+        if d == 1 {
+            out.fill(0);
+            return;
+        }
+        let whole = ids.len() / LANES * LANES;
+        let batches = coords[..whole * d]
+            .chunks_exact(LANES * d)
+            .zip(out[..whole].chunks_exact_mut(LANES))
+            .zip(ids[..whole].chunks_exact(LANES));
+        for ((rows, slots), batch_ids) in batches {
+            let ambiguous = self.sweep_lanes(rows, slots);
+            // nearly every batch is all clear; testing that first skips the
+            // per-lane walk (8.2 vs 10.2 ns a row on the 500k×6 QWS block)
+            if ambiguous.contains(&true) {
+                for (l, _) in ambiguous.iter().enumerate().filter(|(_, &a)| a) {
+                    slots[l] = self.partition_of_row(batch_ids[l], &rows[l * d..(l + 1) * d]);
+                }
+            }
+        }
+        for k in whole..ids.len() {
+            out[k] = self.partition_of_row(ids[k], &coords[k * d..(k + 1) * d]);
+        }
     }
 
     fn boundary_profile(&self) -> BoundaryProfile {

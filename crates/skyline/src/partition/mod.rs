@@ -261,6 +261,25 @@ pub trait SpacePartitioner: Send + Sync {
         self.partition_of(&Point::new(id, coords.to_vec()))
     }
 
+    /// The partition index of every row of a row-major batch: `out[k]` is
+    /// [`SpacePartitioner::partition_of_row`] of `ids[k]` and the `k`-th
+    /// `dim()`-wide row of `coords`. The map side's batched hot path; the
+    /// default loops over `partition_of_row`, and an override must give
+    /// the same index on every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords.len() != ids.len() * self.dim()` or
+    /// `out.len() != ids.len()`.
+    fn assign_rows(&self, ids: &[u64], coords: &[f64], out: &mut [usize]) {
+        let d = self.dim();
+        assert_eq!(coords.len(), ids.len() * d, "row batch shape mismatch");
+        assert_eq!(out.len(), ids.len(), "output length mismatch");
+        for (k, (slot, &id)) in out.iter_mut().zip(ids).enumerate() {
+            *slot = self.partition_of_row(id, &coords[k * d..(k + 1) * d]);
+        }
+    }
+
     /// Given per-partition point counts, returns a mask of partitions whose
     /// **entire contents** are guaranteed dominated by points of other
     /// non-empty partitions and can therefore skip local-skyline computation
@@ -307,6 +326,9 @@ impl SpacePartitioner for std::sync::Arc<dyn SpacePartitioner> {
     }
     fn partition_of_row(&self, id: u64, coords: &[f64]) -> usize {
         (**self).partition_of_row(id, coords)
+    }
+    fn assign_rows(&self, ids: &[u64], coords: &[f64], out: &mut [usize]) {
+        (**self).assign_rows(ids, coords, out);
     }
     fn prunable(&self, counts: &[usize]) -> Vec<bool> {
         (**self).prunable(counts)
@@ -588,6 +610,151 @@ mod tests {
         let part = ByFirstCoord;
         assert_eq!(part.partition_of_row(9, &[0.5, 3.0]), 0);
         assert_eq!(part.partition_of_row(9, &[1.5, 3.0]), 1);
+        let mut out = [7; 3];
+        part.assign_rows(&[1, 2, 3], &[1.5, 0.0, 0.5, 3.0, 2.0, 2.0], &mut out);
+        assert_eq!(out, [1, 0, 1]);
+    }
+
+    /// Rows that stress [`SpacePartitioner::assign_rows`] against
+    /// `partition_of_row` at dimension `d`: random rows mixing ±0.0, a
+    /// constant column, values below the origin and magnitudes from
+    /// 1e-300 to `f64::MAX`; every ±0.0 sign pattern; and, for each
+    /// angular boundary `b` of `angles` (fit at the origin), rows 1–4 ulps
+    /// either side of `v · tan(b)` (`v` on axis `i`, `y` on axis `i + 1`).
+    fn assign_stress_rows(
+        d: usize,
+        angles: &[AnglePartitioner],
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let constant = rng.gen_range(0..d);
+        let mut rows: Vec<Vec<f64>> = (0..64)
+            .map(|_| {
+                (0..d)
+                    .map(|k| match rng.gen_range(0..8) {
+                        _ if k == constant => 0.25,
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => rng.gen_range(-1.0..0.0),
+                        3 => {
+                            [1e-300, 1e300, f64::MAX][rng.gen_range(0..3usize)]
+                                * rng.gen_range(0.0..1.0)
+                        }
+                        _ => rng.gen_range(0.0..4.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        for mask in 0..1u32 << d.min(6) {
+            rows.push(
+                (0..d)
+                    .map(|k| if mask >> k & 1 == 1 { -0.0 } else { 0.0 })
+                    .collect(),
+            );
+        }
+        for part in angles {
+            assert!(part.origin().iter().all(|&o| o == 0.0));
+            for (i, bs) in part.boundaries().iter().enumerate() {
+                for &b in bs {
+                    for v in [1e-300, 0.1, 0.75, 3.0, 1e150, rng.gen_range(0.0..4.0)] {
+                        let y0 = v * b.tan();
+                        if !(y0.is_finite() && y0 >= 0.0) {
+                            continue;
+                        }
+                        let (mut up, mut down) = (y0, y0);
+                        for _ in 0..4 {
+                            up = up.next_up();
+                            down = down.next_down().max(0.0);
+                            for y in [up, down] {
+                                let mut row = vec![0.0; d];
+                                row[i] = v;
+                                row[i + 1] = y;
+                                rows.push(row);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // spread the boundary rows over the lane batches
+        for k in (1..rows.len()).rev() {
+            rows.swap(k, rng.gen_range(0..=k));
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn assign_rows_matches_partition_of_row_row_for_row(
+            seed in 0u64..u64::MAX,
+            d in 1usize..=12,
+            partitions in 1usize..=40,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bounds = Bounds::new(vec![0.0; d], vec![4.0; d]);
+            // quantile samples: uniform, and piled on the first and on
+            // the last axis so boundaries land on 0 and on π/2; each holds
+            // the origin, so every angle fit sits at 0
+            let sample = |rng: &mut StdRng, pile: Option<usize>| -> Vec<Point> {
+                (0..300u64)
+                    .map(|i| {
+                        let mut row = vec![0.0; d];
+                        match pile {
+                            Some(axis) if i % 5 < 3 => row[axis] = rng.gen_range(0.5..4.0),
+                            _ => row.iter_mut().for_each(|v| *v = rng.gen_range(0.0..4.0)),
+                        }
+                        Point::new(i, row)
+                    })
+                    .chain([Point::new(300, vec![0.0; d])])
+                    .collect()
+            };
+            let (uniform, first, last) = (
+                sample(&mut rng, None),
+                sample(&mut rng, Some(0)),
+                sample(&mut rng, Some(d - 1)),
+            );
+            let angles = [
+                AnglePartitioner::fit(&bounds, partitions).unwrap(),
+                AnglePartitioner::fit_quantile(&uniform, partitions).unwrap(),
+                AnglePartitioner::fit_quantile(&first, partitions).unwrap(),
+                AnglePartitioner::fit_quantile(&last, partitions).unwrap(),
+            ];
+            let rows = assign_stress_rows(d, &angles, &mut rng);
+            let ids: Vec<u64> = (0..rows.len() as u64).map(|i| i * 7 + seed % 13).collect();
+            let coords: Vec<f64> = rows.concat();
+            let mut parts: Vec<Box<dyn SpacePartitioner>> = vec![
+                Box::new(GridPartitioner::fit(&bounds, partitions).unwrap()),
+                Box::new(DimPartitioner::fit(&bounds, partitions).unwrap()),
+                Box::new(RandomPartitioner::new(d, partitions).unwrap()),
+            ];
+            parts.extend(angles.into_iter().map(|a| Box::new(a) as Box<dyn SpacePartitioner>));
+            // every offset and length of a window of the rows, empty ranges
+            // and ranges that are no multiple of 8 included, plus the whole
+            let window = 24.min(rows.len());
+            let start = rng.gen_range(0..=rows.len() - window);
+            for part in &parts {
+                let want: Vec<usize> = rows
+                    .iter()
+                    .zip(&ids)
+                    .map(|(row, &id)| part.partition_of_row(id, row))
+                    .collect();
+                let mut got = vec![usize::MAX; rows.len()];
+                part.assign_rows(&ids, &coords, &mut got);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(g, w, "{} d={} row {:?}", part.name(), d, rows[k]);
+                }
+                for lo in start..=start + window {
+                    for hi in lo..=start + window {
+                        let mut got = vec![usize::MAX; hi - lo];
+                        part.assign_rows(&ids[lo..hi], &coords[lo * d..hi * d], &mut got);
+                        proptest::prop_assert_eq!(&got[..], &want[lo..hi], "{} d={} rows {}..{}", part.name(), d, lo, hi);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
